@@ -100,10 +100,15 @@ def _cmd_run(args) -> int:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
 
-    seed = args.seed
-    if seed is None and os.environ.get("PARTSIM_SEED"):
-        seed = int(os.environ["PARTSIM_SEED"])
-    until = parse_duration(args.until) if args.until else None
+    seed, where = args.seed, "PARTSIM_SEED"
+    try:
+        if seed is None and os.environ.get(where):
+            seed = int(os.environ[where])
+        where = "--until"
+        until = parse_duration(args.until) if args.until else None
+    except ValueError as exc:
+        print(f"error: {where}: {exc}", file=sys.stderr)
+        return EXIT_FINDINGS
 
     try:
         result = harness.run_scenario(scenario, until=until, frames=args.frames, seed=seed)

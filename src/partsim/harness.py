@@ -10,7 +10,7 @@ repetition count, and the RNG seed::
     seed = 1
     repetitions = 100
     payload_sizes = 64            # comma-separated byte counts
-    max_frames = 2                # per-repetition run bound (partitioned)
+    max_frames = 2                # per-simulation run bound (partitioned)
     api_call_cost = 0ns
 
     [system]                      # inline XML (or: system_file = rel/path.xml)
@@ -37,10 +37,11 @@ repetition count, and the RNG seed::
     [loads]                       # broker mode: one pair per line
     0.0,0.0 -> 1.0,0.75           # relaxed cpu,mem -> stressed cpu,mem
 
-Partitioned runs boot a fresh simulation per repetition and measure the
-latency between the producer's ``tx`` mark and the consumer's ``rx`` mark
-(the first one that follows a successful receive), together with the
-scheduled transition gap between the two slots involved.  Broker runs
+Partitioned runs draw no randomness, so each payload is simulated once,
+measuring the latency between the producer's ``tx`` mark and the
+consumer's ``rx`` mark (the first one that follows a successful receive)
+and the scheduled transition gap between the two slots; that one
+measurement is written as one row per repetition.  Broker runs
 evaluate the transmission time under both load profiles per repetition and
 record the stressed-minus-relaxed delay.
 
@@ -385,6 +386,8 @@ def validate_scenario(sc: Scenario) -> list[Finding]:
         err("REPETITIONS", "scenario", "repetitions must be >= 1")
     if not sc.payload_sizes or any(p <= 0 for p in sc.payload_sizes):
         err("PAYLOAD", "scenario", "payload sizes must be positive")
+    if sc.max_frames < 1:
+        err("MAX_FRAMES", "scenario", "max_frames must be >= 1")
 
     if sc.mode is Mode.PARTITIONED:
         if sc.system is None:
@@ -494,13 +497,16 @@ def run_scenario(
     frames: int | None = None,
     seed: int | None = None,
 ) -> RunResult:
-    """Execute every repetition and collect per-repetition records.
+    """Run every payload (and load pair) and collect per-repetition records.
 
-    ``until``/``frames`` override the per-repetition run bound of
+    ``until``/``frames`` override the per-simulation run bound of
     partitioned scenarios; ``seed`` overrides the scenario seed (broker
     jitter only; partitioned runs draw no randomness).
     """
     findings = validate_scenario(sc)
+    for flag, value, least in (("frames", frames, 1), ("until", until, 0)):
+        if value is not None and value < least:
+            findings.append(Finding("RUN_BOUND", "ERROR", f"--{flag}", f"{flag} must be >= {least}"))
     if findings:
         raise ScenarioInvalid(findings)
     if sc.mode is Mode.PARTITIONED:
@@ -527,44 +533,42 @@ def _run_partitioned(
     first_trace: list[trace_mod.TraceRecord] | None = None
     halted = False
     for payload in sc.payload_sizes:
-        bound_scripts = {pid: s.bind_payload(payload) for pid, s in sc.scripts.items()}
-        for rep in range(sc.repetitions):
-            sim = SimState(
-                system,
-                scripts=bound_scripts,
-                health_table=sc.health_table,
-                api_call_cost=sc.api_call_cost,
+        sim = SimState(
+            system,
+            scripts={pid: s.bind_payload(payload) for pid, s in sc.scripts.items()},
+            health_table=sc.health_table,
+            api_call_cost=sc.api_call_cost,
+        )
+        sim.boot()
+        sim.run_until(bound)
+        if first_trace is None:
+            first_trace = sim.trace
+        halted = halted or sim.halted
+        if not measuring:
+            continue
+        measured = _measure(sim.trace, system)
+        if measured is None:
+            if explicit_bound or sim.halted:
+                continue  # caller asked for a bounded/aborted run
+            raise MeasurementError(
+                f"{sc.name}: no tx/rx mark pair observed within {bound} ns"
             )
-            sim.boot()
-            sim.run_until(bound)
-            if first_trace is None:
-                first_trace = sim.trace
-            halted = halted or sim.halted
-            if not measuring:
-                continue
-            measured = _measure(sim.trace, system)
-            if measured is None:
-                if explicit_bound or sim.halted:
-                    continue  # caller asked for a bounded/aborted run
-                raise MeasurementError(
-                    f"{sc.name}: no tx/rx mark pair observed within {bound} ns"
-                )
-            t_send, t_recv, gap = measured
-            latency = t_recv - t_send
-            ratio = latency / gap if gap else None
-            rows.append(
-                RepetitionRecord(
-                    scenario=sc.name,
-                    mode=sc.mode,
-                    repetition=rep,
-                    payload_bytes=payload,
-                    t_send_ns=t_send,
-                    t_recv_ns=t_recv,
-                    latency_ns=latency,
-                    gap_ns=gap,
-                    latency_to_gap_ratio=ratio,
-                )
+        t_send, t_recv, gap = measured
+        latency = t_recv - t_send
+        rows.extend(
+            RepetitionRecord(
+                scenario=sc.name,
+                mode=sc.mode,
+                repetition=rep,
+                payload_bytes=payload,
+                t_send_ns=t_send,
+                t_recv_ns=t_recv,
+                latency_ns=latency,
+                gap_ns=gap,
+                latency_to_gap_ratio=latency / gap if gap else None,
             )
+            for rep in range(sc.repetitions)
+        )
     return RunResult(scenario=sc.name, mode=sc.mode, rows=rows, trace=first_trace, halted=halted)
 
 

@@ -109,7 +109,7 @@ class SimState:
     """Single-owner simulation state; all mutation goes through boot/step.
 
     Distinct SimStates are independent and may run concurrently (one per
-    scenario repetition).
+    payload of a partitioned scenario; its repetitions share it).
     """
 
     def __init__(
@@ -402,14 +402,3 @@ class SimState:
         else:
             health_mod.raise_event(self, payload[1])
 
-
-def boot(state: SimState) -> SimState:
-    return state.boot()
-
-
-def step(state: SimState) -> tuple[SimState, Event]:
-    return state, state.step()
-
-
-def run_until(state: SimState, t_end: Duration) -> tuple[SimState, list[trace_mod.TraceRecord]]:
-    return state, state.run_until(t_end)

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, deterministic outputs."""
 
+import os
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 from partsim.cli import main
 from partsim.harness import CSV_COLUMNS
 
-from conftest import COOKBOOK_XML, SCENARIO_DIR, make_cookbook_scenario
+from conftest import COOKBOOK_XML, REPO_ROOT, SCENARIO_DIR, make_cookbook_scenario
 
 OVERLAPPING = COOKBOOK_XML.replace('start="500us"', 'start="300us"')
 
@@ -108,6 +109,36 @@ def test_env_seed_fallback(workdir, monkeypatch):
     assert (workdir / "env.csv").read_bytes() == (workdir / "flag.csv").read_bytes()
 
 
+def test_malformed_until_is_a_finding(workdir, capsys):
+    scn = write(workdir / "cb.scn", make_cookbook_scenario(repetitions=1))
+    assert main(["run", scn, "--until", "1xs", "--out", "o.csv"]) == 1
+    err = capsys.readouterr().err
+    assert "--until" in err and "Traceback" not in err
+
+
+def test_malformed_env_seed_is_a_finding(workdir, monkeypatch, capsys):
+    broker = write(workdir / "br.scn", (SCENARIO_DIR / "broker.scn").read_text())
+    monkeypatch.setenv("PARTSIM_SEED", "x")
+    assert main(["run", broker, "--out", "o.csv"]) == 1
+    err = capsys.readouterr().err
+    assert "PARTSIM_SEED" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_non_positive_max_frames_exits_1(workdir, capsys, value):
+    text = make_cookbook_scenario(repetitions=1).replace("max_frames = 2", f"max_frames = {value}")
+    scn = write(workdir / "mf.scn", text)
+    assert main(["run", scn, "--out", "o.csv"]) == 1
+    assert "MAX_FRAMES scenario max_frames" in capsys.readouterr().err
+
+
+def test_zero_frames_flag_exits_1(workdir, capsys):
+    scn = write(workdir / "cb.scn", make_cookbook_scenario(repetitions=1))
+    assert main(["run", scn, "--frames", "0", "--out", "o.csv"]) == 1
+    assert "RUN_BOUND --frames" in capsys.readouterr().out
+    assert not (workdir / "o.csv").exists()
+
+
 def test_halt_system_exit_code(workdir):
     scn = write(
         workdir / "halt.scn",
@@ -151,11 +182,15 @@ def test_report_malformed_csv(workdir):
 
 def test_module_entry_point(workdir):
     scn = write(workdir / "cb.scn", make_cookbook_scenario(repetitions=2))
+    pythonpath = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "partsim", "run", scn, "--out", "sub.csv"],
         capture_output=True,
         text=True,
         cwd=workdir,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0, proc.stderr
     assert (workdir / "sub.csv").exists()

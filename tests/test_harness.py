@@ -4,7 +4,8 @@ import hashlib
 
 import pytest
 
-from partsim import HealthAction, HmKind, LoadProfile, Mode
+from partsim import HealthAction, HmKind, LoadProfile, Mode, SimState
+from partsim import harness
 from partsim.harness import (
     CSV_COLUMNS,
     EmptyResult,
@@ -13,13 +14,16 @@ from partsim.harness import (
     ScenarioInvalid,
     export_csv,
     format_csv,
+    load_scenario,
     parse_scenario,
     read_csv,
     run_scenario,
     summarize,
 )
 
-from conftest import make_cookbook_scenario
+from conftest import SCENARIO_DIR, make_cookbook_scenario
+
+PARTITIONED_SCENARIOS = ("cookbook", "overrun", "ratio_demo", "sweep")
 
 BROKER_SCN = """
 name = quiet-broker
@@ -121,6 +125,78 @@ def test_run_is_reproducible():
     a = format_csv(run_scenario(parse_scenario(text)).rows)
     b = format_csv(run_scenario(parse_scenario(text)).rows)
     assert hashlib.sha256(a.encode()).hexdigest() == hashlib.sha256(b.encode()).hexdigest()
+
+
+def _simulate(sc, payload):
+    sim = SimState(
+        sc.system,
+        scripts={pid: s.bind_payload(payload) for pid, s in sc.scripts.items()},
+        health_table=sc.health_table,
+        api_call_cost=sc.api_call_cost,
+    )
+    sim.boot()
+    sim.run_until(sc.max_frames * sc.system.plan.major_frame)
+    return sim
+
+
+def _rows_simulating_every_repetition(sc):
+    """Reference: one fresh simulation per repetition, as a partitioned run
+    would need if it drew any randomness."""
+    rows = []
+    if not harness._has_measurement_marks(sc.scripts):
+        return rows
+    for payload in sc.payload_sizes:
+        for rep in range(sc.repetitions):
+            sim = _simulate(sc, payload)
+            measured = harness._measure(sim.trace, sc.system)
+            if measured is None:
+                assert sim.halted
+                continue
+            t_send, t_recv, gap = measured
+            rows.append(RepetitionRecord(
+                scenario=sc.name, mode=sc.mode, repetition=rep, payload_bytes=payload,
+                t_send_ns=t_send, t_recv_ns=t_recv, latency_ns=t_recv - t_send, gap_ns=gap,
+                latency_to_gap_ratio=(t_recv - t_send) / gap if gap else None,
+            ))
+    return rows
+
+
+@pytest.mark.parametrize("name", PARTITIONED_SCENARIOS)
+def test_one_simulation_per_payload_matches_every_repetition(name):
+    sc = load_scenario(SCENARIO_DIR / f"{name}.scn")
+    assert format_csv(run_scenario(sc).rows) == format_csv(_rows_simulating_every_repetition(sc))
+
+
+@pytest.mark.parametrize("name", PARTITIONED_SCENARIOS)
+def test_fresh_simulation_repeats_the_trace(name):
+    """Reusing one simulation for every repetition is only sound while a
+    partitioned run draws no randomness; this fails if a source appears."""
+    sc = load_scenario(SCENARIO_DIR / f"{name}.scn")
+    assert run_scenario(sc).trace == _simulate(sc, sc.payload_sizes[0]).trace
+    for payload in sc.payload_sizes:
+        assert _simulate(sc, payload).trace == _simulate(sc, payload).trace
+
+
+def test_sweep_builds_one_simulation_per_payload(monkeypatch):
+    built = []
+
+    class CountingSimState(SimState):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "SimState", CountingSimState)
+    sc = load_scenario(SCENARIO_DIR / "sweep.scn")
+    result = run_scenario(sc)
+    assert len(built) == len(sc.payload_sizes) == 3
+    assert len(result.rows) == len(sc.payload_sizes) * sc.repetitions
+
+
+def test_negative_until_rejected():
+    sc = parse_scenario(make_cookbook_scenario())
+    with pytest.raises(ScenarioInvalid) as err:
+        run_scenario(sc, until=-1)
+    assert [(f.code, f.location) for f in err.value.findings] == [("RUN_BOUND", "--until")]
 
 
 def test_broker_seed_changes_jittered_rows():
