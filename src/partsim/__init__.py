@@ -56,11 +56,9 @@ from .health import (
 )
 from .middleware import (
     BrokerTopology,
-    DeliveryRecord,
     LinkModel,
     LoadProfile,
     default_topology,
-    publish,
     repetition_rng,
     tx_delay,
     tx_time,

@@ -73,7 +73,7 @@ def _summary_lines(rows) -> list[str]:
 def _cmd_validate(args) -> int:
     try:
         text = Path(args.config_path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
@@ -93,7 +93,7 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     try:
         scenario = harness.load_scenario(args.scenario_path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (config_mod.ConfigError, harness.ScenarioError) as exc:
@@ -145,7 +145,7 @@ def _cmd_report(args) -> int:
     for path in args.csv_paths:
         try:
             rows.extend(harness.read_csv(path))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
         except harness.ScenarioError as exc:

@@ -26,10 +26,10 @@ repetition count, and the RNG seed::
     SLOT_OVERRUN = LOG            # per-kind default
     SLOT_OVERRUN 0 = HALT_PARTITION   # per-partition override
 
-    [broker]                      # broker mode topology (defaults are the
-    subscribers = 1               # documented calibration constants)
-    uplink = base=200us per_byte=0ns jitter=50us
-    downlink = base=200us per_byte=0ns jitter=50us
+    [broker]                      # broker mode: the one publisher -> broker
+    subscribers = 1               # -> subscriber path (must be 1); omitted
+    uplink = base=200us per_byte=0ns jitter=50us     # keys keep the
+    downlink = base=200us per_byte=0ns jitter=50us   # default_topology()
     proc_fixed = 20us
     proc_per_byte = 5ns
     load_factor = 1.0
@@ -37,13 +37,17 @@ repetition count, and the RNG seed::
     [loads]                       # broker mode: one pair per line
     0.0,0.0 -> 1.0,0.75           # relaxed cpu,mem -> stressed cpu,mem
 
+A malformed value raises a ScenarioError that names its key or section.
+
 Partitioned runs draw no randomness, so each payload is simulated once,
 measuring the latency between the producer's ``tx`` mark and the
 consumer's ``rx`` mark (the first one that follows a successful receive)
 and the scheduled transition gap between the two slots; that one
 measurement is written as one row per repetition.  Broker runs
 evaluate the transmission time under both load profiles per repetition and
-record the stressed-minus-relaxed delay.
+record the stressed-minus-relaxed delay; with more than one load pair, each
+row's scenario is labelled ``<name>/<k>`` (``k`` the 0-based pair index) so
+every condition is summarized on its own.
 
 CSV column contract (exact order; unused fields empty)::
 
@@ -55,6 +59,7 @@ Output is byte-deterministic for a fixed scenario and seed.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,20 +72,27 @@ from .scheduler import SimState
 from .units import Duration, parse_duration
 from .workload import AppScript, Mark, Read, Receive, ScriptMode, Send
 
-CSV_COLUMNS = (
-    "scenario", "mode", "repetition", "payload_bytes",
-    "t_send_ns", "t_recv_ns", "latency_ns", "gap_ns", "latency_to_gap_ratio",
-    "tx_relaxed_ns", "tx_stressed_ns", "tx_delay_ns",
-)
-
-DEFAULT_PAYLOAD_SIZES = (1, 1_000_000, 6_000_000)
-DEFAULT_REPETITIONS = 100
-DEFAULT_MAX_FRAMES = 16
-
 
 class Mode(enum.Enum):
     PARTITIONED = "partitioned"
     BROKER = "broker"
+
+
+# (column, type) in CSV order; every row fills the key columns, while an
+# empty value cell reads back as None
+_CSV_KEY_COLUMNS = (
+    ("scenario", str), ("mode", Mode), ("repetition", int), ("payload_bytes", int),
+)
+_CSV_VALUE_COLUMNS = (
+    ("t_send_ns", int), ("t_recv_ns", int), ("latency_ns", int), ("gap_ns", int),
+    ("latency_to_gap_ratio", float),
+    ("tx_relaxed_ns", int), ("tx_stressed_ns", int), ("tx_delay_ns", int),
+)
+CSV_COLUMNS = tuple(name for name, _ in _CSV_KEY_COLUMNS + _CSV_VALUE_COLUMNS)
+
+DEFAULT_PAYLOAD_SIZES = (1, 1_000_000, 6_000_000)
+DEFAULT_REPETITIONS = 100
+DEFAULT_MAX_FRAMES = 16
 
 
 class ScenarioError(ValueError):
@@ -196,7 +208,16 @@ def _kv_lines(lines: list[str], section: str) -> dict[str, str]:
     return out
 
 
-def _parse_link(value: str, where: str) -> LinkModel:
+def _convert(where: str, convert, text: str):
+    """``convert(text)``, with a ValueError re-raised as a ScenarioError
+    that names ``where``."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+def _parse_link(value: str) -> LinkModel:
     base, per_byte, jitter = 0, 0, 0
     for token in value.split():
         key, _, val = token.partition("=")
@@ -207,71 +228,62 @@ def _parse_link(value: str, where: str) -> LinkModel:
         elif key == "jitter":
             jitter = parse_duration(val)
         else:
-            raise ScenarioError(f"{where}: unknown link field {key!r}")
+            raise ValueError(f"unknown link field {key!r}")
     return LinkModel(base_latency=base, per_byte=per_byte, jitter_stddev=jitter)
 
 
-def _parse_load(value: str, where: str) -> LoadProfile:
-    parts = [p.strip() for p in value.split(",")]
+def _parse_load(value: str) -> LoadProfile:
+    parts = value.split(",")
     if len(parts) != 2:
-        raise ScenarioError(f"{where}: expected 'cpu,mem', got {value!r}")
-    try:
-        return LoadProfile(cpu_load=float(parts[0]), memory_load=float(parts[1]))
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
+        raise ValueError(f"expected 'cpu,mem', got {value.strip()!r}")
+    return LoadProfile(cpu_load=float(parts[0]), memory_load=float(parts[1]))
+
+
+_BROKER_KEYS = {
+    "uplink": _parse_link,
+    "downlink": _parse_link,
+    "proc_fixed": parse_duration,
+    "proc_per_byte": parse_duration,
+    "load_factor": float,
+}
 
 
 def _parse_broker(lines: list[str]) -> BrokerTopology:
+    """The one publisher -> broker -> subscriber path; omitted keys keep
+    the calibration of ``middleware.default_topology``."""
     kv = _kv_lines(lines, "broker")
-    n_subscribers = int(kv.pop("subscribers", "1"))
-    default_link = LinkModel(
-        base_latency=middleware.DEFAULT_LINK_BASE,
-        per_byte=middleware.DEFAULT_LINK_PER_BYTE,
-        jitter_stddev=middleware.DEFAULT_JITTER_STDDEV,
-    )
-    uplink = downlink = default_link
-    if "uplink" in kv:
-        uplink = _parse_link(kv.pop("uplink"), "[broker] uplink")
-    if "downlink" in kv:
-        downlink = _parse_link(kv.pop("downlink"), "[broker] downlink")
-    proc_fixed = parse_duration(kv.pop("proc_fixed", f"{middleware.DEFAULT_PROC_FIXED}ns"))
-    proc_per_byte = parse_duration(kv.pop("proc_per_byte", f"{middleware.DEFAULT_PROC_PER_BYTE}ns"))
-    load_factor = float(kv.pop("load_factor", str(middleware.DEFAULT_LOAD_FACTOR)))
-    if kv:
-        raise ScenarioError(f"[broker]: unknown keys {sorted(kv)}")
-    return BrokerTopology(
-        publisher="pub",
-        server="broker",
-        subscribers=tuple(f"sub{i}" for i in range(n_subscribers)),
-        uplink=uplink,
-        downlinks=(downlink,) * n_subscribers,
-        proc_fixed=proc_fixed,
-        proc_per_byte=proc_per_byte,
-        load_factor=load_factor,
-    )
+    subscribers = _convert("[broker] subscribers", int, kv.pop("subscribers", "1"))
+    if subscribers != 1:
+        raise ScenarioError(
+            f"[broker] subscribers: exactly one subscriber is modelled, got {subscribers}"
+        )
+    unknown = set(kv) - set(_BROKER_KEYS)
+    if unknown:
+        raise ScenarioError(f"[broker]: unknown keys {sorted(unknown)}")
+    fields = {key: _convert(f"[broker] {key}", _BROKER_KEYS[key], text)
+              for key, text in kv.items()}
+    return dataclasses.replace(middleware.default_topology(), **fields)
 
 
 def _parse_health(lines: list[str]) -> HealthTable:
     table = HealthTable()
     for line in lines:
-        if "=" not in line:
+        lhs, sep, rhs = line.partition("=")
+        parts = lhs.split()
+        if not sep or len(parts) not in (1, 2):
             raise ScenarioError(f"[health]: expected 'KIND [partition] = ACTION', got {line!r}")
-        lhs, _, rhs = line.partition("=")
         try:
             action = HealthAction[rhs.strip()]
         except KeyError:
             raise ScenarioError(f"[health]: unknown action {rhs.strip()!r}") from None
-        parts = lhs.split()
         try:
             kind = HmKind[parts[0]]
         except KeyError:
             raise ScenarioError(f"[health]: unknown event kind {parts[0]!r}") from None
         if len(parts) == 1:
             table.set_default(kind, action)
-        elif len(parts) == 2:
-            table.set_override(kind, int(parts[1]), action)
         else:
-            raise ScenarioError(f"[health]: malformed line {line!r}")
+            table.set_override(kind, int(parts[1]), action)
     return table
 
 
@@ -293,6 +305,21 @@ def _parse_script_section(lines: list[str], partition_id: int) -> AppScript:
     return workload.parse_script(action_lines, partition_id, mode)
 
 
+def _parse_loads(lines: list[str]) -> list[tuple[LoadProfile, LoadProfile]]:
+    pairs = []
+    for line in lines:
+        relaxed_text, sep, stressed_text = line.partition("->")
+        if not sep:
+            raise ScenarioError(f"[loads]: expected 'r_cpu,r_mem -> s_cpu,s_mem', got {line!r}")
+        pairs.append((_convert("[loads] relaxed", _parse_load, relaxed_text),
+                      _convert("[loads] stressed", _parse_load, stressed_text)))
+    return pairs
+
+
+def _parse_sizes(text: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in text.split(",") if p.strip())
+
+
 def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     """Parse a scenario document; raises ScenarioError / ScenarioInvalid."""
     top, sections = _split_sections(text)
@@ -309,9 +336,8 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     except ValueError:
         raise ScenarioError(f"mode must be partitioned or broker, got {top['mode']!r}") from None
 
-    payload_sizes = tuple(
-        int(p) for p in top.get("payload_sizes", "").split(",") if p.strip()
-    ) or DEFAULT_PAYLOAD_SIZES
+    def value(key: str, convert, default: str):
+        return _convert(key, convert, top.get(key, default))
 
     system = None
     if "system" in sections:
@@ -327,24 +353,23 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     health_table = HealthTable()
     load_pairs: list[tuple[LoadProfile, LoadProfile]] = []
     for name, lines in sections.items():
-        if name.startswith("script "):
-            pid = int(name.split()[1])
-            scripts[pid] = _parse_script_section(lines, pid)
-        elif name == "health":
-            health_table = _parse_health(lines)
-        elif name == "broker":
-            topology = _parse_broker(lines)
-        elif name == "loads":
-            for line in lines:
-                relaxed_text, sep, stressed_text = line.partition("->")
-                if not sep:
-                    raise ScenarioError(f"[loads]: expected 'r_cpu,r_mem -> s_cpu,s_mem', got {line!r}")
-                load_pairs.append(
-                    (_parse_load(relaxed_text, "[loads] relaxed"),
-                     _parse_load(stressed_text, "[loads] stressed"))
-                )
-        else:
-            raise ScenarioError(f"unknown section [{name}]")
+        where = f"[{name}]"
+        try:
+            if name.startswith("script "):
+                pid = int(name.split()[1])
+                scripts[pid] = _parse_script_section(lines, pid)
+            elif name == "health":
+                health_table = _parse_health(lines)
+            elif name == "broker":
+                topology = _parse_broker(lines)
+            elif name == "loads":
+                load_pairs = _parse_loads(lines)
+            else:
+                raise ScenarioError(f"unknown section {where}")
+        except ValueError as exc:
+            if isinstance(exc, ScenarioError) and where in str(exc):
+                raise
+            raise ScenarioError(f"{where}: {exc}") from None
 
     if mode is Mode.BROKER and topology is None:
         topology = middleware.default_topology()
@@ -357,13 +382,13 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         system=system,
         topology=topology,
         scripts=scripts,
-        payload_sizes=payload_sizes,
-        repetitions=int(top.get("repetitions", str(DEFAULT_REPETITIONS))),
-        seed=int(top.get("seed", "0")),
+        payload_sizes=value("payload_sizes", _parse_sizes, "") or DEFAULT_PAYLOAD_SIZES,
+        repetitions=value("repetitions", int, str(DEFAULT_REPETITIONS)),
+        seed=value("seed", int, "0"),
         health_table=health_table,
         load_pairs=tuple(load_pairs),
-        api_call_cost=parse_duration(top.get("api_call_cost", "0ns")),
-        max_frames=int(top.get("max_frames", str(DEFAULT_MAX_FRAMES))),
+        api_call_cost=value("api_call_cost", parse_duration, "0ns"),
+        max_frames=value("max_frames", int, str(DEFAULT_MAX_FRAMES)),
     )
     findings = validate_scenario(scenario)
     if findings:
@@ -382,6 +407,8 @@ def validate_scenario(sc: Scenario) -> list[Finding]:
     def err(code: str, location: str, message: str) -> None:
         findings.append(Finding(code=code, severity="ERROR", location=location, message=message))
 
+    if "," in sc.name:
+        err("NAME", "scenario", "name must not contain ',' (it is a CSV cell)")
     if sc.repetitions < 1:
         err("REPETITIONS", "scenario", "repetitions must be >= 1")
     if not sc.payload_sizes or any(p <= 0 for p in sc.payload_sizes):
@@ -575,10 +602,14 @@ def _run_partitioned(
 def _run_broker(sc: Scenario, *, seed: int) -> RunResult:
     topology = sc.topology
     assert topology is not None
+    if len(sc.load_pairs) == 1:
+        labels = [sc.name]
+    else:
+        labels = [f"{sc.name}/{k}" for k in range(len(sc.load_pairs))]
     rows: list[RepetitionRecord] = []
     counter = 0
     for payload in sc.payload_sizes:
-        for relaxed, stressed in sc.load_pairs:
+        for label, (relaxed, stressed) in zip(labels, sc.load_pairs):
             for rep in range(sc.repetitions):
                 rng = middleware.repetition_rng(seed, counter)
                 counter += 1
@@ -586,7 +617,7 @@ def _run_broker(sc: Scenario, *, seed: int) -> RunResult:
                 stressed_ns = middleware.tx_time(topology, payload, stressed, rng)
                 rows.append(
                     RepetitionRecord(
-                        scenario=sc.name,
+                        scenario=label,
                         mode=sc.mode,
                         repetition=rep,
                         payload_bytes=payload,
@@ -682,32 +713,19 @@ def read_csv(path: str | Path) -> list[RepetitionRecord]:
     lines = text.splitlines()
     if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
         raise ScenarioError(f"{path}: missing or wrong CSV header")
+    key_types = [t for _, t in _CSV_KEY_COLUMNS]
+    value_types = [t for _, t in _CSV_VALUE_COLUMNS]
+    n_keys = len(key_types)
     rows = []
     for number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(CSV_COLUMNS):
             raise ScenarioError(f"{path}:{number}: expected {len(CSV_COLUMNS)} fields")
-        record = dict(zip(CSV_COLUMNS, cells))
         try:
-            rows.append(
-                RepetitionRecord(
-                    scenario=record["scenario"],
-                    mode=Mode(record["mode"]),
-                    repetition=int(record["repetition"]),
-                    payload_bytes=int(record["payload_bytes"]),
-                    t_send_ns=int(record["t_send_ns"]) if record["t_send_ns"] else None,
-                    t_recv_ns=int(record["t_recv_ns"]) if record["t_recv_ns"] else None,
-                    latency_ns=int(record["latency_ns"]) if record["latency_ns"] else None,
-                    gap_ns=int(record["gap_ns"]) if record["gap_ns"] else None,
-                    latency_to_gap_ratio=(
-                        float(record["latency_to_gap_ratio"])
-                        if record["latency_to_gap_ratio"] else None
-                    ),
-                    tx_relaxed_ns=int(record["tx_relaxed_ns"]) if record["tx_relaxed_ns"] else None,
-                    tx_stressed_ns=int(record["tx_stressed_ns"]) if record["tx_stressed_ns"] else None,
-                    tx_delay_ns=int(record["tx_delay_ns"]) if record["tx_delay_ns"] else None,
-                )
-            )
+            rows.append(RepetitionRecord(
+                *[t(c) for t, c in zip(key_types, cells)],
+                *[t(c) if c else None for t, c in zip(value_types, cells[n_keys:])],
+            ))
         except ValueError as exc:
             raise ScenarioError(f"{path}:{number}: {exc}") from None
     return rows

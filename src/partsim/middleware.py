@@ -1,20 +1,20 @@
 """Broker-mediated publish/subscribe emulation with a load-sensitive
 delay model.
 
-Every message travels publisher -> server -> subscriber; there is no
-direct path by construction.  The transmission time for one subscriber is
+Every message travels publisher -> broker -> subscriber; there is no
+direct path by construction.  The transmission time is
 
     link1(size) + processing(size) * (1 + load_factor * cpu_load) + link2(size)
 
 plus one truncated-normal jitter draw per link (negative draws clamp to
-zero).  CPU load enters multiplicatively on the server processing term
+zero).  CPU load enters multiplicatively on the broker processing term
 only, so the stressed-minus-relaxed delta isolates the load-induced delay;
-links are load-independent.  memory_load is recorded in delivery records
-for report parity but has no effect on timing.
+links are load-independent.  memory_load is validated but has no effect
+on timing.
 
 Everything is deterministic given the generator passed in.  Jitter draws
-come from that generator in path order (uplink first, then the chosen
-downlink); the harness derives one generator per repetition with
+come from that generator in path order (uplink first, then downlink); the
+harness derives one generator per repetition with
 ``repetition_rng``.
 
 The DEFAULT_* values below are a desk-scale CALIBRATION, not a
@@ -68,33 +68,20 @@ class LoadProfile:
 
 @dataclass(frozen=True)
 class BrokerTopology:
-    publisher: str
-    server: str
-    subscribers: tuple[str, ...]
     uplink: LinkModel
-    downlinks: tuple[LinkModel, ...]
+    downlink: LinkModel
     proc_fixed: Duration = DEFAULT_PROC_FIXED
     proc_per_byte: Duration = DEFAULT_PROC_PER_BYTE
     load_factor: float = DEFAULT_LOAD_FACTOR
 
     def __post_init__(self) -> None:
-        if not self.subscribers:
-            raise ValueError("a broker topology needs at least one subscriber")
-        if len(self.downlinks) != len(self.subscribers):
-            raise ValueError("one downlink per subscriber")
-        if self.proc_fixed < 0 or self.proc_per_byte < 0 or self.load_factor < 0:
+        if self.proc_fixed < 0 or self.proc_per_byte < 0:
             raise ValueError("processing parameters must be non-negative")
+        if not 0.0 <= self.load_factor < math.inf:
+            raise ValueError(f"load_factor must be finite and >= 0, got {self.load_factor}")
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
-    payload_size: int
-    sent_at: Duration
-    delivered_at: tuple[Duration, ...]  # one per subscriber
-    load: LoadProfile
-
-
-def default_topology(n_subscribers: int = 1, jitter: bool = True) -> BrokerTopology:
+def default_topology(jitter: bool = True) -> BrokerTopology:
     """The calibrated demo topology (see module docstring)."""
     stddev = DEFAULT_JITTER_STDDEV if jitter else 0
     link = LinkModel(
@@ -102,13 +89,7 @@ def default_topology(n_subscribers: int = 1, jitter: bool = True) -> BrokerTopol
         per_byte=DEFAULT_LINK_PER_BYTE,
         jitter_stddev=stddev,
     )
-    return BrokerTopology(
-        publisher="pub",
-        server="broker",
-        subscribers=tuple(f"sub{i}" for i in range(n_subscribers)),
-        uplink=link,
-        downlinks=(link,) * n_subscribers,
-    )
+    return BrokerTopology(uplink=link, downlink=link)
 
 
 def repetition_rng(seed: int, repetition: int) -> random.Random:
@@ -128,11 +109,7 @@ def _link_time(link: LinkModel, size: int, rng: random.Random) -> Duration:
 
 
 def tx_time(
-    topology: BrokerTopology,
-    size: int,
-    load: LoadProfile,
-    rng: random.Random,
-    subscriber: int = 0,
+    topology: BrokerTopology, size: int, load: LoadProfile, rng: random.Random
 ) -> Duration:
     """One publisher-to-subscriber transmission time in nanoseconds."""
     if size <= 0:
@@ -142,7 +119,7 @@ def tx_time(
     return (
         _link_time(topology.uplink, size, rng)
         + loaded
-        + _link_time(topology.downlinks[subscriber], size, rng)
+        + _link_time(topology.downlink, size, rng)
     )
 
 
@@ -154,17 +131,3 @@ def tx_delay(stressed: Duration, relaxed: Duration) -> Duration:
     """
     return stressed - relaxed
 
-
-def publish(
-    topology: BrokerTopology,
-    size: int,
-    t: Duration,
-    load: LoadProfile,
-    rng: random.Random,
-) -> DeliveryRecord:
-    """Deliver one message to every subscriber; independent draws each."""
-    delivered = tuple(
-        t + tx_time(topology, size, load, rng, subscriber=i)
-        for i in range(len(topology.subscribers))
-    )
-    return DeliveryRecord(payload_size=size, sent_at=t, delivered_at=delivered, load=load)

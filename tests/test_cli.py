@@ -194,3 +194,43 @@ def test_module_entry_point(workdir):
     )
     assert proc.returncode == 0, proc.stderr
     assert (workdir / "sub.csv").exists()
+
+
+BROKER_TEXT = (SCENARIO_DIR / "broker.scn").read_text()
+
+
+@pytest.mark.parametrize("text, named", [
+    (make_cookbook_scenario().replace("repetitions = 3", "repetitions = abc"), "repetitions"),
+    (make_cookbook_scenario().replace("seed = 1", "seed = x"), "seed"),
+    (make_cookbook_scenario().replace("payload_sizes = 64", "payload_sizes = 6x"), "payload_sizes"),
+    (make_cookbook_scenario().replace("[script 1]", "[script one]"), "[script one]"),
+    (make_cookbook_scenario().replace("compute 100us", "compute 100xs"), "[script 0]"),
+    (BROKER_TEXT.replace("load_factor = 1.0", "load_factor = fast"), "[broker] load_factor"),
+    (BROKER_TEXT.replace("proc_fixed = 20us", "proc_fixed = 20xs"), "[broker] proc_fixed"),
+    (BROKER_TEXT.replace("subscribers = 1", "subscribers = 0"), "[broker] subscribers"),
+    (BROKER_TEXT.replace("subscribers = 1", "subscribers = 3"), "[broker] subscribers"),
+    (BROKER_TEXT.replace("subscribers = 1", "subscribers = abc"), "[broker] subscribers"),
+], ids=["repetitions", "seed", "payload_sizes", "script_id", "script_duration",
+        "load_factor", "proc_fixed", "subscribers_0", "subscribers_3", "subscribers_abc"])
+def test_malformed_value_is_located(workdir, capsys, text, named):
+    scn = write(workdir / "bad.scn", text)
+    assert main(["run", scn, "--out", "o.csv"]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (workdir / "o.csv").exists()
+
+
+def test_comma_in_name_exits_1(workdir, capsys):
+    scn = write(workdir / "n.scn", make_cookbook_scenario().replace("name = cookbook", "name = a,b"))
+    assert main(["run", scn, "--out", "o.csv"]) == 1
+    assert "NAME scenario" in capsys.readouterr().err
+    assert not (workdir / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command, name", [
+    ("validate", "bad.xml"), ("run", "bad.scn"), ("report", "bad.csv"),
+])
+def test_undecodable_input_exits_3(workdir, capsys, command, name):
+    (workdir / name).write_bytes(b"name = \xff\nmode = broker\n")
+    assert main([command, name]) == 3
+    assert "decode" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from partsim import HealthAction, HmKind, LoadProfile, Mode, SimState
-from partsim import harness
+from partsim import harness, middleware
 from partsim.harness import (
     CSV_COLUMNS,
     EmptyResult,
@@ -58,6 +58,41 @@ def test_parse_broker_scenario():
     assert sc.mode is Mode.BROKER
     assert sc.topology.load_factor == 2.0
     assert sc.load_pairs == ((LoadProfile(0.5, 0.25), LoadProfile(0.5, 0.25)),)
+
+
+def test_broker_section_defaults_are_the_calibration():
+    text = BROKER_SCN.replace("load_factor = 2.0\n", "").replace("proc_fixed = 10us\n", "")
+    topology = parse_scenario(text).topology
+    default = middleware.default_topology()
+    assert topology.load_factor == default.load_factor
+    assert topology.proc_fixed == default.proc_fixed
+
+
+def test_two_load_pairs_are_summarized_apart():
+    text = """
+name = pairs
+mode = broker
+seed = 5
+repetitions = 40
+payload_sizes = 1,1000000
+
+[loads]
+0.0,0.0 -> 1.0,0.75
+0.0,0.0 -> 0.5,0.75
+"""
+    sc = parse_scenario(text)
+    rows = run_scenario(sc).rows
+    groups = harness.group_rows(rows)
+    assert sorted(groups) == [(f"pairs/{k}", p) for k in (0, 1) for p in (1, 1_000_000)]
+    assert all(len(g) == 40 and summarize(g).count == 40 for g in groups.values())
+    # one generator per row, counted in payload -> pair -> repetition order
+    for counter, row in enumerate(rows):
+        relaxed, stressed = sc.load_pairs[int(row.scenario[-1])]
+        rng = middleware.repetition_rng(sc.seed, counter)
+        assert row.tx_relaxed_ns == middleware.tx_time(sc.topology, row.payload_bytes, relaxed, rng)
+        assert row.tx_stressed_ns == middleware.tx_time(sc.topology, row.payload_bytes, stressed, rng)
+    one_pair = parse_scenario(text.replace("0.0,0.0 -> 0.5,0.75\n", ""))
+    assert {r.scenario for r in run_scenario(one_pair).rows} == {"pairs"}
 
 
 def test_parse_health_section():

@@ -10,21 +10,17 @@ from partsim import (
     LinkModel,
     LoadProfile,
     default_topology,
-    publish,
     repetition_rng,
     tx_delay,
     tx_time,
 )
 
 
-def quiet_topology(n_subscribers=1, per_byte=1, k=2.0):
+def quiet_topology(per_byte=1, k=2.0):
     link = LinkModel(base_latency=100_000, per_byte=per_byte, jitter_stddev=0)
     return BrokerTopology(
-        publisher="pub",
-        server="srv",
-        subscribers=tuple(f"s{i}" for i in range(n_subscribers)),
         uplink=link,
-        downlinks=(link,) * n_subscribers,
+        downlink=link,
         proc_fixed=10_000,
         proc_per_byte=3,
         load_factor=k,
@@ -100,23 +96,6 @@ def test_equal_load_jittered_delay_centers_on_zero():
     assert abs(mean) <= 3 * stderr
 
 
-def test_publish_single_subscriber_zero_jitter():
-    topo = quiet_topology()
-    record = publish(topo, 500, 42_000, LoadProfile(0.0), random.Random(0))
-    assert record.sent_at == 42_000
-    assert len(record.delivered_at) == 1
-    expected = tx_time(topo, 500, LoadProfile(0.0), random.Random(0))
-    assert record.delivered_at[0] - record.sent_at == expected
-
-
-def test_publish_three_subscribers():
-    topo = default_topology(n_subscribers=3)
-    record = publish(topo, 500, 0, LoadProfile(0.3), random.Random(1))
-    assert len(record.delivered_at) == 3
-    floor = topo.uplink.base_latency + topo.downlinks[0].base_latency
-    assert all(t >= floor for t in record.delivered_at)
-
-
 def test_mediator_cannot_be_bypassed():
     # random topologies: delivery always pays both hops' base latency
     rng = random.Random(7)
@@ -126,14 +105,13 @@ def test_mediator_cannot_be_bypassed():
         link2 = LinkModel(rng.randrange(0, 10**6), rng.randrange(0, 3),
                           rng.randrange(0, 10**5))
         topo = BrokerTopology(
-            publisher="p", server="s", subscribers=("x",),
-            uplink=link1, downlinks=(link2,),
+            uplink=link1, downlink=link2,
             proc_fixed=rng.randrange(0, 10**5), proc_per_byte=rng.randrange(0, 4),
             load_factor=rng.random() * 3,
         )
         load = LoadProfile(rng.random(), rng.random())
-        record = publish(topo, rng.randrange(1, 10**6), 0, load, rng)
-        assert record.delivered_at[0] >= link1.base_latency + link2.base_latency
+        t = tx_time(topo, rng.randrange(1, 10**6), load, rng)
+        assert t >= link1.base_latency + link2.base_latency
 
 
 def test_default_calibration_magnitude():
@@ -151,15 +129,12 @@ def test_default_calibration_magnitude():
 
 
 def test_topology_invariants():
-    link = LinkModel(1)
-    with pytest.raises(ValueError):
-        BrokerTopology(publisher="p", server="s", subscribers=(),
-                       uplink=link, downlinks=())
-    with pytest.raises(ValueError):
-        BrokerTopology(publisher="p", server="s", subscribers=("a", "b"),
-                       uplink=link, downlinks=(link,))
     with pytest.raises(ValueError):
         LinkModel(base_latency=-1)
+    link = LinkModel(1)
+    for load_factor in (-0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            BrokerTopology(uplink=link, downlink=link, load_factor=load_factor)
 
 
 def test_repetition_rng_streams_are_disjoint():
