@@ -35,7 +35,7 @@ class PortStatus(enum.Enum):
     BAD_KIND = "BAD_KIND"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     payload_size: int
     written_at: Duration
@@ -74,7 +74,9 @@ class QueuingPortState:
 class PortTable:
     """All port state for one simulation, keyed by (partition, port name).
 
-    Lives inside a SimState and shares its single-owner contract.
+    Lives inside a SimState and shares its single-owner contract.  Each
+    operation resolves its port to a channel index once; the engine-facing
+    ``send``/``receive``/``read`` hand that index to the per-kind operation.
     """
 
     def __init__(self, config: SystemConfig):
@@ -92,9 +94,7 @@ class PortTable:
             self._source_of[(ch.source.partition_id, ch.source.port)] = index
             for d in ch.destinations:
                 self._dest_of[(d.partition_id, d.port)] = index
-
-    def channel_label(self, index: int) -> str:
-        return f"c{index}"
+        self._labels = tuple(f"c{index}" for index in range(len(self._states)))
 
     def state(self, index: int) -> SamplingPortState | QueuingPortState:
         return self._states[index]
@@ -102,13 +102,7 @@ class PortTable:
     def _make_message(self, index: int, partition_id: int, size: int, now: Duration) -> Message:
         seq = self._next_seq[index]
         self._next_seq[index] = seq + 1
-        return Message(
-            payload_size=size,
-            written_at=now,
-            source_partition=partition_id,
-            seq=seq,
-            checksum=payload_checksum(partition_id, seq, size),
-        )
+        return Message(size, now, partition_id, seq, payload_checksum(partition_id, seq, size))
 
     # -- port operations -----------------------------------------------------
 
@@ -116,10 +110,15 @@ class PortTable:
         self, partition_id: int, port: str, payload_size: int, now: Duration
     ) -> tuple[PortStatus, Message | None]:
         index = self._source_of.get((partition_id, port))
+        return self._sampling_write(index, partition_id, payload_size, now)
+
+    def _sampling_write(
+        self, index: int | None, partition_id: int, payload_size: int, now: Duration
+    ) -> tuple[PortStatus, Message | None]:
         if index is None:
             return PortStatus.NOT_OWNER, None
         st = self._states[index]
-        if not isinstance(st, SamplingPortState):
+        if type(st) is not SamplingPortState:
             return PortStatus.BAD_KIND, None
         if payload_size > st.channel.max_message_size:
             return PortStatus.TOO_LARGE, None
@@ -134,11 +133,15 @@ class PortTable:
     def sampling_read(
         self, partition_id: int, port: str, now: Duration
     ) -> tuple[PortStatus, Message | None, bool]:
-        index = self._dest_of.get((partition_id, port))
+        return self._sampling_read(self._dest_of.get((partition_id, port)), now)
+
+    def _sampling_read(
+        self, index: int | None, now: Duration
+    ) -> tuple[PortStatus, Message | None, bool]:
         if index is None:
             return PortStatus.NOT_OWNER, None, False
         st = self._states[index]
-        if not isinstance(st, SamplingPortState):
+        if type(st) is not SamplingPortState:
             return PortStatus.BAD_KIND, None, False
         visible = [e for e in st.writes if e[1] <= now]
         if not visible:
@@ -153,10 +156,15 @@ class PortTable:
         self, partition_id: int, port: str, payload_size: int, now: Duration
     ) -> tuple[PortStatus, Message | None]:
         index = self._source_of.get((partition_id, port))
+        return self._queuing_send(index, partition_id, payload_size, now)
+
+    def _queuing_send(
+        self, index: int | None, partition_id: int, payload_size: int, now: Duration
+    ) -> tuple[PortStatus, Message | None]:
         if index is None:
             return PortStatus.NOT_OWNER, None
         st = self._states[index]
-        if not isinstance(st, QueuingPortState):
+        if type(st) is not QueuingPortState:
             return PortStatus.BAD_KIND, None
         if payload_size > st.channel.max_message_size:
             return PortStatus.TOO_LARGE, None
@@ -169,11 +177,15 @@ class PortTable:
     def queuing_receive(
         self, partition_id: int, port: str, now: Duration
     ) -> tuple[PortStatus, Message | None]:
-        index = self._dest_of.get((partition_id, port))
+        return self._queuing_receive(self._dest_of.get((partition_id, port)), now)
+
+    def _queuing_receive(
+        self, index: int | None, now: Duration
+    ) -> tuple[PortStatus, Message | None]:
         if index is None:
             return PortStatus.NOT_OWNER, None
         st = self._states[index]
-        if not isinstance(st, QueuingPortState):
+        if type(st) is not QueuingPortState:
             return PortStatus.BAD_KIND, None
         # strict FIFO: a later message never bypasses an in-flight head
         if not st.fifo or st.fifo[0][1] > now:
@@ -193,11 +205,11 @@ class PortTable:
         index = self._source_of.get((partition_id, port))
         if index is None:
             return PortStatus.NOT_OWNER, None, "-", "SEND"
-        if isinstance(self._states[index], SamplingPortState):
-            status, msg = self.sampling_write(partition_id, port, payload_size, now)
-            return status, msg, self.channel_label(index), "WRITE"
-        status, msg = self.queuing_send(partition_id, port, payload_size, now)
-        return status, msg, self.channel_label(index), "SEND"
+        if type(self._states[index]) is SamplingPortState:
+            status, msg = self._sampling_write(index, partition_id, payload_size, now)
+            return status, msg, self._labels[index], "WRITE"
+        status, msg = self._queuing_send(index, partition_id, payload_size, now)
+        return status, msg, self._labels[index], "SEND"
 
     def receive(
         self, partition_id: int, port: str, now: Duration
@@ -205,8 +217,8 @@ class PortTable:
         index = self._dest_of.get((partition_id, port))
         if index is None:
             return PortStatus.NOT_OWNER, None, "-", "RECV"
-        status, msg = self.queuing_receive(partition_id, port, now)
-        return status, msg, self.channel_label(index), "RECV"
+        status, msg = self._queuing_receive(index, now)
+        return status, msg, self._labels[index], "RECV"
 
     def read(
         self, partition_id: int, port: str, now: Duration
@@ -214,5 +226,5 @@ class PortTable:
         index = self._dest_of.get((partition_id, port))
         if index is None:
             return PortStatus.NOT_OWNER, None, False, "-", "READ"
-        status, msg, valid = self.sampling_read(partition_id, port, now)
-        return status, msg, valid, self.channel_label(index), "READ"
+        status, msg, valid = self._sampling_read(index, now)
+        return status, msg, valid, self._labels[index], "READ"

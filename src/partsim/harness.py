@@ -192,7 +192,10 @@ def _split_sections(text: str) -> tuple[dict[str, str], dict[str, list[str]]]:
             if "=" not in stripped:
                 raise ScenarioError(f"expected 'key = value' before sections, got {line!r}")
             key, _, value = stripped.partition("=")
-            top[key.strip()] = value.strip()
+            key = key.strip()
+            if key in top:
+                raise ScenarioError(f"{key}: duplicate key before the first section")
+            top[key] = value.strip()
         else:
             current.append(line)
     return top, sections
@@ -204,7 +207,10 @@ def _kv_lines(lines: list[str], section: str) -> dict[str, str]:
         if "=" not in line:
             raise ScenarioError(f"[{section}]: expected 'key = value', got {line.strip()!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ScenarioError(f"[{section}] {key}: duplicate key")
+        out[key] = value.strip()
     return out
 
 
@@ -267,6 +273,7 @@ def _parse_broker(lines: list[str]) -> BrokerTopology:
 
 def _parse_health(lines: list[str]) -> HealthTable:
     table = HealthTable()
+    seen = set()
     for line in lines:
         lhs, sep, rhs = line.partition("=")
         parts = lhs.split()
@@ -280,10 +287,14 @@ def _parse_health(lines: list[str]) -> HealthTable:
             kind = HmKind[parts[0]]
         except KeyError:
             raise ScenarioError(f"[health]: unknown event kind {parts[0]!r}") from None
-        if len(parts) == 1:
+        pid = int(parts[1]) if len(parts) == 2 else None
+        if (kind, pid) in seen:
+            raise ScenarioError(f"[health] {lhs.strip()}: duplicate key")
+        seen.add((kind, pid))
+        if pid is None:
             table.set_default(kind, action)
         else:
-            table.set_override(kind, int(parts[1]), action)
+            table.set_override(kind, pid, action)
     return table
 
 
@@ -356,7 +367,10 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         where = f"[{name}]"
         try:
             if name.startswith("script "):
-                pid = int(name.split()[1])
+                words = name.split()
+                if len(words) != 2:
+                    raise ScenarioError(f"{where}: expected [script <partition id>]")
+                pid = int(words[1])
                 scripts[pid] = _parse_script_section(lines, pid)
             elif name == "health":
                 health_table = _parse_health(lines)
@@ -452,6 +466,10 @@ def validate_scenario(sc: Scenario) -> list[Finding]:
                         err("SCRIPT_PORT", loc, f"partition {pid} owns no destination port {action.port!r}")
                     elif ch.refresh_period is None:
                         err("SCRIPT_KIND", loc, f"read on queuing port {action.port!r} (use recv)")
+        for kind, pid in sc.health_table.overrides:
+            if pid not in partitions:
+                err("UNKNOWN_PARTITION", f"health {kind.value} {pid}",
+                    "health override references a missing partition")
     else:
         if sc.topology is None:
             err("NO_TOPOLOGY", "scenario", "broker mode needs a topology")
@@ -490,23 +508,26 @@ def _measure(records: list[trace_mod.TraceRecord], system: SystemConfig):
     delivery_time = delivery_partition = None
     t_recv = None
     for r in records:
-        if isinstance(r, trace_mod.MarkRecord) and r.label == "tx" and t_send is None:
-            t_send, send_partition = r.time, r.partition
+        kind = type(r)
+        if kind is trace_mod.MarkRecord:
+            if r.label == "tx" and t_send is None:
+                t_send, send_partition = r.time, r.partition
+            elif (
+                r.label == "rx"
+                and delivery_time is not None
+                and r.time >= delivery_time
+                and t_recv is None
+            ):
+                t_recv = r.time
+            if t_send is not None and t_recv is not None:
+                break  # t_recv implies its delivery: later records change nothing
         elif (
-            isinstance(r, trace_mod.PortOpRecord)
+            kind is trace_mod.PortOpRecord
+            and delivery_time is None
             and r.op in ("RECV", "READ")
             and r.result in ("OK", "STALE")
-            and delivery_time is None
         ):
             delivery_time, delivery_partition = r.time, r.partition
-        elif (
-            isinstance(r, trace_mod.MarkRecord)
-            and r.label == "rx"
-            and delivery_time is not None
-            and r.time >= delivery_time
-            and t_recv is None
-        ):
-            t_recv = r.time
     if t_send is None or t_recv is None:
         return None
     from_slot = _slot_at(system, send_partition, t_send)

@@ -1,19 +1,31 @@
 """Deterministic virtual clock, event queue, and fixed cyclic dispatch.
 
 The engine owns a SimState: the virtual clock, the partition lifecycle
-states, all port state, the pending event queue, and the append-only
-trace.  Time only moves by popping the globally least event, so two runs
+states, all port state, the pending events, and the append-only trace.
+Time only moves by applying the globally least pending event, so two runs
 of the same configuration, scripts, and seed produce byte-identical
 traces.
 
 Simultaneous events are ordered by a fixed kind rank::
 
-    SLOT_END < HM_EVENT < FRAME_WRAP < SLOT_START < APP_ACTION
+    SLOT_END(0) < HM_EVENT(1) < FRAME_WRAP(2) < SLOT_START(3) < APP_ACTION(4)
 
-then by partition id, then by a monotone sequence number.  Ending the
-outgoing slot before starting the next one makes back-to-back slots
-unambiguous, and a health action applied at time t takes effect before any
-same-time slot start or app action.
+then by partition id, then by a sequence number.  Ending the outgoing slot
+before starting the next one makes back-to-back slots unambiguous, and a
+health action applied at time t takes effect before any same-time slot
+start or app action.
+
+The cyclic plan never changes during a run, so its events are not queued.
+``boot()`` sorts one frame's SLOT_START and SLOT_END entries, plus the
+FRAME_WRAP at ``major_frame``, into a static timeline once, and the engine
+replays it frame after frame by adding ``frame_index * major_frame`` to
+each offset.  Only the dynamic events, APP_ACTION and HM_EVENT, go through
+a heap.  The two sources never tie: timeline events have ranks 0, 2 and 3
+and dynamic events ranks 1 and 4, so comparing (time, rank) of the next
+timeline entry with the heap head gives the same total order as one queue
+holding both.  ``Event.seq`` is the entry's index in the one-frame
+timeline for a timeline event, and the event's insertion number among
+dynamic events for a dynamic one (which breaks the remaining ties).
 
 The scheduler never extends a slot: a slot always ends at its scheduled
 end, and whatever compute time the application still demanded carries over
@@ -25,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -33,17 +46,9 @@ from . import trace as trace_mod
 from . import workload as workload_mod
 from .channels import PortStatus, PortTable
 from .config import Finding, ScheduleSlot, SystemConfig, validate
+from .trace import EventRecord, MarkRecord, PortOpRecord
 from .units import Duration
-from .workload import (
-    AppCursor,
-    AppScript,
-    Compute,
-    Mark,
-    PendingAction,
-    Read,
-    Receive,
-    Send,
-)
+from .workload import AppCursor, AppScript, Mark, PendingAction, Read, Receive, Send
 
 
 class SimulationError(Exception):
@@ -86,15 +91,15 @@ class EventKind(enum.Enum):
     HM_EVENT = "HM_EVENT"
 
 
-KIND_RANK = {
-    EventKind.SLOT_END: 0,
-    EventKind.HM_EVENT: 1,
-    EventKind.FRAME_WRAP: 2,
-    EventKind.SLOT_START: 3,
-    EventKind.APP_ACTION: 4,
-}
+# kind ranks; the engine keeps kinds as these ints and their names
+_SLOT_END, _HM_EVENT, _FRAME_WRAP, _SLOT_START, _APP_ACTION = range(5)
+_KIND_BY_RANK = (
+    EventKind.SLOT_END, EventKind.HM_EVENT, EventKind.FRAME_WRAP,
+    EventKind.SLOT_START, EventKind.APP_ACTION,
+)
 
 FRAME_PARTITION = -1  # frame wraps belong to no partition
+_NEVER = math.inf  # next timeline time before boot and after a system halt
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,14 @@ class SimState:
         self.api_call_cost = api_call_cost
         self.trace: list[trace_mod.TraceRecord] = []
         self.halted = False
-        self._queue: list[tuple[Duration, int, int, int, EventKind, Any]] = []
-        self._event_seq = 0  # queue insertion order, breaks all remaining ties
+        # dynamic events: (time, rank, partition, seq, payload)
+        self._heap: list[tuple[Duration, int, int, int, Any]] = []
+        self._heap_seq = 0  # heap insertion order, breaks all remaining ties
+        # one frame of (offset, rank, partition, kind, slot), replayed per frame
+        self._timeline: tuple[tuple[Duration, int, int, str, ScheduleSlot | None], ...] = ()
+        self._tl_index = 0  # next timeline entry
+        self._tl_base: Duration = 0  # start of the frame being replayed
+        self._tl_time: Duration | float = _NEVER  # absolute time of the next entry
         # per-partition event numbering keeps one partition's projected
         # trace byte-identical when another partition misbehaves
         self._record_seq: dict[int, int] = {}
@@ -151,34 +162,28 @@ class SimState:
         self.trace.append(record)
 
     def events(self, kind: EventKind | None = None) -> list[trace_mod.EventRecord]:
-        records = [r for r in self.trace if isinstance(r, trace_mod.EventRecord)]
+        records = [r for r in self.trace if type(r) is EventRecord]
         if kind is not None:
             records = [r for r in records if r.kind == kind.value]
         return records
 
-    def _push(self, time: Duration, kind: EventKind, partition_id: int, payload: Any) -> None:
-        heapq.heappush(
-            self._queue,
-            (time, KIND_RANK[kind], partition_id, self._event_seq, kind, payload),
-        )
-        self._event_seq += 1
+    def _push(self, time: Duration, rank: int, partition_id: int, payload: Any) -> None:
+        heapq.heappush(self._heap, (time, rank, partition_id, self._heap_seq, payload))
+        self._heap_seq += 1
 
-    def _record_event(self, time: Duration, kind: EventKind, partition_id: int) -> None:
-        self.append_record(
-            trace_mod.EventRecord(
-                time=time, kind=kind.value, partition=partition_id,
-                seq=self.take_seq(partition_id),
-            )
-        )
+    def _record_event(self, time: Duration, kind: str, partition_id: int) -> None:
+        self.trace.append(EventRecord(time, kind, partition_id, self.take_seq(partition_id)))
 
     # -- lifecycle -----------------------------------------------------------
 
     def boot(self) -> SimState:
         """Validate, bring every booting partition to NORMAL at t=0, and
-        schedule frame 0.  Raises ConfigInvalid when validation reports
-        findings."""
+        start the frame timeline.  Raises ConfigInvalid when validation
+        reports findings."""
         if self._booted:
             raise SimulationError("already booted")
+        if self.now != 0:
+            raise SimulationError(f"cannot boot at {self.now}: the timeline starts at 0")
         findings = validate(self.config)
         if findings:
             raise ConfigInvalid(findings)
@@ -192,15 +197,16 @@ class SimState:
         for p in self.config.partitions:
             if self.partition_states[p.id] is PartitionState.BOOT:
                 self._transition(p.id, PartitionState.NORMAL)  # halted stay halted
-        self._schedule_frame(0)
-        self._push(self.config.plan.major_frame, EventKind.FRAME_WRAP, FRAME_PARTITION, None)
+        plan = self.config.plan
+        entries = [(plan.major_frame, _FRAME_WRAP, FRAME_PARTITION, "FRAME_WRAP", None)]
+        for slot in plan.slots:
+            entries.append((slot.start, _SLOT_START, slot.partition_id, "SLOT_START", slot))
+            entries.append((slot.end, _SLOT_END, slot.partition_id, "SLOT_END", slot))
+        # validated slots lie inside the frame, so FRAME_WRAP sorts last
+        entries.sort(key=lambda e: e[:3])
+        self._timeline = tuple(entries)
+        self._tl_time = entries[0][0]
         return self
-
-    def _schedule_frame(self, frame_index: int) -> None:
-        base = frame_index * self.config.plan.major_frame
-        for slot in self.config.plan.slots:
-            self._push(base + slot.start, EventKind.SLOT_START, slot.partition_id, slot)
-            self._push(base + slot.end, EventKind.SLOT_END, slot.partition_id, slot)
 
     def _transition(self, pid: int, new: PartitionState) -> None:
         old = self.partition_states[pid]
@@ -233,8 +239,10 @@ class SimState:
             self._transition(partition_id, PartitionState.HALTED)
 
     def halt_system(self) -> None:
-        """Drain the queue and end the run; nothing happens after now."""
-        self._queue.clear()
+        """Drop every pending event and stop the timeline; nothing happens
+        after now."""
+        self._heap.clear()
+        self._tl_time = _NEVER
         self.halted = True
 
     def post_health_event(self, ev: health_mod.HealthEvent) -> None:
@@ -243,38 +251,16 @@ class SimState:
         start or app action (per the kind rank)."""
         if ev.time != self.now:
             raise SimulationError(f"health event time {ev.time} != now {self.now}")
-        self._push(ev.time, EventKind.HM_EVENT, ev.source_partition, ("event", ev))
+        self._push(ev.time, _HM_EVENT, ev.source_partition, ("event", ev))
 
     # -- engine --------------------------------------------------------------
 
     def step(self) -> Event:
-        """Pop and apply the globally least event; returns it."""
-        if not self._queue:
+        """Apply the globally least pending event; returns it."""
+        if not self._heap and self._tl_time == _NEVER:
             raise QueueEmpty("event queue is empty")
-        time, _, pid, seq, kind, payload = heapq.heappop(self._queue)
-        assert time >= self.now, "event queue delivered an event from the past"
-        self.now = time
-        event = Event(time=time, kind=kind, partition_id=pid, seq=seq)
-        if kind is EventKind.SLOT_START:
-            self._on_slot_start(pid, payload)
-        elif kind is EventKind.SLOT_END:
-            self._record_event(time, kind, pid)
-            self._active = None
-        elif kind is EventKind.FRAME_WRAP:
-            self._record_event(time, kind, FRAME_PARTITION)
-            frame_index = time // self.config.plan.major_frame
-            self._schedule_frame(frame_index)
-            self._push(
-                (frame_index + 1) * self.config.plan.major_frame,
-                EventKind.FRAME_WRAP,
-                FRAME_PARTITION,
-                None,
-            )
-        elif kind is EventKind.APP_ACTION:
-            self._on_app_action(pid, payload)
-        elif kind is EventKind.HM_EVENT:
-            self._on_hm_event(pid, payload)
-        return event
+        rank, pid, seq = self._apply_next(_NEVER)
+        return Event(time=self.now, kind=_KIND_BY_RANK[rank], partition_id=pid, seq=seq)
 
     def run_until(self, t_end: Duration) -> list[trace_mod.TraceRecord]:
         """Apply every event with time <= t_end; now == t_end on return.
@@ -282,15 +268,56 @@ class SimState:
         if t_end < self.now:
             raise SimulationError(f"cannot run backwards: {t_end} < {self.now}")
         start = len(self.trace)
-        while self._queue and self._queue[0][0] <= t_end:
-            self.step()
+        apply_next = self._apply_next
+        while apply_next(t_end) is not None:
+            pass
         self.now = t_end
         return self.trace[start:]
+
+    def _apply_next(self, t_end: Duration | float) -> tuple[int, int, int] | None:
+        """Apply the least pending event if it is due by ``t_end``; returns
+        its (rank, partition, seq), or None when no event is due."""
+        heap = self._heap
+        t = self._tl_time
+        if heap:
+            head = heap[0]
+            if head[0] < t or (head[0] == t and head[1] < self._timeline[self._tl_index][1]):
+                if head[0] > t_end:
+                    return None
+                heapq.heappop(heap)
+                time, rank, pid, seq, payload = head
+                assert time >= self.now, "event queue delivered an event from the past"
+                self.now = time
+                if rank == _APP_ACTION:
+                    self._on_app_action(pid, payload)
+                else:
+                    self._on_hm_event(pid, payload)
+                return rank, pid, seq
+        if t > t_end:
+            return None
+        timeline = self._timeline
+        index = self._tl_index
+        _, rank, pid, kind, slot = timeline[index]
+        # advance before applying: a handler may halt the system
+        if index + 1 < len(timeline):
+            self._tl_index = index + 1
+        else:  # FRAME_WRAP: replay the timeline for the next frame
+            self._tl_index = 0
+            self._tl_base = t
+        self._tl_time = self._tl_base + timeline[self._tl_index][0]
+        self.now = t
+        if rank == _SLOT_START:
+            self._on_slot_start(pid, slot)
+        else:
+            self._record_event(t, kind, pid)
+            if rank == _SLOT_END:
+                self._active = None
+        return rank, pid, index
 
     # -- handlers --------------------------------------------------------
 
     def _on_slot_start(self, pid: int, slot: ScheduleSlot) -> None:
-        self._record_event(self.now, EventKind.SLOT_START, pid)
+        self._record_event(self.now, "SLOT_START", pid)
         self._active = (pid, slot.slot_id, self.now + slot.duration)
         script = self.scripts.get(pid)
         if script is None or not script.actions:
@@ -306,24 +333,20 @@ class SimState:
         self._dispatch_from(pid, self.now)
 
     def _dispatch_from(self, pid: int, t: Duration) -> None:
-        if self._active is None or self._active[0] != pid:
+        active = self._active
+        if active is None or active[0] != pid:
             return
-        slot_end = self._active[2]
-        script = self.scripts[pid]
-        cursor = self.cursors[pid]
-        plan = workload_mod.plan_until_next_action(script, cursor, t, slot_end)
+        slot_end = active[2]
+        plan = workload_mod.plan_until_next_action(
+            self.scripts[pid], self.cursors[pid], t, slot_end
+        )
         if plan is None:
             return
         epoch = self._epoch[pid]
-        if isinstance(plan, PendingAction):
-            self._push(plan.time, EventKind.APP_ACTION, pid, (epoch, plan.index))
+        if type(plan) is PendingAction:
+            self._push(plan.time, _APP_ACTION, pid, (epoch, plan.index))
         else:  # PendingOverrun: the truncation fires at the slot end
-            self._push(
-                slot_end,
-                EventKind.HM_EVENT,
-                pid,
-                ("overrun", epoch, plan.demanded, plan.remaining),
-            )
+            self._push(slot_end, _HM_EVENT, pid, ("overrun", epoch, plan.demanded, plan.remaining))
 
     def _on_app_action(self, pid: int, payload: tuple[int, int]) -> None:
         epoch, index = payload
@@ -331,51 +354,41 @@ class SimState:
             return  # cancelled by a suspend/halt after scheduling
         if self.partition_states[pid] is not PartitionState.NORMAL:
             return
-        self._record_event(self.now, EventKind.APP_ACTION, pid)
-        script = self.scripts[pid]
-        cursor = self.cursors[pid]
-        action = script.actions[index]
-        next_t = self.now
-        if isinstance(action, Mark):
-            self.append_record(
-                trace_mod.MarkRecord(time=self.now, partition=pid, label=action.label)
-            )
-        elif isinstance(action, Send):
+        now = self.now
+        self._record_event(now, "APP_ACTION", pid)
+        action = self.scripts[pid].actions[index]
+        kind = type(action)
+        next_t = now
+        if kind is Mark:
+            self.trace.append(MarkRecord(now, pid, action.label))
+        elif kind is Send:
             size = action.size if action.size is not None else 0
-            status, _msg, channel, op = self.ports.send(pid, action.port, size, self.now)
-            self.append_record(
-                trace_mod.PortOpRecord(
-                    time=self.now, op=op, channel=channel, partition=pid,
-                    size=size, result=status.value,
-                )
-            )
+            status, _msg, channel, op = self.ports.send(pid, action.port, size, now)
+            self.trace.append(PortOpRecord(now, op, channel, pid, size, status.value))
             if status is PortStatus.NOT_OWNER:
                 self._post_violation(pid, op, action.port)
-            next_t = self.now + self.api_call_cost
-        elif isinstance(action, (Receive, Read)):
-            if isinstance(action, Receive):
-                status, msg, channel, op = self.ports.receive(pid, action.port, self.now)
+            next_t = now + self.api_call_cost
+        elif kind is Receive or kind is Read:
+            if kind is Receive:
+                status, msg, channel, op = self.ports.receive(pid, action.port, now)
                 valid = msg is not None
             else:
-                status, msg, valid, channel, op = self.ports.read(pid, action.port, self.now)
+                status, msg, valid, channel, op = self.ports.read(pid, action.port, now)
             result = status.value
             if status is PortStatus.OK and not valid:
                 result = "STALE"  # returned anyway; freshness window elapsed
-            self.append_record(
-                trace_mod.PortOpRecord(
-                    time=self.now, op=op, channel=channel, partition=pid,
-                    size=msg.payload_size if msg else 0, result=result,
-                )
-            )
+            self.trace.append(PortOpRecord(
+                now, op, channel, pid, msg.payload_size if msg else 0, result,
+            ))
             if status is PortStatus.NOT_OWNER:
                 self._post_violation(pid, op, action.port)
-            next_t = self.now + self.api_call_cost
+            next_t = now + self.api_call_cost
             if msg is not None:
                 # delivery copies the payload into the partition's space
                 next_t += self.config.copy_cost.of(msg.payload_size)
-        elif isinstance(action, Compute):  # pragma: no cover - computes never schedule
+        else:  # pragma: no cover - computes never schedule
             raise SimulationError("COMPUTE actions are consumed by the planner")
-        cursor.index = index + 1
+        self.cursors[pid].index = index + 1
         self._dispatch_from(pid, next_t)
 
     def _post_violation(self, pid: int, op: str, port: str) -> None:
@@ -401,4 +414,3 @@ class SimState:
             self.cursors[pid].carry = ev.overrun_amount
         else:
             health_mod.raise_event(self, payload[1])
-

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .units import Duration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     time: Duration
     kind: str
@@ -30,7 +30,7 @@ class EventRecord:
         return f"{self.time},{self.kind},{self.partition},{self.seq}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortOpRecord:
     time: Duration
     op: str  # WRITE | READ | SEND | RECV
@@ -43,7 +43,7 @@ class PortOpRecord:
         return f"{self.time},PORT_OP,{self.op},{self.channel},{self.partition},{self.size},{self.result}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarkRecord:
     time: Duration
     partition: int
@@ -53,7 +53,7 @@ class MarkRecord:
         return f"{self.time},MARK,{self.partition},{self.label}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateRecord:
     time: Duration
     partition: int
@@ -64,7 +64,7 @@ class StateRecord:
         return f"{self.time},STATE,{self.partition},{self.old},{self.new}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HmRecord:
     time: Duration
     kind: str
@@ -81,7 +81,7 @@ TraceRecord = EventRecord | PortOpRecord | MarkRecord | StateRecord | HmRecord
 
 
 def format_trace(records: list[TraceRecord]) -> str:
-    return "".join(r.line() + "\n" for r in records)
+    return "".join([r.line() + "\n" for r in records])
 
 
 def write_trace(records: list[TraceRecord], path: str) -> None:

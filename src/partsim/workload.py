@@ -100,7 +100,7 @@ class AppCursor:
     carry: Duration = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PendingAction:
     """The next port/mark action, due at an absolute time inside the slot."""
 
@@ -173,7 +173,7 @@ def plan_until_next_action(
         if t >= slot_end:
             return None  # remainder resumes at the partition's next slot
         action = actions[cursor.index]
-        if isinstance(action, Compute):
+        if type(action) is Compute:
             need = cursor.carry if cursor.carry > 0 else action.duration
             if t + need <= slot_end:
                 t += need

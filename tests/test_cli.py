@@ -210,13 +210,29 @@ BROKER_TEXT = (SCENARIO_DIR / "broker.scn").read_text()
     (BROKER_TEXT.replace("subscribers = 1", "subscribers = 0"), "[broker] subscribers"),
     (BROKER_TEXT.replace("subscribers = 1", "subscribers = 3"), "[broker] subscribers"),
     (BROKER_TEXT.replace("subscribers = 1", "subscribers = abc"), "[broker] subscribers"),
+    (make_cookbook_scenario().replace("seed = 1", "seed = 1\nrepetitions = 5"),
+     "repetitions: duplicate key"),
+    (BROKER_TEXT.replace("proc_fixed = 20us", "proc_fixed = 20us\nproc_fixed = 30us"),
+     "[broker] proc_fixed: duplicate key"),
+    (make_cookbook_scenario(extra_sections="[health]\nTRAP 1 = LOG\nTRAP 1 = HALT_SYSTEM\n"),
+     "[health] TRAP 1: duplicate key"),
+    (make_cookbook_scenario().replace("[script 1]", "[script 1 junk]"), "[script 1 junk]"),
 ], ids=["repetitions", "seed", "payload_sizes", "script_id", "script_duration",
-        "load_factor", "proc_fixed", "subscribers_0", "subscribers_3", "subscribers_abc"])
+        "load_factor", "proc_fixed", "subscribers_0", "subscribers_3", "subscribers_abc",
+        "duplicate_top_key", "duplicate_broker_key", "duplicate_health_key", "script_junk"])
 def test_malformed_value_is_located(workdir, capsys, text, named):
     scn = write(workdir / "bad.scn", text)
     assert main(["run", scn, "--out", "o.csv"]) == 1
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+    assert not (workdir / "o.csv").exists()
+
+
+def test_health_override_for_missing_partition_exits_1(workdir, capsys):
+    scn = write(workdir / "h.scn",
+                make_cookbook_scenario(extra_sections="[health]\nTRAP 9 = HALT_SYSTEM\n"))
+    assert main(["run", scn, "--out", "o.csv"]) == 1
+    assert "UNKNOWN_PARTITION health TRAP 9" in capsys.readouterr().err
     assert not (workdir / "o.csv").exists()
 
 

@@ -15,9 +15,11 @@ from partsim import (
     parse_script,
 )
 from partsim.config import SchedulePlan, ScheduleSlot, SystemConfig, PartitionSpec
+from partsim.harness import load_scenario
+from partsim.health import HealthAction, HealthTable, HmKind
 from partsim.trace import EventRecord, format_trace, partition_records
 
-from conftest import COOKBOOK_XML
+from conftest import COOKBOOK_XML, SCENARIO_DIR
 
 # fixed tie-break order: SLOT_END < HM_EVENT < FRAME_WRAP < SLOT_START < APP_ACTION
 RANK = {"SLOT_END": 0, "HM_EVENT": 1, "FRAME_WRAP": 2, "SLOT_START": 3, "APP_ACTION": 4}
@@ -49,6 +51,15 @@ def test_boot_rejects_empty_partition_table():
     with pytest.raises(ConfigInvalid) as err:
         SimState(cfg).boot()
     assert any(f.code == "NO_PARTITIONS" for f in err.value.findings)
+
+
+def test_boot_after_the_clock_moved_is_rejected(cookbook):
+    from partsim import SimulationError
+
+    sim = SimState(cookbook)
+    sim.run_until(5_000_000)
+    with pytest.raises(SimulationError):
+        sim.boot()
 
 
 def test_first_three_events(cookbook):
@@ -263,3 +274,92 @@ def test_suspend_cancels_inflight_actions(cookbook):
     sim.set_partition_state(0, PartitionState.SUSPENDED)
     sim.run_until(999_999)
     assert [r for r in sim.trace if getattr(r, "label", None) == "late"] == []
+
+
+# -- step() and run_until take different routes through the engine -----------
+
+
+def stepped_trace(sim, t_end):
+    """The trace of a step()-driven run to t_end: step until the first
+    event after t_end (or an empty queue), then drop what that event added."""
+    while True:
+        done = len(sim.trace)
+        try:
+            event = sim.step()
+        except QueueEmpty:
+            return sim.trace
+        if event.time > t_end:
+            return sim.trace[:done]
+
+
+def cookbook_sim():
+    sc = load_scenario(SCENARIO_DIR / "cookbook.scn")
+    scripts = {pid: s.bind_payload(sc.payload_sizes[0]) for pid, s in sc.scripts.items()}
+    return SimState(sc.system, scripts=scripts, health_table=sc.health_table)
+
+
+def overrun_sim(health_table=None):
+    scripts = {
+        0: _repeat(["compute 450us", "send out 8", "mark tx"], 0),
+        1: _repeat(["recv in", "mark rx", "compute 50us"], 1),
+    }
+    return SimState(parse_config(COOKBOOK_XML), scripts=scripts, health_table=health_table)
+
+
+def ring_sim(n=6):
+    """n partitions, channel i -> i+1 alternating queuing/sampling; the
+    last slot ends at the frame boundary and partition 2 overruns."""
+    spacing, frame = 100_000, n * 100_000
+    partitions = "".join(f'<Partition id="{i}" name="p{i}"/>' for i in range(n))
+    slots = "".join(
+        f'<Slot id="{i}" partition="{i}" start="{i * spacing}ns" '
+        f'duration="{spacing if i == n - 1 else 80_000}ns"/>' for i in range(n)
+    )
+    channels = []
+    for j in range(n):
+        ends = f'<Source partition="{j}" port="out"/><Destination partition="{(j + 1) % n}" port="in"/>'
+        if j % 2 == 0:
+            channels.append(f'<QueuingChannel maxMessageSize="64" maxNoMessages="2">{ends}</QueuingChannel>')
+        else:
+            channels.append(f'<SamplingChannel maxMessageSize="64" refreshPeriod="{frame}ns">{ends}</SamplingChannel>')
+    cfg = parse_config(
+        f'<SystemDescription majorFrame="{frame}ns"><PartitionTable>{partitions}</PartitionTable>'
+        f'<Schedule>{slots}</Schedule><Channels>{"".join(channels)}</Channels>'
+        f'<Hypervisor copyCostFixed="3us" copyCostPerByte="1ns"/></SystemDescription>'
+    )
+    scripts = {}
+    for i in range(n):
+        receive = "recv" if (i - 1) % n % 2 == 0 else "read"
+        compute = "95us" if i == 2 else f"{10 + i}us"
+        scripts[i] = _repeat([f"compute {compute}", "send out 16", "mark tx",
+                              f"{receive} in", "mark rx"], i)
+    return SimState(cfg, scripts=scripts)
+
+
+def halting_sim():
+    table = HealthTable()
+    table.set_default(HmKind.SLOT_OVERRUN, HealthAction.HALT_SYSTEM)
+    return overrun_sim(table)
+
+
+@pytest.mark.parametrize("make, t_end", [
+    (cookbook_sim, 2_000_000),
+    (overrun_sim, 5_000_000),
+    (ring_sim, 8 * 600_000),
+    (halting_sim, 5_000_000),
+], ids=["cookbook", "repeat_overrun", "ring", "halt_system"])
+def test_step_loop_matches_run_until(make, t_end):
+    stepped = make().boot()
+    run = make().boot()
+    run.run_until(t_end)
+    assert format_trace(stepped_trace(stepped, t_end)) == format_trace(run.trace)
+    assert stepped.halted == run.halted
+    kinds = {r.kind for r in run.trace if isinstance(r, EventRecord)}
+    if make is halting_sim:
+        assert run.halted and kinds == {"SLOT_START", "SLOT_END", "HM_EVENT"}
+        for sim in (stepped, run):
+            with pytest.raises(QueueEmpty):
+                sim.step()
+    else:
+        assert not run.halted
+        assert {"SLOT_START", "SLOT_END", "FRAME_WRAP", "APP_ACTION"} <= kinds
