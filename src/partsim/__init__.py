@@ -51,7 +51,6 @@ from .health import (
     HealthEvent,
     HealthTable,
     HmKind,
-    detect_overrun,
     raise_event,
 )
 from .middleware import (
@@ -65,11 +64,8 @@ from .middleware import (
 )
 from .scheduler import (
     ConfigInvalid,
-    Event,
-    EventKind,
     IllegalTransition,
     PartitionState,
-    QueueEmpty,
     SimState,
     SimulationError,
 )

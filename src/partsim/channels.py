@@ -9,6 +9,9 @@ Payload content is modeled as a size plus a deterministic checksum rather
 than stored bytes, so multi-megabyte payloads cost nothing to simulate
 while receivers can still verify message identity.
 
+The port API is the three script actions: ``send`` writes a sampling port
+or enqueues on a queuing port, ``receive`` dequeues from a queuing port and
+``read`` reads a sampling port (either on the other kind is BAD_KIND).
 Operations never raise for application-level failures; they return a
 PortStatus so callers (the scripted workloads) can record the miss and
 proceed.  A NOT_OWNER result is the spatial-isolation violation that the
@@ -74,9 +77,10 @@ class QueuingPortState:
 class PortTable:
     """All port state for one simulation, keyed by (partition, port name).
 
-    Lives inside a SimState and shares its single-owner contract.  Each
-    operation resolves its port to a channel index once; the engine-facing
-    ``send``/``receive``/``read`` hand that index to the per-kind operation.
+    Lives inside a SimState and shares its single-owner contract.  The
+    three script-facing operations, ``send``, ``receive`` and ``read``,
+    are the whole port API: each resolves its port to a channel index once
+    and dispatches on the channel kind.
     """
 
     def __init__(self, config: SystemConfig):
@@ -106,20 +110,10 @@ class PortTable:
 
     # -- port operations -----------------------------------------------------
 
-    def sampling_write(
-        self, partition_id: int, port: str, payload_size: int, now: Duration
+    def _write(
+        self, index: int, partition_id: int, payload_size: int, now: Duration
     ) -> tuple[PortStatus, Message | None]:
-        index = self._source_of.get((partition_id, port))
-        return self._sampling_write(index, partition_id, payload_size, now)
-
-    def _sampling_write(
-        self, index: int | None, partition_id: int, payload_size: int, now: Duration
-    ) -> tuple[PortStatus, Message | None]:
-        if index is None:
-            return PortStatus.NOT_OWNER, None
         st = self._states[index]
-        if type(st) is not SamplingPortState:
-            return PortStatus.BAD_KIND, None
         if payload_size > st.channel.max_message_size:
             return PortStatus.TOO_LARGE, None
         msg = self._make_message(index, partition_id, payload_size, now)
@@ -130,42 +124,10 @@ class PortTable:
         st.writes.append((msg, visible_at))
         return PortStatus.OK, msg
 
-    def sampling_read(
-        self, partition_id: int, port: str, now: Duration
-    ) -> tuple[PortStatus, Message | None, bool]:
-        return self._sampling_read(self._dest_of.get((partition_id, port)), now)
-
-    def _sampling_read(
-        self, index: int | None, now: Duration
-    ) -> tuple[PortStatus, Message | None, bool]:
-        if index is None:
-            return PortStatus.NOT_OWNER, None, False
-        st = self._states[index]
-        if type(st) is not SamplingPortState:
-            return PortStatus.BAD_KIND, None, False
-        visible = [e for e in st.writes if e[1] <= now]
-        if not visible:
-            return PortStatus.EMPTY, None, False
-        msg = visible[-1][0]  # write order == (written_at, seq) order
-        st.writes = [e for e in st.writes if e[0] is msg or e[1] > now]
-        refresh = st.channel.refresh_period or 0
-        valid = (now - msg.written_at) <= refresh
-        return PortStatus.OK, msg, valid
-
-    def queuing_send(
-        self, partition_id: int, port: str, payload_size: int, now: Duration
+    def _enqueue(
+        self, index: int, partition_id: int, payload_size: int, now: Duration
     ) -> tuple[PortStatus, Message | None]:
-        index = self._source_of.get((partition_id, port))
-        return self._queuing_send(index, partition_id, payload_size, now)
-
-    def _queuing_send(
-        self, index: int | None, partition_id: int, payload_size: int, now: Duration
-    ) -> tuple[PortStatus, Message | None]:
-        if index is None:
-            return PortStatus.NOT_OWNER, None
         st = self._states[index]
-        if type(st) is not QueuingPortState:
-            return PortStatus.BAD_KIND, None
         if payload_size > st.channel.max_message_size:
             return PortStatus.TOO_LARGE, None
         if len(st.fifo) >= (st.channel.capacity or 0):
@@ -173,27 +135,6 @@ class PortTable:
         msg = self._make_message(index, partition_id, payload_size, now)
         st.fifo.append((msg, now + self._copy_cost.of(payload_size)))
         return PortStatus.OK, msg
-
-    def queuing_receive(
-        self, partition_id: int, port: str, now: Duration
-    ) -> tuple[PortStatus, Message | None]:
-        return self._queuing_receive(self._dest_of.get((partition_id, port)), now)
-
-    def _queuing_receive(
-        self, index: int | None, now: Duration
-    ) -> tuple[PortStatus, Message | None]:
-        if index is None:
-            return PortStatus.NOT_OWNER, None
-        st = self._states[index]
-        if type(st) is not QueuingPortState:
-            return PortStatus.BAD_KIND, None
-        # strict FIFO: a later message never bypasses an in-flight head
-        if not st.fifo or st.fifo[0][1] > now:
-            return PortStatus.EMPTY, None
-        msg, _ = st.fifo.pop(0)
-        return PortStatus.OK, msg
-
-    # -- engine-facing dispatch by channel kind ----------------------------
 
     def send(
         self, partition_id: int, port: str, payload_size: int, now: Duration
@@ -206,25 +147,47 @@ class PortTable:
         if index is None:
             return PortStatus.NOT_OWNER, None, "-", "SEND"
         if type(self._states[index]) is SamplingPortState:
-            status, msg = self._sampling_write(index, partition_id, payload_size, now)
+            status, msg = self._write(index, partition_id, payload_size, now)
             return status, msg, self._labels[index], "WRITE"
-        status, msg = self._queuing_send(index, partition_id, payload_size, now)
+        status, msg = self._enqueue(index, partition_id, payload_size, now)
         return status, msg, self._labels[index], "SEND"
 
     def receive(
         self, partition_id: int, port: str, now: Duration
     ) -> tuple[PortStatus, Message | None, str, str]:
+        """RECV script action on a queuing port: dequeue the head once it
+        is visible.  Returns (status, message, channel label, op token)."""
         index = self._dest_of.get((partition_id, port))
         if index is None:
             return PortStatus.NOT_OWNER, None, "-", "RECV"
-        status, msg = self._queuing_receive(index, now)
-        return status, msg, self._labels[index], "RECV"
+        label = self._labels[index]
+        st = self._states[index]
+        if type(st) is not QueuingPortState:
+            return PortStatus.BAD_KIND, None, label, "RECV"
+        # strict FIFO: a later message never bypasses an in-flight head
+        if not st.fifo or st.fifo[0][1] > now:
+            return PortStatus.EMPTY, None, label, "RECV"
+        msg, _ = st.fifo.pop(0)
+        return PortStatus.OK, msg, label, "RECV"
 
     def read(
         self, partition_id: int, port: str, now: Duration
     ) -> tuple[PortStatus, Message | None, bool, str, str]:
+        """READ script action on a sampling port: the newest visible
+        message and whether it is still fresh.  Returns (status, message,
+        valid, channel label, op token)."""
         index = self._dest_of.get((partition_id, port))
         if index is None:
             return PortStatus.NOT_OWNER, None, False, "-", "READ"
-        status, msg, valid = self._sampling_read(index, now)
-        return status, msg, valid, self._labels[index], "READ"
+        label = self._labels[index]
+        st = self._states[index]
+        if type(st) is not SamplingPortState:
+            return PortStatus.BAD_KIND, None, False, label, "READ"
+        visible = [e for e in st.writes if e[1] <= now]
+        if not visible:
+            return PortStatus.EMPTY, None, False, label, "READ"
+        msg = visible[-1][0]  # write order == (written_at, seq) order
+        st.writes = [e for e in st.writes if e[0] is msg or e[1] > now]
+        refresh = st.channel.refresh_period or 0
+        valid = (now - msg.written_at) <= refresh
+        return PortStatus.OK, msg, valid, label, "READ"

@@ -37,7 +37,10 @@ repetition count, and the RNG seed::
     [loads]                       # broker mode: one pair per line
     0.0,0.0 -> 1.0,0.75           # relaxed cpu,mem -> stressed cpu,mem
 
-A malformed value raises a ScenarioError that names its key or section.
+Only partitioned scenarios read ``max_frames``, ``api_call_cost``,
+``system_file``, ``[system]``, ``[script N]`` and ``[health]``; only broker
+scenarios read ``[broker]`` and ``[loads]``.  A key or section of the other
+mode, like a malformed value, raises a ScenarioError that names it.
 
 Partitioned runs draw no randomness, so each payload is simulated once,
 measuring the latency between the producer's ``tx`` mark and the
@@ -331,6 +334,14 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
+# what only one mode reads: top-level keys, and sections by their first word
+_PARTITIONED_KEYS = {"api_call_cost", "max_frames", "system_file"}
+_SECTION_MODE = {
+    "system": Mode.PARTITIONED, "script": Mode.PARTITIONED, "health": Mode.PARTITIONED,
+    "broker": Mode.BROKER, "loads": Mode.BROKER,
+}
+
+
 def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     """Parse a scenario document; raises ScenarioError / ScenarioInvalid."""
     top, sections = _split_sections(text)
@@ -346,6 +357,11 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         mode = Mode(top["mode"].lower())
     except ValueError:
         raise ScenarioError(f"mode must be partitioned or broker, got {top['mode']!r}") from None
+    foreign = sorted(_PARTITIONED_KEYS & set(top)) if mode is Mode.BROKER else []
+    foreign += [f"[{name}]" for name in sections
+                if _SECTION_MODE.get(name.partition(" ")[0], mode) is not mode]
+    if foreign:
+        raise ScenarioError(f"{', '.join(foreign)}: not read by a {mode.value} scenario")
 
     def value(key: str, convert, default: str):
         return _convert(key, convert, top.get(key, default))
@@ -548,12 +564,16 @@ def run_scenario(
     """Run every payload (and load pair) and collect per-repetition records.
 
     ``until``/``frames`` override the per-simulation run bound of
-    partitioned scenarios; ``seed`` overrides the scenario seed (broker
-    jitter only; partitioned runs draw no randomness).
+    partitioned scenarios (a broker scenario rejects them); ``seed``
+    overrides the scenario seed (broker jitter only; partitioned runs draw
+    no randomness).
     """
     findings = validate_scenario(sc)
     for flag, value, least in (("frames", frames, 1), ("until", until, 0)):
-        if value is not None and value < least:
+        if value is not None and sc.mode is Mode.BROKER:
+            findings.append(Finding("RUN_BOUND", "ERROR", f"--{flag}",
+                                    "a broker scenario has no run bound"))
+        elif value is not None and value < least:
             findings.append(Finding("RUN_BOUND", "ERROR", f"--{flag}", f"{flag} must be >= {least}"))
     if findings:
         raise ScenarioInvalid(findings)

@@ -1,9 +1,11 @@
 """Health monitoring: anomaly events, action resolution, propagation.
 
-Detected anomalies (slot overruns, spatial-isolation violations, traps)
-become HealthEvents.  A HealthTable maps (kind, partition) to the action
-the hypervisor applies; per-partition overrides fall back to a per-kind
-default, which must exist for every kind.
+The engine raises two kinds of anomaly as HealthEvents: a slot overrun,
+when the planner finds a running COMPUTE truncated by its slot end, and a
+memory violation, when a port call names a port its partition does not
+own.  A HealthTable maps (kind, partition) to the action the hypervisor
+applies; per-partition overrides fall back to a per-kind default, which
+must exist for every kind.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ if TYPE_CHECKING:  # engine type only needed for annotations
 class HmKind(enum.Enum):
     SLOT_OVERRUN = "SLOT_OVERRUN"
     MEMORY_VIOLATION = "MEMORY_VIOLATION"
-    TRAP = "TRAP"
-    HYPERVISOR_EVENT = "HYPERVISOR_EVENT"
 
 
 class HealthAction(enum.Enum):
@@ -46,13 +46,11 @@ class HealthEvent:
             raise ValueError("overrun_amount > 0 exactly for SLOT_OVERRUN events")
 
 
-#: Overruns and traps are logged so experiments keep running; violations of
+#: Overruns are logged so experiments keep running; violations of
 #: spatial isolation suspend the offender so they stay visible in the trace.
 DEFAULT_ACTIONS: dict[HmKind, HealthAction] = {
     HmKind.SLOT_OVERRUN: HealthAction.LOG,
     HmKind.MEMORY_VIOLATION: HealthAction.SUSPEND_PARTITION,
-    HmKind.TRAP: HealthAction.LOG,
-    HmKind.HYPERVISOR_EVENT: HealthAction.LOG,
 }
 
 
@@ -74,24 +72,6 @@ class HealthTable:
 
     def set_override(self, kind: HmKind, partition_id: int, action: HealthAction) -> None:
         self.overrides[(kind, partition_id)] = action
-
-
-def detect_overrun(
-    state: SimState, partition_id: int, demanded: Duration, remaining: Duration
-) -> HealthEvent | None:
-    """SLOT_OVERRUN iff the demanded compute time exceeds what is left of
-    the slot; an exact fit is legal."""
-    if remaining < 0:
-        raise ValueError("remaining slot time cannot be negative")
-    if demanded <= remaining:
-        return None
-    return HealthEvent(
-        time=state.now,
-        kind=HmKind.SLOT_OVERRUN,
-        source_partition=partition_id,
-        detail=f"demanded={demanded} remaining={remaining}",
-        overrun_amount=demanded - remaining,
-    )
 
 
 def raise_event(state: SimState, ev: HealthEvent) -> None:

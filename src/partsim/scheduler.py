@@ -10,7 +10,7 @@ Simultaneous events are ordered by a fixed kind rank::
 
     SLOT_END(0) < HM_EVENT(1) < FRAME_WRAP(2) < SLOT_START(3) < APP_ACTION(4)
 
-then by partition id, then by a sequence number.  Ending the outgoing slot
+then by partition id, then by insertion order.  Ending the outgoing slot
 before starting the next one makes back-to-back slots unambiguous, and a
 health action applied at time t takes effect before any same-time slot
 start or app action.
@@ -23,9 +23,7 @@ each offset.  Only the dynamic events, APP_ACTION and HM_EVENT, go through
 a heap.  The two sources never tie: timeline events have ranks 0, 2 and 3
 and dynamic events ranks 1 and 4, so comparing (time, rank) of the next
 timeline entry with the heap head gives the same total order as one queue
-holding both.  ``Event.seq`` is the entry's index in the one-frame
-timeline for a timeline event, and the event's insertion number among
-dynamic events for a dynamic one (which breaks the remaining ties).
+holding both.  ``run_until`` is the only way to apply events.
 
 The scheduler never extends a slot: a slot always ends at its scheduled
 end, and whatever compute time the application still demanded carries over
@@ -38,7 +36,6 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Any
 
 from . import health as health_mod
@@ -61,10 +58,6 @@ class ConfigInvalid(SimulationError):
         self.findings = findings
 
 
-class QueueEmpty(SimulationError):
-    """step() on an empty event queue."""
-
-
 class IllegalTransition(SimulationError):
     """Partition lifecycle transition not permitted."""
 
@@ -83,35 +76,15 @@ _ALLOWED_TRANSITIONS = {
 }
 
 
-class EventKind(enum.Enum):
-    SLOT_START = "SLOT_START"
-    SLOT_END = "SLOT_END"
-    FRAME_WRAP = "FRAME_WRAP"
-    APP_ACTION = "APP_ACTION"
-    HM_EVENT = "HM_EVENT"
-
-
 # kind ranks; the engine keeps kinds as these ints and their names
 _SLOT_END, _HM_EVENT, _FRAME_WRAP, _SLOT_START, _APP_ACTION = range(5)
-_KIND_BY_RANK = (
-    EventKind.SLOT_END, EventKind.HM_EVENT, EventKind.FRAME_WRAP,
-    EventKind.SLOT_START, EventKind.APP_ACTION,
-)
 
 FRAME_PARTITION = -1  # frame wraps belong to no partition
 _NEVER = math.inf  # next timeline time before boot and after a system halt
 
 
-@dataclass(frozen=True)
-class Event:
-    time: Duration
-    kind: EventKind
-    partition_id: int
-    seq: int
-
-
 class SimState:
-    """Single-owner simulation state; all mutation goes through boot/step.
+    """Single-owner simulation state; all mutation goes through boot/run_until.
 
     Distinct SimStates are independent and may run concurrently (one per
     payload of a partitioned scenario; its repetitions share it).
@@ -160,12 +133,6 @@ class SimState:
 
     def append_record(self, record: trace_mod.TraceRecord) -> None:
         self.trace.append(record)
-
-    def events(self, kind: EventKind | None = None) -> list[trace_mod.EventRecord]:
-        records = [r for r in self.trace if type(r) is EventRecord]
-        if kind is not None:
-            records = [r for r in records if r.kind == kind.value]
-        return records
 
     def _push(self, time: Duration, rank: int, partition_id: int, payload: Any) -> None:
         heapq.heappush(self._heap, (time, rank, partition_id, self._heap_seq, payload))
@@ -255,13 +222,6 @@ class SimState:
 
     # -- engine --------------------------------------------------------------
 
-    def step(self) -> Event:
-        """Apply the globally least pending event; returns it."""
-        if not self._heap and self._tl_time == _NEVER:
-            raise QueueEmpty("event queue is empty")
-        rank, pid, seq = self._apply_next(_NEVER)
-        return Event(time=self.now, kind=_KIND_BY_RANK[rank], partition_id=pid, seq=seq)
-
     def run_until(self, t_end: Duration) -> list[trace_mod.TraceRecord]:
         """Apply every event with time <= t_end; now == t_end on return.
         Returns the slice of trace records appended by this call."""
@@ -269,32 +229,32 @@ class SimState:
             raise SimulationError(f"cannot run backwards: {t_end} < {self.now}")
         start = len(self.trace)
         apply_next = self._apply_next
-        while apply_next(t_end) is not None:
+        while apply_next(t_end):
             pass
         self.now = t_end
         return self.trace[start:]
 
-    def _apply_next(self, t_end: Duration | float) -> tuple[int, int, int] | None:
+    def _apply_next(self, t_end: Duration) -> bool:
         """Apply the least pending event if it is due by ``t_end``; returns
-        its (rank, partition, seq), or None when no event is due."""
+        whether one was applied."""
         heap = self._heap
         t = self._tl_time
         if heap:
             head = heap[0]
             if head[0] < t or (head[0] == t and head[1] < self._timeline[self._tl_index][1]):
                 if head[0] > t_end:
-                    return None
+                    return False
                 heapq.heappop(heap)
-                time, rank, pid, seq, payload = head
+                time, rank, pid, _, payload = head
                 assert time >= self.now, "event queue delivered an event from the past"
                 self.now = time
                 if rank == _APP_ACTION:
                     self._on_app_action(pid, payload)
                 else:
                     self._on_hm_event(pid, payload)
-                return rank, pid, seq
+                return True
         if t > t_end:
-            return None
+            return False
         timeline = self._timeline
         index = self._tl_index
         _, rank, pid, kind, slot = timeline[index]
@@ -312,7 +272,7 @@ class SimState:
             self._record_event(t, kind, pid)
             if rank == _SLOT_END:
                 self._active = None
-        return rank, pid, index
+        return True
 
     # -- handlers --------------------------------------------------------
 
@@ -406,11 +366,15 @@ class SimState:
             _, epoch, demanded, remaining = payload
             if epoch != self._epoch[pid]:
                 return
-            ev = health_mod.detect_overrun(self, pid, demanded, remaining)
-            if ev is None:  # pragma: no cover - planner only posts real overruns
-                return
-            health_mod.raise_event(self, ev)
+            # the planner posts only real overruns: demanded > remaining
+            overrun = demanded - remaining
+            health_mod.raise_event(self, health_mod.HealthEvent(
+                time=self.now,
+                kind=health_mod.HmKind.SLOT_OVERRUN,
+                source_partition=pid,
+                overrun_amount=overrun,
+            ))
             # the truncated COMPUTE resumes in the next slot
-            self.cursors[pid].carry = ev.overrun_amount
+            self.cursors[pid].carry = overrun
         else:
             health_mod.raise_event(self, payload[1])

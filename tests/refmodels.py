@@ -6,7 +6,7 @@ Randomized operation sequences are replayed against both and every status,
 message identity, and validity flag must match exactly.
 """
 
-from partsim import PortTable, parse_config
+from partsim import PortTable
 
 
 class SamplingModel:
@@ -69,8 +69,8 @@ def msg_tuple(msg):
     return None if msg is None else (msg.payload_size, msg.written_at, msg.seq)
 
 
-def run_sampling_sequence(xml, rng, ops=40):
-    ports = PortTable(parse_config(xml))
+def run_sampling_sequence(config, rng, ops=40):
+    ports = PortTable(config)
     model = SamplingModel(max_size=64, refresh=2_000_000)
     now = 0
     for _ in range(ops):
@@ -78,20 +78,20 @@ def run_sampling_sequence(xml, rng, ops=40):
         if rng.random() < 0.5:
             pid = 0 if rng.random() < 0.9 else 1
             size = rng.randrange(1, 80)
-            status, _ = ports.sampling_write(pid, "out" if pid == 0 else "in", size, now)
+            status, *_ = ports.send(pid, "out" if pid == 0 else "in", size, now)
             expected = model.write(pid == 0, size, now)
             assert status.value == expected, f"write diverged at t={now}"
         else:
             pid = 1 if rng.random() < 0.9 else 0
-            status, msg, valid = ports.sampling_read(pid, "in" if pid == 1 else "out", now)
+            status, msg, valid, *_ = ports.read(pid, "in" if pid == 1 else "out", now)
             e_status, e_msg, e_valid = model.read(pid == 1, now)
             assert (status.value, msg_tuple(msg), valid) == (e_status, e_msg, e_valid), (
                 f"read diverged at t={now}"
             )
 
 
-def run_queuing_sequence(xml, rng, ops=40):
-    ports = PortTable(parse_config(xml))
+def run_queuing_sequence(config, rng, ops=40):
+    ports = PortTable(config)
     model = QueuingModel(max_size=64, capacity=16)
     now = 0
     for _ in range(ops):
@@ -99,12 +99,12 @@ def run_queuing_sequence(xml, rng, ops=40):
         if rng.random() < 0.55:
             pid = 0 if rng.random() < 0.9 else 1
             size = rng.randrange(1, 80)
-            status, _ = ports.queuing_send(pid, "out" if pid == 0 else "in", size, now)
+            status, *_ = ports.send(pid, "out" if pid == 0 else "in", size, now)
             expected = model.send(pid == 0, size, now)
             assert status.value == expected, f"send diverged at t={now}"
         else:
             pid = 1 if rng.random() < 0.9 else 0
-            status, msg = ports.queuing_receive(pid, "in" if pid == 1 else "out", now)
+            status, msg, *_ = ports.receive(pid, "in" if pid == 1 else "out", now)
             e_status, e_msg = model.receive(pid == 1, now)
             assert (status.value, msg_tuple(msg)) == (e_status, e_msg), (
                 f"receive diverged at t={now}"

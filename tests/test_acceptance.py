@@ -121,10 +121,11 @@ def test_02_schedule_conformance():
 def test_03_port_model_equivalence():
     """10,000 randomized sequences per channel kind, zero divergences."""
     rng = random.Random(0xC0FFEE)
+    sampling, queuing = parse_config(SAMPLING_XML), parse_config(QUEUING_XML)
+    for _ in range(10_000):  # each sequence gets a fresh PortTable
+        run_sampling_sequence(sampling, rng, ops=25)
     for _ in range(10_000):
-        run_sampling_sequence(SAMPLING_XML, rng, ops=25)
-    for _ in range(10_000):
-        run_queuing_sequence(QUEUING_XML, rng, ops=25)
+        run_queuing_sequence(queuing, rng, ops=25)
     _passed("3 port model equivalence")
 
 

@@ -199,40 +199,80 @@ def test_module_entry_point(workdir):
 BROKER_TEXT = (SCENARIO_DIR / "broker.scn").read_text()
 
 
-@pytest.mark.parametrize("text, named", [
-    (make_cookbook_scenario().replace("repetitions = 3", "repetitions = abc"), "repetitions"),
-    (make_cookbook_scenario().replace("seed = 1", "seed = x"), "seed"),
-    (make_cookbook_scenario().replace("payload_sizes = 64", "payload_sizes = 6x"), "payload_sizes"),
-    (make_cookbook_scenario().replace("[script 1]", "[script one]"), "[script one]"),
-    (make_cookbook_scenario().replace("compute 100us", "compute 100xs"), "[script 0]"),
-    (BROKER_TEXT.replace("load_factor = 1.0", "load_factor = fast"), "[broker] load_factor"),
-    (BROKER_TEXT.replace("proc_fixed = 20us", "proc_fixed = 20xs"), "[broker] proc_fixed"),
-    (BROKER_TEXT.replace("subscribers = 1", "subscribers = 0"), "[broker] subscribers"),
-    (BROKER_TEXT.replace("subscribers = 1", "subscribers = 3"), "[broker] subscribers"),
-    (BROKER_TEXT.replace("subscribers = 1", "subscribers = abc"), "[broker] subscribers"),
-    (make_cookbook_scenario().replace("seed = 1", "seed = 1\nrepetitions = 5"),
-     "repetitions: duplicate key"),
-    (BROKER_TEXT.replace("proc_fixed = 20us", "proc_fixed = 20us\nproc_fixed = 30us"),
-     "[broker] proc_fixed: duplicate key"),
-    (make_cookbook_scenario(extra_sections="[health]\nTRAP 1 = LOG\nTRAP 1 = HALT_SYSTEM\n"),
-     "[health] TRAP 1: duplicate key"),
-    (make_cookbook_scenario().replace("[script 1]", "[script 1 junk]"), "[script 1 junk]"),
-], ids=["repetitions", "seed", "payload_sizes", "script_id", "script_duration",
-        "load_factor", "proc_fixed", "subscribers_0", "subscribers_3", "subscribers_abc",
-        "duplicate_top_key", "duplicate_broker_key", "duplicate_health_key", "script_junk"])
-def test_malformed_value_is_located(workdir, capsys, text, named):
+def add_to_broker(extra):
+    """The shipped broker scenario with ``extra`` spliced in before its
+    sections."""
+    return BROKER_TEXT.replace("\n[broker]", f"\n{extra}\n[broker]")
+
+
+@pytest.mark.parametrize("text, flags, named", [
+    pytest.param(make_cookbook_scenario().replace("repetitions = 3", "repetitions = abc"), (),
+                 "repetitions", id="repetitions"),
+    pytest.param(make_cookbook_scenario().replace("seed = 1", "seed = x"), (),
+                 "seed", id="seed"),
+    pytest.param(make_cookbook_scenario().replace("payload_sizes = 64", "payload_sizes = 6x"), (),
+                 "payload_sizes", id="payload_sizes"),
+    pytest.param(make_cookbook_scenario().replace("[script 1]", "[script one]"), (),
+                 "[script one]", id="script_id"),
+    pytest.param(make_cookbook_scenario().replace("compute 100us", "compute 100xs"), (),
+                 "[script 0]", id="script_duration"),
+    pytest.param(BROKER_TEXT.replace("load_factor = 1.0", "load_factor = fast"), (),
+                 "[broker] load_factor", id="load_factor"),
+    pytest.param(BROKER_TEXT.replace("proc_fixed = 20us", "proc_fixed = 20xs"), (),
+                 "[broker] proc_fixed", id="proc_fixed"),
+    pytest.param(BROKER_TEXT.replace("subscribers = 1", "subscribers = 0"), (),
+                 "[broker] subscribers", id="subscribers_0"),
+    pytest.param(BROKER_TEXT.replace("subscribers = 1", "subscribers = 3"), (),
+                 "[broker] subscribers", id="subscribers_3"),
+    pytest.param(BROKER_TEXT.replace("subscribers = 1", "subscribers = abc"), (),
+                 "[broker] subscribers", id="subscribers_abc"),
+    pytest.param(make_cookbook_scenario().replace("seed = 1", "seed = 1\nrepetitions = 5"), (),
+                 "repetitions: duplicate key", id="duplicate_top_key"),
+    pytest.param(BROKER_TEXT.replace("proc_fixed = 20us", "proc_fixed = 20us\nproc_fixed = 30us"),
+                 (), "[broker] proc_fixed: duplicate key", id="duplicate_broker_key"),
+    pytest.param(make_cookbook_scenario(extra_sections=(
+        "[health]\nMEMORY_VIOLATION 1 = LOG\nMEMORY_VIOLATION 1 = HALT_SYSTEM\n")), (),
+        "[health] MEMORY_VIOLATION 1: duplicate key", id="duplicate_health_key"),
+    pytest.param(make_cookbook_scenario().replace("[script 1]", "[script 1 junk]"), (),
+                 "[script 1 junk]", id="script_junk"),
+    pytest.param(make_cookbook_scenario(extra_sections="[health]\nTRAP = HALT_SYSTEM\n"), (),
+                 "[health]: unknown event kind 'TRAP'", id="health_trap"),
+    pytest.param(make_cookbook_scenario(extra_sections="[health]\nHYPERVISOR_EVENT = LOG\n"), (),
+                 "[health]: unknown event kind 'HYPERVISOR_EVENT'", id="health_hypervisor_event"),
+    # keys and sections that only the other mode reads
+    pytest.param(add_to_broker("[health]\nSLOT_OVERRUN = HALT_SYSTEM\n"), (),
+                 "[health]: not read by a broker scenario", id="broker_health"),
+    pytest.param(add_to_broker("[script 0]\ncompute 1us\n"), (),
+                 "[script 0]: not read by a broker scenario", id="broker_script"),
+    pytest.param(add_to_broker("[system]\n" + COOKBOOK_XML), (),
+                 "[system]: not read by a broker scenario", id="broker_system"),
+    pytest.param(add_to_broker("system_file = cookbook.xml"), (),
+                 "system_file: not read by a broker scenario", id="broker_system_file"),
+    pytest.param(add_to_broker("max_frames = 2"), (),
+                 "max_frames: not read by a broker scenario", id="broker_max_frames"),
+    pytest.param(add_to_broker("api_call_cost = 1us"), (),
+                 "api_call_cost: not read by a broker scenario", id="broker_api_call_cost"),
+    pytest.param(make_cookbook_scenario(extra_sections="[broker]\nproc_fixed = 20us\n"), (),
+                 "[broker]: not read by a partitioned scenario", id="partitioned_broker"),
+    pytest.param(make_cookbook_scenario(extra_sections="[loads]\n0.0,0.0 -> 1.0,0.75\n"), (),
+                 "[loads]: not read by a partitioned scenario", id="partitioned_loads"),
+    # a run bound is a finding on stdout; everything above an error on stderr
+    pytest.param(BROKER_TEXT, ("--frames", "2"), "RUN_BOUND --frames", id="broker_frames"),
+    pytest.param(BROKER_TEXT, ("--until", "1ms"), "RUN_BOUND --until", id="broker_until"),
+])
+def test_malformed_value_is_located(workdir, capsys, text, flags, named):
     scn = write(workdir / "bad.scn", text)
-    assert main(["run", scn, "--out", "o.csv"]) == 1
-    err = capsys.readouterr().err
-    assert named in err and "Traceback" not in err
+    assert main(["run", scn, "--out", "o.csv", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert named in (out if flags else err) and "Traceback" not in err
     assert not (workdir / "o.csv").exists()
 
 
 def test_health_override_for_missing_partition_exits_1(workdir, capsys):
-    scn = write(workdir / "h.scn",
-                make_cookbook_scenario(extra_sections="[health]\nTRAP 9 = HALT_SYSTEM\n"))
+    scn = write(workdir / "h.scn", make_cookbook_scenario(
+        extra_sections="[health]\nMEMORY_VIOLATION 9 = HALT_SYSTEM\n"))
     assert main(["run", scn, "--out", "o.csv"]) == 1
-    assert "UNKNOWN_PARTITION health TRAP 9" in capsys.readouterr().err
+    assert "UNKNOWN_PARTITION health MEMORY_VIOLATION 9" in capsys.readouterr().err
     assert not (workdir / "o.csv").exists()
 
 

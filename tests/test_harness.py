@@ -97,12 +97,12 @@ payload_sizes = 1,1000000
 
 def test_parse_health_section():
     text = make_cookbook_scenario(extra_sections=(
-        "[health]\nSLOT_OVERRUN = HALT_PARTITION\nTRAP 1 = HALT_SYSTEM\n"
+        "[health]\nSLOT_OVERRUN = HALT_PARTITION\nMEMORY_VIOLATION 1 = HALT_SYSTEM\n"
     ))
     table = parse_scenario(text).health_table
     assert table.resolve(HmKind.SLOT_OVERRUN, 0) is HealthAction.HALT_PARTITION
-    assert table.resolve(HmKind.TRAP, 1) is HealthAction.HALT_SYSTEM
-    assert table.resolve(HmKind.TRAP, 0) is HealthAction.LOG
+    assert table.resolve(HmKind.MEMORY_VIOLATION, 1) is HealthAction.HALT_SYSTEM
+    assert table.resolve(HmKind.MEMORY_VIOLATION, 0) is HealthAction.SUSPEND_PARTITION
 
 
 def test_unknown_keys_rejected():

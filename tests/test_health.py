@@ -4,76 +4,101 @@ import pytest
 from hypothesis import given, strategies as st
 
 from partsim import (
+    AppCursor,
     HealthAction,
     HealthEvent,
     HealthTable,
     HmKind,
     PartitionState,
     SimState,
-    detect_overrun,
     parse_script,
     raise_event,
 )
+from partsim.config import PartitionSpec, SchedulePlan, ScheduleSlot, SystemConfig
 from partsim.trace import EventRecord, HmRecord, format_trace, partition_records
-from partsim.workload import ScriptMode
+from partsim.workload import (
+    PendingAction,
+    PendingOverrun,
+    ScriptMode,
+    plan_until_next_action,
+)
 
 
 def test_default_table_covers_every_kind():
     table = HealthTable()
     assert table.resolve(HmKind.SLOT_OVERRUN, 3) is HealthAction.LOG
     assert table.resolve(HmKind.MEMORY_VIOLATION, 3) is HealthAction.SUSPEND_PARTITION
-    assert table.resolve(HmKind.TRAP, 3) is HealthAction.LOG
-    assert table.resolve(HmKind.HYPERVISOR_EVENT, 3) is HealthAction.LOG
+    assert set(table.defaults) == set(HmKind) == {HmKind.SLOT_OVERRUN, HmKind.MEMORY_VIOLATION}
 
 
 def test_override_beats_default():
     table = HealthTable()
-    table.set_override(HmKind.TRAP, 1, HealthAction.HALT_PARTITION)
-    assert table.resolve(HmKind.TRAP, 1) is HealthAction.HALT_PARTITION
-    assert table.resolve(HmKind.TRAP, 0) is HealthAction.LOG
+    table.set_override(HmKind.MEMORY_VIOLATION, 1, HealthAction.HALT_PARTITION)
+    assert table.resolve(HmKind.MEMORY_VIOLATION, 1) is HealthAction.HALT_PARTITION
+    assert table.resolve(HmKind.MEMORY_VIOLATION, 0) is HealthAction.SUSPEND_PARTITION
 
 
 def test_incomplete_table_rejected():
     with pytest.raises(ValueError):
-        HealthTable(defaults={HmKind.TRAP: HealthAction.LOG})
+        HealthTable(defaults={HmKind.MEMORY_VIOLATION: HealthAction.LOG})
 
 
 def test_overrun_amount_field_guard():
     with pytest.raises(ValueError):
-        HealthEvent(time=0, kind=HmKind.TRAP, source_partition=0, overrun_amount=5)
+        HealthEvent(time=0, kind=HmKind.MEMORY_VIOLATION, source_partition=0, overrun_amount=5)
     with pytest.raises(ValueError):
         HealthEvent(time=0, kind=HmKind.SLOT_OVERRUN, source_partition=0)
 
 
-def test_detect_overrun_examples(cookbook):
-    sim = SimState(cookbook).boot()
-    ev = detect_overrun(sim, 0, demanded=450_000, remaining=400_000)
-    assert ev.kind is HmKind.SLOT_OVERRUN and ev.overrun_amount == 50_000
-    assert detect_overrun(sim, 0, demanded=400_000, remaining=400_000) is None  # exact fit
-    with pytest.raises(ValueError):
-        detect_overrun(sim, 0, demanded=1, remaining=-1)
+def check_overrun(demanded, remaining, start):
+    """The planner reports an overrun exactly when a COMPUTE demands more
+    than is left of the slot, and the engine carries the difference over."""
+    script = parse_script([f"compute {demanded}ns", "mark done"], 0)
+    cursor = AppCursor()
+    plan = plan_until_next_action(script, cursor, start, start + remaining)
+    if demanded > remaining:
+        assert plan == PendingOverrun(demanded=demanded, remaining=remaining)
+        assert cursor.index == 0
+    else:  # the compute completes; on an exact fit its mark waits a slot
+        assert cursor.index == 1
+        fits = PendingAction(time=start + demanded, index=1)
+        assert plan == (fits if demanded < remaining else None)
+
+    # one partition whose slot is ``remaining`` long, in a frame twice that
+    cfg = SystemConfig(
+        partitions=(PartitionSpec(id=0, name="p0"),),
+        plan=SchedulePlan(major_frame=2 * remaining, slots=(
+            ScheduleSlot(slot_id=0, partition_id=0, start=0, duration=remaining),)),
+    )
+    sim = SimState(cfg, scripts={0: script}).boot()
+    sim.run_until(remaining)
+    hm = [(r.time, r.kind, r.detail) for r in sim.trace if isinstance(r, HmRecord)]
+    if demanded > remaining:
+        assert hm == [(remaining, "SLOT_OVERRUN", str(demanded - remaining))]
+        assert sim.cursors[0].carry == demanded - remaining
+    else:
+        assert hm == [] and sim.cursors[0].carry == 0
+
+
+def test_detect_overrun_examples():
+    check_overrun(demanded=450_000, remaining=400_000, start=0)  # 50 us over
+    check_overrun(demanded=400_000, remaining=400_000, start=0)  # an exact fit is legal
 
 
 @given(
     demanded=st.integers(min_value=0, max_value=10**9),
-    remaining=st.integers(min_value=0, max_value=10**9),
+    remaining=st.integers(min_value=1, max_value=10**9),
+    start=st.integers(min_value=0, max_value=10**9),
 )
-def test_detect_overrun_property(demanded, remaining):
-    from partsim import parse_config
-    from conftest import COOKBOOK_XML
-
-    sim = SimState(parse_config(COOKBOOK_XML))
-    ev = detect_overrun(sim, 0, demanded, remaining)
-    if demanded > remaining:
-        assert ev is not None and ev.overrun_amount == demanded - remaining
-    else:
-        assert ev is None
+def test_detect_overrun_property(demanded, remaining, start):
+    check_overrun(demanded, remaining, start)
 
 
-def test_trap_with_log_action(cookbook):
+def test_log_action_changes_no_state(cookbook):
     sim = SimState(cookbook).boot()
     states_before = dict(sim.partition_states)
-    raise_event(sim, HealthEvent(time=0, kind=HmKind.TRAP, source_partition=0, detail="spurious"))
+    raise_event(sim, HealthEvent(time=0, kind=HmKind.SLOT_OVERRUN, source_partition=0,
+                                 overrun_amount=7))
     hm_events = [r for r in sim.trace if isinstance(r, EventRecord) and r.kind == "HM_EVENT"]
     hm_records = [r for r in sim.trace if isinstance(r, HmRecord)]
     assert len(hm_events) == 1 and len(hm_records) == 1
@@ -84,26 +109,28 @@ def test_trap_with_log_action(cookbook):
 def test_raise_requires_current_time(cookbook):
     sim = SimState(cookbook).boot()
     with pytest.raises(ValueError):
-        raise_event(sim, HealthEvent(time=99, kind=HmKind.TRAP, source_partition=0))
+        raise_event(sim, HealthEvent(time=99, kind=HmKind.MEMORY_VIOLATION, source_partition=0))
 
 
 def test_every_event_appears_once_with_action(cookbook):
     sim = SimState(cookbook).boot()
-    for kind in (HmKind.TRAP, HmKind.HYPERVISOR_EVENT):
-        raise_event(sim, HealthEvent(time=0, kind=kind, source_partition=1))
+    raise_event(sim, HealthEvent(time=0, kind=HmKind.SLOT_OVERRUN, source_partition=1,
+                                 overrun_amount=3))
+    raise_event(sim, HealthEvent(time=0, kind=HmKind.MEMORY_VIOLATION, source_partition=1,
+                                 detail="SEND out"))
     hm_lines = [r for r in sim.trace if isinstance(r, HmRecord)]
-    assert [(r.kind, r.action) for r in hm_lines] == [
-        ("TRAP", "LOG"),
-        ("HYPERVISOR_EVENT", "LOG"),
+    assert [(r.kind, r.action, r.detail) for r in hm_lines] == [
+        ("SLOT_OVERRUN", "LOG", "3"),
+        ("MEMORY_VIOLATION", "SUSPEND_PARTITION", "SEND out"),
     ]
 
 
 def test_halt_system_ends_run(cookbook):
     table = HealthTable()
-    table.set_default(HmKind.TRAP, HealthAction.HALT_SYSTEM)
+    table.set_default(HmKind.MEMORY_VIOLATION, HealthAction.HALT_SYSTEM)
     sim = SimState(cookbook, health_table=table).boot()
     sim.run_until(250_000)
-    raise_event(sim, HealthEvent(time=250_000, kind=HmKind.TRAP, source_partition=0))
+    raise_event(sim, HealthEvent(time=250_000, kind=HmKind.MEMORY_VIOLATION, source_partition=0))
     assert sim.halted
     sim.run_until(10_000_000)
     assert all(r.time <= 250_000 for r in sim.trace)

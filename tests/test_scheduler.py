@@ -6,10 +6,8 @@ import pytest
 
 from partsim import (
     ConfigInvalid,
-    EventKind,
     IllegalTransition,
     PartitionState,
-    QueueEmpty,
     SimState,
     parse_config,
     parse_script,
@@ -29,12 +27,17 @@ def booted(cfg, scripts=None, **kwargs):
     return SimState(cfg, scripts=scripts, **kwargs).boot()
 
 
+def events(records, kind=None):
+    """(time, kind, partition) of the engine events among ``records``."""
+    return [(r.time, r.kind, r.partition) for r in records
+            if type(r) is EventRecord and kind in (None, r.kind)]
+
+
 def test_boot_brings_partitions_to_normal(cookbook):
     sim = booted(cookbook)
     assert all(s is PartitionState.NORMAL for s in sim.partition_states.values())
     assert sim.now == 0
-    first = sim.step()
-    assert (first.time, first.kind, first.partition_id) == (0, EventKind.SLOT_START, 0)
+    assert events(sim.run_until(0))[0] == (0, "SLOT_START", 0)
 
 
 def test_boot_rejects_invalid_config():
@@ -64,26 +67,24 @@ def test_boot_after_the_clock_moved_is_rejected(cookbook):
 
 def test_first_three_events(cookbook):
     sim = booted(cookbook)
-    events = [sim.step() for _ in range(3)]
-    assert [(e.time, e.kind, e.partition_id) for e in events] == [
-        (0, EventKind.SLOT_START, 0),
-        (400_000, EventKind.SLOT_END, 0),
-        (500_000, EventKind.SLOT_START, 1),
+    assert events(sim.run_until(500_000)) == [
+        (0, "SLOT_START", 0),
+        (400_000, "SLOT_END", 0),
+        (500_000, "SLOT_START", 1),
     ]
 
 
 def test_frame_wrap_at_every_frame_boundary(cookbook):
     sim = booted(cookbook)
-    sim.run_until(3_000_000)
-    wraps = [r.time for r in sim.events(EventKind.FRAME_WRAP)]
+    wraps = [t for t, _, _ in events(sim.run_until(3_000_000), "FRAME_WRAP")]
     assert wraps == [1_000_000, 2_000_000, 3_000_000]
 
 
-def test_step_on_empty_queue():
-    cfg = parse_config(COOKBOOK_XML)
-    sim = SimState(cfg)
-    with pytest.raises(QueueEmpty):
-        sim.step()
+def test_step_on_empty_queue(cookbook):
+    """Before boot the event queue is empty: running applies nothing."""
+    sim = SimState(cookbook)
+    assert sim.run_until(3_000_000) == []
+    assert sim.now == 3_000_000
 
 
 def offline_events(cfg, frames):
@@ -103,9 +104,7 @@ def offline_events(cfg, frames):
 
 def test_event_order_matches_offline_sort(cookbook):
     sim = booted(cookbook)
-    sim.run_until(5 * 1_000_000 - 1)
-    got = [(r.time, r.kind, r.partition) for r in sim.events()]
-    assert got == offline_events(cookbook, 5)
+    assert events(sim.run_until(5 * 1_000_000 - 1)) == offline_events(cookbook, 5)
 
 
 def test_boot_is_deterministic(cookbook):
@@ -170,16 +169,6 @@ def test_partition_with_two_slots(cookbook):
     assert totals == {0: frames * (400_000 + 150_000), 1: frames * 200_000}
 
 
-def test_run_until_composes(cookbook):
-    split = booted(cookbook)
-    split.run_until(1_700_000)
-    split.run_until(4_300_000)
-    whole = booted(cookbook)
-    whole.run_until(4_300_000)
-    assert format_trace(split.trace) == format_trace(whole.trace)
-    assert split.now == whole.now == 4_300_000
-
-
 def test_exclusivity_on_random_plans():
     rng = random.Random(424242)
     for _ in range(20):
@@ -221,7 +210,7 @@ def test_halted_partition_dispatches_nothing(cookbook):
     marks_after = len([r for r in sim.trace if getattr(r, "label", None) == "work"])
     assert marks_after == marks_before
     # the halted partition's slots still elapse, just idle
-    starts = [r for r in sim.events(EventKind.SLOT_START) if r.partition == 0]
+    starts = [e for e in events(sim.trace, "SLOT_START") if e[2] == 0]
     assert len(starts) == 10
 
 
@@ -276,20 +265,7 @@ def test_suspend_cancels_inflight_actions(cookbook):
     assert [r for r in sim.trace if getattr(r, "label", None) == "late"] == []
 
 
-# -- step() and run_until take different routes through the engine -----------
-
-
-def stepped_trace(sim, t_end):
-    """The trace of a step()-driven run to t_end: step until the first
-    event after t_end (or an empty queue), then drop what that event added."""
-    while True:
-        done = len(sim.trace)
-        try:
-            event = sim.step()
-        except QueueEmpty:
-            return sim.trace
-        if event.time > t_end:
-            return sim.trace[:done]
+# -- run_until splits anywhere ------------------------------------------------
 
 
 def cookbook_sim():
@@ -342,24 +318,46 @@ def halting_sim():
     return overrun_sim(table)
 
 
-@pytest.mark.parametrize("make, t_end", [
-    (cookbook_sim, 2_000_000),
-    (overrun_sim, 5_000_000),
-    (ring_sim, 8 * 600_000),
-    (halting_sim, 5_000_000),
+def test_run_until_composes(cookbook):
+    """Running to t_end in pieces appends the same records as one call."""
+    split = booted(cookbook)
+    boot_records = list(split.trace)
+    pieces = [split.run_until(1_700_000), split.run_until(4_300_000)]
+    whole = booted(cookbook)
+    whole.run_until(4_300_000)
+    assert format_trace(split.trace) == format_trace(whole.trace)
+    assert boot_records + pieces[0] + pieces[1] == split.trace
+    assert split.now == whole.now == 4_300_000
+
+
+@pytest.mark.parametrize("make, cuts", [
+    (cookbook_sim, (0, 500_000, 2_000_000)),
+    (overrun_sim, (400_000, 1_234_567, 5_000_000)),
+    (ring_sim, (600_000, 2_345_678, 8 * 600_000)),
+    (halting_sim, (399_999, 400_000, 5_000_000)),
 ], ids=["cookbook", "repeat_overrun", "ring", "halt_system"])
-def test_step_loop_matches_run_until(make, t_end):
+def test_step_loop_matches_run_until(make, cuts):
+    """Stepping run_until through every event instant, and through cuts
+    between instants, appends the same records as one call to t_end."""
+    t_end = cuts[-1]
+    whole = make().boot()
+    whole.run_until(t_end)
     stepped = make().boot()
-    run = make().boot()
-    run.run_until(t_end)
-    assert format_trace(stepped_trace(stepped, t_end)) == format_trace(run.trace)
-    assert stepped.halted == run.halted
-    kinds = {r.kind for r in run.trace if isinstance(r, EventRecord)}
+    records = list(stepped.trace)
+    for t in sorted({r.time for r in whole.trace} | set(cuts)):
+        piece = stepped.run_until(t)
+        assert {r.time for r in piece} <= {t}
+        records += piece
+    assert format_trace(stepped.trace) == format_trace(whole.trace)
+    assert records == stepped.trace
+    assert stepped.now == whole.now == t_end
+    assert stepped.halted == whole.halted
+    kinds = {kind for _, kind, _ in events(whole.trace)}
     if make is halting_sim:
-        assert run.halted and kinds == {"SLOT_START", "SLOT_END", "HM_EVENT"}
-        for sim in (stepped, run):
-            with pytest.raises(QueueEmpty):
-                sim.step()
+        # the first overrun halts the system at its slot end, 400 us
+        assert whole.halted and kinds == {"SLOT_START", "SLOT_END", "HM_EVENT"}
+        assert max(r.time for r in whole.trace) == 400_000
+        assert whole.run_until(10 * t_end) == []
     else:
-        assert not run.halted
+        assert not whole.halted
         assert {"SLOT_START", "SLOT_END", "FRAME_WRAP", "APP_ACTION"} <= kinds
