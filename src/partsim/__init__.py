@@ -64,7 +64,6 @@ from .middleware import (
 )
 from .scheduler import (
     ConfigInvalid,
-    IllegalTransition,
     PartitionState,
     SimState,
     SimulationError,

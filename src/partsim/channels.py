@@ -74,6 +74,10 @@ class QueuingPortState:
     fifo: list[tuple[Message, Duration]] = field(default_factory=list)
 
 
+def _held(st: SamplingPortState | QueuingPortState) -> list[tuple[Message, Duration]]:
+    return st.writes if type(st) is SamplingPortState else st.fifo
+
+
 class PortTable:
     """All port state for one simulation, keyed by (partition, port name).
 
@@ -102,6 +106,42 @@ class PortTable:
 
     def state(self, index: int) -> SamplingPortState | QueuingPortState:
         return self._states[index]
+
+    # -- periodic fast-forward -----------------------------------------------
+
+    def snapshot(self, base: Duration) -> tuple:
+        """Port contents relative to ``base``: per channel, each held
+        message's size, source, write and visible times minus ``base``, and
+        how many messages the channel has numbered since it.  Message
+        numbers and checksums are left out."""
+        return tuple([
+            tuple([
+                (m.payload_size, m.source_partition, m.written_at - base, visible - base,
+                 next_seq - m.seq)
+                for m, visible in _held(st)
+            ])
+            for st, next_seq in zip(self._states, self._next_seq)
+        ])
+
+    def seq_counters(self) -> tuple[int, ...]:
+        """Each channel's next message number."""
+        return tuple(self._next_seq)
+
+    def shift(self, delay: Duration, seq_gain: list[int]) -> None:
+        """Move every held message ``delay`` later and advance channel i's
+        numbering by ``seq_gain[i]``, renumbering (and re-checksumming) its
+        held messages to match."""
+        for index, st in enumerate(self._states):
+            gain = seq_gain[index]
+            self._next_seq[index] += gain
+            held = _held(st)
+            for k, (m, visible) in enumerate(held):
+                seq = m.seq + gain
+                held[k] = (
+                    Message(m.payload_size, m.written_at + delay, m.source_partition, seq,
+                            payload_checksum(m.source_partition, seq, m.payload_size)),
+                    visible + delay,
+                )
 
     def _make_message(self, index: int, partition_id: int, size: int, now: Duration) -> Message:
         seq = self._next_seq[index]

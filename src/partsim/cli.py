@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--frames", type=int, help="run each repetition for N major frames")
     bound.add_argument("--until", help="run each repetition until this duration, e.g. 10ms")
     p_run.add_argument("--seed", type=int, help="override the scenario seed")
-    p_run.add_argument("--trace", help="write the first repetition's trace to this path")
+    p_run.add_argument("--trace", help="write the first repetition's trace to this path "
+                       "(partitioned scenarios only)")
 
     p_report = sub.add_parser("report", help="summarize one or more result CSVs")
     p_report.add_argument("csv_paths", nargs="+")
@@ -110,6 +111,9 @@ def _cmd_run(args) -> int:
         print(f"error: {where}: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
 
+    if args.trace and scenario.mode is harness.Mode.BROKER:
+        print(config_mod.Finding("TRACE", "ERROR", "--trace", "a broker scenario has no trace"))
+        return EXIT_FINDINGS
     try:
         result = harness.run_scenario(scenario, until=until, frames=args.frames, seed=seed)
     except harness.ScenarioInvalid as exc:

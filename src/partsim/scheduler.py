@@ -25,6 +25,25 @@ and dynamic events ranks 1 and 4, so comparing (time, rank) of the next
 timeline entry with the heap head gives the same total order as one queue
 holding both.  ``run_until`` is the only way to apply events.
 
+A cyclic system is built to repeat, so the engine fast-forwards over the
+repeats.  At every FRAME_WRAP it takes a fingerprint of its state relative
+to the frame start: the partition states, each cursor's index and carry,
+each port's held messages (times relative; message numbers and checksums
+left out, but not how many messages the channel numbered since each), the
+pending events (times relative, each epoch reduced to "is the partition's
+current epoch") and the halt flag.  The rest of the run depends only on
+these; the per-partition trace ``seq`` and the per-channel message numbers
+only count.  When a fingerprint equals the one of a wrap p frames earlier,
+the run repeats every p frames from there on.  If m >= 1 whole periods end
+by ``t_end``, the engine appends the last period's records m times, each
+copy p frames later and with each partition's ``seq`` ahead by what it
+gained per period, moves the clock, the timeline, the pending events and
+the port messages m*p frames forward, and advances the counters as much.
+Then it simulates the remainder.  The records, and so every CSV and trace
+byte, are those of simulating each frame.  A partition's lifecycle only
+moves forward (BOOT, NORMAL, SUSPENDED, HALTED), so no period holds a
+state change.
+
 The scheduler never extends a slot: a slot always ends at its scheduled
 end, and whatever compute time the application still demanded carries over
 to the partition's next slot (raising a slot-overrun health event at the
@@ -43,7 +62,7 @@ from . import trace as trace_mod
 from . import workload as workload_mod
 from .channels import PortStatus, PortTable
 from .config import Finding, ScheduleSlot, SystemConfig, validate
-from .trace import EventRecord, MarkRecord, PortOpRecord
+from .trace import EventRecord, HmRecord, MarkRecord, PortOpRecord
 from .units import Duration
 from .workload import AppCursor, AppScript, Mark, PendingAction, Read, Receive, Send
 
@@ -58,22 +77,11 @@ class ConfigInvalid(SimulationError):
         self.findings = findings
 
 
-class IllegalTransition(SimulationError):
-    """Partition lifecycle transition not permitted."""
-
-
 class PartitionState(enum.Enum):
     BOOT = "BOOT"
     NORMAL = "NORMAL"
     SUSPENDED = "SUSPENDED"
     HALTED = "HALTED"
-
-
-_ALLOWED_TRANSITIONS = {
-    (PartitionState.BOOT, PartitionState.NORMAL),
-    (PartitionState.NORMAL, PartitionState.SUSPENDED),
-    (PartitionState.SUSPENDED, PartitionState.NORMAL),
-}
 
 
 # kind ranks; the engine keeps kinds as these ints and their names
@@ -109,7 +117,8 @@ class SimState:
         self.api_call_cost = api_call_cost
         self.trace: list[trace_mod.TraceRecord] = []
         self.halted = False
-        # dynamic events: (time, rank, partition, seq, payload)
+        # dynamic events: (time, rank, partition, seq, payload); every
+        # payload starts with the partition's epoch when it was queued
         self._heap: list[tuple[Duration, int, int, int, Any]] = []
         self._heap_seq = 0  # heap insertion order, breaks all remaining ties
         # one frame of (offset, rank, partition, kind, slot), replayed per frame
@@ -123,6 +132,12 @@ class SimState:
         self._epoch: dict[int, int] = {p.id: 0 for p in config.partitions}
         self._active: tuple[int, int, Duration] | None = None  # (pid, slot_id, abs end)
         self._booted = False
+        # the marked frame wrap: (fingerprint, (wrap time, trace length,
+        # _record_seq, channel counters)), wraps since it, and the wrap
+        # count at which the mark moves on; see _fast_forward
+        self._mark: tuple[tuple, tuple[Duration, int, dict[int, int], tuple[int, ...]]] | None = None
+        self._mark_age = 0
+        self._mark_reach = 1
 
     # -- bookkeeping helpers -------------------------------------------------
 
@@ -185,18 +200,6 @@ class SimState:
             # cancel this partition's in-flight actions
             self._epoch[pid] += 1
 
-    def set_partition_state(self, partition_id: int, new: PartitionState) -> None:
-        """Apply a lifecycle transition.  Permitted: BOOT->NORMAL,
-        NORMAL->SUSPENDED, SUSPENDED->NORMAL, any->HALTED."""
-        if partition_id not in self.partition_states:
-            raise SimulationError(f"unknown partition {partition_id}")
-        old = self.partition_states[partition_id]
-        if old == new and new is PartitionState.HALTED:
-            return  # halting a halted partition is a no-op
-        if new is not PartitionState.HALTED and (old, new) not in _ALLOWED_TRANSITIONS:
-            raise IllegalTransition(f"partition {partition_id}: {old.value} -> {new.value}")
-        self._transition(partition_id, new)
-
     def suspend_if_normal(self, partition_id: int) -> None:
         if self.partition_states.get(partition_id) is PartitionState.NORMAL:
             self._transition(partition_id, PartitionState.SUSPENDED)
@@ -211,14 +214,6 @@ class SimState:
         self._heap.clear()
         self._tl_time = _NEVER
         self.halted = True
-
-    def post_health_event(self, ev: health_mod.HealthEvent) -> None:
-        """Queue a health event raised at the current instant; it resolves
-        after the current event completes but before any same-time slot
-        start or app action (per the kind rank)."""
-        if ev.time != self.now:
-            raise SimulationError(f"health event time {ev.time} != now {self.now}")
-        self._push(ev.time, _HM_EVENT, ev.source_partition, ("event", ev))
 
     # -- engine --------------------------------------------------------------
 
@@ -272,7 +267,92 @@ class SimState:
             self._record_event(t, kind, pid)
             if rank == _SLOT_END:
                 self._active = None
+            elif rank == _FRAME_WRAP:
+                self._fast_forward(t_end)
         return True
+
+    # -- periodic fast-forward -------------------------------------------
+
+    def _fingerprint(self) -> tuple:
+        """Everything the rest of the run depends on, relative to now."""
+        now, epoch = self.now, self._epoch
+        return (
+            tuple(self.partition_states.values()),
+            tuple([(c.index, c.carry) for c in self.cursors.values()]),
+            self.ports.snapshot(now),
+            # every slot ends by the frame end, so at a wrap no event is
+            # pending and no slot is active; both are kept for exactness
+            tuple([
+                (time - now, rank, pid, payload[0] == epoch[pid], payload[1:])
+                for time, rank, pid, _, payload in sorted(self._heap)
+            ]),
+            self._active,
+            self.halted,
+        )
+
+    def _fast_forward(self, t_end: Duration) -> None:
+        """At a frame wrap, skip the whole periods of a repeating run.
+
+        The fingerprint is compared with the one of a marked earlier wrap
+        (Brent's cycle search: the mark moves to the current wrap after 1,
+        2, 4, ... wraps, so no per-frame history is kept, and a cycle of p
+        frames entered at wrap w is found by about wrap 2*max(w, p) + p).
+        On a match the run from the mark to now repeats forever, shifted by
+        its span.  Append that period's records once per whole period that
+        ends by ``t_end``, each copy later by one span and with each
+        partition's ``seq`` ahead by its gain per period, then move the
+        live state forward as much.
+        """
+        key = self._fingerprint()
+        self._mark_age += 1
+        if self._mark is None or key != self._mark[0]:
+            if self._mark_age >= self._mark_reach:
+                self._mark = key, self._wrap_counters()
+                self._mark_age = 0
+                self._mark_reach *= 2
+            return
+        trace, record_seq = self.trace, self._record_seq
+        then, start, seq_then, channel_seq_then = self._mark[1]
+        span = self.now - then
+        periods = (t_end - self.now) // span
+        end = len(trace)
+        gain = {pid: seq - seq_then.get(pid, 0) for pid, seq in record_seq.items()}
+        append = trace.append
+        for k in range(1, periods + 1):
+            dt = k * span
+            time = shifted = None
+            for i in range(start, end):
+                r = trace[i]
+                if r.time != time:  # same-time records share one int, as the engine's do
+                    time = r.time
+                    shifted = time + dt
+                cls = type(r)
+                if cls is EventRecord:
+                    append(EventRecord(shifted, r.kind, r.partition,
+                                       r.seq + k * gain[r.partition]))
+                elif cls is PortOpRecord:
+                    append(PortOpRecord(shifted, r.op, r.channel, r.partition, r.size, r.result))
+                elif cls is MarkRecord:
+                    append(MarkRecord(shifted, r.partition, r.label))
+                else:  # a period holds no StateRecord: the lifecycle never goes back
+                    append(HmRecord(shifted, r.kind, r.partition, r.action, r.detail))
+        if periods > 0:
+            shift = periods * span
+            self.now += shift
+            self._tl_base += shift
+            self._tl_time += shift
+            self._heap = [(t + shift, rank, pid, seq, p) for t, rank, pid, seq, p in self._heap]
+            for pid, g in gain.items():
+                record_seq[pid] += periods * g
+            counters = self.ports.seq_counters()
+            self.ports.shift(shift, [periods * (c - c0) for c, c0 in zip(counters, channel_seq_then)])
+        # the cycle is known: mark its latest start, so that a later call
+        # with a larger t_end matches again one period on
+        self._mark = key, self._wrap_counters()
+        self._mark_age = 0
+
+    def _wrap_counters(self) -> tuple[Duration, int, dict[int, int], tuple[int, ...]]:
+        return self.now, len(self.trace), dict(self._record_seq), self.ports.seq_counters()
 
     # -- handlers --------------------------------------------------------
 
@@ -306,7 +386,7 @@ class SimState:
         if type(plan) is PendingAction:
             self._push(plan.time, _APP_ACTION, pid, (epoch, plan.index))
         else:  # PendingOverrun: the truncation fires at the slot end
-            self._push(slot_end, _HM_EVENT, pid, ("overrun", epoch, plan.demanded, plan.remaining))
+            self._push(slot_end, _HM_EVENT, pid, (epoch, "overrun", plan.demanded, plan.remaining))
 
     def _on_app_action(self, pid: int, payload: tuple[int, int]) -> None:
         epoch, index = payload
@@ -352,18 +432,14 @@ class SimState:
         self._dispatch_from(pid, next_t)
 
     def _post_violation(self, pid: int, op: str, port: str) -> None:
-        self.post_health_event(
-            health_mod.HealthEvent(
-                time=self.now,
-                kind=health_mod.HmKind.MEMORY_VIOLATION,
-                source_partition=pid,
-                detail=f"{op} {port}",
-            )
-        )
+        """Queue a memory violation raised now; it resolves after the
+        current event completes but before any same-time slot start or app
+        action (per the kind rank)."""
+        self._push(self.now, _HM_EVENT, pid, (self._epoch[pid], "violation", f"{op} {port}"))
 
     def _on_hm_event(self, pid: int, payload: Any) -> None:
-        if payload[0] == "overrun":
-            _, epoch, demanded, remaining = payload
+        if payload[1] == "overrun":
+            epoch, _, demanded, remaining = payload
             if epoch != self._epoch[pid]:
                 return
             # the planner posts only real overruns: demanded > remaining
@@ -377,4 +453,9 @@ class SimState:
             # the truncated COMPUTE resumes in the next slot
             self.cursors[pid].carry = overrun
         else:
-            health_mod.raise_event(self, payload[1])
+            health_mod.raise_event(self, health_mod.HealthEvent(
+                time=self.now,
+                kind=health_mod.HmKind.MEMORY_VIOLATION,
+                source_partition=pid,
+                detail=payload[2],
+            ))

@@ -87,8 +87,3 @@ def format_trace(records: list[TraceRecord]) -> str:
 def write_trace(records: list[TraceRecord], path: str) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(format_trace(records))
-
-
-def partition_records(records: list[TraceRecord], partition_id: int) -> list[TraceRecord]:
-    """Project the trace onto one partition (frame wraps excluded)."""
-    return [r for r in records if r.partition == partition_id]

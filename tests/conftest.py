@@ -51,6 +51,11 @@ SAMPLING_XML = """
 """
 
 
+def partition_records(records, partition_id):
+    """Project a trace onto one partition (frame wraps excluded)."""
+    return [r for r in records if r.partition == partition_id]
+
+
 @pytest.fixture
 def cookbook():
     return parse_config(COOKBOOK_XML)

@@ -259,13 +259,14 @@ def add_to_broker(extra):
     # a run bound is a finding on stdout; everything above an error on stderr
     pytest.param(BROKER_TEXT, ("--frames", "2"), "RUN_BOUND --frames", id="broker_frames"),
     pytest.param(BROKER_TEXT, ("--until", "1ms"), "RUN_BOUND --until", id="broker_until"),
+    pytest.param(BROKER_TEXT, ("--trace", "o.trace"), "TRACE --trace", id="broker_trace"),
 ])
 def test_malformed_value_is_located(workdir, capsys, text, flags, named):
     scn = write(workdir / "bad.scn", text)
     assert main(["run", scn, "--out", "o.csv", *flags]) == 1
     out, err = capsys.readouterr()
     assert named in (out if flags else err) and "Traceback" not in err
-    assert not (workdir / "o.csv").exists()
+    assert not (workdir / "o.csv").exists() and not (workdir / "o.trace").exists()
 
 
 def test_health_override_for_missing_partition_exits_1(workdir, capsys):

@@ -1,9 +1,13 @@
 """Output contract: every shipped scenario's CSV, trace, stdout and exit code.
 
 The files under ``tests/golden/`` were written once by
-``partsim run scenarios/<name>.scn --out <name>.csv --trace <name>.trace``
-(stdout to ``<name>.stdout``, exit code to ``<name>.exit``).  A change that
-alters any of these bytes must say so and replace the files on purpose.
+``partsim run scenarios/<scenario>.scn --out <name>.csv --trace <name>.trace``
+plus the case's extra flags (stdout to ``<name>.stdout``, exit code to
+``<name>.exit``).  A broker scenario has no trace, so its case runs without
+``--trace`` and has no trace file.  ``overrun_long`` runs about 200 frames
+and ends in mid-frame, long enough for the engine to fast-forward over the
+repeating part of the run.  A change that alters any of these bytes must
+say so and replace the files on purpose.
 """
 
 import pytest
@@ -13,14 +17,23 @@ from partsim.cli import main
 from conftest import REPO_ROOT, SCENARIO_DIR
 
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
-SCENARIOS = ("cookbook", "overrun", "ratio_demo", "sweep", "broker")
+CASES = {  # name -> (scenario, extra flags)
+    "cookbook": ("cookbook", ()),
+    "overrun": ("overrun", ()),
+    "ratio_demo": ("ratio_demo", ()),
+    "sweep": ("sweep", ()),
+    "broker": ("broker", ()),
+    "overrun_long": ("overrun", ("--until", "200500us")),
+}
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("name", CASES)
 def test_shipped_scenario_output_is_unchanged(name, tmp_path, capsys):
+    scenario, flags = CASES[name]
     csv_path, trace_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.trace"
-    code = main(["run", str(SCENARIO_DIR / f"{name}.scn"),
-                 "--out", str(csv_path), "--trace", str(trace_path)])
+    traced = (GOLDEN_DIR / f"{name}.trace").exists()
+    code = main(["run", str(SCENARIO_DIR / f"{scenario}.scn"), "--out", str(csv_path),
+                 *(("--trace", str(trace_path)) if traced else ()), *flags])
     out = capsys.readouterr().out
 
     def golden(suffix: str) -> bytes:
@@ -29,4 +42,6 @@ def test_shipped_scenario_output_is_unchanged(name, tmp_path, capsys):
     assert f"{code}\n".encode() == golden("exit")
     assert out.encode() == golden("stdout")
     assert csv_path.read_bytes() == golden("csv")
-    assert trace_path.read_bytes() == golden("trace")
+    assert trace_path.exists() == traced
+    if traced:
+        assert trace_path.read_bytes() == golden("trace")

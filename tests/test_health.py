@@ -15,13 +15,15 @@ from partsim import (
     raise_event,
 )
 from partsim.config import PartitionSpec, SchedulePlan, ScheduleSlot, SystemConfig
-from partsim.trace import EventRecord, HmRecord, format_trace, partition_records
+from partsim.trace import EventRecord, HmRecord, format_trace
 from partsim.workload import (
     PendingAction,
     PendingOverrun,
     ScriptMode,
     plan_until_next_action,
 )
+
+from conftest import partition_records
 
 
 def test_default_table_covers_every_kind():

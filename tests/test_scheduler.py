@@ -3,21 +3,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partsim import (
     ConfigInvalid,
-    IllegalTransition,
     PartitionState,
     SimState,
     parse_config,
     parse_script,
+    workload,
 )
 from partsim.config import SchedulePlan, ScheduleSlot, SystemConfig, PartitionSpec
 from partsim.harness import load_scenario
 from partsim.health import HealthAction, HealthTable, HmKind
-from partsim.trace import EventRecord, format_trace, partition_records
+from partsim.trace import EventRecord, HmRecord, PortOpRecord, StateRecord, format_trace
 
-from conftest import COOKBOOK_XML, SCENARIO_DIR
+from conftest import COOKBOOK_XML, SCENARIO_DIR, partition_records
 
 # fixed tie-break order: SLOT_END < HM_EVENT < FRAME_WRAP < SLOT_START < APP_ACTION
 RANK = {"SLOT_END": 0, "HM_EVENT": 1, "FRAME_WRAP": 2, "SLOT_START": 3, "APP_ACTION": 4}
@@ -205,7 +206,7 @@ def test_halted_partition_dispatches_nothing(cookbook):
     sim.run_until(1_999_999)  # two frames of work
     marks_before = len([r for r in sim.trace if getattr(r, "label", None) == "work"])
     assert marks_before == 2
-    sim.set_partition_state(0, PartitionState.HALTED)
+    sim.halt_partition(0)
     sim.run_until(9_999_999)
     marks_after = len([r for r in sim.trace if getattr(r, "label", None) == "work"])
     assert marks_after == marks_before
@@ -215,15 +216,22 @@ def test_halted_partition_dispatches_nothing(cookbook):
 
 
 def test_illegal_transitions(cookbook):
+    """The lifecycle only moves forward: a suspend applies only to a NORMAL
+    partition, and nothing leaves HALTED."""
     sim = SimState(cookbook)
-    with pytest.raises(IllegalTransition):
-        sim.set_partition_state(0, PartitionState.SUSPENDED)  # BOOT -> SUSPENDED
+    sim.suspend_if_normal(0)  # BOOT -> SUSPENDED is not a transition
+    assert sim.partition_states[0] is PartitionState.BOOT and sim.trace == []
     sim.boot()
-    sim.set_partition_state(0, PartitionState.SUSPENDED)
-    sim.set_partition_state(0, PartitionState.NORMAL)  # resume is fine
-    sim.set_partition_state(0, PartitionState.HALTED)
-    with pytest.raises(IllegalTransition):
-        sim.set_partition_state(0, PartitionState.NORMAL)  # HALTED is final
+    sim.suspend_if_normal(0)
+    sim.suspend_if_normal(0)  # already suspended
+    sim.halt_partition(0)
+    sim.halt_partition(0)  # halting a halted partition changes nothing
+    sim.suspend_if_normal(0)
+    assert sim.partition_states[0] is PartitionState.HALTED
+    assert [(r.partition, r.old, r.new) for r in sim.trace if type(r) is StateRecord] == [
+        (0, "BOOT", "NORMAL"), (1, "BOOT", "NORMAL"),
+        (0, "NORMAL", "SUSPENDED"), (0, "SUSPENDED", "HALTED"),
+    ]
 
 
 def test_halting_one_partition_leaves_other_untouched(cookbook):
@@ -233,7 +241,7 @@ def test_halting_one_partition_leaves_other_untouched(cookbook):
     }
     faulty = booted(cookbook, scripts)
     faulty.run_until(999_999)
-    faulty.set_partition_state(0, PartitionState.HALTED)
+    faulty.halt_partition(0)
     faulty.run_until(10_000_000 - 1)
 
     clean = booted(cookbook, scripts)
@@ -247,7 +255,7 @@ def test_halting_one_partition_leaves_other_untouched(cookbook):
 def test_boot_leaves_prehalted_partition_halted(cookbook):
     scripts = {0: _repeat(["compute 10us", "mark work"], 0)}
     sim = SimState(cookbook, scripts=scripts)
-    sim.set_partition_state(0, PartitionState.HALTED)  # any -> HALTED, even BOOT
+    sim.halt_partition(0)  # any -> HALTED, even BOOT
     sim.boot()
     assert sim.partition_states[0] is PartitionState.HALTED
     assert sim.partition_states[1] is PartitionState.NORMAL
@@ -260,7 +268,7 @@ def test_suspend_cancels_inflight_actions(cookbook):
     sim = booted(cookbook, scripts)
     # the mark is scheduled for t=50us; suspend at its slot start
     sim.run_until(0)
-    sim.set_partition_state(0, PartitionState.SUSPENDED)
+    sim.suspend_if_normal(0)
     sim.run_until(999_999)
     assert [r for r in sim.trace if getattr(r, "label", None) == "late"] == []
 
@@ -312,6 +320,13 @@ def ring_sim(n=6):
     return SimState(cfg, scripts=scripts)
 
 
+def long_compute_sim():
+    """A compute that spans three slots: its carry differs at two frame
+    wraps where its cursor index is the same."""
+    scripts = {0: _repeat(["compute 1100us", "mark tx"], 0), 1: _repeat(["mark beat"], 1)}
+    return SimState(parse_config(COOKBOOK_XML), scripts=scripts)
+
+
 def halting_sim():
     table = HealthTable()
     table.set_default(HmKind.SLOT_OVERRUN, HealthAction.HALT_SYSTEM)
@@ -330,18 +345,49 @@ def test_run_until_composes(cookbook):
     assert split.now == whole.now == 4_300_000
 
 
+def engine_state(sim):
+    """The engine state a later run_until depends on, plus the message and
+    event numbering; heap entries are compared without their tie-break."""
+    ports = sim.ports
+    return (
+        sim.now, sim.halted, dict(sim.partition_states), dict(sim._epoch),
+        {pid: (c.index, c.carry) for pid, c in sim.cursors.items()},
+        [vars(ports.state(i)) for i in range(len(sim.config.channels))],
+        ports.seq_counters(), dict(sim._record_seq),
+        sorted((time, rank, pid, payload) for time, rank, pid, _, payload in sim._heap),
+    )
+
+
+@pytest.fixture
+def plan_calls(monkeypatch):
+    """Counts the planner calls, the engine's unit of simulated work."""
+    calls = [0]
+    plan = workload.plan_until_next_action
+
+    def counted(*args):
+        calls[0] += 1
+        return plan(*args)
+
+    monkeypatch.setattr(workload, "plan_until_next_action", counted)
+    return calls
+
+
 @pytest.mark.parametrize("make, cuts", [
     (cookbook_sim, (0, 500_000, 2_000_000)),
-    (overrun_sim, (400_000, 1_234_567, 5_000_000)),
-    (ring_sim, (600_000, 2_345_678, 8 * 600_000)),
+    (overrun_sim, (400_000, 1_234_567, 40_345_678)),
+    (ring_sim, (600_000, 2_345_678, 41 * 600_000 + 234_567)),
+    (long_compute_sim, (1_000_000, 40_500_000)),
     (halting_sim, (399_999, 400_000, 5_000_000)),
-], ids=["cookbook", "repeat_overrun", "ring", "halt_system"])
-def test_step_loop_matches_run_until(make, cuts):
+], ids=["cookbook", "repeat_overrun", "ring", "long_compute", "halt_system"])
+def test_step_loop_matches_run_until(make, cuts, plan_calls):
     """Stepping run_until through every event instant, and through cuts
-    between instants, appends the same records as one call to t_end."""
+    between instants, appends the same records as one call to t_end and
+    ends in the same state.  The steps are too short for the engine to
+    fast-forward; the one call does so on the three long periodic runs."""
     t_end = cuts[-1]
     whole = make().boot()
     whole.run_until(t_end)
+    whole_plans, plan_calls[0] = plan_calls[0], 0
     stepped = make().boot()
     records = list(stepped.trace)
     for t in sorted({r.time for r in whole.trace} | set(cuts)):
@@ -351,7 +397,7 @@ def test_step_loop_matches_run_until(make, cuts):
     assert format_trace(stepped.trace) == format_trace(whole.trace)
     assert records == stepped.trace
     assert stepped.now == whole.now == t_end
-    assert stepped.halted == whole.halted
+    assert engine_state(stepped) == engine_state(whole)
     kinds = {kind for _, kind, _ in events(whole.trace)}
     if make is halting_sim:
         # the first overrun halts the system at its slot end, 400 us
@@ -361,3 +407,117 @@ def test_step_loop_matches_run_until(make, cuts):
     else:
         assert not whole.halted
         assert {"SLOT_START", "SLOT_END", "FRAME_WRAP", "APP_ACTION"} <= kinds
+    if make in (overrun_sim, ring_sim, long_compute_sim):
+        assert whole_plans * 4 < plan_calls[0]
+
+
+# -- periodic fast-forward ----------------------------------------------------
+
+HEALTH_ACTIONS = tuple(HealthAction)
+
+
+@st.composite
+def random_systems(draw):
+    """A 2-5-partition ring, channel i -> i+1 of a random kind, with random
+    slots, scripts, copy cost and health table, and a t_end of 2-40 frames
+    that mostly ends in mid-frame.  Returns (make, frame, t_end, steady)."""
+    n = draw(st.integers(2, 5))
+    spacing = 100_000
+    frame = n * spacing
+    partitions = "".join(f'<Partition id="{i}" name="p{i}"/>' for i in range(n))
+    durations = [draw(st.integers(20_000, spacing)) for _ in range(n)]
+    slots = "".join(
+        f'<Slot id="{i}" partition="{i}" start="{i * spacing}ns" duration="{d}ns"/>'
+        for i, d in enumerate(durations)
+    )
+    queuing = [draw(st.booleans()) for _ in range(n)]
+    channels = []
+    for j in range(n):
+        ends = (f'<Source partition="{j}" port="out"/>'
+                f'<Destination partition="{(j + 1) % n}" port="in"/>')
+        if queuing[j]:
+            capacity = draw(st.integers(1, 3))
+            channels.append(f'<QueuingChannel maxMessageSize="64" maxNoMessages="{capacity}">'
+                            f'{ends}</QueuingChannel>')
+        else:
+            refresh = draw(st.sampled_from([spacing // 10, frame, 2 * frame]))
+            channels.append(f'<SamplingChannel maxMessageSize="64" refreshPeriod="{refresh}ns">'
+                            f'{ends}</SamplingChannel>')
+    fixed, per_byte = draw(st.integers(0, 30_000)), draw(st.integers(0, 200))
+    cfg = parse_config(
+        f'<SystemDescription majorFrame="{frame}ns"><PartitionTable>{partitions}</PartitionTable>'
+        f'<Schedule>{slots}</Schedule><Channels>{"".join(channels)}</Channels>'
+        f'<Hypervisor copyCostFixed="{fixed}ns" copyCostPerByte="{per_byte}ns"/></SystemDescription>'
+    )
+    # a steady system repeats each pass, drains its input port every pass
+    # and only logs overruns, so it almost always settles into a cycle of a
+    # few frames; the others also suspend and halt, and may run one pass
+    steady = draw(st.booleans())
+    scripts = {}
+    for i in range(n):
+        receive = "recv in" if queuing[(i - 1) % n] else "read in"
+        actions = [
+            st.integers(1_000, 3 * spacing // 2).map(lambda d: f"compute {d}ns"),
+            st.integers(1, 70).map(lambda size: f"send out {size}"),  # > 64 is TOO_LARGE
+            st.just(receive),
+            st.just(f"mark m{i}"),
+        ]
+        lines = draw(st.lists(st.one_of(actions), min_size=1, max_size=6)) + [receive]
+        if not steady and draw(st.booleans()):  # a port the partition does not own
+            lines.insert(draw(st.integers(0, len(lines))), "send in 8")
+        mode = workload.ScriptMode.REPEAT_EACH_SLOT
+        if not steady:
+            mode = draw(st.sampled_from(workload.ScriptMode))
+        scripts[i] = parse_script(lines, i, mode)
+    table = HealthTable()
+    if not steady:  # partition i's violations get action (i + turn) mod 4
+        turn = draw(st.integers(0, len(HEALTH_ACTIONS) - 1))
+        for i in range(n):
+            action = HEALTH_ACTIONS[(i + turn) % len(HEALTH_ACTIONS)]
+            table.set_override(HmKind.MEMORY_VIOLATION, i, action)
+            table.set_override(HmKind.SLOT_OVERRUN, i, draw(st.sampled_from(HEALTH_ACTIONS)))
+    frames = 40 if steady else draw(st.sampled_from([2, 5, 20, 40]))
+    t_end = frames * frame + draw(st.sampled_from([0, 1, frame // 2, frame - 1]))
+    return (lambda: SimState(cfg, scripts=scripts, health_table=table)), frame, t_end, steady
+
+
+def test_fast_forward_matches_frame_by_frame_runs(plan_calls):
+    """One run_until to t_end, which may fast-forward, appends the same
+    records and ends in the same state as one run_until per frame, which
+    never can.  Across the examples the systems reach every port result,
+    overrun carries and every memory-violation action, and the one call
+    skips planner work on at least 3 in 4 steady systems.  The examples
+    are derandomized, so the coverage and the count are the same on every
+    run."""
+    seen, skipped = set(), []
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(random_systems())
+    def check(system):
+        make, frame, t_end, steady = system
+        plan_calls[0] = 0
+        whole = make().boot()
+        whole.run_until(t_end)
+        whole_plans, plan_calls[0] = plan_calls[0], 0
+        framed = make().boot()
+        for t in range(frame, t_end, frame):
+            framed.run_until(t)
+        framed.run_until(t_end)
+        assert format_trace(whole.trace) == format_trace(framed.trace)
+        assert engine_state(whole) == engine_state(framed)
+        assert whole_plans <= plan_calls[0]
+        if steady:
+            skipped.append(whole_plans < plan_calls[0])
+        for r in framed.trace:
+            if type(r) is PortOpRecord:
+                seen.add(r.result)
+            elif type(r) is HmRecord:
+                seen.add((r.kind, r.action))
+        if any(c.carry for c in framed.cursors.values()):
+            seen.add("carry")
+
+    check()
+    assert {"OK", "STALE", "FULL", "EMPTY", "carry"} <= seen
+    assert {("MEMORY_VIOLATION", a.value) for a in HEALTH_ACTIONS} <= seen
+    assert ("SLOT_OVERRUN", "LOG") in seen
+    assert len(skipped) >= 10 and sum(skipped) * 4 >= len(skipped) * 3
