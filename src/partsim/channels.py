@@ -60,7 +60,7 @@ def payload_checksum(source_partition: int, seq: int, payload_size: int) -> int:
 class SamplingPortState:
     """Latest-value cell.  ``writes`` holds the pending and current
     messages as (message, visible_at) pairs in write order; a write drops
-    every older entry it will supersede by its own visibility time."""
+    what it supersedes by its visibility time and all visible but the newest."""
 
     channel: ChannelSpec
     writes: list[tuple[Message, Duration]] = field(default_factory=list)
@@ -158,10 +158,11 @@ class PortTable:
             return PortStatus.TOO_LARGE, None
         msg = self._make_message(index, partition_id, payload_size, now)
         visible_at = now + self._copy_cost.of(payload_size)
-        # anything that would become visible no earlier than this newer
-        # message can never be read again
-        st.writes = [e for e in st.writes if e[1] < visible_at]
-        st.writes.append((msg, visible_at))
+        # what becomes visible no earlier than this newer message, or is
+        # hidden by a newer visible one, can never be read again
+        held = [e for e in st.writes if e[1] < visible_at] + [(msg, visible_at)]
+        visible = sum(1 for e in held if e[1] <= now)  # a prefix of held
+        st.writes = held[max(visible - 1, 0):]
         return PortStatus.OK, msg
 
     def _enqueue(

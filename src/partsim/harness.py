@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -153,7 +154,7 @@ class RunResult:
     scenario: str
     mode: Mode
     rows: list[RepetitionRecord]
-    trace: list[trace_mod.TraceRecord] | None = None
+    trace: trace_mod.PeriodicTrace | None = None  # expand() gives every record
     halted: bool = False
 
 
@@ -513,7 +514,7 @@ def _slot_at(system: SystemConfig, partition_id: int, t: Duration) -> int | None
     return None
 
 
-def _measure(records: list[trace_mod.TraceRecord], system: SystemConfig):
+def _measure(records: Iterable[trace_mod.TraceRecord], system: SystemConfig):
     """Extract (t_send, t_recv, gap) from one repetition's trace.
 
     t_send is the first ``tx`` mark; t_recv is the first ``rx`` mark at or
@@ -598,7 +599,7 @@ def _run_partitioned(
     measuring = _has_measurement_marks(sc.scripts)
 
     rows: list[RepetitionRecord] = []
-    first_trace: list[trace_mod.TraceRecord] | None = None
+    first_trace: trace_mod.PeriodicTrace | None = None
     halted = False
     for payload in sc.payload_sizes:
         sim = SimState(
@@ -606,6 +607,7 @@ def _run_partitioned(
             scripts={pid: s.bind_payload(payload) for pid, s in sc.scripts.items()},
             health_table=sc.health_table,
             api_call_cost=sc.api_call_cost,
+            sink=trace_mod.PeriodicTrace(),
         )
         sim.boot()
         sim.run_until(bound)
@@ -614,7 +616,7 @@ def _run_partitioned(
         halted = halted or sim.halted
         if not measuring:
             continue
-        measured = _measure(sim.trace, system)
+        measured = _measure(sim.trace.expand(), system)
         if measured is None:
             if explicit_bound or sim.halted:
                 continue  # caller asked for a bounded/aborted run

@@ -84,23 +84,10 @@ def raise_event(state: SimState, ev: HealthEvent) -> None:
     if ev.time != state.now:
         raise ValueError(f"health event time {ev.time} != now {state.now}")
     action = state.health_table.resolve(ev.kind, ev.source_partition)
-    state.append_record(
-        trace.EventRecord(
-            time=ev.time,
-            kind="HM_EVENT",
-            partition=ev.source_partition,
-            seq=state.take_seq(ev.source_partition),
-        )
-    )
+    state.record_event(ev.time, "HM_EVENT", ev.source_partition)
     detail = str(ev.overrun_amount) if ev.kind is HmKind.SLOT_OVERRUN else ev.detail
-    state.append_record(
-        trace.HmRecord(
-            time=ev.time,
-            kind=ev.kind.value,
-            partition=ev.source_partition,
-            action=action.value,
-            detail=detail,
-        )
+    state.trace.append(
+        trace.HmRecord(ev.time, ev.kind.value, ev.source_partition, action.value, detail)
     )
     if action is HealthAction.LOG:
         return

@@ -35,14 +35,15 @@ current epoch") and the halt flag.  The rest of the run depends only on
 these; the per-partition trace ``seq`` and the per-channel message numbers
 only count.  When a fingerprint equals the one of a wrap p frames earlier,
 the run repeats every p frames from there on.  If m >= 1 whole periods end
-by ``t_end``, the engine appends the last period's records m times, each
-copy p frames later and with each partition's ``seq`` ahead by what it
-gained per period, moves the clock, the timeline, the pending events and
-the port messages m*p frames forward, and advances the counters as much.
-Then it simulates the remainder.  The records, and so every CSV and trace
-byte, are those of simulating each frame.  A partition's lifecycle only
-moves forward (BOOT, NORMAL, SUSPENDED, HALTED), so no period holds a
-state change.
+by ``t_end``, the engine has its record sink repeat the last period m
+times (each copy p frames later, each partition's ``seq`` ahead by its
+gain per period), moves the clock, the timeline, the pending events and
+the port messages m*p frames forward, advances the counters as much, and
+simulates the remainder.  A harness run's sink keeps one descriptor, and
+its trace file gets the copies as shifted line templates.  Either way
+every CSV and trace byte is that of simulating each frame.  A partition's
+lifecycle only moves forward (BOOT, NORMAL, SUSPENDED, HALTED), so no
+period holds a state change.
 
 The scheduler never extends a slot: a slot always ends at its scheduled
 end, and whatever compute time the application still demanded carries over
@@ -62,7 +63,7 @@ from . import trace as trace_mod
 from . import workload as workload_mod
 from .channels import PortStatus, PortTable
 from .config import Finding, ScheduleSlot, SystemConfig, validate
-from .trace import EventRecord, HmRecord, MarkRecord, PortOpRecord
+from .trace import EventRecord, MarkRecord, PortOpRecord
 from .units import Duration
 from .workload import AppCursor, AppScript, Mark, PendingAction, Read, Receive, Send
 
@@ -104,6 +105,7 @@ class SimState:
         scripts: dict[int, AppScript] | None = None,
         health_table: health_mod.HealthTable | None = None,
         api_call_cost: Duration = 0,
+        *, sink: trace_mod.RecordList | trace_mod.PeriodicTrace | None = None,
     ):
         self.config = config
         self.now: Duration = 0
@@ -115,7 +117,7 @@ class SimState:
         self.cursors: dict[int, AppCursor] = {pid: AppCursor() for pid in self.scripts}
         self.health_table = health_table or health_mod.HealthTable()
         self.api_call_cost = api_call_cost
-        self.trace: list[trace_mod.TraceRecord] = []
+        self.trace = trace_mod.RecordList() if sink is None else sink
         self.halted = False
         # dynamic events: (time, rank, partition, seq, payload); every
         # payload starts with the partition's epoch when it was queued
@@ -141,20 +143,14 @@ class SimState:
 
     # -- bookkeeping helpers -------------------------------------------------
 
-    def take_seq(self, partition_id: int) -> int:
-        seq = self._record_seq.get(partition_id, 0)
-        self._record_seq[partition_id] = seq + 1
-        return seq
-
-    def append_record(self, record: trace_mod.TraceRecord) -> None:
-        self.trace.append(record)
-
     def _push(self, time: Duration, rank: int, partition_id: int, payload: Any) -> None:
         heapq.heappush(self._heap, (time, rank, partition_id, self._heap_seq, payload))
         self._heap_seq += 1
 
-    def _record_event(self, time: Duration, kind: str, partition_id: int) -> None:
-        self.trace.append(EventRecord(time, kind, partition_id, self.take_seq(partition_id)))
+    def record_event(self, time: Duration, kind: str, partition_id: int) -> None:
+        seq = self._record_seq.get(partition_id, 0)
+        self._record_seq[partition_id] = seq + 1
+        self.trace.append(EventRecord(time, kind, partition_id, seq))
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -193,7 +189,7 @@ class SimState:
     def _transition(self, pid: int, new: PartitionState) -> None:
         old = self.partition_states[pid]
         self.partition_states[pid] = new
-        self.append_record(
+        self.trace.append(
             trace_mod.StateRecord(time=self.now, partition=pid, old=old.value, new=new.value)
         )
         if new in (PartitionState.SUSPENDED, PartitionState.HALTED):
@@ -219,7 +215,8 @@ class SimState:
 
     def run_until(self, t_end: Duration) -> list[trace_mod.TraceRecord]:
         """Apply every event with time <= t_end; now == t_end on return.
-        Returns the slice of trace records appended by this call."""
+        Returns the slice of trace records appended by this call (with a
+        PeriodicTrace sink, the ones the engine built)."""
         if t_end < self.now:
             raise SimulationError(f"cannot run backwards: {t_end} < {self.now}")
         start = len(self.trace)
@@ -264,7 +261,7 @@ class SimState:
         if rank == _SLOT_START:
             self._on_slot_start(pid, slot)
         else:
-            self._record_event(t, kind, pid)
+            self.record_event(t, kind, pid)
             if rank == _SLOT_END:
                 self._active = None
             elif rank == _FRAME_WRAP:
@@ -298,10 +295,9 @@ class SimState:
         2, 4, ... wraps, so no per-frame history is kept, and a cycle of p
         frames entered at wrap w is found by about wrap 2*max(w, p) + p).
         On a match the run from the mark to now repeats forever, shifted by
-        its span.  Append that period's records once per whole period that
-        ends by ``t_end``, each copy later by one span and with each
-        partition's ``seq`` ahead by its gain per period, then move the
-        live state forward as much.
+        its span.  Have the sink repeat that period's records once per
+        whole period that ends by ``t_end``, then move the live state
+        forward as much.
         """
         key = self._fingerprint()
         self._mark_age += 1
@@ -311,32 +307,13 @@ class SimState:
                 self._mark_age = 0
                 self._mark_reach *= 2
             return
-        trace, record_seq = self.trace, self._record_seq
+        record_seq = self._record_seq
         then, start, seq_then, channel_seq_then = self._mark[1]
         span = self.now - then
         periods = (t_end - self.now) // span
-        end = len(trace)
-        gain = {pid: seq - seq_then.get(pid, 0) for pid, seq in record_seq.items()}
-        append = trace.append
-        for k in range(1, periods + 1):
-            dt = k * span
-            time = shifted = None
-            for i in range(start, end):
-                r = trace[i]
-                if r.time != time:  # same-time records share one int, as the engine's do
-                    time = r.time
-                    shifted = time + dt
-                cls = type(r)
-                if cls is EventRecord:
-                    append(EventRecord(shifted, r.kind, r.partition,
-                                       r.seq + k * gain[r.partition]))
-                elif cls is PortOpRecord:
-                    append(PortOpRecord(shifted, r.op, r.channel, r.partition, r.size, r.result))
-                elif cls is MarkRecord:
-                    append(MarkRecord(shifted, r.partition, r.label))
-                else:  # a period holds no StateRecord: the lifecycle never goes back
-                    append(HmRecord(shifted, r.kind, r.partition, r.action, r.detail))
         if periods > 0:
+            gain = {pid: seq - seq_then.get(pid, 0) for pid, seq in record_seq.items()}
+            self.trace.repeat(start, periods, span, gain)
             shift = periods * span
             self.now += shift
             self._tl_base += shift
@@ -357,7 +334,7 @@ class SimState:
     # -- handlers --------------------------------------------------------
 
     def _on_slot_start(self, pid: int, slot: ScheduleSlot) -> None:
-        self._record_event(self.now, "SLOT_START", pid)
+        self.record_event(self.now, "SLOT_START", pid)
         self._active = (pid, slot.slot_id, self.now + slot.duration)
         script = self.scripts.get(pid)
         if script is None or not script.actions:
@@ -395,7 +372,7 @@ class SimState:
         if self.partition_states[pid] is not PartitionState.NORMAL:
             return
         now = self.now
-        self._record_event(now, "APP_ACTION", pid)
+        self.record_event(now, "APP_ACTION", pid)
         action = self.scripts[pid].actions[index]
         kind = type(action)
         next_t = now

@@ -1,7 +1,9 @@
 """Trace records and their stable text encoding.
 
-A run's trace is an append-only list of records.  The line formats are part
-of the tool's contract and are pinned by golden tests:
+A run's trace is an append-only record sink: a ``RecordList`` of every
+record, or a ``PeriodicTrace`` that keeps each run of repeated periods as
+one descriptor.  The line formats are part of the tool's contract and are
+pinned by golden tests:
 
 * scheduler events:      ``time_ns,KIND,partition,seq``
   (KIND is one of SLOT_START, SLOT_END, FRAME_WRAP, APP_ACTION, HM_EVENT;
@@ -14,7 +16,9 @@ of the tool's contract and are pinned by golden tests:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
+from operator import add
 
 from .units import Duration
 
@@ -80,10 +84,77 @@ class HmRecord:
 TraceRecord = EventRecord | PortOpRecord | MarkRecord | StateRecord | HmRecord
 
 
+def _copies(period: list, periods: int, span: Duration, gain: dict) -> Iterator[TraceRecord]:
+    """Copies 1..``periods`` of ``period``: copy k is k spans later, with
+    each EventRecord's ``seq`` k times its partition's gain ahead."""
+    for k in range(1, periods + 1):
+        dt = k * span
+        for r in period:
+            if type(r) is EventRecord:
+                yield EventRecord(r.time + dt, r.kind, r.partition, r.seq + k * gain[r.partition])
+            else:
+                yield replace(r, time=r.time + dt)
+
+
+def _copy_lines(period: list, periods: int, span: Duration, gain: dict) -> Iterator[str]:
+    """The text of ``_copies``, one chunk per copy: the period is formatted
+    once, with a slot for each time and event ``seq`` that a copy fills in."""
+    parts, values, steps = [], [], []
+    for r in period:
+        if type(r) is EventRecord:
+            parts.append(f"%d,{r.kind},{r.partition},%d\n")
+            values += r.time, r.seq
+            steps += span, gain[r.partition]
+        else:
+            parts.append("%d," + r.line().partition(",")[2].replace("%", "%%") + "\n")
+            values.append(r.time)
+            steps.append(span)
+    template = "".join(parts)
+    for _ in range(periods):
+        values = tuple(map(add, values, steps))
+        yield template % values
+
+
+class RecordList(list):
+    """The default record sink: every record, the copies built like the rest."""
+
+    def repeat(self, start: int, periods: int, span: Duration, gain: dict) -> None:
+        """Append ``periods`` copies of the last period, records [start:]."""
+        self.extend(_copies(self[start:], periods, span, gain))
+
+
+class PeriodicTrace(list):
+    """A record sink of the records the engine built.  Each repeat is kept
+    as (start, end, periods, span, gain), the copies of records [start,
+    end) that follow record end - 1; ``expand`` builds them as read."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.repeats: list[tuple[int, int, int, Duration, dict]] = []
+
+    def repeat(self, start: int, periods: int, span: Duration, gain: dict) -> None:
+        self.repeats.append((start, len(self), periods, span, gain))
+
+    def expand(self) -> Iterator[TraceRecord]:
+        """Every record of the trace, in order."""
+        built = 0
+        for start, end, *copies in self.repeats:
+            yield from self[built:end]
+            yield from _copies(self[start:end], *copies)
+            built = end
+        yield from self[built:]
+
+
 def format_trace(records: list[TraceRecord]) -> str:
     return "".join([r.line() + "\n" for r in records])
 
 
 def write_trace(records: list[TraceRecord], path: str) -> None:
+    """A PeriodicTrace's copies are written one period at a time."""
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(format_trace(records))
+        built = 0
+        for start, end, *copies in getattr(records, "repeats", ()):
+            fh.write(format_trace(records[built:end]))
+            fh.writelines(_copy_lines(records[start:end], *copies))
+            built = end
+        fh.write(format_trace(records[built:]))

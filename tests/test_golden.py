@@ -6,7 +6,9 @@ plus the case's extra flags (stdout to ``<name>.stdout``, exit code to
 ``<name>.exit``).  A broker scenario has no trace, so its case runs without
 ``--trace`` and has no trace file.  ``overrun_long`` runs about 200 frames
 and ends in mid-frame, long enough for the engine to fast-forward over the
-repeating part of the run.  A change that alters any of these bytes must
+repeating part of the run; ``cookbook_long`` does the same for 250 frames
+that repeat from the second one on, so its trace is almost all shifted
+copies.  A change that alters any of these bytes must
 say so and replace the files on purpose.
 """
 
@@ -24,6 +26,7 @@ CASES = {  # name -> (scenario, extra flags)
     "sweep": ("sweep", ()),
     "broker": ("broker", ()),
     "overrun_long": ("overrun", ("--until", "200500us")),
+    "cookbook_long": ("cookbook", ("--until", "250700us")),
 }
 
 

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from partsim import HealthAction, HmKind, LoadProfile, Mode, SimState
-from partsim import harness, middleware
+from partsim import harness, middleware, trace as trace_mod
 from partsim.harness import (
     CSV_COLUMNS,
     EmptyResult,
@@ -205,11 +205,70 @@ def test_one_simulation_per_payload_matches_every_repetition(name):
 @pytest.mark.parametrize("name", PARTITIONED_SCENARIOS)
 def test_fresh_simulation_repeats_the_trace(name):
     """Reusing one simulation for every repetition is only sound while a
-    partitioned run draws no randomness; this fails if a source appears."""
+    partitioned run draws no randomness; this fails if a source appears.
+    The run's trace holds only the records the engine built, so its
+    expansion is what must equal the fresh simulation's records."""
     sc = load_scenario(SCENARIO_DIR / f"{name}.scn")
-    assert run_scenario(sc).trace == _simulate(sc, sc.payload_sizes[0]).trace
+    assert list(run_scenario(sc).trace.expand()) == _simulate(sc, sc.payload_sizes[0]).trace
     for payload in sc.payload_sizes:
         assert _simulate(sc, payload).trace == _simulate(sc, payload).trace
+
+
+LATE_RX_SCN = """
+name = late_rx
+mode = partitioned
+seed = 1
+repetitions = 2
+payload_sizes = 8
+max_frames = 6
+
+[system]
+<SystemDescription majorFrame="1000us">
+  <PartitionTable><Partition id="0" name="pub"/><Partition id="1" name="sub"/></PartitionTable>
+  <Schedule>
+    <Slot id="0" partition="1" start="0us" duration="400us"/>
+    <Slot id="1" partition="0" start="500us" duration="400us"/>
+  </Schedule>
+  <Channels>
+    <SamplingChannel maxMessageSize="64" refreshPeriod="2ms">
+      <Source partition="0" port="out"/><Destination partition="1" port="in"/>
+    </SamplingChannel>
+  </Channels>
+</SystemDescription>
+
+[script 0]
+mode = repeat
+send out $payload
+mark tx
+
+[script 1]
+mode = repeat
+mark rx
+read in
+"""
+
+
+def test_measurement_reads_the_copied_periods():
+    """The consumer marks rx before it reads, so the first rx after the
+    first delivery (1 ms) is the one of frame 2, which the engine only
+    copies: the run repeats from frame 1 on.  The measurement still finds
+    it, as one simulation with every record built does."""
+    sc = parse_scenario(LATE_RX_SCN)
+    result = run_scenario(sc)
+    built_rx = [r.time for r in result.trace if getattr(r, "label", None) == "rx"]
+    assert built_rx == [0, 1_000_000, 6_000_000]
+    assert [(r.t_send_ns, r.t_recv_ns) for r in result.rows] == [(500_000, 2_000_000)] * 2
+    assert format_csv(result.rows) == format_csv(_rows_simulating_every_repetition(sc))
+
+
+def test_long_run_builds_few_of_the_records_it_writes(tmp_path):
+    """A 500-frame run builds the records of the frames it simulates and
+    writes the rest of its trace from shifted copies of them."""
+    result = run_scenario(load_scenario(SCENARIO_DIR / "overrun.scn"), frames=500)
+    path = tmp_path / "t.trace"
+    trace_mod.write_trace(result.trace, path)
+    lines = len(path.read_text().splitlines())
+    assert len(result.trace) * 20 < lines == len(list(result.trace.expand()))
 
 
 def test_sweep_builds_one_simulation_per_payload(monkeypatch):

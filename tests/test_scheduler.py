@@ -16,7 +16,9 @@ from partsim import (
 from partsim.config import SchedulePlan, ScheduleSlot, SystemConfig, PartitionSpec
 from partsim.harness import load_scenario
 from partsim.health import HealthAction, HealthTable, HmKind
-from partsim.trace import EventRecord, HmRecord, PortOpRecord, StateRecord, format_trace
+from partsim.trace import (
+    EventRecord, HmRecord, PeriodicTrace, PortOpRecord, StateRecord, format_trace, write_trace,
+)
 
 from conftest import COOKBOOK_XML, SCENARIO_DIR, partition_records
 
@@ -420,7 +422,8 @@ HEALTH_ACTIONS = tuple(HealthAction)
 def random_systems(draw):
     """A 2-5-partition ring, channel i -> i+1 of a random kind, with random
     slots, scripts, copy cost and health table, and a t_end of 2-40 frames
-    that mostly ends in mid-frame.  Returns (make, frame, t_end, steady)."""
+    that mostly ends in mid-frame.  Returns (make, frame, t_end, steady);
+    make passes its keyword arguments on to SimState."""
     n = draw(st.integers(2, 5))
     spacing = 100_000
     frame = n * spacing
@@ -478,7 +481,8 @@ def random_systems(draw):
             table.set_override(HmKind.SLOT_OVERRUN, i, draw(st.sampled_from(HEALTH_ACTIONS)))
     frames = 40 if steady else draw(st.sampled_from([2, 5, 20, 40]))
     t_end = frames * frame + draw(st.sampled_from([0, 1, frame // 2, frame - 1]))
-    return (lambda: SimState(cfg, scripts=scripts, health_table=table)), frame, t_end, steady
+    return (lambda **kwargs: SimState(cfg, scripts=scripts, health_table=table, **kwargs),
+            frame, t_end, steady)
 
 
 def test_fast_forward_matches_frame_by_frame_runs(plan_calls):
@@ -521,3 +525,85 @@ def test_fast_forward_matches_frame_by_frame_runs(plan_calls):
     assert {("MEMORY_VIOLATION", a.value) for a in HEALTH_ACTIONS} <= seen
     assert ("SLOT_OVERRUN", "LOG") in seen
     assert len(skipped) >= 10 and sum(skipped) * 4 >= len(skipped) * 3
+
+
+def test_periodic_trace_expands_to_the_record_list(tmp_path):
+    """A PeriodicTrace sink holds fewer records than the default sink,
+    but its expansion is the same records, its file the same bytes, and
+    the engine ends in the same state."""
+    path = tmp_path / "t.trace"
+    shorter = []
+
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(random_systems())
+    def check(system):
+        make, _, t_end, _ = system
+        listed = make().boot()
+        listed.run_until(t_end)
+        lazy = make(sink=PeriodicTrace()).boot()
+        built = lazy.run_until(t_end)
+        assert built == lazy.trace[len(lazy.trace) - len(built):]
+        assert list(lazy.trace.expand()) == listed.trace
+        write_trace(lazy.trace, path)
+        assert path.read_bytes() == format_trace(listed.trace).encode()
+        assert engine_state(lazy) == engine_state(listed)
+        shorter.append(len(lazy.trace) < len(listed.trace))
+
+    check()
+    assert sum(shorter) >= 10
+
+
+def test_periodic_trace_writes_percent_signs_verbatim(cookbook, tmp_path):
+    scripts = {0: _repeat(["compute 10us", "mark 100%d"], 0), 1: _repeat(["mark %s%%"], 1)}
+    listed = SimState(cookbook, scripts=scripts).boot()
+    listed.run_until(20_500_000)
+    lazy = SimState(cookbook, scripts=scripts, sink=PeriodicTrace()).boot()
+    lazy.run_until(20_500_000)
+    assert lazy.trace.repeats
+    write_trace(lazy.trace, tmp_path / "t.trace")
+    assert (tmp_path / "t.trace").read_text() == format_trace(listed.trace)
+
+
+def write_only_sampling_sim(n=3):
+    """n partitions, each writing its sampling channel to the next in
+    every slot, with a copy cost; no partition ever reads."""
+    spacing = 100_000
+    partitions = "".join(f'<Partition id="{i}" name="p{i}"/>' for i in range(n))
+    slots = "".join(f'<Slot id="{i}" partition="{i}" start="{i * spacing}ns" duration="80000ns"/>'
+                    for i in range(n))
+    channels = "".join(
+        f'<SamplingChannel maxMessageSize="64" refreshPeriod="{spacing}ns">'
+        f'<Source partition="{i}" port="out"/><Destination partition="{(i + 1) % n}" port="in"/>'
+        f'</SamplingChannel>' for i in range(n)
+    )
+    cfg = parse_config(
+        f'<SystemDescription majorFrame="{n * spacing}ns"><PartitionTable>{partitions}'
+        f'</PartitionTable><Schedule>{slots}</Schedule><Channels>{channels}</Channels>'
+        f'<Hypervisor copyCostFixed="3us" copyCostPerByte="1ns"/></SystemDescription>'
+    )
+    scripts = {i: _repeat(["compute 10us", "send out 16", "mark w", "compute 70us",
+                           "send out 8"], i) for i in range(n)}
+    return SimState(cfg, scripts=scripts)
+
+
+def test_write_only_sampling_channel_keeps_one_visible_message(plan_calls):
+    """A sampling channel that is written in every slot and never read
+    holds the newest visible message and the pending ones, not every
+    message; so the run repeats and fast-forwards, to the same trace."""
+    frames, frame = 200, 300_000
+    whole = write_only_sampling_sim().boot()
+    whole.run_until(frames * frame)
+    whole_plans, plan_calls[0] = plan_calls[0], 0
+    framed = write_only_sampling_sim().boot()
+    for t in range(frame // 2, frames * frame + 1, frame // 2):
+        framed.run_until(t)
+        for index in range(3):
+            # as of its last write, a channel holds one visible message at most
+            writes = framed.ports.state(index).writes
+            last = max((m.written_at for m, _ in writes), default=0)
+            assert sum(1 for _, visible in writes if visible <= last) <= 1
+            assert len(writes) <= 2  # the writes lie further apart than the copy cost
+    assert format_trace(whole.trace) == format_trace(framed.trace)
+    assert engine_state(whole) == engine_state(framed)
+    actions = sum(len(s.actions) for s in whole.scripts.values())
+    assert whole_plans * 4 < plan_calls[0] and whole_plans < frames * actions
