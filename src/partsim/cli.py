@@ -128,7 +128,7 @@ def _cmd_run(args) -> int:
     try:
         harness.export_csv(result.rows, out_path)
         if args.trace:
-            trace_mod.write_trace(result.trace or [], args.trace)
+            trace_mod.write_trace(result.trace or trace_mod.PeriodicTrace(), args.trace)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

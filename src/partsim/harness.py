@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -154,7 +153,7 @@ class RunResult:
     scenario: str
     mode: Mode
     rows: list[RepetitionRecord]
-    trace: trace_mod.PeriodicTrace | None = None  # expand() gives every record
+    trace: trace_mod.PeriodicTrace | None = None
     halted: bool = False
 
 
@@ -514,7 +513,7 @@ def _slot_at(system: SystemConfig, partition_id: int, t: Duration) -> int | None
     return None
 
 
-def _measure(records: Iterable[trace_mod.TraceRecord], system: SystemConfig):
+def _measure(records: trace_mod.PeriodicTrace, system: SystemConfig):
     """Extract (t_send, t_recv, gap) from one repetition's trace.
 
     t_send is the first ``tx`` mark; t_recv is the first ``rx`` mark at or
@@ -607,7 +606,6 @@ def _run_partitioned(
             scripts={pid: s.bind_payload(payload) for pid, s in sc.scripts.items()},
             health_table=sc.health_table,
             api_call_cost=sc.api_call_cost,
-            sink=trace_mod.PeriodicTrace(),
         )
         sim.boot()
         sim.run_until(bound)
@@ -616,7 +614,7 @@ def _run_partitioned(
         halted = halted or sim.halted
         if not measuring:
             continue
-        measured = _measure(sim.trace.expand(), system)
+        measured = _measure(sim.trace, system)
         if measured is None:
             if explicit_bound or sim.halted:
                 continue  # caller asked for a bounded/aborted run

@@ -35,15 +35,14 @@ current epoch") and the halt flag.  The rest of the run depends only on
 these; the per-partition trace ``seq`` and the per-channel message numbers
 only count.  When a fingerprint equals the one of a wrap p frames earlier,
 the run repeats every p frames from there on.  If m >= 1 whole periods end
-by ``t_end``, the engine has its record sink repeat the last period m
-times (each copy p frames later, each partition's ``seq`` ahead by its
-gain per period), moves the clock, the timeline, the pending events and
-the port messages m*p frames forward, advances the counters as much, and
-simulates the remainder.  A harness run's sink keeps one descriptor, and
-its trace file gets the copies as shifted line templates.  Either way
-every CSV and trace byte is that of simulating each frame.  A partition's
-lifecycle only moves forward (BOOT, NORMAL, SUSPENDED, HALTED), so no
-period holds a state change.
+by ``t_end``, the engine has its trace repeat the last period m times
+(each copy p frames later, each partition's ``seq`` ahead by its gain per
+period), moves the clock, the timeline, the pending events and the port
+messages m*p frames forward, advances the counters as much, and simulates
+the remainder.  The trace keeps one descriptor per repeat: iterating it
+builds the copies, and its file gets them as shifted line templates; every
+CSV and trace byte is that of simulating each frame.  A partition's
+lifecycle only moves forward, so no period holds a state change.
 
 The scheduler never extends a slot: a slot always ends at its scheduled
 end, and whatever compute time the application still demanded carries over
@@ -105,7 +104,6 @@ class SimState:
         scripts: dict[int, AppScript] | None = None,
         health_table: health_mod.HealthTable | None = None,
         api_call_cost: Duration = 0,
-        *, sink: trace_mod.RecordList | trace_mod.PeriodicTrace | None = None,
     ):
         self.config = config
         self.now: Duration = 0
@@ -117,7 +115,7 @@ class SimState:
         self.cursors: dict[int, AppCursor] = {pid: AppCursor() for pid in self.scripts}
         self.health_table = health_table or health_mod.HealthTable()
         self.api_call_cost = api_call_cost
-        self.trace = trace_mod.RecordList() if sink is None else sink
+        self.trace = trace_mod.PeriodicTrace()
         self.halted = False
         # dynamic events: (time, rank, partition, seq, payload); every
         # payload starts with the partition's epoch when it was queued
@@ -134,7 +132,7 @@ class SimState:
         self._epoch: dict[int, int] = {p.id: 0 for p in config.partitions}
         self._active: tuple[int, int, Duration] | None = None  # (pid, slot_id, abs end)
         self._booted = False
-        # the marked frame wrap: (fingerprint, (wrap time, trace length,
+        # the marked frame wrap: (fingerprint, (wrap time, built record count,
         # _record_seq, channel counters)), wraps since it, and the wrap
         # count at which the mark moves on; see _fast_forward
         self._mark: tuple[tuple, tuple[Duration, int, dict[int, int], tuple[int, ...]]] | None = None
@@ -215,16 +213,17 @@ class SimState:
 
     def run_until(self, t_end: Duration) -> list[trace_mod.TraceRecord]:
         """Apply every event with time <= t_end; now == t_end on return.
-        Returns the slice of trace records appended by this call (with a
-        PeriodicTrace sink, the ones the engine built)."""
+        Returns the records the engine built in this call; the copies of
+        repeated periods are in the trace's iteration only."""
         if t_end < self.now:
             raise SimulationError(f"cannot run backwards: {t_end} < {self.now}")
-        start = len(self.trace)
+        built = self.trace.built
+        start = len(built)
         apply_next = self._apply_next
         while apply_next(t_end):
             pass
         self.now = t_end
-        return self.trace[start:]
+        return built[start:]
 
     def _apply_next(self, t_end: Duration) -> bool:
         """Apply the least pending event if it is due by ``t_end``; returns
@@ -295,7 +294,7 @@ class SimState:
         2, 4, ... wraps, so no per-frame history is kept, and a cycle of p
         frames entered at wrap w is found by about wrap 2*max(w, p) + p).
         On a match the run from the mark to now repeats forever, shifted by
-        its span.  Have the sink repeat that period's records once per
+        its span.  Have the trace repeat that period's records once per
         whole period that ends by ``t_end``, then move the live state
         forward as much.
         """
@@ -329,7 +328,7 @@ class SimState:
         self._mark_age = 0
 
     def _wrap_counters(self) -> tuple[Duration, int, dict[int, int], tuple[int, ...]]:
-        return self.now, len(self.trace), dict(self._record_seq), self.ports.seq_counters()
+        return self.now, len(self.trace.built), dict(self._record_seq), self.ports.seq_counters()
 
     # -- handlers --------------------------------------------------------
 

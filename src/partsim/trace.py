@@ -1,9 +1,8 @@
 """Trace records and their stable text encoding.
 
-A run's trace is an append-only record sink: a ``RecordList`` of every
-record, or a ``PeriodicTrace`` that keeps each run of repeated periods as
-one descriptor.  The line formats are part of the tool's contract and are
-pinned by golden tests:
+A run's trace is a ``PeriodicTrace``: the records the engine built, plus
+one descriptor per run of repeated periods.  The line formats are part of
+the tool's contract and are pinned by golden tests:
 
 * scheduler events:      ``time_ns,KIND,partition,seq``
   (KIND is one of SLOT_START, SLOT_END, FRAME_WRAP, APP_ACTION, HM_EVENT;
@@ -16,8 +15,8 @@ pinned by golden tests:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from operator import add
 
 from .units import Duration
@@ -89,11 +88,20 @@ def _copies(period: list, periods: int, span: Duration, gain: dict) -> Iterator[
     each EventRecord's ``seq`` k times its partition's gain ahead."""
     for k in range(1, periods + 1):
         dt = k * span
+        time = shifted = None
         for r in period:
-            if type(r) is EventRecord:
-                yield EventRecord(r.time + dt, r.kind, r.partition, r.seq + k * gain[r.partition])
-            else:
-                yield replace(r, time=r.time + dt)
+            if r.time != time:  # same-time records share one int, as the engine's do
+                time = r.time
+                shifted = time + dt
+            cls = type(r)
+            if cls is EventRecord:
+                yield EventRecord(shifted, r.kind, r.partition, r.seq + k * gain[r.partition])
+            elif cls is PortOpRecord:
+                yield PortOpRecord(shifted, r.op, r.channel, r.partition, r.size, r.result)
+            elif cls is MarkRecord:
+                yield MarkRecord(shifted, r.partition, r.label)
+            else:  # a period holds no StateRecord: the lifecycle never goes back
+                yield HmRecord(shifted, r.kind, r.partition, r.action, r.detail)
 
 
 def _copy_lines(period: list, periods: int, span: Duration, gain: dict) -> Iterator[str]:
@@ -101,60 +109,57 @@ def _copy_lines(period: list, periods: int, span: Duration, gain: dict) -> Itera
     once, with a slot for each time and event ``seq`` that a copy fills in."""
     parts, values, steps = [], [], []
     for r in period:
+        part = "%d," + r.line().partition(",")[2].replace("%", "%%")
+        values.append(r.time)
+        steps.append(span)
         if type(r) is EventRecord:
-            parts.append(f"%d,{r.kind},{r.partition},%d\n")
-            values += r.time, r.seq
-            steps += span, gain[r.partition]
-        else:
-            parts.append("%d," + r.line().partition(",")[2].replace("%", "%%") + "\n")
-            values.append(r.time)
-            steps.append(span)
+            part = part.rpartition(",")[0] + ",%d"
+            values.append(r.seq)
+            steps.append(gain[r.partition])
+        parts.append(part + "\n")
     template = "".join(parts)
     for _ in range(periods):
         values = tuple(map(add, values, steps))
         yield template % values
 
 
-class RecordList(list):
-    """The default record sink: every record, the copies built like the rest."""
-
-    def repeat(self, start: int, periods: int, span: Duration, gain: dict) -> None:
-        """Append ``periods`` copies of the last period, records [start:]."""
-        self.extend(_copies(self[start:], periods, span, gain))
-
-
-class PeriodicTrace(list):
-    """A record sink of the records the engine built.  Each repeat is kept
-    as (start, end, periods, span, gain), the copies of records [start,
-    end) that follow record end - 1; ``expand`` builds them as read."""
+class PeriodicTrace:
+    """A run's append-only trace.  ``built`` holds the records the engine
+    built.  Each ``repeat`` of the last period, built[start:], adds (start,
+    end, periods, span, gain): ``periods`` copies of built[start:end] follow
+    built[end - 1].  Iterating gives every record, the copies built as read."""
 
     def __init__(self) -> None:
-        super().__init__()
+        self.built: list[TraceRecord] = []
+        self.append = self.built.append
         self.repeats: list[tuple[int, int, int, Duration, dict]] = []
 
     def repeat(self, start: int, periods: int, span: Duration, gain: dict) -> None:
-        self.repeats.append((start, len(self), periods, span, gain))
+        self.repeats.append((start, len(self.built), periods, span, gain))
 
-    def expand(self) -> Iterator[TraceRecord]:
-        """Every record of the trace, in order."""
-        built = 0
-        for start, end, *copies in self.repeats:
-            yield from self[built:end]
-            yield from _copies(self[start:end], *copies)
+    def pieces(self) -> Iterator[tuple[list[TraceRecord], list[TraceRecord], tuple]]:
+        """In order: (built records, the period whose copies follow, copies)."""
+        built, n = 0, len(self.built)
+        for start, end, *copies in self.repeats + [(n, n, 0, 0, {})]:
+            yield self.built[built:end], self.built[start:end], copies
             built = end
-        yield from self[built:]
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        for records, period, copies in self.pieces():
+            yield from records
+            yield from _copies(period, *copies)
+
+    def __len__(self) -> int:
+        return len(self.built) + sum((end - start) * n for start, end, n, *_ in self.repeats)
 
 
-def format_trace(records: list[TraceRecord]) -> str:
+def format_trace(records: Iterable[TraceRecord]) -> str:
     return "".join([r.line() + "\n" for r in records])
 
 
-def write_trace(records: list[TraceRecord], path: str) -> None:
-    """A PeriodicTrace's copies are written one period at a time."""
+def write_trace(trace: PeriodicTrace, path: str) -> None:
+    """Write every record; each repeated period is formatted once."""
     with open(path, "w", encoding="ascii", newline="") as fh:
-        built = 0
-        for start, end, *copies in getattr(records, "repeats", ()):
-            fh.write(format_trace(records[built:end]))
-            fh.writelines(_copy_lines(records[start:end], *copies))
-            built = end
-        fh.write(format_trace(records[built:]))
+        for records, period, copies in trace.pieces():
+            fh.write(format_trace(records))
+            fh.writelines(_copy_lines(period, *copies))

@@ -206,12 +206,11 @@ def test_one_simulation_per_payload_matches_every_repetition(name):
 def test_fresh_simulation_repeats_the_trace(name):
     """Reusing one simulation for every repetition is only sound while a
     partitioned run draws no randomness; this fails if a source appears.
-    The run's trace holds only the records the engine built, so its
-    expansion is what must equal the fresh simulation's records."""
+    Both traces are compared record by record, copies included."""
     sc = load_scenario(SCENARIO_DIR / f"{name}.scn")
-    assert list(run_scenario(sc).trace.expand()) == _simulate(sc, sc.payload_sizes[0]).trace
+    assert list(run_scenario(sc).trace) == list(_simulate(sc, sc.payload_sizes[0]).trace)
     for payload in sc.payload_sizes:
-        assert _simulate(sc, payload).trace == _simulate(sc, payload).trace
+        assert list(_simulate(sc, payload).trace) == list(_simulate(sc, payload).trace)
 
 
 LATE_RX_SCN = """
@@ -252,13 +251,18 @@ def test_measurement_reads_the_copied_periods():
     """The consumer marks rx before it reads, so the first rx after the
     first delivery (1 ms) is the one of frame 2, which the engine only
     copies: the run repeats from frame 1 on.  The measurement still finds
-    it, as one simulation with every record built does."""
+    it, as in a frame-by-frame run, which builds every record."""
     sc = parse_scenario(LATE_RX_SCN)
     result = run_scenario(sc)
-    built_rx = [r.time for r in result.trace if getattr(r, "label", None) == "rx"]
+    built_rx = [r.time for r in result.trace.built if getattr(r, "label", None) == "rx"]
     assert built_rx == [0, 1_000_000, 6_000_000]
     assert [(r.t_send_ns, r.t_recv_ns) for r in result.rows] == [(500_000, 2_000_000)] * 2
-    assert format_csv(result.rows) == format_csv(_rows_simulating_every_repetition(sc))
+    framed = SimState(sc.system, scripts={pid: s.bind_payload(8) for pid, s in sc.scripts.items()})
+    framed.boot()
+    for t in range(1_000_000, 6_000_001, 1_000_000):
+        framed.run_until(t)
+    assert not framed.trace.repeats
+    assert harness._measure(framed.trace, sc.system)[:2] == (500_000, 2_000_000)
 
 
 def test_long_run_builds_few_of_the_records_it_writes(tmp_path):
@@ -268,7 +272,7 @@ def test_long_run_builds_few_of_the_records_it_writes(tmp_path):
     path = tmp_path / "t.trace"
     trace_mod.write_trace(result.trace, path)
     lines = len(path.read_text().splitlines())
-    assert len(result.trace) * 20 < lines == len(list(result.trace.expand()))
+    assert len(result.trace.built) * 20 < lines == len(result.trace)
 
 
 def test_sweep_builds_one_simulation_per_payload(monkeypatch):

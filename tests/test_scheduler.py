@@ -17,7 +17,7 @@ from partsim.config import SchedulePlan, ScheduleSlot, SystemConfig, PartitionSp
 from partsim.harness import load_scenario
 from partsim.health import HealthAction, HealthTable, HmKind
 from partsim.trace import (
-    EventRecord, HmRecord, PeriodicTrace, PortOpRecord, StateRecord, format_trace, write_trace,
+    EventRecord, HmRecord, PortOpRecord, StateRecord, format_trace, write_trace,
 )
 
 from conftest import COOKBOOK_XML, SCENARIO_DIR, partition_records
@@ -79,7 +79,8 @@ def test_first_three_events(cookbook):
 
 def test_frame_wrap_at_every_frame_boundary(cookbook):
     sim = booted(cookbook)
-    wraps = [t for t, _, _ in events(sim.run_until(3_000_000), "FRAME_WRAP")]
+    sim.run_until(3_000_000)  # fast-forwards: the trace holds copied wraps
+    wraps = [t for t, _, _ in events(sim.trace, "FRAME_WRAP")]
     assert wraps == [1_000_000, 2_000_000, 3_000_000]
 
 
@@ -107,7 +108,8 @@ def offline_events(cfg, frames):
 
 def test_event_order_matches_offline_sort(cookbook):
     sim = booted(cookbook)
-    assert events(sim.run_until(5 * 1_000_000 - 1)) == offline_events(cookbook, 5)
+    sim.run_until(5 * 1_000_000 - 1)
+    assert events(sim.trace) == offline_events(cookbook, 5)
 
 
 def test_boot_is_deterministic(cookbook):
@@ -222,7 +224,7 @@ def test_illegal_transitions(cookbook):
     partition, and nothing leaves HALTED."""
     sim = SimState(cookbook)
     sim.suspend_if_normal(0)  # BOOT -> SUSPENDED is not a transition
-    assert sim.partition_states[0] is PartitionState.BOOT and sim.trace == []
+    assert sim.partition_states[0] is PartitionState.BOOT and list(sim.trace) == []
     sim.boot()
     sim.suspend_if_normal(0)
     sim.suspend_if_normal(0)  # already suspended
@@ -336,14 +338,15 @@ def halting_sim():
 
 
 def test_run_until_composes(cookbook):
-    """Running to t_end in pieces appends the same records as one call."""
+    """Running to t_end in pieces appends the same records as one call;
+    each call returns the records it built."""
     split = booted(cookbook)
     boot_records = list(split.trace)
     pieces = [split.run_until(1_700_000), split.run_until(4_300_000)]
     whole = booted(cookbook)
     whole.run_until(4_300_000)
     assert format_trace(split.trace) == format_trace(whole.trace)
-    assert boot_records + pieces[0] + pieces[1] == split.trace
+    assert boot_records + pieces[0] + pieces[1] == split.trace.built
     assert split.now == whole.now == 4_300_000
 
 
@@ -397,7 +400,7 @@ def test_step_loop_matches_run_until(make, cuts, plan_calls):
         assert {r.time for r in piece} <= {t}
         records += piece
     assert format_trace(stepped.trace) == format_trace(whole.trace)
-    assert records == stepped.trace
+    assert records == list(stepped.trace) and not stepped.trace.repeats
     assert stepped.now == whole.now == t_end
     assert engine_state(stepped) == engine_state(whole)
     kinds = {kind for _, kind, _ in events(whole.trace)}
@@ -422,8 +425,7 @@ HEALTH_ACTIONS = tuple(HealthAction)
 def random_systems(draw):
     """A 2-5-partition ring, channel i -> i+1 of a random kind, with random
     slots, scripts, copy cost and health table, and a t_end of 2-40 frames
-    that mostly ends in mid-frame.  Returns (make, frame, t_end, steady);
-    make passes its keyword arguments on to SimState."""
+    that mostly ends in mid-frame.  Returns (make, frame, t_end, steady)."""
     n = draw(st.integers(2, 5))
     spacing = 100_000
     frame = n * spacing
@@ -481,19 +483,20 @@ def random_systems(draw):
             table.set_override(HmKind.SLOT_OVERRUN, i, draw(st.sampled_from(HEALTH_ACTIONS)))
     frames = 40 if steady else draw(st.sampled_from([2, 5, 20, 40]))
     t_end = frames * frame + draw(st.sampled_from([0, 1, frame // 2, frame - 1]))
-    return (lambda **kwargs: SimState(cfg, scripts=scripts, health_table=table, **kwargs),
-            frame, t_end, steady)
+    return (lambda: SimState(cfg, scripts=scripts, health_table=table)), frame, t_end, steady
 
 
-def test_fast_forward_matches_frame_by_frame_runs(plan_calls):
+def test_fast_forward_matches_frame_by_frame_runs(plan_calls, tmp_path):
     """One run_until to t_end, which may fast-forward, appends the same
     records and ends in the same state as one run_until per frame, which
-    never can.  Across the examples the systems reach every port result,
-    overrun carries and every memory-violation action, and the one call
-    skips planner work on at least 3 in 4 steady systems.  The examples
-    are derandomized, so the coverage and the count are the same on every
-    run."""
+    never can: the trace's iteration and its file are those of the framed
+    run's built records.  Across the examples the systems reach every port
+    result, overrun carries and every memory-violation action, and the one
+    call skips planner work, and builds fewer records, on at least 3 in 4
+    steady systems.  The examples are derandomized, so the coverage and
+    the count are the same on every run."""
     seen, skipped = set(), []
+    path = tmp_path / "t.trace"
 
     @settings(deadline=None, max_examples=60, derandomize=True)
     @given(random_systems())
@@ -507,11 +510,15 @@ def test_fast_forward_matches_frame_by_frame_runs(plan_calls):
         for t in range(frame, t_end, frame):
             framed.run_until(t)
         framed.run_until(t_end)
-        assert format_trace(whole.trace) == format_trace(framed.trace)
+        assert not framed.trace.repeats
+        assert list(whole.trace) == framed.trace.built and len(whole.trace) == len(framed.trace)
+        write_trace(whole.trace, path)
+        assert path.read_bytes() == format_trace(framed.trace.built).encode()
         assert engine_state(whole) == engine_state(framed)
         assert whole_plans <= plan_calls[0]
         if steady:
-            skipped.append(whole_plans < plan_calls[0])
+            skipped.append(whole_plans < plan_calls[0]
+                           and len(whole.trace.built) < len(framed.trace.built))
         for r in framed.trace:
             if type(r) is PortOpRecord:
                 seen.add(r.result)
@@ -527,41 +534,14 @@ def test_fast_forward_matches_frame_by_frame_runs(plan_calls):
     assert len(skipped) >= 10 and sum(skipped) * 4 >= len(skipped) * 3
 
 
-def test_periodic_trace_expands_to_the_record_list(tmp_path):
-    """A PeriodicTrace sink holds fewer records than the default sink,
-    but its expansion is the same records, its file the same bytes, and
-    the engine ends in the same state."""
-    path = tmp_path / "t.trace"
-    shorter = []
-
-    @settings(deadline=None, max_examples=40, derandomize=True)
-    @given(random_systems())
-    def check(system):
-        make, _, t_end, _ = system
-        listed = make().boot()
-        listed.run_until(t_end)
-        lazy = make(sink=PeriodicTrace()).boot()
-        built = lazy.run_until(t_end)
-        assert built == lazy.trace[len(lazy.trace) - len(built):]
-        assert list(lazy.trace.expand()) == listed.trace
-        write_trace(lazy.trace, path)
-        assert path.read_bytes() == format_trace(listed.trace).encode()
-        assert engine_state(lazy) == engine_state(listed)
-        shorter.append(len(lazy.trace) < len(listed.trace))
-
-    check()
-    assert sum(shorter) >= 10
-
-
-def test_periodic_trace_writes_percent_signs_verbatim(cookbook, tmp_path):
+def test_trace_file_writes_percent_signs_verbatim(cookbook, tmp_path):
     scripts = {0: _repeat(["compute 10us", "mark 100%d"], 0), 1: _repeat(["mark %s%%"], 1)}
-    listed = SimState(cookbook, scripts=scripts).boot()
-    listed.run_until(20_500_000)
-    lazy = SimState(cookbook, scripts=scripts, sink=PeriodicTrace()).boot()
-    lazy.run_until(20_500_000)
-    assert lazy.trace.repeats
-    write_trace(lazy.trace, tmp_path / "t.trace")
-    assert (tmp_path / "t.trace").read_text() == format_trace(listed.trace)
+    sim = SimState(cookbook, scripts=scripts).boot()
+    sim.run_until(20_500_000)
+    assert sim.trace.repeats
+    write_trace(sim.trace, tmp_path / "t.trace")
+    text = (tmp_path / "t.trace").read_text()
+    assert text == format_trace(sim.trace) and text.count("100%d") == 21
 
 
 def write_only_sampling_sim(n=3):
