@@ -105,6 +105,8 @@ def _cmd_run(args) -> int:
     try:
         if seed is None and os.environ.get(where):
             seed = int(os.environ[where])
+            if seed < 0:
+                raise ValueError("seed must be >= 0")
         where = "--until"
         until = parse_duration(args.until) if args.until else None
     except ValueError as exc:

@@ -66,6 +66,7 @@ import dataclasses
 import enum
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import middleware, trace as trace_mod, workload
 from .config import Finding, SystemConfig, parse_config, transition_gap, validate
@@ -80,18 +81,6 @@ class Mode(enum.Enum):
     PARTITIONED = "partitioned"
     BROKER = "broker"
 
-
-# (column, type) in CSV order; every row fills the key columns, while an
-# empty value cell reads back as None
-_CSV_KEY_COLUMNS = (
-    ("scenario", str), ("mode", Mode), ("repetition", int), ("payload_bytes", int),
-)
-_CSV_VALUE_COLUMNS = (
-    ("t_send_ns", int), ("t_recv_ns", int), ("latency_ns", int), ("gap_ns", int),
-    ("latency_to_gap_ratio", float),
-    ("tx_relaxed_ns", int), ("tx_stressed_ns", int), ("tx_delay_ns", int),
-)
-CSV_COLUMNS = tuple(name for name, _ in _CSV_KEY_COLUMNS + _CSV_VALUE_COLUMNS)
 
 DEFAULT_PAYLOAD_SIZES = (1, 1_000_000, 6_000_000)
 DEFAULT_REPETITIONS = 100
@@ -132,8 +121,9 @@ class Scenario:
     max_frames: int = DEFAULT_MAX_FRAMES
 
 
-@dataclass(frozen=True)
-class RepetitionRecord:
+class RepetitionRecord(NamedTuple):
+    """One result row; the fields are the CSV columns, in order."""
+
     scenario: str
     mode: Mode
     repetition: int
@@ -146,6 +136,13 @@ class RepetitionRecord:
     tx_relaxed_ns: int | None = None
     tx_stressed_ns: int | None = None
     tx_delay_ns: int | None = None
+
+
+CSV_COLUMNS = RepetitionRecord._fields
+# the type of each CSV column; every row fills the first four (key) columns,
+# while an empty value cell reads back as None
+_CSV_KEY_TYPES = (str, Mode, int, int)
+_CSV_VALUE_TYPES = (int, int, int, int, float, int, int, int)
 
 
 @dataclass
@@ -445,6 +442,8 @@ def validate_scenario(sc: Scenario) -> list[Finding]:
         err("PAYLOAD", "scenario", "payload sizes must be positive")
     if sc.max_frames < 1:
         err("MAX_FRAMES", "scenario", "max_frames must be >= 1")
+    if sc.seed < 0:
+        err("SEED", "scenario", "seed must be >= 0")
 
     if sc.mode is Mode.PARTITIONED:
         if sc.system is None:
@@ -491,6 +490,10 @@ def validate_scenario(sc: Scenario) -> list[Finding]:
             err("NO_TOPOLOGY", "scenario", "broker mode needs a topology")
         if not sc.load_pairs:
             err("NO_LOADS", "scenario", "broker mode needs at least one load pair")
+        draws = len(sc.payload_sizes) * len(sc.load_pairs) * sc.repetitions
+        if draws > middleware.SEED_STRIDE:
+            err("DRAWS", "scenario", f"payload sizes x load pairs x repetitions = {draws} "
+                f"exceeds the seed stride {middleware.SEED_STRIDE}")
     return findings
 
 
@@ -575,6 +578,8 @@ def run_scenario(
                                     "a broker scenario has no run bound"))
         elif value is not None and value < least:
             findings.append(Finding("RUN_BOUND", "ERROR", f"--{flag}", f"{flag} must be >= {least}"))
+    if seed is not None and seed < 0:
+        findings.append(Finding("SEED", "ERROR", "--seed", "seed must be >= 0"))
     if findings:
         raise ScenarioInvalid(findings)
     if sc.mode is Mode.PARTITIONED:
@@ -656,17 +661,10 @@ def _run_broker(sc: Scenario, *, seed: int) -> RunResult:
                 counter += 1
                 relaxed_ns = middleware.tx_time(topology, payload, relaxed, rng)
                 stressed_ns = middleware.tx_time(topology, payload, stressed, rng)
-                rows.append(
-                    RepetitionRecord(
-                        scenario=label,
-                        mode=sc.mode,
-                        repetition=rep,
-                        payload_bytes=payload,
-                        tx_relaxed_ns=relaxed_ns,
-                        tx_stressed_ns=stressed_ns,
-                        tx_delay_ns=middleware.tx_delay(stressed_ns, relaxed_ns),
-                    )
-                )
+                rows.append(RepetitionRecord(
+                    label, sc.mode, rep, payload, None, None, None, None, None,
+                    relaxed_ns, stressed_ns, middleware.tx_delay(stressed_ns, relaxed_ns),
+                ))
     return RunResult(scenario=sc.name, mode=sc.mode, rows=rows)
 
 
@@ -726,20 +724,18 @@ def group_rows(rows: list[RepetitionRecord]) -> dict[tuple[str, int], list[Repet
 # CSV
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    if isinstance(value, Mode):
-        return value.value
-    return str(value)
-
-
 def format_csv(rows: list[RepetitionRecord]) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(_cell(getattr(r, col)) for col in CSV_COLUMNS))
+    for (scenario, mode, repetition, payload, t_send, t_recv, latency, gap, ratio,
+         relaxed, stressed, delay) in rows:
+        lines.append(
+            f"{scenario},{mode.value},{repetition},{payload},"
+            f"{'' if t_send is None else t_send},{'' if t_recv is None else t_recv},"
+            f"{'' if latency is None else latency},{'' if gap is None else gap},"
+            f"{'' if ratio is None else f'{ratio:.6f}'},"
+            f"{'' if relaxed is None else relaxed},{'' if stressed is None else stressed},"
+            f"{'' if delay is None else delay}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -754,18 +750,17 @@ def read_csv(path: str | Path) -> list[RepetitionRecord]:
     lines = text.splitlines()
     if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
         raise ScenarioError(f"{path}: missing or wrong CSV header")
-    key_types = [t for _, t in _CSV_KEY_COLUMNS]
-    value_types = [t for _, t in _CSV_VALUE_COLUMNS]
-    n_keys = len(key_types)
+    n_keys = len(_CSV_KEY_TYPES)
+    make = RepetitionRecord._make
     rows = []
     for number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(CSV_COLUMNS):
             raise ScenarioError(f"{path}:{number}: expected {len(CSV_COLUMNS)} fields")
         try:
-            rows.append(RepetitionRecord(
-                *[t(c) for t, c in zip(key_types, cells)],
-                *[t(c) if c else None for t, c in zip(value_types, cells[n_keys:])],
+            rows.append(make(
+                [t(c) for t, c in zip(_CSV_KEY_TYPES, cells)]
+                + [t(c) if c else None for t, c in zip(_CSV_VALUE_TYPES, cells[n_keys:])]
             ))
         except ValueError as exc:
             raise ScenarioError(f"{path}:{number}: {exc}") from None

@@ -6,16 +6,20 @@ direct path by construction.  The transmission time is
 
     link1(size) + processing(size) * (1 + load_factor * cpu_load) + link2(size)
 
-plus one truncated-normal jitter draw per link (negative draws clamp to
-zero).  CPU load enters multiplicatively on the broker processing term
-only, so the stressed-minus-relaxed delta isolates the load-induced delay;
-links are load-independent.  memory_load is validated but has no effect
-on timing.
+plus one normal jitter draw per link, rounded to the nearest ns (ties
+up), with negative draws clamped to zero; the load-scaled processing term
+is rounded the same way.  A link whose jitter_stddev is 0 draws nothing.
+CPU load enters multiplicatively on the broker processing term only, so
+the stressed-minus-relaxed delta isolates the load-induced delay; links
+are load-independent.  memory_load is validated but has no effect on
+timing.
 
 Everything is deterministic given the generator passed in.  Jitter draws
 come from that generator in path order (uplink first, then downlink); the
-harness derives one generator per repetition with
-``repetition_rng``.
+harness derives one generator per repetition with ``repetition_rng``,
+seeded ``seed * 1_000_003 + repetition``.  The streams of different
+(seed, repetition) pairs stay disjoint only while the seed is
+non-negative and the repetition counter stays below that stride.
 
 The DEFAULT_* values below are a desk-scale CALIBRATION, not a
 measurement: they are chosen so that a 1 MB payload under full CPU load
@@ -40,7 +44,7 @@ DEFAULT_PROC_FIXED = 20_000  # 20 us
 DEFAULT_PROC_PER_BYTE = 5  # 5 ns/byte -> 5 ms for 1 MB
 DEFAULT_LOAD_FACTOR = 1.0
 
-_SEED_STRIDE = 1_000_003  # repetition seed = base_seed * stride + repetition
+SEED_STRIDE = 1_000_003  # repetition seed = base_seed * stride + repetition
 
 
 @dataclass(frozen=True)
@@ -94,18 +98,9 @@ def default_topology(jitter: bool = True) -> BrokerTopology:
 
 def repetition_rng(seed: int, repetition: int) -> random.Random:
     """Disjoint, documented per-repetition stream derivation."""
-    return random.Random(seed * _SEED_STRIDE + repetition)
-
-
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
-
-
-def _link_time(link: LinkModel, size: int, rng: random.Random) -> Duration:
-    t = link.base_latency + link.per_byte * size
-    if link.jitter_stddev > 0:
-        t += max(0, _round_half_up(rng.gauss(0.0, link.jitter_stddev)))
-    return t
+    if seed < 0 or not 0 <= repetition < SEED_STRIDE:
+        raise ValueError(f"need seed >= 0 and 0 <= repetition < {SEED_STRIDE}")
+    return random.Random(seed * SEED_STRIDE + repetition)
 
 
 def tx_time(
@@ -114,13 +109,21 @@ def tx_time(
     """One publisher-to-subscriber transmission time in nanoseconds."""
     if size <= 0:
         raise ValueError("payload size must be positive")
+    up, down = topology.uplink, topology.downlink
     processing = topology.proc_fixed + topology.proc_per_byte * size
-    loaded = _round_half_up(processing * (1.0 + topology.load_factor * load.cpu_load))
-    return (
-        _link_time(topology.uplink, size, rng)
-        + loaded
-        + _link_time(topology.downlink, size, rng)
+    t = (
+        up.base_latency + down.base_latency + (up.per_byte + down.per_byte) * size
+        + math.floor(processing * (1.0 + topology.load_factor * load.cpu_load) + 0.5)
     )
+    if up.jitter_stddev > 0:
+        jitter = math.floor(rng.gauss(0.0, up.jitter_stddev) + 0.5)
+        if jitter > 0:
+            t += jitter
+    if down.jitter_stddev > 0:
+        jitter = math.floor(rng.gauss(0.0, down.jitter_stddev) + 0.5)
+        if jitter > 0:
+            t += jitter
+    return t
 
 
 def tx_delay(stressed: Duration, relaxed: Duration) -> Duration:

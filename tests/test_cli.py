@@ -116,12 +116,14 @@ def test_malformed_until_is_a_finding(workdir, capsys):
     assert "--until" in err and "Traceback" not in err
 
 
-def test_malformed_env_seed_is_a_finding(workdir, monkeypatch, capsys):
+@pytest.mark.parametrize("value", ["x", "-1"])
+def test_malformed_env_seed_is_a_finding(workdir, monkeypatch, capsys, value):
     broker = write(workdir / "br.scn", (SCENARIO_DIR / "broker.scn").read_text())
-    monkeypatch.setenv("PARTSIM_SEED", "x")
+    monkeypatch.setenv("PARTSIM_SEED", value)
     assert main(["run", broker, "--out", "o.csv"]) == 1
     err = capsys.readouterr().err
-    assert "PARTSIM_SEED" in err and "Traceback" not in err
+    assert "PARTSIM_SEED: " in err and "Traceback" not in err
+    assert not (workdir / "o.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -210,6 +212,13 @@ def add_to_broker(extra):
                  "repetitions", id="repetitions"),
     pytest.param(make_cookbook_scenario().replace("seed = 1", "seed = x"), (),
                  "seed", id="seed"),
+    pytest.param(make_cookbook_scenario().replace("seed = 1", "seed = -1"), (),
+                 "SEED scenario seed must be >= 0", id="negative_seed"),
+    pytest.param(BROKER_TEXT.replace("seed = 7", "seed = -7"), (),
+                 "SEED scenario seed must be >= 0", id="broker_negative_seed"),
+    pytest.param(BROKER_TEXT.replace("repetitions = 100", "repetitions = 333335"), (),
+                 "DRAWS scenario payload sizes x load pairs x repetitions = 1000005",
+                 id="broker_draws_over_stride"),
     pytest.param(make_cookbook_scenario().replace("payload_sizes = 64", "payload_sizes = 6x"), (),
                  "payload_sizes", id="payload_sizes"),
     pytest.param(make_cookbook_scenario().replace("[script 1]", "[script one]"), (),
@@ -260,6 +269,9 @@ def add_to_broker(extra):
     pytest.param(BROKER_TEXT, ("--frames", "2"), "RUN_BOUND --frames", id="broker_frames"),
     pytest.param(BROKER_TEXT, ("--until", "1ms"), "RUN_BOUND --until", id="broker_until"),
     pytest.param(BROKER_TEXT, ("--trace", "o.trace"), "TRACE --trace", id="broker_trace"),
+    pytest.param(BROKER_TEXT, ("--seed", "-1"), "SEED --seed", id="broker_negative_seed_flag"),
+    pytest.param(make_cookbook_scenario(), ("--seed", "-1"), "SEED --seed",
+                 id="negative_seed_flag"),
 ])
 def test_malformed_value_is_located(workdir, capsys, text, flags, named):
     scn = write(workdir / "bad.scn", text)

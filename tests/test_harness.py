@@ -1,6 +1,8 @@
 """Scenario files, experiment execution, statistics, CSV contract."""
 
 import hashlib
+import math
+import random
 
 import pytest
 
@@ -93,6 +95,64 @@ payload_sizes = 1,1000000
         assert row.tx_stressed_ns == middleware.tx_time(sc.topology, row.payload_bytes, stressed, rng)
     one_pair = parse_scenario(text.replace("0.0,0.0 -> 0.5,0.75\n", ""))
     assert {r.scenario for r in run_scenario(one_pair).rows} == {"pairs"}
+
+
+UPLINK_JITTER_SCN = """
+name = skew
+mode = broker
+seed = 11
+repetitions = 6
+payload_sizes = 1,4096
+
+[broker]
+subscribers = 1
+uplink = base=150us per_byte=2ns jitter=30us
+downlink = base=90us per_byte=1ns jitter=0ns
+proc_fixed = 20us
+proc_per_byte = 5ns
+load_factor = 1.5
+
+[loads]
+0.0,0.0 -> 1.0,0.0
+0.25,0.0 -> 0.5,0.0
+"""
+
+
+def _model_tx_time(size, cpu_load, rng):
+    """The documented delay formula, written out: one rounded, clamped
+    gauss draw for the jittered uplink and none for the quiet downlink."""
+    uplink = 150_000 + 2 * size + max(0, math.floor(rng.gauss(0.0, 30_000) + 0.5))
+    processing = math.floor((20_000 + 5 * size) * (1.0 + 1.5 * cpu_load) + 0.5)
+    return uplink + processing + 90_000 + 1 * size
+
+
+def test_multi_pair_broker_rows_follow_the_documented_model():
+    sc = parse_scenario(UPLINK_JITTER_SCN)
+    expected = []
+    counter = 0
+    for payload in (1, 4096):
+        for k, (relaxed_cpu, stressed_cpu) in enumerate(((0.0, 1.0), (0.25, 0.5))):
+            for rep in range(6):
+                rng = random.Random(11 * 1_000_003 + counter)
+                counter += 1
+                relaxed = _model_tx_time(payload, relaxed_cpu, rng)
+                stressed = _model_tx_time(payload, stressed_cpu, rng)
+                expected.append(RepetitionRecord(
+                    f"skew/{k}", Mode.BROKER, rep, payload,
+                    tx_relaxed_ns=relaxed, tx_stressed_ns=stressed,
+                    tx_delay_ns=stressed - relaxed,
+                ))
+    rows = run_scenario(sc).rows
+    assert rows == expected
+    assert len({r.tx_delay_ns for r in rows}) > 4  # the jitter does move rows
+
+
+def test_draw_count_may_reach_the_seed_stride():
+    sc = parse_scenario(BROKER_SCN)  # 1 payload x 1 load pair
+    sc.repetitions = middleware.SEED_STRIDE
+    assert harness.validate_scenario(sc) == []
+    sc.repetitions += 1
+    assert [f.code for f in harness.validate_scenario(sc)] == ["DRAWS"]
 
 
 def test_parse_health_section():
@@ -383,11 +443,39 @@ def test_csv_reexport_is_byte_identical(tmp_path):
     assert hashlib.sha256(p1.read_bytes()).digest() == hashlib.sha256(p2.read_bytes()).digest()
 
 
-def test_csv_round_trip(tmp_path):
-    rows = run_scenario(parse_scenario(make_cookbook_scenario(repetitions=3))).rows
+@pytest.mark.parametrize("text", [
+    pytest.param(make_cookbook_scenario(repetitions=3), id="cookbook"),
+    pytest.param((SCENARIO_DIR / "broker.scn").read_text().replace(
+        "repetitions = 100", "repetitions = 4"), id="broker"),
+])
+def test_csv_round_trip(tmp_path, text):
+    rows = run_scenario(parse_scenario(text)).rows
     path = tmp_path / "rt.csv"
     export_csv(rows, path)
     assert read_csv(path) == rows
+
+
+def test_csv_edge_cells():
+    rows = [
+        RepetitionRecord("b", Mode.BROKER, 0, 1, tx_relaxed_ns=300, tx_stressed_ns=100,
+                         tx_delay_ns=-200),
+        RepetitionRecord("p", Mode.PARTITIONED, 2, 64, t_send_ns=5, t_recv_ns=10,
+                         latency_ns=5, gap_ns=None, latency_to_gap_ratio=None),
+        RepetitionRecord("p", Mode.PARTITIONED, 3, 64, t_send_ns=0, t_recv_ns=2,
+                         latency_ns=2, gap_ns=3, latency_to_gap_ratio=2 / 3),
+        RepetitionRecord("p", Mode.PARTITIONED, 4, 64, t_send_ns=0, t_recv_ns=1_021_000,
+                         latency_ns=1_021_000, gap_ns=1_000_000, latency_to_gap_ratio=1.021),
+    ]
+    assert format_csv(rows).splitlines()[1:] == [
+        "b,broker,0,1,,,,,,300,100,-200",
+        "p,partitioned,2,64,5,10,5,,,,,",
+        "p,partitioned,3,64,0,2,2,3,0.666667,,,",
+        "p,partitioned,4,64,0,1021000,1021000,1000000,1.021000,,,",
+    ]
+
+
+def test_csv_types_cover_every_column():
+    assert len(harness._CSV_KEY_TYPES) + len(harness._CSV_VALUE_TYPES) == len(CSV_COLUMNS)
 
 
 def test_csv_malformed_rejected(tmp_path):

@@ -14,6 +14,7 @@ from partsim import (
     tx_delay,
     tx_time,
 )
+from partsim.middleware import SEED_STRIDE
 
 
 def quiet_topology(per_byte=1, k=2.0):
@@ -142,3 +143,10 @@ def test_repetition_rng_streams_are_disjoint():
     b = [repetition_rng(3, 1).random() for _ in range(4)]
     assert a != b
     assert [repetition_rng(3, 0).random() for _ in range(4)] == a
+
+
+@pytest.mark.parametrize("seed, repetition", [(-1, 1), (0, -1), (0, SEED_STRIDE)])
+def test_repetition_rng_rejects_overlapping_streams(seed, repetition):
+    """(-1, 1) would seed the stream of (0, 1_000_002)."""
+    with pytest.raises(ValueError):
+        repetition_rng(seed, repetition)
