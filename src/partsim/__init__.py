@@ -7,7 +7,7 @@ harness that sweeps payload sizes over repeated runs and reports exact
 latency statistics.
 """
 
-from .channels import Message, PortStatus, PortTable, payload_checksum
+from .channels import Message, PortStatus, PortTable
 from .config import (
     ChannelKind,
     ChannelSpec,
@@ -25,7 +25,6 @@ from .config import (
     UnknownSlot,
     XmlSyntaxError,
     parse_config,
-    serialize_config,
     transition_gap,
     validate,
 )
@@ -48,7 +47,6 @@ from .harness import (
 from .health import (
     DEFAULT_ACTIONS,
     HealthAction,
-    HealthEvent,
     HealthTable,
     HmKind,
     raise_event,
@@ -68,7 +66,7 @@ from .scheduler import (
     SimState,
     SimulationError,
 )
-from .units import Duration, format_duration, parse_duration
+from .units import Duration, parse_duration
 from .workload import AppCursor, AppScript, ScriptMode, parse_script
 
 __version__ = "0.1.0"

@@ -5,9 +5,8 @@ Ports are named per partition; a channel connects one source port to one
 delays a message's visibility: a message written at t with payload size n
 can be observed by readers no earlier than t + fixed + per_byte*n.
 
-Payload content is modeled as a size plus a deterministic checksum rather
-than stored bytes, so multi-megabyte payloads cost nothing to simulate
-while receivers can still verify message identity.
+Payload content is modeled as a size rather than stored bytes, so
+multi-megabyte payloads cost nothing to simulate.
 
 The port API is the three script actions: ``send`` writes a sampling port
 or enqueues on a queuing port, ``receive`` dequeues from a queuing port and
@@ -22,7 +21,6 @@ the engine, not here.
 from __future__ import annotations
 
 import enum
-import zlib
 from dataclasses import dataclass, field
 
 from .config import ChannelKind, ChannelSpec, SystemConfig
@@ -42,40 +40,19 @@ class PortStatus(enum.Enum):
 class Message:
     payload_size: int
     written_at: Duration
-    source_partition: int
     seq: int
-    checksum: int
-
-    def verify(self) -> bool:
-        return self.checksum == payload_checksum(
-            self.source_partition, self.seq, self.payload_size
-        )
-
-
-def payload_checksum(source_partition: int, seq: int, payload_size: int) -> int:
-    return zlib.crc32(f"{source_partition}:{seq}:{payload_size}".encode("ascii"))
 
 
 @dataclass
-class SamplingPortState:
-    """Latest-value cell.  ``writes`` holds the pending and current
-    messages as (message, visible_at) pairs in write order; a write drops
-    what it supersedes by its visibility time and all visible but the newest."""
+class PortState:
+    """One channel's held messages as (message, visible_at) pairs in write
+    order.  A queuing channel's are its bounded FIFO; a sampling channel's
+    are the pending and current values of its latest-value cell, where a
+    write drops what it supersedes by its visibility time and all visible
+    but the newest."""
 
     channel: ChannelSpec
-    writes: list[tuple[Message, Duration]] = field(default_factory=list)
-
-
-@dataclass
-class QueuingPortState:
-    """Bounded FIFO of (message, visible_at) pairs in write order."""
-
-    channel: ChannelSpec
-    fifo: list[tuple[Message, Duration]] = field(default_factory=list)
-
-
-def _held(st: SamplingPortState | QueuingPortState) -> list[tuple[Message, Duration]]:
-    return st.writes if type(st) is SamplingPortState else st.fifo
+    held: list[tuple[Message, Duration]] = field(default_factory=list)
 
 
 class PortTable:
@@ -89,36 +66,32 @@ class PortTable:
 
     def __init__(self, config: SystemConfig):
         self._copy_cost = config.copy_cost
-        self._states: list[SamplingPortState | QueuingPortState] = []
+        self._states: list[PortState] = []
         self._source_of: dict[tuple[int, str], int] = {}
         self._dest_of: dict[tuple[int, str], int] = {}
         self._next_seq: list[int] = []
         for index, ch in enumerate(config.channels):
-            if ch.kind is ChannelKind.SAMPLING:
-                self._states.append(SamplingPortState(channel=ch))
-            else:
-                self._states.append(QueuingPortState(channel=ch))
+            self._states.append(PortState(channel=ch))
             self._next_seq.append(0)
             self._source_of[(ch.source.partition_id, ch.source.port)] = index
             for d in ch.destinations:
                 self._dest_of[(d.partition_id, d.port)] = index
         self._labels = tuple(f"c{index}" for index in range(len(self._states)))
 
-    def state(self, index: int) -> SamplingPortState | QueuingPortState:
+    def state(self, index: int) -> PortState:
         return self._states[index]
 
     # -- periodic fast-forward -----------------------------------------------
 
     def snapshot(self, base: Duration) -> tuple:
         """Port contents relative to ``base``: per channel, each held
-        message's size, source, write and visible times minus ``base``, and
-        how many messages the channel has numbered since it.  Message
-        numbers and checksums are left out."""
+        message's size, write and visible times minus ``base``, and how
+        many messages the channel has numbered since it.  Message numbers
+        are left out."""
         return tuple([
             tuple([
-                (m.payload_size, m.source_partition, m.written_at - base, visible - base,
-                 next_seq - m.seq)
-                for m, visible in _held(st)
+                (m.payload_size, m.written_at - base, visible - base, next_seq - m.seq)
+                for m, visible in st.held
             ])
             for st, next_seq in zip(self._states, self._next_seq)
         ])
@@ -129,69 +102,48 @@ class PortTable:
 
     def shift(self, delay: Duration, seq_gain: list[int]) -> None:
         """Move every held message ``delay`` later and advance channel i's
-        numbering by ``seq_gain[i]``, renumbering (and re-checksumming) its
-        held messages to match."""
+        numbering by ``seq_gain[i]``, renumbering its held messages to
+        match."""
         for index, st in enumerate(self._states):
             gain = seq_gain[index]
             self._next_seq[index] += gain
-            held = _held(st)
-            for k, (m, visible) in enumerate(held):
-                seq = m.seq + gain
-                held[k] = (
-                    Message(m.payload_size, m.written_at + delay, m.source_partition, seq,
-                            payload_checksum(m.source_partition, seq, m.payload_size)),
-                    visible + delay,
-                )
-
-    def _make_message(self, index: int, partition_id: int, size: int, now: Duration) -> Message:
-        seq = self._next_seq[index]
-        self._next_seq[index] = seq + 1
-        return Message(size, now, partition_id, seq, payload_checksum(partition_id, seq, size))
+            st.held = [
+                (Message(m.payload_size, m.written_at + delay, m.seq + gain), visible + delay)
+                for m, visible in st.held
+            ]
 
     # -- port operations -----------------------------------------------------
-
-    def _write(
-        self, index: int, partition_id: int, payload_size: int, now: Duration
-    ) -> tuple[PortStatus, Message | None]:
-        st = self._states[index]
-        if payload_size > st.channel.max_message_size:
-            return PortStatus.TOO_LARGE, None
-        msg = self._make_message(index, partition_id, payload_size, now)
-        visible_at = now + self._copy_cost.of(payload_size)
-        # what becomes visible no earlier than this newer message, or is
-        # hidden by a newer visible one, can never be read again
-        held = [e for e in st.writes if e[1] < visible_at] + [(msg, visible_at)]
-        visible = sum(1 for e in held if e[1] <= now)  # a prefix of held
-        st.writes = held[max(visible - 1, 0):]
-        return PortStatus.OK, msg
-
-    def _enqueue(
-        self, index: int, partition_id: int, payload_size: int, now: Duration
-    ) -> tuple[PortStatus, Message | None]:
-        st = self._states[index]
-        if payload_size > st.channel.max_message_size:
-            return PortStatus.TOO_LARGE, None
-        if len(st.fifo) >= (st.channel.capacity or 0):
-            return PortStatus.FULL, None
-        msg = self._make_message(index, partition_id, payload_size, now)
-        st.fifo.append((msg, now + self._copy_cost.of(payload_size)))
-        return PortStatus.OK, msg
 
     def send(
         self, partition_id: int, port: str, payload_size: int, now: Duration
     ) -> tuple[PortStatus, Message | None, str, str]:
-        """SEND script action: write or enqueue depending on channel kind.
-
-        Returns (status, message, channel label, op token).
-        """
+        """SEND script action: write a sampling port or enqueue on a queuing
+        port.  Returns (status, message, channel label, op token)."""
         index = self._source_of.get((partition_id, port))
         if index is None:
             return PortStatus.NOT_OWNER, None, "-", "SEND"
-        if type(self._states[index]) is SamplingPortState:
-            status, msg = self._write(index, partition_id, payload_size, now)
-            return status, msg, self._labels[index], "WRITE"
-        status, msg = self._enqueue(index, partition_id, payload_size, now)
-        return status, msg, self._labels[index], "SEND"
+        label = self._labels[index]
+        st = self._states[index]
+        ch = st.channel
+        queuing = ch.kind is ChannelKind.QUEUING
+        op = "SEND" if queuing else "WRITE"
+        if payload_size > ch.max_message_size:
+            return PortStatus.TOO_LARGE, None, label, op
+        if queuing and len(st.held) >= (ch.capacity or 0):
+            return PortStatus.FULL, None, label, op
+        seq = self._next_seq[index]
+        self._next_seq[index] = seq + 1
+        msg = Message(payload_size, now, seq)
+        visible_at = now + self._copy_cost.of(payload_size)
+        if queuing:
+            st.held.append((msg, visible_at))
+        else:
+            # what becomes visible no earlier than this newer message, or is
+            # hidden by a newer visible one, can never be read again
+            held = [e for e in st.held if e[1] < visible_at] + [(msg, visible_at)]
+            visible = sum(1 for e in held if e[1] <= now)  # a prefix of held
+            st.held = held[max(visible - 1, 0):]
+        return PortStatus.OK, msg, label, op
 
     def receive(
         self, partition_id: int, port: str, now: Duration
@@ -203,12 +155,12 @@ class PortTable:
             return PortStatus.NOT_OWNER, None, "-", "RECV"
         label = self._labels[index]
         st = self._states[index]
-        if type(st) is not QueuingPortState:
+        if st.channel.kind is not ChannelKind.QUEUING:
             return PortStatus.BAD_KIND, None, label, "RECV"
         # strict FIFO: a later message never bypasses an in-flight head
-        if not st.fifo or st.fifo[0][1] > now:
+        if not st.held or st.held[0][1] > now:
             return PortStatus.EMPTY, None, label, "RECV"
-        msg, _ = st.fifo.pop(0)
+        msg, _ = st.held.pop(0)
         return PortStatus.OK, msg, label, "RECV"
 
     def read(
@@ -222,13 +174,13 @@ class PortTable:
             return PortStatus.NOT_OWNER, None, False, "-", "READ"
         label = self._labels[index]
         st = self._states[index]
-        if type(st) is not SamplingPortState:
+        if st.channel.kind is not ChannelKind.SAMPLING:
             return PortStatus.BAD_KIND, None, False, label, "READ"
-        visible = [e for e in st.writes if e[1] <= now]
+        visible = [e for e in st.held if e[1] <= now]
         if not visible:
             return PortStatus.EMPTY, None, False, label, "READ"
         msg = visible[-1][0]  # write order == (written_at, seq) order
-        st.writes = [e for e in st.writes if e[0] is msg or e[1] > now]
+        st.held = [e for e in st.held if e[0] is msg or e[1] > now]
         refresh = st.channel.refresh_period or 0
         valid = (now - msg.written_at) <= refresh
         return PortStatus.OK, msg, valid, label, "READ"

@@ -42,13 +42,7 @@ import enum
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
-from .units import (
-    Duration,
-    NegativeDuration,
-    UnitError,
-    format_duration,
-    parse_duration,
-)
+from .units import Duration, NegativeDuration, UnitError, parse_duration
 
 ADDRESS_BITS = 64
 ADDRESS_LIMIT = 1 << ADDRESS_BITS
@@ -386,57 +380,6 @@ def parse_config(text: str) -> SystemConfig:
         channels=tuple(channels),
         copy_cost=copy_cost,
     )
-
-
-def serialize_config(cfg: SystemConfig) -> str:
-    """Render a SystemConfig back to its canonical XML form.
-
-    parse -> serialize -> parse is the identity on the parsed value.
-    """
-    root = ET.Element("SystemDescription", majorFrame=format_duration(cfg.plan.major_frame))
-    table = ET.SubElement(root, "PartitionTable")
-    for p in cfg.partitions:
-        pe = ET.SubElement(table, "Partition", id=str(p.id), name=p.name)
-        for area in p.memory_areas:
-            ET.SubElement(pe, "MemoryArea", start=f"0x{area.start:x}", size=f"0x{area.size:x}")
-    schedule = ET.SubElement(root, "Schedule")
-    for s in cfg.plan.slots:
-        ET.SubElement(
-            schedule,
-            "Slot",
-            id=str(s.slot_id),
-            partition=str(s.partition_id),
-            start=format_duration(s.start),
-            duration=format_duration(s.duration),
-        )
-    if cfg.channels:
-        channels = ET.SubElement(root, "Channels")
-        for ch in cfg.channels:
-            if ch.kind is ChannelKind.SAMPLING:
-                ce = ET.SubElement(
-                    channels,
-                    "SamplingChannel",
-                    maxMessageSize=str(ch.max_message_size),
-                    refreshPeriod=format_duration(ch.refresh_period or 0),
-                )
-            else:
-                ce = ET.SubElement(
-                    channels,
-                    "QueuingChannel",
-                    maxMessageSize=str(ch.max_message_size),
-                    maxNoMessages=str(ch.capacity or 0),
-                )
-            ET.SubElement(ce, "Source", partition=str(ch.source.partition_id), port=ch.source.port)
-            for d in ch.destinations:
-                ET.SubElement(ce, "Destination", partition=str(d.partition_id), port=d.port)
-    ET.SubElement(
-        root,
-        "Hypervisor",
-        copyCostFixed=format_duration(cfg.copy_cost.fixed),
-        copyCostPerByte=format_duration(cfg.copy_cost.per_byte),
-    )
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode") + "\n"
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ repetition count, and the RNG seed::
     mode = partitioned            # or: broker
     seed = 1
     repetitions = 100
-    payload_sizes = 64            # comma-separated byte counts
+    payload_sizes = 64            # comma-separated distinct byte counts
     max_frames = 2                # per-simulation run bound (partitioned)
     api_call_cost = 0ns
 
@@ -17,7 +17,7 @@ repetition count, and the RNG seed::
     <SystemDescription ...> ... </SystemDescription>
 
     [script 0]                    # one section per partition id
-    mode = once                   # or: repeat
+    mode = once                   # or: repeat; at most once
     compute 100us
     send out $payload
     mark tx
@@ -298,22 +298,26 @@ def _parse_health(lines: list[str]) -> HealthTable:
     return table
 
 
+_SCRIPT_MODES = {"once": ScriptMode.ONCE, "repeat": ScriptMode.REPEAT_EACH_SLOT}
+
+
 def _parse_script_section(lines: list[str], partition_id: int) -> AppScript:
-    mode = ScriptMode.ONCE
+    """``mode = once|repeat`` at most once; every other line is an action."""
+    mode = None
     action_lines = []
     for line in lines:
         stripped = line.strip()
-        if stripped.lower().startswith("mode") and "=" in stripped:
-            value = stripped.partition("=")[2].strip().lower()
-            if value == "once":
-                mode = ScriptMode.ONCE
-            elif value == "repeat":
-                mode = ScriptMode.REPEAT_EACH_SLOT
-            else:
-                raise ScenarioError(f"[script {partition_id}]: unknown mode {value!r}")
-        else:
+        key, sep, value = stripped.partition("=")
+        if not sep or key.strip().lower() != "mode":
             action_lines.append(stripped)
-    return workload.parse_script(action_lines, partition_id, mode)
+        elif mode is not None:
+            raise ScenarioError(f"[script {partition_id}] mode: duplicate key")
+        else:
+            value = value.strip().lower()
+            mode = _SCRIPT_MODES.get(value)
+            if mode is None:
+                raise ScenarioError(f"[script {partition_id}]: unknown mode {value!r}")
+    return workload.parse_script(action_lines, partition_id, mode or ScriptMode.ONCE)
 
 
 def _parse_loads(lines: list[str]) -> list[tuple[LoadProfile, LoadProfile]]:
@@ -440,6 +444,8 @@ def validate_scenario(sc: Scenario) -> list[Finding]:
         err("REPETITIONS", "scenario", "repetitions must be >= 1")
     if not sc.payload_sizes or any(p <= 0 for p in sc.payload_sizes):
         err("PAYLOAD", "scenario", "payload sizes must be positive")
+    if len(set(sc.payload_sizes)) != len(sc.payload_sizes):
+        err("PAYLOAD", "scenario", "payload sizes must be distinct")
     if sc.max_frames < 1:
         err("MAX_FRAMES", "scenario", "max_frames must be >= 1")
     if sc.seed < 0:

@@ -1,11 +1,13 @@
 """Health monitoring: anomaly events, action resolution, propagation.
 
-The engine raises two kinds of anomaly as HealthEvents: a slot overrun,
-when the planner finds a running COMPUTE truncated by its slot end, and a
-memory violation, when a port call names a port its partition does not
-own.  A HealthTable maps (kind, partition) to the action the hypervisor
-applies; per-partition overrides fall back to a per-kind default, which
-must exist for every kind.
+The engine raises two kinds of anomaly with
+``raise_event(state, kind, partition_id, detail)``: a slot overrun, when
+the planner finds a running COMPUTE truncated by its slot end (the detail
+is the overrun in ns), and a memory violation, when a port call names a
+port its partition does not own (the detail is ``"<op> <port>"``).  A
+HealthTable maps (kind, partition) to the action the hypervisor applies;
+per-partition overrides fall back to a per-kind default, which must exist
+for every kind.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import trace
-from .units import Duration
 
 if TYPE_CHECKING:  # engine type only needed for annotations
     from .scheduler import SimState
@@ -31,19 +32,6 @@ class HealthAction(enum.Enum):
     SUSPEND_PARTITION = "SUSPEND_PARTITION"
     HALT_PARTITION = "HALT_PARTITION"
     HALT_SYSTEM = "HALT_SYSTEM"
-
-
-@dataclass(frozen=True)
-class HealthEvent:
-    time: Duration
-    kind: HmKind
-    source_partition: int
-    detail: str = ""
-    overrun_amount: Duration = 0
-
-    def __post_init__(self) -> None:
-        if (self.overrun_amount > 0) != (self.kind is HmKind.SLOT_OVERRUN):
-            raise ValueError("overrun_amount > 0 exactly for SLOT_OVERRUN events")
 
 
 #: Overruns are logged so experiments keep running; violations of
@@ -74,26 +62,23 @@ class HealthTable:
         self.overrides[(kind, partition_id)] = action
 
 
-def raise_event(state: SimState, ev: HealthEvent) -> None:
-    """Record the event and apply its resolved action.
+def raise_event(state: SimState, kind: HmKind, partition_id: int, detail: str) -> None:
+    """Record an anomaly of ``kind`` in ``partition_id`` at ``state.now``
+    and apply its resolved action.
 
-    The HM_EVENT line plus an HM resolution line addressed to the source
-    partition go to the trace; the action then mutates at most the source
+    The HM_EVENT line plus an HM resolution line addressed to the
+    partition go to the trace; the action then mutates at most that
     partition (or ends the run for HALT_SYSTEM).
     """
-    if ev.time != state.now:
-        raise ValueError(f"health event time {ev.time} != now {state.now}")
-    action = state.health_table.resolve(ev.kind, ev.source_partition)
-    state.record_event(ev.time, "HM_EVENT", ev.source_partition)
-    detail = str(ev.overrun_amount) if ev.kind is HmKind.SLOT_OVERRUN else ev.detail
-    state.trace.append(
-        trace.HmRecord(ev.time, ev.kind.value, ev.source_partition, action.value, detail)
-    )
+    now = state.now
+    action = state.health_table.resolve(kind, partition_id)
+    state.record_event(now, "HM_EVENT", partition_id)
+    state.trace.append(trace.HmRecord(now, kind.value, partition_id, action.value, detail))
     if action is HealthAction.LOG:
         return
     if action is HealthAction.SUSPEND_PARTITION:
-        state.suspend_if_normal(ev.source_partition)
+        state.suspend_if_normal(partition_id)
     elif action is HealthAction.HALT_PARTITION:
-        state.halt_partition(ev.source_partition)
+        state.halt_partition(partition_id)
     elif action is HealthAction.HALT_SYSTEM:
         state.halt_system()

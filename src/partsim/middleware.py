@@ -85,14 +85,9 @@ class BrokerTopology:
             raise ValueError(f"load_factor must be finite and >= 0, got {self.load_factor}")
 
 
-def default_topology(jitter: bool = True) -> BrokerTopology:
+def default_topology() -> BrokerTopology:
     """The calibrated demo topology (see module docstring)."""
-    stddev = DEFAULT_JITTER_STDDEV if jitter else 0
-    link = LinkModel(
-        base_latency=DEFAULT_LINK_BASE,
-        per_byte=DEFAULT_LINK_PER_BYTE,
-        jitter_stddev=stddev,
-    )
+    link = LinkModel(DEFAULT_LINK_BASE, DEFAULT_LINK_PER_BYTE, DEFAULT_JITTER_STDDEV)
     return BrokerTopology(uplink=link, downlink=link)
 
 

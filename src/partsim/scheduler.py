@@ -28,8 +28,8 @@ holding both.  ``run_until`` is the only way to apply events.
 A cyclic system is built to repeat, so the engine fast-forwards over the
 repeats.  At every FRAME_WRAP it takes a fingerprint of its state relative
 to the frame start: the partition states, each cursor's index and carry,
-each port's held messages (times relative; message numbers and checksums
-left out, but not how many messages the channel numbered since each), the
+each port's held messages (times relative; message numbers left out,
+but not how many messages the channel numbered since each), the
 pending events (times relative, each epoch reduced to "is the partition's
 current epoch") and the halt flag.  The rest of the run depends only on
 these; the per-partition trace ``seq`` and the per-channel message numbers
@@ -420,18 +420,8 @@ class SimState:
                 return
             # the planner posts only real overruns: demanded > remaining
             overrun = demanded - remaining
-            health_mod.raise_event(self, health_mod.HealthEvent(
-                time=self.now,
-                kind=health_mod.HmKind.SLOT_OVERRUN,
-                source_partition=pid,
-                overrun_amount=overrun,
-            ))
+            health_mod.raise_event(self, health_mod.HmKind.SLOT_OVERRUN, pid, str(overrun))
             # the truncated COMPUTE resumes in the next slot
             self.cursors[pid].carry = overrun
         else:
-            health_mod.raise_event(self, health_mod.HealthEvent(
-                time=self.now,
-                kind=health_mod.HmKind.MEMORY_VIOLATION,
-                source_partition=pid,
-                detail=payload[2],
-            ))
+            health_mod.raise_event(self, health_mod.HmKind.MEMORY_VIOLATION, pid, payload[2])

@@ -36,12 +36,3 @@ def parse_duration(text: str) -> Duration:
         raise NegativeDuration(f"negative duration {text!r}")
     return value
 
-
-def format_duration(ns: Duration) -> str:
-    """Render nanoseconds with the largest unit that divides evenly."""
-    if ns < 0:
-        return f"{ns}ns"
-    for suffix, factor in (("s", S), ("ms", MS), ("us", US)):
-        if ns != 0 and ns % factor == 0:
-            return f"{ns // factor}{suffix}"
-    return f"{ns}ns"

@@ -10,6 +10,8 @@ import random
 import time
 
 from partsim import (
+    BrokerTopology,
+    LinkModel,
     LoadProfile,
     PartitionState,
     SimState,
@@ -197,7 +199,7 @@ def test_07_tx_delay_formula():
     """Equal loads with zero jitter: delay identically 0.  Equal loads with
     jitter: mean over 1,000 repetitions within 3 standard errors of 0.
     Full vs idle load at default calibration: 1 MB mean delay in [4, 6] ms."""
-    quiet = default_topology(jitter=False)
+    quiet = BrokerTopology(LinkModel(200_000), LinkModel(200_000))
     load = LoadProfile(0.7, 0.3)
     for rep in range(100):
         rng = repetition_rng(1, rep)

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from partsim import PortStatus, PortTable, parse_config
-from partsim.channels import payload_checksum
 
 from conftest import COOKBOOK_XML, SAMPLING_XML
 
@@ -69,13 +68,6 @@ def test_sampling_validity_window(sampling_ports):
     assert sampling_ports.read(1, "in", 2_000_000)[2] is True  # exactly at bound
 
 
-def test_checksum_verifies(sampling_ports):
-    sampling_ports.send(0, "out", 8, 0)
-    _, msg, *_ = sampling_ports.read(1, "in", 0)
-    assert msg.verify()
-    assert msg.checksum == payload_checksum(0, 0, 8)
-
-
 def test_queuing_fifo_and_full(queuing_ports):
     for i in range(16):
         status, *_ = queuing_ports.send(0, "out", 8, i)
@@ -104,9 +96,9 @@ def test_queuing_receive_after_decrease(queuing_ports):
     queuing_ports.send(0, "out", 8, 0)
     queuing_ports.send(0, "out", 8, 1)
     state = queuing_ports.state(0)
-    assert len(state.fifo) == 2
+    assert len(state.held) == 2
     queuing_ports.receive(1, "in", 5)
-    assert len(state.fifo) == 1
+    assert len(state.held) == 1
 
 
 def test_queuing_head_gates_visibility():
@@ -123,10 +115,10 @@ def test_queuing_head_gates_visibility():
 
 def test_non_owner_leaves_state_unchanged(queuing_ports):
     queuing_ports.send(0, "out", 8, 0)
-    before = copy.deepcopy(queuing_ports.state(0).fifo)
+    before = copy.deepcopy(queuing_ports.state(0).held)
     assert queuing_ports.send(1, "out", 8, 1)[0] is PortStatus.NOT_OWNER
     assert queuing_ports.receive(0, "in", 1)[0] is PortStatus.NOT_OWNER
-    assert queuing_ports.state(0).fifo == before
+    assert queuing_ports.state(0).held == before
 
 
 def test_wrong_kind_ops(queuing_ports, sampling_ports):

@@ -221,6 +221,11 @@ def add_to_broker(extra):
                  id="broker_draws_over_stride"),
     pytest.param(make_cookbook_scenario().replace("payload_sizes = 64", "payload_sizes = 6x"), (),
                  "payload_sizes", id="payload_sizes"),
+    pytest.param(make_cookbook_scenario(payloads="64,8,64"), (),
+                 "PAYLOAD scenario payload sizes must be distinct", id="duplicate_payload"),
+    pytest.param(BROKER_TEXT.replace("payload_sizes = 1,1000000,6000000", "payload_sizes = 1,1"),
+                 (), "PAYLOAD scenario payload sizes must be distinct",
+                 id="broker_duplicate_payload"),
     pytest.param(make_cookbook_scenario().replace("[script 1]", "[script one]"), (),
                  "[script one]", id="script_id"),
     pytest.param(make_cookbook_scenario().replace("compute 100us", "compute 100xs"), (),
@@ -242,6 +247,15 @@ def add_to_broker(extra):
     pytest.param(make_cookbook_scenario(extra_sections=(
         "[health]\nMEMORY_VIOLATION 1 = LOG\nMEMORY_VIOLATION 1 = HALT_SYSTEM\n")), (),
         "[health] MEMORY_VIOLATION 1: duplicate key", id="duplicate_health_key"),
+    pytest.param(make_cookbook_scenario().replace("mode = once\nrecv", "modes = repeat\nrecv"),
+                 (), "[script 1]: partition 1: unrecognized action 'modes = repeat'",
+                 id="script_modes_key"),
+    pytest.param(make_cookbook_scenario().replace("mode = once\nrecv", "modefoo = repeat\nrecv"),
+                 (), "[script 1]: partition 1: unrecognized action 'modefoo = repeat'",
+                 id="script_modefoo_key"),
+    pytest.param(make_cookbook_scenario().replace("mode = once\nrecv",
+                                                  "mode = once\nmode = repeat\nrecv"),
+                 (), "[script 1] mode: duplicate key", id="duplicate_script_mode"),
     pytest.param(make_cookbook_scenario().replace("[script 1]", "[script 1 junk]"), (),
                  "[script 1 junk]", id="script_junk"),
     pytest.param(make_cookbook_scenario(extra_sections="[health]\nTRAP = HALT_SYSTEM\n"), (),

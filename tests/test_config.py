@@ -12,7 +12,6 @@ from partsim import (
     XmlSyntaxError,
     parse_config,
     parse_duration,
-    serialize_config,
     transition_gap,
     validate,
 )
@@ -46,14 +45,6 @@ def test_unit_conversion():
     assert parse_duration("1ms") == 1_000_000
     assert parse_duration("3s") == 3_000_000_000
     assert parse_duration("7ns") == 7
-
-
-def test_cookbook_round_trip():
-    first = parse_config(COOKBOOK_XML)
-    again = parse_config(serialize_config(first))
-    assert again == first  # field-by-field dataclass equality
-    # idempotent normalization: parse . serialize . parse == parse
-    assert parse_config(serialize_config(again)) == again
 
 
 def test_addresses_accept_decimal_and_hex():
@@ -261,6 +252,7 @@ def test_empty_report_implies_disjoint_slots_within_frame():
 
 @given(st.integers(min_value=0, max_value=10**12))
 def test_duration_literal_round_trip(ns):
-    from partsim import format_duration
-
-    assert parse_duration(format_duration(ns)) == ns
+    assert parse_duration(f"{ns}ns") == ns
+    for suffix, factor in (("us", 1_000), ("ms", 1_000_000), ("s", 1_000_000_000)):
+        if ns % factor == 0:
+            assert parse_duration(f"{ns // factor}{suffix}") == ns

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from partsim import (
     AppCursor,
     HealthAction,
-    HealthEvent,
     HealthTable,
     HmKind,
     PartitionState,
@@ -43,13 +42,6 @@ def test_override_beats_default():
 def test_incomplete_table_rejected():
     with pytest.raises(ValueError):
         HealthTable(defaults={HmKind.MEMORY_VIOLATION: HealthAction.LOG})
-
-
-def test_overrun_amount_field_guard():
-    with pytest.raises(ValueError):
-        HealthEvent(time=0, kind=HmKind.MEMORY_VIOLATION, source_partition=0, overrun_amount=5)
-    with pytest.raises(ValueError):
-        HealthEvent(time=0, kind=HmKind.SLOT_OVERRUN, source_partition=0)
 
 
 def check_overrun(demanded, remaining, start):
@@ -99,8 +91,7 @@ def test_detect_overrun_property(demanded, remaining, start):
 def test_log_action_changes_no_state(cookbook):
     sim = SimState(cookbook).boot()
     states_before = dict(sim.partition_states)
-    raise_event(sim, HealthEvent(time=0, kind=HmKind.SLOT_OVERRUN, source_partition=0,
-                                 overrun_amount=7))
+    raise_event(sim, HmKind.SLOT_OVERRUN, 0, "7")
     hm_events = [r for r in sim.trace if isinstance(r, EventRecord) and r.kind == "HM_EVENT"]
     hm_records = [r for r in sim.trace if isinstance(r, HmRecord)]
     assert len(hm_events) == 1 and len(hm_records) == 1
@@ -108,18 +99,10 @@ def test_log_action_changes_no_state(cookbook):
     assert sim.partition_states == states_before
 
 
-def test_raise_requires_current_time(cookbook):
-    sim = SimState(cookbook).boot()
-    with pytest.raises(ValueError):
-        raise_event(sim, HealthEvent(time=99, kind=HmKind.MEMORY_VIOLATION, source_partition=0))
-
-
 def test_every_event_appears_once_with_action(cookbook):
     sim = SimState(cookbook).boot()
-    raise_event(sim, HealthEvent(time=0, kind=HmKind.SLOT_OVERRUN, source_partition=1,
-                                 overrun_amount=3))
-    raise_event(sim, HealthEvent(time=0, kind=HmKind.MEMORY_VIOLATION, source_partition=1,
-                                 detail="SEND out"))
+    raise_event(sim, HmKind.SLOT_OVERRUN, 1, "3")
+    raise_event(sim, HmKind.MEMORY_VIOLATION, 1, "SEND out")
     hm_lines = [r for r in sim.trace if isinstance(r, HmRecord)]
     assert [(r.kind, r.action, r.detail) for r in hm_lines] == [
         ("SLOT_OVERRUN", "LOG", "3"),
@@ -132,7 +115,7 @@ def test_halt_system_ends_run(cookbook):
     table.set_default(HmKind.MEMORY_VIOLATION, HealthAction.HALT_SYSTEM)
     sim = SimState(cookbook, health_table=table).boot()
     sim.run_until(250_000)
-    raise_event(sim, HealthEvent(time=250_000, kind=HmKind.MEMORY_VIOLATION, source_partition=0))
+    raise_event(sim, HmKind.MEMORY_VIOLATION, 0, "SEND out")
     assert sim.halted
     sim.run_until(10_000_000)
     assert all(r.time <= 250_000 for r in sim.trace)
@@ -170,6 +153,7 @@ def test_memory_violation_suspends_writer(sampling_config):
     sim.run_until(2_000_000)
     assert sim.partition_states[1] is PartitionState.SUSPENDED
     hm = [r for r in sim.trace if isinstance(r, HmRecord)]
-    assert [r.kind for r in hm] == ["MEMORY_VIOLATION"]
+    # the engine builds the detail from the offending op and port
+    assert [r.line() for r in hm] == ["500000,HM,MEMORY_VIOLATION,1,SUSPEND_PARTITION,SEND out"]
     # the violation suspends before the same-time follow-up action runs
     assert [r for r in sim.trace if getattr(r, "label", None) == "after"] == []

@@ -579,10 +579,10 @@ def test_write_only_sampling_channel_keeps_one_visible_message(plan_calls):
         framed.run_until(t)
         for index in range(3):
             # as of its last write, a channel holds one visible message at most
-            writes = framed.ports.state(index).writes
-            last = max((m.written_at for m, _ in writes), default=0)
-            assert sum(1 for _, visible in writes if visible <= last) <= 1
-            assert len(writes) <= 2  # the writes lie further apart than the copy cost
+            held = framed.ports.state(index).held
+            last = max((m.written_at for m, _ in held), default=0)
+            assert sum(1 for _, visible in held if visible <= last) <= 1
+            assert len(held) <= 2  # the writes lie further apart than the copy cost
     assert format_trace(whole.trace) == format_trace(framed.trace)
     assert engine_state(whole) == engine_state(framed)
     actions = sum(len(s.actions) for s in whole.scripts.values())

@@ -138,9 +138,9 @@ def test_send_timestamp_is_dispatch_time(cookbook):
     scripts = {0: parse_script(["compute 123us", "send out 8"], 0)}
     sim = SimState(cookbook, scripts=scripts).boot()
     sim.run_until(999_999)
-    fifo = sim.ports.state(0).fifo
-    assert len(fifo) == 1
-    assert fifo[0][0].written_at == 123_000
+    held = sim.ports.state(0).held
+    assert len(held) == 1
+    assert held[0][0].written_at == 123_000
 
 
 def test_identical_runs_give_identical_marks(cookbook):
