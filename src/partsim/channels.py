@@ -40,7 +40,6 @@ class PortStatus(enum.Enum):
 class Message:
     payload_size: int
     written_at: Duration
-    seq: int
 
 
 @dataclass
@@ -69,10 +68,8 @@ class PortTable:
         self._states: list[PortState] = []
         self._source_of: dict[tuple[int, str], int] = {}
         self._dest_of: dict[tuple[int, str], int] = {}
-        self._next_seq: list[int] = []
         for index, ch in enumerate(config.channels):
             self._states.append(PortState(channel=ch))
-            self._next_seq.append(0)
             self._source_of[(ch.source.partition_id, ch.source.port)] = index
             for d in ch.destinations:
                 self._dest_of[(d.partition_id, d.port)] = index
@@ -85,30 +82,17 @@ class PortTable:
 
     def snapshot(self, base: Duration) -> tuple:
         """Port contents relative to ``base``: per channel, each held
-        message's size, write and visible times minus ``base``, and how
-        many messages the channel has numbered since it.  Message numbers
-        are left out."""
+        message's size and its write and visible times minus ``base``."""
         return tuple([
-            tuple([
-                (m.payload_size, m.written_at - base, visible - base, next_seq - m.seq)
-                for m, visible in st.held
-            ])
-            for st, next_seq in zip(self._states, self._next_seq)
+            tuple([(m.payload_size, m.written_at - base, visible - base) for m, visible in st.held])
+            for st in self._states
         ])
 
-    def seq_counters(self) -> tuple[int, ...]:
-        """Each channel's next message number."""
-        return tuple(self._next_seq)
-
-    def shift(self, delay: Duration, seq_gain: list[int]) -> None:
-        """Move every held message ``delay`` later and advance channel i's
-        numbering by ``seq_gain[i]``, renumbering its held messages to
-        match."""
-        for index, st in enumerate(self._states):
-            gain = seq_gain[index]
-            self._next_seq[index] += gain
+    def shift(self, delay: Duration) -> None:
+        """Move every held message ``delay`` later."""
+        for st in self._states:
             st.held = [
-                (Message(m.payload_size, m.written_at + delay, m.seq + gain), visible + delay)
+                (Message(m.payload_size, m.written_at + delay), visible + delay)
                 for m, visible in st.held
             ]
 
@@ -131,9 +115,7 @@ class PortTable:
             return PortStatus.TOO_LARGE, None, label, op
         if queuing and len(st.held) >= (ch.capacity or 0):
             return PortStatus.FULL, None, label, op
-        seq = self._next_seq[index]
-        self._next_seq[index] = seq + 1
-        msg = Message(payload_size, now, seq)
+        msg = Message(payload_size, now)
         visible_at = now + self._copy_cost.of(payload_size)
         if queuing:
             st.held.append((msg, visible_at))
@@ -179,7 +161,7 @@ class PortTable:
         visible = [e for e in st.held if e[1] <= now]
         if not visible:
             return PortStatus.EMPTY, None, False, label, "READ"
-        msg = visible[-1][0]  # write order == (written_at, seq) order
+        msg = visible[-1][0]  # the newest visible: held is in write order
         st.held = [e for e in st.held if e[0] is msg or e[1] > now]
         refresh = st.channel.refresh_period or 0
         valid = (now - msg.written_at) <= refresh

@@ -114,7 +114,7 @@ def _cmd_run(args) -> int:
         return EXIT_FINDINGS
 
     if args.trace and scenario.mode is harness.Mode.BROKER:
-        print(config_mod.Finding("TRACE", "ERROR", "--trace", "a broker scenario has no trace"))
+        print(config_mod.Finding("TRACE", "--trace", "a broker scenario has no trace"))
         return EXIT_FINDINGS
     try:
         result = harness.run_scenario(scenario, until=until, frames=args.frames, seed=seed)

@@ -152,12 +152,11 @@ class Finding:
     """One validation finding; findings are data, never exceptions."""
 
     code: str
-    severity: str
     location: str
     message: str
 
     def __str__(self) -> str:
-        return f"{self.severity} {self.code} {self.location} {self.message}"
+        return f"ERROR {self.code} {self.location} {self.message}"
 
 
 # --------------------------------------------------------------------------
@@ -400,7 +399,7 @@ def validate(cfg: SystemConfig) -> list[Finding]:
     findings: list[Finding] = []
 
     def err(code: str, location: str, message: str) -> None:
-        findings.append(Finding(code=code, severity="ERROR", location=location, message=message))
+        findings.append(Finding(code, location, message))
 
     if not cfg.partitions:
         err("NO_PARTITIONS", "PartitionTable", "at least one partition is required")

@@ -147,8 +147,6 @@ _CSV_VALUE_TYPES = (int, int, int, int, float, int, int, int)
 
 @dataclass
 class RunResult:
-    scenario: str
-    mode: Mode
     rows: list[RepetitionRecord]
     trace: trace_mod.PeriodicTrace | None = None
     halted: bool = False
@@ -224,18 +222,19 @@ def _convert(where: str, convert, text: str):
 
 
 def _parse_link(value: str) -> LinkModel:
-    base, per_byte, jitter = 0, 0, 0
+    """``base=``, ``per_byte=`` and ``jitter=`` durations, each at most
+    once and at least one of them; an omitted field is 0."""
+    fields: dict[str, Duration] = {}
     for token in value.split():
         key, _, val = token.partition("=")
-        if key == "base":
-            base = parse_duration(val)
-        elif key == "per_byte":
-            per_byte = parse_duration(val)
-        elif key == "jitter":
-            jitter = parse_duration(val)
-        else:
+        if key not in ("base", "per_byte", "jitter"):
             raise ValueError(f"unknown link field {key!r}")
-    return LinkModel(base_latency=base, per_byte=per_byte, jitter_stddev=jitter)
+        if key in fields:
+            raise ValueError(f"duplicate link field {key!r}")
+        fields[key] = parse_duration(val)
+    if not fields:
+        raise ValueError("expected base=, per_byte= or jitter= fields")
+    return LinkModel(fields.get("base", 0), fields.get("per_byte", 0), fields.get("jitter", 0))
 
 
 def _parse_load(value: str) -> LoadProfile:
@@ -332,7 +331,10 @@ def _parse_loads(lines: list[str]) -> list[tuple[LoadProfile, LoadProfile]]:
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p.strip())
+    items = text.split(",")
+    if not all(p.strip() for p in items):
+        raise ValueError(f"empty item in {text!r}")
+    return tuple(int(p) for p in items)
 
 
 # what only one mode reads: top-level keys, and sections by their first word
@@ -364,8 +366,8 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     if foreign:
         raise ScenarioError(f"{', '.join(foreign)}: not read by a {mode.value} scenario")
 
-    def value(key: str, convert, default: str):
-        return _convert(key, convert, top.get(key, default))
+    def value(key: str, convert, default):
+        return _convert(key, convert, top[key]) if key in top else default
 
     system = None
     if "system" in sections:
@@ -413,13 +415,13 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         system=system,
         topology=topology,
         scripts=scripts,
-        payload_sizes=value("payload_sizes", _parse_sizes, "") or DEFAULT_PAYLOAD_SIZES,
-        repetitions=value("repetitions", int, str(DEFAULT_REPETITIONS)),
-        seed=value("seed", int, "0"),
+        payload_sizes=value("payload_sizes", _parse_sizes, DEFAULT_PAYLOAD_SIZES),
+        repetitions=value("repetitions", int, DEFAULT_REPETITIONS),
+        seed=value("seed", int, 0),
         health_table=health_table,
         load_pairs=tuple(load_pairs),
-        api_call_cost=value("api_call_cost", parse_duration, "0ns"),
-        max_frames=value("max_frames", int, str(DEFAULT_MAX_FRAMES)),
+        api_call_cost=value("api_call_cost", parse_duration, 0),
+        max_frames=value("max_frames", int, DEFAULT_MAX_FRAMES),
     )
     findings = validate_scenario(scenario)
     if findings:
@@ -436,8 +438,10 @@ def validate_scenario(sc: Scenario) -> list[Finding]:
     findings: list[Finding] = []
 
     def err(code: str, location: str, message: str) -> None:
-        findings.append(Finding(code=code, severity="ERROR", location=location, message=message))
+        findings.append(Finding(code, location, message))
 
+    if not sc.name:
+        err("NAME", "scenario", "name must not be empty")
     if "," in sc.name:
         err("NAME", "scenario", "name must not contain ',' (it is a CSV cell)")
     if sc.repetitions < 1:
@@ -580,12 +584,11 @@ def run_scenario(
     findings = validate_scenario(sc)
     for flag, value, least in (("frames", frames, 1), ("until", until, 0)):
         if value is not None and sc.mode is Mode.BROKER:
-            findings.append(Finding("RUN_BOUND", "ERROR", f"--{flag}",
-                                    "a broker scenario has no run bound"))
+            findings.append(Finding("RUN_BOUND", f"--{flag}", "a broker scenario has no run bound"))
         elif value is not None and value < least:
-            findings.append(Finding("RUN_BOUND", "ERROR", f"--{flag}", f"{flag} must be >= {least}"))
+            findings.append(Finding("RUN_BOUND", f"--{flag}", f"{flag} must be >= {least}"))
     if seed is not None and seed < 0:
-        findings.append(Finding("SEED", "ERROR", "--seed", "seed must be >= 0"))
+        findings.append(Finding("SEED", "--seed", "seed must be >= 0"))
     if findings:
         raise ScenarioInvalid(findings)
     if sc.mode is Mode.PARTITIONED:
@@ -648,7 +651,7 @@ def _run_partitioned(
             )
             for rep in range(sc.repetitions)
         )
-    return RunResult(scenario=sc.name, mode=sc.mode, rows=rows, trace=first_trace, halted=halted)
+    return RunResult(rows, first_trace, halted)
 
 
 def _run_broker(sc: Scenario, *, seed: int) -> RunResult:
@@ -671,7 +674,7 @@ def _run_broker(sc: Scenario, *, seed: int) -> RunResult:
                     label, sc.mode, rep, payload, None, None, None, None, None,
                     relaxed_ns, stressed_ns, middleware.tx_delay(stressed_ns, relaxed_ns),
                 ))
-    return RunResult(scenario=sc.name, mode=sc.mode, rows=rows)
+    return RunResult(rows)
 
 
 # --------------------------------------------------------------------------

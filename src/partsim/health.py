@@ -6,8 +6,8 @@ the planner finds a running COMPUTE truncated by its slot end (the detail
 is the overrun in ns), and a memory violation, when a port call names a
 port its partition does not own (the detail is ``"<op> <port>"``).  A
 HealthTable maps (kind, partition) to the action the hypervisor applies;
-per-partition overrides fall back to a per-kind default, which must exist
-for every kind.
+per-partition overrides fall back to a per-kind default, which starts as
+DEFAULT_ACTIONS for every kind.
 """
 
 from __future__ import annotations
@@ -44,13 +44,9 @@ DEFAULT_ACTIONS: dict[HmKind, HealthAction] = {
 
 @dataclass
 class HealthTable:
-    defaults: dict[HmKind, HealthAction] = field(default_factory=lambda: dict(DEFAULT_ACTIONS))
+    defaults: dict[HmKind, HealthAction] = field(
+        init=False, default_factory=lambda: dict(DEFAULT_ACTIONS))
     overrides: dict[tuple[HmKind, int], HealthAction] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        missing = [k for k in HmKind if k not in self.defaults]
-        if missing:
-            raise ValueError(f"health table is missing defaults for {missing}")
 
     def resolve(self, kind: HmKind, partition_id: int) -> HealthAction:
         return self.overrides.get((kind, partition_id), self.defaults[kind])

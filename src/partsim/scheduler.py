@@ -28,18 +28,17 @@ holding both.  ``run_until`` is the only way to apply events.
 A cyclic system is built to repeat, so the engine fast-forwards over the
 repeats.  At every FRAME_WRAP it takes a fingerprint of its state relative
 to the frame start: the partition states, each cursor's index and carry,
-each port's held messages (times relative; message numbers left out,
-but not how many messages the channel numbered since each), the
-pending events (times relative, each epoch reduced to "is the partition's
-current epoch") and the halt flag.  The rest of the run depends only on
-these; the per-partition trace ``seq`` and the per-channel message numbers
-only count.  When a fingerprint equals the one of a wrap p frames earlier,
+and each port's held messages (sizes, and times relative).  Nothing else
+is live at a wrap: every slot ends by the frame end, so no slot is active
+and no event is pending, and a halted system has no more wraps.  The rest
+of the run depends only on these; the per-partition trace ``seq`` only
+counts.  When a fingerprint equals the one of a wrap p frames earlier,
 the run repeats every p frames from there on.  If m >= 1 whole periods end
 by ``t_end``, the engine has its trace repeat the last period m times
 (each copy p frames later, each partition's ``seq`` ahead by its gain per
-period), moves the clock, the timeline, the pending events and the port
-messages m*p frames forward, advances the counters as much, and simulates
-the remainder.  The trace keeps one descriptor per repeat: iterating it
+period), moves the clock, the timeline and the port messages m*p frames
+forward, advances the ``seq`` counters as much, and simulates the
+remainder.  The trace keeps one descriptor per repeat: iterating it
 builds the copies, and its file gets them as shifted line templates; every
 CSV and trace byte is that of simulating each frame.  A partition's
 lifecycle only moves forward, so no period holds a state change.
@@ -133,9 +132,9 @@ class SimState:
         self._active: tuple[int, int, Duration] | None = None  # (pid, slot_id, abs end)
         self._booted = False
         # the marked frame wrap: (fingerprint, (wrap time, built record count,
-        # _record_seq, channel counters)), wraps since it, and the wrap
-        # count at which the mark moves on; see _fast_forward
-        self._mark: tuple[tuple, tuple[Duration, int, dict[int, int], tuple[int, ...]]] | None = None
+        # _record_seq)), wraps since it, and the wrap count at which the mark
+        # moves on; see _fast_forward
+        self._mark: tuple[tuple, tuple[Duration, int, dict[int, int]]] | None = None
         self._mark_age = 0
         self._mark_reach = 1
 
@@ -166,7 +165,7 @@ class SimState:
         for pid in self.scripts:
             if pid not in self.partition_states:
                 raise ConfigInvalid(
-                    [Finding("UNKNOWN_PARTITION", "ERROR", f"script {pid}",
+                    [Finding("UNKNOWN_PARTITION", f"script {pid}",
                              "script references a partition not in the configuration")]
                 )
         self._booted = True
@@ -271,19 +270,13 @@ class SimState:
 
     def _fingerprint(self) -> tuple:
         """Everything the rest of the run depends on, relative to now."""
-        now, epoch = self.now, self._epoch
+        # at a wrap every slot has ended, and with it every app action and
+        # overrun of its slot; a halted system replays no timeline
+        assert not self._heap and self._active is None and not self.halted
         return (
             tuple(self.partition_states.values()),
             tuple([(c.index, c.carry) for c in self.cursors.values()]),
-            self.ports.snapshot(now),
-            # every slot ends by the frame end, so at a wrap no event is
-            # pending and no slot is active; both are kept for exactness
-            tuple([
-                (time - now, rank, pid, payload[0] == epoch[pid], payload[1:])
-                for time, rank, pid, _, payload in sorted(self._heap)
-            ]),
-            self._active,
-            self.halted,
+            self.ports.snapshot(self.now),
         )
 
     def _fast_forward(self, t_end: Duration) -> None:
@@ -307,7 +300,7 @@ class SimState:
                 self._mark_reach *= 2
             return
         record_seq = self._record_seq
-        then, start, seq_then, channel_seq_then = self._mark[1]
+        then, start, seq_then = self._mark[1]
         span = self.now - then
         periods = (t_end - self.now) // span
         if periods > 0:
@@ -317,18 +310,16 @@ class SimState:
             self.now += shift
             self._tl_base += shift
             self._tl_time += shift
-            self._heap = [(t + shift, rank, pid, seq, p) for t, rank, pid, seq, p in self._heap]
             for pid, g in gain.items():
                 record_seq[pid] += periods * g
-            counters = self.ports.seq_counters()
-            self.ports.shift(shift, [periods * (c - c0) for c, c0 in zip(counters, channel_seq_then)])
+            self.ports.shift(shift)
         # the cycle is known: mark its latest start, so that a later call
         # with a larger t_end matches again one period on
         self._mark = key, self._wrap_counters()
         self._mark_age = 0
 
-    def _wrap_counters(self) -> tuple[Duration, int, dict[int, int], tuple[int, ...]]:
-        return self.now, len(self.trace.built), dict(self._record_seq), self.ports.seq_counters()
+    def _wrap_counters(self) -> tuple[Duration, int, dict[int, int]]:
+        return self.now, len(self.trace.built), dict(self._record_seq)
 
     # -- handlers --------------------------------------------------------
 

@@ -78,7 +78,6 @@ Action = Compute | Send | Receive | Read | Mark
 
 @dataclass(frozen=True)
 class AppScript:
-    partition_id: int
     actions: tuple[Action, ...]
     mode: ScriptMode = ScriptMode.ONCE
 
@@ -88,7 +87,7 @@ class AppScript:
             Send(a.port, payload_size) if isinstance(a, Send) and a.size is None else a
             for a in self.actions
         )
-        return AppScript(partition_id=self.partition_id, actions=bound, mode=self.mode)
+        return AppScript(bound, self.mode)
 
 
 @dataclass
@@ -151,7 +150,7 @@ def parse_script(
             actions.append(parse_action(line))
         except ValueError as exc:
             raise ScriptError(f"partition {partition_id}: {exc}") from None
-    return AppScript(partition_id=partition_id, actions=tuple(actions), mode=mode)
+    return AppScript(tuple(actions), mode)
 
 
 def plan_until_next_action(

@@ -3,7 +3,9 @@
 These deliberately know nothing about the production implementation: a
 single cell for sampling ports, a plain bounded list for queuing ports.
 Randomized operation sequences are replayed against both and every status,
-message identity, and validity flag must match exactly.
+message identity, and validity flag must match exactly.  A message is
+identified by its (size, written_at) pair; each sequence asserts that no
+two messages it sends share one, so the identity stays exact.
 """
 
 from partsim import PortTable
@@ -16,16 +18,14 @@ class SamplingModel:
     def __init__(self, max_size, refresh):
         self.max_size = max_size
         self.refresh = refresh
-        self.cell = None  # (size, written_at, seq)
-        self.seq = 0
+        self.cell = None  # (size, written_at)
 
     def write(self, owner_ok, size, now):
         if not owner_ok:
             return "NOT_OWNER"
         if size > self.max_size:
             return "TOO_LARGE"
-        self.cell = (size, now, self.seq)
-        self.seq += 1
+        self.cell = (size, now)
         return "OK"
 
     def read(self, owner_ok, now):
@@ -33,8 +33,7 @@ class SamplingModel:
             return ("NOT_OWNER", None, False)
         if self.cell is None:
             return ("EMPTY", None, False)
-        size, written, seq = self.cell
-        return ("OK", (size, written, seq), (now - written) <= self.refresh)
+        return ("OK", self.cell, (now - self.cell[1]) <= self.refresh)
 
 
 class QueuingModel:
@@ -44,7 +43,6 @@ class QueuingModel:
         self.max_size = max_size
         self.capacity = capacity
         self.fifo = []
-        self.seq = 0
 
     def send(self, owner_ok, size, now):
         if not owner_ok:
@@ -53,8 +51,7 @@ class QueuingModel:
             return "TOO_LARGE"
         if len(self.fifo) >= self.capacity:
             return "FULL"
-        self.fifo.append((size, now, self.seq))
-        self.seq += 1
+        self.fifo.append((size, now))
         return "OK"
 
     def receive(self, owner_ok, now):
@@ -66,12 +63,21 @@ class QueuingModel:
 
 
 def msg_tuple(msg):
-    return None if msg is None else (msg.payload_size, msg.written_at, msg.seq)
+    return None if msg is None else (msg.payload_size, msg.written_at)
+
+
+def check_unique(sent, status, size, now):
+    """Record an accepted send; two sends sharing (size, written_at) would
+    make the message identity ambiguous."""
+    if status == "OK":
+        assert (size, now) not in sent, f"two messages share (size, written_at) = {(size, now)}"
+        sent.add((size, now))
 
 
 def run_sampling_sequence(config, rng, ops=40):
     ports = PortTable(config)
     model = SamplingModel(max_size=64, refresh=2_000_000)
+    sent = set()
     now = 0
     for _ in range(ops):
         now += rng.randrange(0, 500_000)
@@ -81,6 +87,7 @@ def run_sampling_sequence(config, rng, ops=40):
             status, *_ = ports.send(pid, "out" if pid == 0 else "in", size, now)
             expected = model.write(pid == 0, size, now)
             assert status.value == expected, f"write diverged at t={now}"
+            check_unique(sent, expected, size, now)
         else:
             pid = 1 if rng.random() < 0.9 else 0
             status, msg, valid, *_ = ports.read(pid, "in" if pid == 1 else "out", now)
@@ -93,6 +100,7 @@ def run_sampling_sequence(config, rng, ops=40):
 def run_queuing_sequence(config, rng, ops=40):
     ports = PortTable(config)
     model = QueuingModel(max_size=64, capacity=16)
+    sent = set()
     now = 0
     for _ in range(ops):
         now += rng.randrange(0, 500_000)
@@ -102,6 +110,7 @@ def run_queuing_sequence(config, rng, ops=40):
             status, *_ = ports.send(pid, "out" if pid == 0 else "in", size, now)
             expected = model.send(pid == 0, size, now)
             assert status.value == expected, f"send diverged at t={now}"
+            check_unique(sent, expected, size, now)
         else:
             pid = 1 if rng.random() < 0.9 else 0
             status, msg, *_ = ports.receive(pid, "in" if pid == 1 else "out", now)

@@ -30,7 +30,7 @@ def test_sampling_overwrite(sampling_ports):
     sampling_ports.send(0, "out", 16, 2_000)
     status, msg, valid, *_ = sampling_ports.read(1, "in", 3_000)
     assert status is PortStatus.OK and valid
-    assert (msg.payload_size, msg.written_at, msg.seq) == (16, 2_000, 1)
+    assert (msg.payload_size, msg.written_at) == (16, 2_000)
 
 
 def test_sampling_write_by_non_source(sampling_ports):
@@ -79,7 +79,7 @@ def test_queuing_fifo_and_full(queuing_ports):
         status, msg, *_ = queuing_ports.receive(1, "in", 1_000)
         if status is PortStatus.EMPTY:
             break
-        received.append(msg.seq)
+        received.append(msg.written_at)
     assert received == list(range(16))
 
 

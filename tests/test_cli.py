@@ -226,6 +226,26 @@ def add_to_broker(extra):
     pytest.param(BROKER_TEXT.replace("payload_sizes = 1,1000000,6000000", "payload_sizes = 1,1"),
                  (), "PAYLOAD scenario payload sizes must be distinct",
                  id="broker_duplicate_payload"),
+    pytest.param(make_cookbook_scenario().replace("name = cookbook", "name = "), (),
+                 "NAME scenario name must not be empty", id="empty_name"),
+    pytest.param(make_cookbook_scenario(payloads=""), (),
+                 "payload_sizes: empty item in ''", id="empty_payload_sizes"),
+    pytest.param(make_cookbook_scenario(payloads=","), (),
+                 "payload_sizes: empty item in ','", id="comma_payload_sizes"),
+    pytest.param(make_cookbook_scenario(payloads="64,,8"), (),
+                 "payload_sizes: empty item in '64,,8'", id="empty_payload_item"),
+    pytest.param(BROKER_TEXT.replace("payload_sizes = 1,1000000,6000000", "payload_sizes = "),
+                 (), "payload_sizes: empty item in ''", id="broker_empty_payload_sizes"),
+    pytest.param(BROKER_TEXT.replace("payload_sizes = 1,1000000,6000000", "payload_sizes = ,"),
+                 (), "payload_sizes: empty item in ','", id="broker_comma_payload_sizes"),
+    pytest.param(BROKER_TEXT.replace("payload_sizes = 1,1000000,6000000", "payload_sizes = 1,,2"),
+                 (), "payload_sizes: empty item in '1,,2'", id="broker_empty_payload_item"),
+    pytest.param(BROKER_TEXT.replace("uplink = base=200us per_byte=0ns jitter=50us",
+                                     "uplink = base=200us base=9ms jitter=0ns"),
+                 (), "[broker] uplink: duplicate link field 'base'", id="broker_duplicate_link_field"),
+    pytest.param(BROKER_TEXT.replace("uplink = base=200us per_byte=0ns jitter=50us", "uplink = "),
+                 (), "[broker] uplink: expected base=, per_byte= or jitter= fields",
+                 id="broker_empty_link"),
     pytest.param(make_cookbook_scenario().replace("[script 1]", "[script one]"), (),
                  "[script one]", id="script_id"),
     pytest.param(make_cookbook_scenario().replace("compute 100us", "compute 100xs"), (),

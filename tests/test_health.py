@@ -1,6 +1,5 @@
 """Health monitor: detection, action resolution, isolation under faults."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from partsim import (
@@ -37,11 +36,6 @@ def test_override_beats_default():
     table.set_override(HmKind.MEMORY_VIOLATION, 1, HealthAction.HALT_PARTITION)
     assert table.resolve(HmKind.MEMORY_VIOLATION, 1) is HealthAction.HALT_PARTITION
     assert table.resolve(HmKind.MEMORY_VIOLATION, 0) is HealthAction.SUSPEND_PARTITION
-
-
-def test_incomplete_table_rejected():
-    with pytest.raises(ValueError):
-        HealthTable(defaults={HmKind.MEMORY_VIOLATION: HealthAction.LOG})
 
 
 def check_overrun(demanded, remaining, start):

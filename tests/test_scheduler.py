@@ -351,14 +351,14 @@ def test_run_until_composes(cookbook):
 
 
 def engine_state(sim):
-    """The engine state a later run_until depends on, plus the message and
-    event numbering; heap entries are compared without their tie-break."""
+    """The engine state a later run_until depends on, plus the event
+    numbering; heap entries are compared without their tie-break."""
     ports = sim.ports
     return (
         sim.now, sim.halted, dict(sim.partition_states), dict(sim._epoch),
         {pid: (c.index, c.carry) for pid, c in sim.cursors.items()},
         [vars(ports.state(i)) for i in range(len(sim.config.channels))],
-        ports.seq_counters(), dict(sim._record_seq),
+        dict(sim._record_seq),
         sorted((time, rank, pid, payload) for time, rank, pid, _, payload in sim._heap),
     )
 
