@@ -56,7 +56,7 @@ def _summary_lines(rows) -> list[str]:
         f"{'gap_ns':>10} {'lat/gap':>10} {'overhead':>9}"
     )
     lines = [header]
-    for (scenario, payload), group in groups.items():
+    for (scenario, payload, _), group in groups.items():
         stats = harness.summarize(group)
         gap = str(stats.scheduled_gap) if stats.scheduled_gap is not None else "-"
         ratio = f"{stats.latency_to_gap_ratio:.6f}" if stats.latency_to_gap_ratio is not None else "-"

@@ -139,10 +139,7 @@ class RepetitionRecord(NamedTuple):
 
 
 CSV_COLUMNS = RepetitionRecord._fields
-# the type of each CSV column; every row fills the first four (key) columns,
-# while an empty value cell reads back as None
-_CSV_KEY_TYPES = (str, Mode, int, int)
-_CSV_VALUE_TYPES = (int, int, int, int, float, int, int, int)
+_MODES = {mode.value: mode for mode in Mode}  # the mode cell's text -> Mode
 
 
 @dataclass
@@ -662,18 +659,18 @@ def _run_broker(sc: Scenario, *, seed: int) -> RunResult:
     else:
         labels = [f"{sc.name}/{k}" for k in range(len(sc.load_pairs))]
     rows: list[RepetitionRecord] = []
-    counter = 0
+    counter = 0  # the row number over all conditions; it seeds the row's jitter
     for payload in sc.payload_sizes:
         for label, (relaxed, stressed) in zip(labels, sc.load_pairs):
-            for rep in range(sc.repetitions):
-                rng = middleware.repetition_rng(seed, counter)
-                counter += 1
-                relaxed_ns = middleware.tx_time(topology, payload, relaxed, rng)
-                stressed_ns = middleware.tx_time(topology, payload, stressed, rng)
-                rows.append(RepetitionRecord(
-                    label, sc.mode, rep, payload, None, None, None, None, None,
-                    relaxed_ns, stressed_ns, middleware.tx_delay(stressed_ns, relaxed_ns),
-                ))
+            times = middleware.condition_times(
+                topology, payload, relaxed, stressed, seed, counter, sc.repetitions)
+            counter += sc.repetitions
+            rows.extend(
+                RepetitionRecord(label, sc.mode, rep, payload, None, None, None, None, None,
+                                 relaxed_ns, stressed_ns,
+                                 middleware.tx_delay(stressed_ns, relaxed_ns))
+                for rep, (relaxed_ns, stressed_ns) in enumerate(times)
+            )
     return RunResult(rows)
 
 
@@ -722,10 +719,16 @@ def summarize(rows: list[RepetitionRecord]) -> SummaryStats:
     )
 
 
-def group_rows(rows: list[RepetitionRecord]) -> dict[tuple[str, int], list[RepetitionRecord]]:
-    groups: dict[tuple[str, int], list[RepetitionRecord]] = {}
+def group_rows(
+    rows: list[RepetitionRecord],
+) -> dict[tuple[str, int, str], list[RepetitionRecord]]:
+    """One group per (scenario, payload, mode text) condition, sorted, so two
+    modes never share a summary.  The key holds the mode's text, not the
+    Mode: a Mode is not orderable, and hashing one is a Python-level call
+    per row."""
+    groups: dict[tuple[str, int, str], list[RepetitionRecord]] = {}
     for r in rows:
-        groups.setdefault((r.scenario, r.payload_bytes), []).append(r)
+        groups.setdefault((r.scenario, r.payload_bytes, r.mode._value_), []).append(r)
     return dict(sorted(groups.items()))
 
 
@@ -759,18 +762,26 @@ def read_csv(path: str | Path) -> list[RepetitionRecord]:
     lines = text.splitlines()
     if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
         raise ScenarioError(f"{path}: missing or wrong CSV header")
-    n_keys = len(_CSV_KEY_TYPES)
     make = RepetitionRecord._make
     rows = []
     for number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(CSV_COLUMNS):
             raise ScenarioError(f"{path}:{number}: expected {len(CSV_COLUMNS)} fields")
+        (scenario, mode, repetition, payload, t_send, t_recv, latency, gap, ratio,
+         relaxed, stressed, delay) = cells
         try:
-            rows.append(make(
-                [t(c) for t, c in zip(_CSV_KEY_TYPES, cells)]
-                + [t(c) if c else None for t, c in zip(_CSV_VALUE_TYPES, cells[n_keys:])]
-            ))
+            # an empty value cell reads back as None
+            rows.append(make((
+                scenario, _MODES[mode], int(repetition), int(payload),
+                int(t_send) if t_send else None, int(t_recv) if t_recv else None,
+                int(latency) if latency else None, int(gap) if gap else None,
+                float(ratio) if ratio else None,
+                int(relaxed) if relaxed else None, int(stressed) if stressed else None,
+                int(delay) if delay else None,
+            )))
+        except KeyError:
+            raise ScenarioError(f"{path}:{number}: {mode!r} is not a valid Mode") from None
         except ValueError as exc:
             raise ScenarioError(f"{path}:{number}: {exc}") from None
     return rows

@@ -15,11 +15,25 @@ are load-independent.  memory_load is validated but has no effect on
 timing.
 
 Everything is deterministic given the generator passed in.  Jitter draws
-come from that generator in path order (uplink first, then downlink); the
-harness derives one generator per repetition with ``repetition_rng``,
-seeded ``seed * 1_000_003 + repetition``.  The streams of different
-(seed, repetition) pairs stay disjoint only while the seed is
-non-negative and the repetition counter stays below that stride.
+come from that generator in path order (uplink first, then downlink), one
+``Random.gauss`` call per jittered link.  ``tx_time`` is the reference
+model; ``repetition_rng`` is its reference generator for row ``c``, seeded
+``seed * 1_000_003 + c``.  The streams of different (seed, c) pairs stay
+disjoint only while the seed is non-negative and ``c`` stays below that
+stride.
+
+``condition_times`` evaluates a whole condition (one payload and one
+relaxed/stressed load pair) to the same values as calling ``tx_time``
+twice per row on ``repetition_rng(seed, c)``: relaxed first, then
+stressed, on one generator.  It computes the deterministic part
+(``base_time``) once per condition and re-seeds one generator in place
+per row.  ``Random.gauss`` draws its normals in Box-Muller pairs (the
+cosine now, the sine on the next call), so with ``L`` jittered links a
+row draws ``L`` pairs: normals ``0..L-1`` are the relaxed path's jitter
+and ``L..2L-1`` the stressed path's, normal ``i`` scaled by the
+``i % L``-th jittered link's stddev.  ``condition_times`` draws those
+pairs inline, with ``Random.gauss``'s own arithmetic; with ``L = 0`` it
+seeds nothing.
 
 The DEFAULT_* values below are a desk-scale CALIBRATION, not a
 measurement: they are chosen so that a 1 MB payload under full CPU load
@@ -30,9 +44,11 @@ scenario files.
 
 from __future__ import annotations
 
+import _random
 import math
 import random
 from dataclasses import dataclass
+from math import cos, floor, log, sin, sqrt, tau
 
 from .units import Duration
 
@@ -98,27 +114,86 @@ def repetition_rng(seed: int, repetition: int) -> random.Random:
     return random.Random(seed * SEED_STRIDE + repetition)
 
 
-def tx_time(
-    topology: BrokerTopology, size: int, load: LoadProfile, rng: random.Random
-) -> Duration:
-    """One publisher-to-subscriber transmission time in nanoseconds."""
+def base_time(topology: BrokerTopology, size: int, load: LoadProfile) -> Duration:
+    """The jitter-free transmission time: both links' base and per-byte
+    terms plus the load-scaled processing, rounded half up."""
     if size <= 0:
         raise ValueError("payload size must be positive")
     up, down = topology.uplink, topology.downlink
     processing = topology.proc_fixed + topology.proc_per_byte * size
-    t = (
+    return (
         up.base_latency + down.base_latency + (up.per_byte + down.per_byte) * size
         + math.floor(processing * (1.0 + topology.load_factor * load.cpu_load) + 0.5)
     )
-    if up.jitter_stddev > 0:
-        jitter = math.floor(rng.gauss(0.0, up.jitter_stddev) + 0.5)
-        if jitter > 0:
-            t += jitter
-    if down.jitter_stddev > 0:
-        jitter = math.floor(rng.gauss(0.0, down.jitter_stddev) + 0.5)
-        if jitter > 0:
-            t += jitter
+
+
+def tx_time(
+    topology: BrokerTopology, size: int, load: LoadProfile, rng: random.Random
+) -> Duration:
+    """One publisher-to-subscriber transmission time in nanoseconds."""
+    t = base_time(topology, size, load)
+    for link in (topology.uplink, topology.downlink):
+        if link.jitter_stddev > 0:
+            jitter = math.floor(rng.gauss(0.0, link.jitter_stddev) + 0.5)
+            if jitter > 0:
+                t += jitter
     return t
+
+
+def condition_times(
+    topology: BrokerTopology,
+    size: int,
+    relaxed: LoadProfile,
+    stressed: LoadProfile,
+    seed: int,
+    first: int,
+    count: int,
+) -> list[tuple[Duration, Duration]]:
+    """``(relaxed, stressed)`` transmission times of rows ``first`` to
+    ``first + count - 1`` of one condition; row ``c`` equals ``tx_time``
+    under ``relaxed`` and then under ``stressed`` on one
+    ``repetition_rng(seed, c)`` (see module docstring)."""
+    if seed < 0 or first < 0 or count < 0 or first + count > SEED_STRIDE:
+        raise ValueError(f"need seed >= 0 and 0 <= repetition < {SEED_STRIDE}")
+    relaxed_base = base_time(topology, size, relaxed)
+    stressed_base = base_time(topology, size, stressed)
+    sigmas = [link.jitter_stddev for link in (topology.uplink, topology.downlink)
+              if link.jitter_stddev > 0]
+    if not sigmas:
+        return [(relaxed_base, stressed_base)] * count
+    # the C base class: Random(x)'s state, without Random.seed's type checks
+    rng = _random.Random()
+    reseed, draw = rng.seed, rng.random
+    start = seed * SEED_STRIDE + first
+    times = []
+    # gauss(0.0, s) returns 0.0 + z * s, which rounds as z * s does
+    if len(sigmas) == 1:  # one pair: cosine -> relaxed, sine -> stressed
+        sigma = sigmas[0]
+        for x in range(start, start + count):
+            reseed(x)
+            x2pi = draw() * tau
+            g2rad = sqrt(-2.0 * log(1.0 - draw()))
+            jr = floor(cos(x2pi) * g2rad * sigma + 0.5)
+            js = floor(sin(x2pi) * g2rad * sigma + 0.5)
+            times.append((relaxed_base + (jr if jr > 0 else 0),
+                          stressed_base + (js if js > 0 else 0)))
+        return times
+    # two pairs, one per path: cosine -> uplink, sine -> downlink
+    sigma_up, sigma_down = sigmas
+    for x in range(start, start + count):
+        reseed(x)
+        x2pi = draw() * tau
+        g2rad = sqrt(-2.0 * log(1.0 - draw()))
+        ju = floor(cos(x2pi) * g2rad * sigma_up + 0.5)
+        jd = floor(sin(x2pi) * g2rad * sigma_down + 0.5)
+        t_relaxed = relaxed_base + (ju if ju > 0 else 0) + (jd if jd > 0 else 0)
+        x2pi = draw() * tau
+        g2rad = sqrt(-2.0 * log(1.0 - draw()))
+        ju = floor(cos(x2pi) * g2rad * sigma_up + 0.5)
+        jd = floor(sin(x2pi) * g2rad * sigma_down + 0.5)
+        times.append((t_relaxed,
+                      stressed_base + (ju if ju > 0 else 0) + (jd if jd > 0 else 0)))
+    return times
 
 
 def tx_delay(stressed: Duration, relaxed: Duration) -> Duration:

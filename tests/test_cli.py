@@ -171,6 +171,25 @@ def test_report_merges_repetition_counts(workdir, capsys):
     assert "    20 " in out  # combined n = 10 + 10
 
 
+def test_report_keeps_modes_apart(workdir, capsys):
+    """A partitioned and a broker CSV with the same scenario and payload are
+    two conditions: each mode gets its own summary line."""
+    cb = write(workdir / "cb.scn", make_cookbook_scenario(repetitions=10))
+    bk = write(workdir / "bk.scn", (SCENARIO_DIR / "broker.scn").read_text()
+               .replace("name = broker", "name = cookbook")
+               .replace("payload_sizes = 1,1000000,6000000", "payload_sizes = 64")
+               .replace("repetitions = 100", "repetitions = 20"))
+    main(["run", cb, "--out", "cb.csv"])
+    main(["run", bk, "--out", "bk.csv"])
+    capsys.readouterr()
+    assert main(["report", "cb.csv", "bk.csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split()[:4] for line in lines] == [
+        ["cookbook", "64", "20", "tx_delay"],
+        ["cookbook", "64", "10", "latency"],
+    ]
+
+
 def test_report_header_only(workdir, capsys):
     (workdir / "empty.csv").write_text(",".join(CSV_COLUMNS) + "\n")
     assert main(["report", "empty.csv"]) == 0

@@ -85,7 +85,8 @@ payload_sizes = 1,1000000
     sc = parse_scenario(text)
     rows = run_scenario(sc).rows
     groups = harness.group_rows(rows)
-    assert sorted(groups) == [(f"pairs/{k}", p) for k in (0, 1) for p in (1, 1_000_000)]
+    assert list(groups) == [(f"pairs/{k}", p, "broker")
+                            for k in (0, 1) for p in (1, 1_000_000)]
     assert all(len(g) == 40 and summarize(g).count == 40 for g in groups.values())
     # one generator per row, counted in payload -> pair -> repetition order
     for counter, row in enumerate(rows):
@@ -474,8 +475,21 @@ def test_csv_edge_cells():
     ]
 
 
-def test_csv_types_cover_every_column():
-    assert len(harness._CSV_KEY_TYPES) + len(harness._CSV_VALUE_TYPES) == len(CSV_COLUMNS)
+@pytest.mark.parametrize("row, message", [
+    ("b,broker,0,1,,,,,,300,100", "expected 12 fields"),
+    ("b,brokr,0,1,,,,,,300,100,-200", "'brokr' is not a valid Mode"),
+    ("b,,0,1,,,,,,300,100,-200", "'' is not a valid Mode"),
+    ("b,broker,x,1,,,,,,300,100,-200", "invalid literal for int() with base 10: 'x'"),
+    ("b,broker,0,,,,,,,300,100,-200", "invalid literal for int() with base 10: ''"),
+    ("p,partitioned,0,64,0,2,2,3,0.6x,,,", "could not convert string to float: '0.6x'"),
+    ("b,broker,0,1,,,,,,300,100,-2e2", "invalid literal for int() with base 10: '-2e2'"),
+])
+def test_csv_read_errors_are_located(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(format_csv([RepetitionRecord("b", Mode.BROKER, 0, 1)]) + row + "\n")
+    with pytest.raises(ScenarioError) as info:
+        read_csv(path)
+    assert str(info.value) == f"{path}:3: {message}"
 
 
 def test_csv_malformed_rejected(tmp_path):

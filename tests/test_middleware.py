@@ -1,9 +1,11 @@
-"""Broker delay model: closed form, load response, jitter statistics."""
+"""Broker delay model: closed form, load response, jitter statistics, and
+the per-condition path against the reference model."""
 
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partsim import (
     BrokerTopology,
@@ -14,7 +16,10 @@ from partsim import (
     tx_delay,
     tx_time,
 )
-from partsim.middleware import SEED_STRIDE
+from partsim.harness import parse_scenario, run_scenario
+from partsim.middleware import SEED_STRIDE, condition_times
+
+from conftest import SCENARIO_DIR
 
 
 def quiet_topology(per_byte=1, k=2.0):
@@ -150,3 +155,83 @@ def test_repetition_rng_rejects_overlapping_streams(seed, repetition):
     """(-1, 1) would seed the stream of (0, 1_000_002)."""
     with pytest.raises(ValueError):
         repetition_rng(seed, repetition)
+
+
+def reference_times(topology, size, relaxed, stressed, seed, first, count):
+    """Two tx_time calls per row on the row's own reference generator."""
+    times = []
+    for c in range(first, first + count):
+        rng = repetition_rng(seed, c)
+        times.append((tx_time(topology, size, relaxed, rng),
+                      tx_time(topology, size, stressed, rng)))
+    return times
+
+
+def link(jittered):
+    return st.builds(LinkModel, st.integers(0, 10**6), st.integers(0, 3),
+                     st.integers(1, 10**6) if jittered else st.just(0))
+
+
+# jitter on neither link, the uplink only, the downlink only, or both
+paths = st.sampled_from([(False, False), (True, False), (False, True), (True, True)]).flatmap(
+    lambda jittered: st.tuples(link(jittered[0]), link(jittered[1])))
+loads = st.builds(LoadProfile, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    path=paths,
+    proc_fixed=st.integers(0, 10**5),
+    proc_per_byte=st.integers(0, 5),
+    load_factor=st.floats(0.0, 4.0),
+    relaxed=loads,
+    stressed=loads,
+    size=st.integers(1, 10**7),
+    seed=st.integers(0, 2**40),
+    first=st.integers(1, SEED_STRIDE - 12),
+    count=st.integers(0, 12),
+)
+def test_condition_times_equal_the_reference_model(
+    path, proc_fixed, proc_per_byte, load_factor, relaxed, stressed,
+    size, seed, first, count,
+):
+    """The inline Box-Muller pairs are Random.gauss's draws, row for row: a
+    change to gauss (or to seeding) in the interpreter fails here."""
+    topology = BrokerTopology(*path, proc_fixed, proc_per_byte, load_factor)
+    assert condition_times(topology, size, relaxed, stressed, seed, first, count) == \
+        reference_times(topology, size, relaxed, stressed, seed, first, count)
+
+
+@pytest.mark.parametrize("seed, first, count", [
+    (-1, 1, 1), (0, -1, 1), (0, 0, -1), (0, SEED_STRIDE, 1), (0, SEED_STRIDE - 2, 3),
+])
+def test_condition_times_reject_overlapping_streams(seed, first, count):
+    with pytest.raises(ValueError):
+        condition_times(default_topology(), 1, LoadProfile(0.0), LoadProfile(1.0),
+                        seed, first, count)
+
+
+def test_condition_times_reach_the_last_stream():
+    """The last counter below the stride is a row like any other."""
+    topo, relaxed, stressed = default_topology(), LoadProfile(0.0), LoadProfile(1.0)
+    assert condition_times(topo, 64, relaxed, stressed, 9, SEED_STRIDE - 2, 2) == \
+        reference_times(topo, 64, relaxed, stressed, 9, SEED_STRIDE - 2, 2)
+
+
+def test_broker_run_equals_the_reference_model():
+    """Through run_scenario, with three load pairs and a seed override: row
+    c (counted over payloads, then pairs, then repetitions) is tx_time under
+    the pair's relaxed and then stressed load on repetition_rng(seed, c)."""
+    sc = parse_scenario((SCENARIO_DIR / "broker.scn").read_text()
+                        .replace("repetitions = 100", "repetitions = 7")
+                        .replace("jitter=50us\nproc", "jitter=0ns\nproc")
+                        + "0.25,0.0 -> 0.5,0.0\n0.0,0.0 -> 0.0,0.0\n")
+    assert sc.topology.downlink.jitter_stddev == 0 < sc.topology.uplink.jitter_stddev
+    rows = run_scenario(sc, seed=424242).rows
+    assert len(rows) == 3 * 3 * 7
+    for c, row in enumerate(rows):
+        relaxed, stressed = sc.load_pairs[int(row.scenario.rsplit("/", 1)[1])]
+        [(relaxed_ns, stressed_ns)] = reference_times(
+            sc.topology, row.payload_bytes, relaxed, stressed, 424242, c, 1)
+        assert (row.repetition, row.tx_relaxed_ns, row.tx_stressed_ns, row.tx_delay_ns) == \
+            (c % 7, relaxed_ns, stressed_ns, stressed_ns - relaxed_ns)
