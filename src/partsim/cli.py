@@ -4,6 +4,9 @@ Exit codes are stable: 0 success, 1 validation findings or an invalid
 scenario, 2 runtime fault (system halt, failed measurement), 3 I/O or
 malformed input files.  ``PARTSIM_SEED`` is the fallback when --seed is
 not given.  All output is deterministic for fixed inputs and seed.
+
+Each subcommand imports the partsim modules it needs when it runs, so
+``validate`` loads only ``config`` and ``units``, not the engine.
 """
 
 from __future__ import annotations
@@ -12,10 +15,6 @@ import argparse
 import os
 import sys
 from pathlib import Path
-
-from . import config as config_mod
-from . import harness, trace as trace_mod
-from .units import parse_duration
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -49,6 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _summary_lines(rows) -> list[str]:
+    from . import harness
+
     groups = harness.group_rows(rows)
     header = (
         f"{'scenario':<20} {'payload_bytes':>13} {'n':>6} {'metric':>9} "
@@ -72,6 +73,8 @@ def _summary_lines(rows) -> list[str]:
 
 
 def _cmd_validate(args) -> int:
+    from . import config as config_mod
+
     try:
         text = Path(args.config_path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -92,6 +95,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from . import config as config_mod, harness, trace as trace_mod
+    from .units import parse_duration
+
     try:
         scenario = harness.load_scenario(args.scenario_path)
     except (OSError, UnicodeDecodeError) as exc:
@@ -130,7 +136,7 @@ def _cmd_run(args) -> int:
     try:
         harness.export_csv(result.rows, out_path)
         if args.trace:
-            trace_mod.write_trace(result.trace or trace_mod.PeriodicTrace(), args.trace)
+            trace_mod.write_trace(result.trace, args.trace)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -147,6 +153,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import harness
+
     rows = []
     for path in args.csv_paths:
         try:

@@ -3,39 +3,51 @@
 A scenario is a flat key-value file with sections.  It either embeds the
 system XML (partitioned mode) or describes a broker topology (broker
 mode), plus the partition scripts, the health table, payload sizes,
-repetition count, and the RNG seed::
+repetition count, and the RNG seed.  ``#`` starts a comment only at the
+start of a line; later in a line it is part of the value::
 
     name = cookbook
-    mode = partitioned            # or: broker
+    # or: broker
+    mode = partitioned
     seed = 1
     repetitions = 100
-    payload_sizes = 64            # comma-separated distinct byte counts
-    max_frames = 2                # per-simulation run bound (partitioned)
+    # comma-separated distinct byte counts
+    payload_sizes = 64
+    # per-simulation run bound
+    max_frames = 2
     api_call_cost = 0ns
 
-    [system]                      # inline XML (or: system_file = rel/path.xml)
+    # inline XML (or: system_file = rel/path.xml)
+    [system]
     <SystemDescription ...> ... </SystemDescription>
 
-    [script 0]                    # one section per partition id
-    mode = once                   # or: repeat; at most once
+    # one section per partition id
+    [script 0]
+    # or: repeat; at most once
+    mode = once
     compute 100us
     send out $payload
     mark tx
 
-    [health]                      # optional action table overrides
-    SLOT_OVERRUN = LOG            # per-kind default
-    SLOT_OVERRUN 0 = HALT_PARTITION   # per-partition override
+    # optional action table overrides
+    [health]
+    SLOT_OVERRUN = LOG
+    # per-partition override
+    SLOT_OVERRUN 0 = HALT_PARTITION
 
-    [broker]                      # broker mode: the one publisher -> broker
-    subscribers = 1               # -> subscriber path (must be 1); omitted
-    uplink = base=200us per_byte=0ns jitter=50us     # keys keep the
-    downlink = base=200us per_byte=0ns jitter=50us   # default_topology()
+    # broker mode: the one publisher -> broker -> subscriber path
+    # (subscribers must be 1); omitted keys keep the default_topology()
+    [broker]
+    subscribers = 1
+    uplink = base=200us per_byte=0ns jitter=50us
+    downlink = base=200us per_byte=0ns jitter=50us
     proc_fixed = 20us
     proc_per_byte = 5ns
     load_factor = 1.0
 
-    [loads]                       # broker mode: one pair per line
-    0.0,0.0 -> 1.0,0.75           # relaxed cpu,mem -> stressed cpu,mem
+    # broker mode: one pair per line, relaxed cpu,mem -> stressed cpu,mem
+    [loads]
+    0.0,0.0 -> 1.0,0.75
 
 Only partitioned scenarios read ``max_frames``, ``api_call_cost``,
 ``system_file``, ``[system]``, ``[script N]`` and ``[health]``; only broker
@@ -334,6 +346,8 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in items)
 
 
+# top-level keys that both modes read
+_COMMON_KEYS = {"name", "mode", "seed", "repetitions", "payload_sizes"}
 # what only one mode reads: top-level keys, and sections by their first word
 _PARTITIONED_KEYS = {"api_call_cost", "max_frames", "system_file"}
 _SECTION_MODE = {
@@ -346,9 +360,7 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     """Parse a scenario document; raises ScenarioError / ScenarioInvalid."""
     top, sections = _split_sections(text)
 
-    known_top = {"name", "mode", "seed", "repetitions", "payload_sizes",
-                 "api_call_cost", "max_frames", "system_file"}
-    unknown = set(top) - known_top
+    unknown = set(top) - _COMMON_KEYS - _PARTITIONED_KEYS
     if unknown:
         raise ScenarioError(f"unknown keys {sorted(unknown)}")
     if "name" not in top or "mode" not in top:

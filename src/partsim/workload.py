@@ -5,10 +5,12 @@ partition's slots.  COMPUTE consumes virtual time; SEND/RECEIVE/READ are
 port calls at the current offset; MARK drops a labelled timestamp into the
 trace (the harness measures latency between marks).
 
-Text grammar, one action per line::
+Text grammar, one action per line; a line that starts with ``#`` is a
+comment::
 
     compute 100us
-    send out 64        # or: send out $payload
+    # or: send out $payload
+    send out 64
     recv in
     read in
     mark tx

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from partsim import parse_config
+from partsim.config import parse_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"

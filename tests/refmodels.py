@@ -8,7 +8,7 @@ identified by its (size, written_at) pair; each sequence asserts that no
 two messages it sends share one, so the identity stays exact.
 """
 
-from partsim import PortTable
+from partsim.channels import PortTable
 
 
 class SamplingModel:

@@ -9,24 +9,21 @@ import math
 import random
 import time
 
-from partsim import (
+from partsim.cli import main
+from partsim.config import PartitionSpec, SchedulePlan, ScheduleSlot, SystemConfig, parse_config
+from partsim.harness import parse_scenario, run_scenario, summarize
+from partsim.middleware import (
     BrokerTopology,
     LinkModel,
     LoadProfile,
-    PartitionState,
-    SimState,
     default_topology,
-    parse_config,
-    parse_script,
     repetition_rng,
     tx_delay,
     tx_time,
 )
-from partsim.cli import main
-from partsim.config import PartitionSpec, SchedulePlan, ScheduleSlot, SystemConfig
-from partsim.harness import parse_scenario, run_scenario, summarize
+from partsim.scheduler import PartitionState, SimState
 from partsim.trace import EventRecord, HmRecord, format_trace
-from partsim.workload import ScriptMode
+from partsim.workload import ScriptMode, parse_script
 
 from conftest import SCENARIO_DIR, make_cookbook_scenario, partition_records
 from refmodels import run_queuing_sequence, run_sampling_sequence

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from partsim import PortStatus, PortTable, parse_config
+from partsim.channels import PortStatus, PortTable
+from partsim.config import parse_config
 
 from conftest import COOKBOOK_XML, SAMPLING_XML
 

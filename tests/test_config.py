@@ -5,17 +5,18 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from partsim import (
+from partsim.config import (
     RangeError,
+    SchedulePlan,
+    ScheduleSlot,
     SchemaError,
     UnknownSlot,
     XmlSyntaxError,
     parse_config,
-    parse_duration,
     transition_gap,
     validate,
 )
-from partsim.config import SchedulePlan, ScheduleSlot
+from partsim.units import parse_duration
 
 from conftest import COOKBOOK_XML
 

@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from partsim import HealthAction, HmKind, LoadProfile, Mode, SimState
 from partsim import harness, middleware, trace as trace_mod
 from partsim.harness import (
     CSV_COLUMNS,
     EmptyResult,
+    Mode,
     RepetitionRecord,
     ScenarioError,
     ScenarioInvalid,
@@ -22,8 +22,11 @@ from partsim.harness import (
     run_scenario,
     summarize,
 )
+from partsim.health import HealthAction, HmKind
+from partsim.middleware import LoadProfile
+from partsim.scheduler import SimState
 
-from conftest import SCENARIO_DIR, make_cookbook_scenario
+from conftest import REPO_ROOT, SCENARIO_DIR, make_cookbook_scenario
 
 PARTITIONED_SCENARIOS = ("cookbook", "overrun", "ratio_demo", "sweep")
 
@@ -68,6 +71,26 @@ def test_broker_section_defaults_are_the_calibration():
     default = middleware.default_topology()
     assert topology.load_factor == default.load_factor
     assert topology.proc_fixed == default.proc_fixed
+
+
+def test_readme_scenario_example_parses():
+    """The README example shows both modes at once: the part before
+    ``[broker]`` is a partitioned scenario, and its common keys plus
+    ``[broker]`` and ``[loads]`` are a broker one."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    partitioned, sep, broker_sections = example.partition("\n[broker]\n")
+    assert sep
+    sc = parse_scenario(partitioned, base_dir=SCENARIO_DIR)
+    assert sc.mode is Mode.PARTITIONED and sc.scripts.keys() == {0, 1}
+
+    top = partitioned.split("\n[", 1)[0].splitlines()
+    common = [line for line in top
+              if line.partition("=")[0].strip() in ("name", "seed", "repetitions", "payload_sizes")]
+    assert len(common) == 4
+    broker = parse_scenario("\n".join(common + ["mode = broker", "[broker]", broker_sections]))
+    assert broker.mode is Mode.BROKER and broker.payload_sizes == sc.payload_sizes
+    assert broker.load_pairs == ((LoadProfile(0.0, 0.0), LoadProfile(1.0, 0.75)),)
 
 
 def test_two_load_pairs_are_summarized_apart():

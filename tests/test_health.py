@@ -2,22 +2,16 @@
 
 from hypothesis import given, strategies as st
 
-from partsim import (
-    AppCursor,
-    HealthAction,
-    HealthTable,
-    HmKind,
-    PartitionState,
-    SimState,
-    parse_script,
-    raise_event,
-)
 from partsim.config import PartitionSpec, SchedulePlan, ScheduleSlot, SystemConfig
+from partsim.health import HealthAction, HealthTable, HmKind, raise_event
+from partsim.scheduler import PartitionState, SimState
 from partsim.trace import EventRecord, HmRecord, format_trace
 from partsim.workload import (
+    AppCursor,
     PendingAction,
     PendingOverrun,
     ScriptMode,
+    parse_script,
     plan_until_next_action,
 )
 

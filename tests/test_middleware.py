@@ -7,17 +7,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partsim import (
+from partsim.harness import parse_scenario, run_scenario
+from partsim.middleware import (
     BrokerTopology,
     LinkModel,
     LoadProfile,
+    SEED_STRIDE,
+    condition_times,
     default_topology,
     repetition_rng,
     tx_delay,
     tx_time,
 )
-from partsim.harness import parse_scenario, run_scenario
-from partsim.middleware import SEED_STRIDE, condition_times
 
 from conftest import SCENARIO_DIR
 

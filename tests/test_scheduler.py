@@ -5,20 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partsim import (
-    ConfigInvalid,
-    PartitionState,
-    SimState,
-    parse_config,
-    parse_script,
-    workload,
-)
-from partsim.config import SchedulePlan, ScheduleSlot, SystemConfig, PartitionSpec
+from partsim import workload
+from partsim.config import PartitionSpec, SchedulePlan, ScheduleSlot, SystemConfig, parse_config
 from partsim.harness import load_scenario
 from partsim.health import HealthAction, HealthTable, HmKind
+from partsim.scheduler import ConfigInvalid, PartitionState, SimState
 from partsim.trace import (
     EventRecord, HmRecord, PortOpRecord, StateRecord, format_trace, write_trace,
 )
+from partsim.workload import parse_script
 
 from conftest import COOKBOOK_XML, SCENARIO_DIR, partition_records
 
@@ -60,7 +55,7 @@ def test_boot_rejects_empty_partition_table():
 
 
 def test_boot_after_the_clock_moved_is_rejected(cookbook):
-    from partsim import SimulationError
+    from partsim.scheduler import SimulationError
 
     sim = SimState(cookbook)
     sim.run_until(5_000_000)
@@ -131,7 +126,7 @@ def test_run_until_time_zero(cookbook):
 def test_run_until_rejects_backwards(cookbook):
     sim = booted(cookbook)
     sim.run_until(500)
-    from partsim import SimulationError
+    from partsim.scheduler import SimulationError
 
     with pytest.raises(SimulationError):
         sim.run_until(100)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from partsim import SimState, parse_script
+from partsim.scheduler import SimState
 from partsim.trace import EventRecord, HmRecord, MarkRecord, format_trace
 from partsim.workload import (
     Compute,
@@ -13,6 +13,7 @@ from partsim.workload import (
     ScriptMode,
     Send,
     parse_action,
+    parse_script,
 )
 
 
