@@ -47,18 +47,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _summary_lines(rows) -> list[str]:
-    from . import harness
-
-    groups = harness.group_rows(rows)
+def _summary_lines(conditions: dict) -> list[str]:
+    """The summary table of a ``(scenario, payload, mode text) -> condition``
+    dict, one line per condition (each has a ``summary()``) in key order."""
     header = (
         f"{'scenario':<20} {'payload_bytes':>13} {'n':>6} {'metric':>9} "
         f"{'mean_ns':>12} {'min_ns':>12} {'max_ns':>12} {'p50_ns':>12} {'p99_ns':>12} "
         f"{'gap_ns':>10} {'lat/gap':>10} {'overhead':>9}"
     )
     lines = [header]
-    for (scenario, payload, _), group in groups.items():
-        stats = harness.summarize(group)
+    for key in sorted(conditions):
+        scenario, payload, _ = key
+        stats = conditions[key].summary()
         gap = str(stats.scheduled_gap) if stats.scheduled_gap is not None else "-"
         ratio = f"{stats.latency_to_gap_ratio:.6f}" if stats.latency_to_gap_ratio is not None else "-"
         overhead = (
@@ -134,15 +134,16 @@ def _cmd_run(args) -> int:
 
     out_path = args.out or f"{scenario.name}.csv"
     try:
-        harness.export_csv(result.rows, out_path)
+        harness.export_csv(result, out_path)
         if args.trace:
             trace_mod.write_trace(result.trace, args.trace)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    if result.rows:
-        for line in _summary_lines(result.rows):
+    if result.conditions:
+        for line in _summary_lines(
+                {(c.scenario, c.payload_bytes, c.mode.value): c for c in result.conditions}):
             print(line)
     else:
         print("no data")
@@ -155,20 +156,18 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     from . import harness
 
-    rows = []
-    for path in args.csv_paths:
-        try:
-            rows.extend(harness.read_csv(path))
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except harness.ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-    if not rows:
+    conditions = {}
+    try:
+        for path in args.csv_paths:
+            harness.read_csv(path, conditions)
+        lines = _summary_lines(conditions)
+    except (OSError, UnicodeDecodeError, harness.ScenarioError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    if not conditions:
         print("no data")
         return EXIT_OK
-    for line in _summary_lines(rows):
+    for line in lines:
         print(line)
     return EXIT_OK
 

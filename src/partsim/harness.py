@@ -54,15 +54,20 @@ Only partitioned scenarios read ``max_frames``, ``api_call_cost``,
 scenarios read ``[broker]`` and ``[loads]``.  A key or section of the other
 mode, like a malformed value, raises a ScenarioError that names it.
 
-Partitioned runs draw no randomness, so each payload is simulated once,
-measuring the latency between the producer's ``tx`` mark and the
-consumer's ``rx`` mark (the first one that follows a successful receive)
-and the scheduled transition gap between the two slots; that one
-measurement is written as one row per repetition.  Broker runs
-evaluate the transmission time under both load profiles per repetition and
-record the stressed-minus-relaxed delay; with more than one load pair, each
-row's scenario is labelled ``<name>/<k>`` (``k`` the 0-based pair index) so
-every condition is summarized on its own.
+Results are kept per condition, one (scenario label, mode, payload)
+group, and never as one object per row.  Partitioned runs draw no
+randomness, so each payload is simulated once, measuring the latency
+between the producer's ``tx`` mark and the consumer's ``rx`` mark (the
+first one that follows a successful receive) and the scheduled transition
+gap between the two slots; the condition keeps that one measurement, which
+is written as one row per repetition.  Broker runs evaluate the
+transmission time under both load profiles per repetition; the condition
+keeps each row's (relaxed, stressed) pair, and the row records the
+stressed-minus-relaxed delay.  With more than one load pair, each row's
+scenario is labelled ``<name>/<k>`` (``k`` the 0-based pair index) so every
+condition is summarized on its own.  ``read_csv`` keeps of each condition
+only what ``summarize`` reads: its latency and tx_delay cells and its first
+non-zero gap.
 
 CSV column contract (exact order; unused fields empty)::
 
@@ -133,32 +138,66 @@ class Scenario:
     max_frames: int = DEFAULT_MAX_FRAMES
 
 
-class RepetitionRecord(NamedTuple):
-    """One result row; the fields are the CSV columns, in order."""
+CSV_HEADER = ("scenario,mode,repetition,payload_bytes,t_send_ns,t_recv_ns,latency_ns,"
+              "gap_ns,latency_to_gap_ratio,tx_relaxed_ns,tx_stressed_ns,tx_delay_ns")
+CSV_COLUMNS = tuple(CSV_HEADER.split(","))
+_MODES = {mode.value for mode in Mode}  # the valid mode cells
+
+
+class Condition(NamedTuple):
+    """One (scenario label, mode, payload) condition of a run, as the values
+    its CSV rows and its summary are made from: a partitioned condition's
+    one ``(t_send, t_recv, gap)`` measurement, written as ``repetitions``
+    equal rows, or a broker condition's ``(relaxed, stressed)`` times, one
+    pair per row."""
 
     scenario: str
     mode: Mode
-    repetition: int
     payload_bytes: int
-    t_send_ns: int | None = None
-    t_recv_ns: int | None = None
-    latency_ns: int | None = None
-    gap_ns: int | None = None
-    latency_to_gap_ratio: float | None = None
-    tx_relaxed_ns: int | None = None
-    tx_stressed_ns: int | None = None
-    tx_delay_ns: int | None = None
+    repetitions: int
+    measurement: tuple[int, int, int | None] | None = None
+    times: list[tuple[Duration, Duration]] | None = None
 
-
-CSV_COLUMNS = RepetitionRecord._fields
-_MODES = {mode.value: mode for mode in Mode}  # the mode cell's text -> Mode
+    def summary(self) -> SummaryStats:
+        if self.times is None:
+            t_send, t_recv, gap = self.measurement
+            return summarize("latency", [t_recv - t_send] * self.repetitions, gap)
+        # each row's tx_delay: stressed minus relaxed (middleware.tx_delay)
+        return summarize("tx_delay", [stressed - relaxed for relaxed, stressed in self.times])
 
 
 @dataclass
 class RunResult:
-    rows: list[RepetitionRecord]
+    """``len()`` is the number of CSV rows the conditions make."""
+
+    conditions: list[Condition]
     trace: trace_mod.PeriodicTrace | None = None
     halted: bool = False
+
+    def __len__(self) -> int:
+        return sum(c.repetitions for c in self.conditions)
+
+
+@dataclass(slots=True)
+class ReadCondition:
+    """What ``partsim report`` keeps of one (scenario, payload, mode)
+    condition read back from CSV rows: where its first row is (``path:N``),
+    and the present latency and tx_delay cells and the first non-zero gap,
+    in row order."""
+
+    where: str
+    latencies: list[int] = field(default_factory=list)
+    delays: list[int] = field(default_factory=list)
+    gap: int | None = None
+
+    def summary(self) -> SummaryStats:
+        """Latency when any row has one, else tx_delay; a ScenarioError
+        naming the first row when no row has either."""
+        if self.latencies:
+            return summarize("latency", self.latencies, self.gap)
+        if self.delays:
+            return summarize("tx_delay", self.delays, self.gap)
+        raise ScenarioError(f"{self.where}: no row carries latency_ns or tx_delay_ns")
 
 
 @dataclass(frozen=True)
@@ -620,7 +659,7 @@ def _run_partitioned(
         bound = sc.max_frames * frame
     measuring = _has_measurement_marks(sc.scripts)
 
-    rows: list[RepetitionRecord] = []
+    conditions: list[Condition] = []
     first_trace: trace_mod.PeriodicTrace | None = None
     halted = False
     for payload in sc.payload_sizes:
@@ -644,23 +683,8 @@ def _run_partitioned(
             raise MeasurementError(
                 f"{sc.name}: no tx/rx mark pair observed within {bound} ns"
             )
-        t_send, t_recv, gap = measured
-        latency = t_recv - t_send
-        rows.extend(
-            RepetitionRecord(
-                scenario=sc.name,
-                mode=sc.mode,
-                repetition=rep,
-                payload_bytes=payload,
-                t_send_ns=t_send,
-                t_recv_ns=t_recv,
-                latency_ns=latency,
-                gap_ns=gap,
-                latency_to_gap_ratio=latency / gap if gap else None,
-            )
-            for rep in range(sc.repetitions)
-        )
-    return RunResult(rows, first_trace, halted)
+        conditions.append(Condition(sc.name, sc.mode, payload, sc.repetitions, measured))
+    return RunResult(conditions, first_trace, halted)
 
 
 def _run_broker(sc: Scenario, *, seed: int) -> RunResult:
@@ -670,130 +694,107 @@ def _run_broker(sc: Scenario, *, seed: int) -> RunResult:
         labels = [sc.name]
     else:
         labels = [f"{sc.name}/{k}" for k in range(len(sc.load_pairs))]
-    rows: list[RepetitionRecord] = []
+    conditions: list[Condition] = []
     counter = 0  # the row number over all conditions; it seeds the row's jitter
     for payload in sc.payload_sizes:
         for label, (relaxed, stressed) in zip(labels, sc.load_pairs):
             times = middleware.condition_times(
                 topology, payload, relaxed, stressed, seed, counter, sc.repetitions)
             counter += sc.repetitions
-            rows.extend(
-                RepetitionRecord(label, sc.mode, rep, payload, None, None, None, None, None,
-                                 relaxed_ns, stressed_ns,
-                                 middleware.tx_delay(stressed_ns, relaxed_ns))
-                for rep, (relaxed_ns, stressed_ns) in enumerate(times)
-            )
-    return RunResult(rows)
+            conditions.append(Condition(label, sc.mode, payload, sc.repetitions, times=times))
+    return RunResult(conditions)
 
 
 # --------------------------------------------------------------------------
 # statistics
 
 
-def _mean_round_half_up(values: list[int]) -> int:
+def summarize(metric: str, values: list[int], gap: int | None = None) -> SummaryStats:
+    """Exact integer statistics of one condition's ``metric`` values, with
+    its first non-zero scheduled gap: mean rounded to the nearest ns (ties
+    up), percentiles by nearest rank (the ceil(p * n / 100)-th value)."""
     n = len(values)
-    return (2 * sum(values) + n) // (2 * n)
-
-
-def _nearest_rank(sorted_values: list[int], percentile: int) -> int:
-    n = len(sorted_values)
-    rank = max(1, (percentile * n + 99) // 100)  # ceil(p*n/100)
-    return sorted_values[rank - 1]
-
-
-def summarize(rows: list[RepetitionRecord]) -> SummaryStats:
-    """Exact integer statistics: mean rounded to the nearest ns (ties up),
-    percentiles by nearest rank."""
-    if not rows:
+    if not n:
         raise EmptyResult("no repetitions to summarize")
-    if any(r.latency_ns is not None for r in rows):
-        metric = "latency"
-        values = [r.latency_ns for r in rows if r.latency_ns is not None]
-    elif any(r.tx_delay_ns is not None for r in rows):
-        metric = "tx_delay"
-        values = [r.tx_delay_ns for r in rows if r.tx_delay_ns is not None]
-    else:
-        raise EmptyResult("rows carry neither latency nor tx_delay")
     ordered = sorted(values)
-    mean = _mean_round_half_up(values)
-    gap = next((r.gap_ns for r in rows if r.gap_ns), None)
+    mean = (2 * sum(values) + n) // (2 * n)
+    ratio_gap = gap if metric == "latency" else None  # only a latency is set against the gap
     return SummaryStats(
-        count=len(values),
-        metric=metric,
-        mean=mean,
-        minimum=ordered[0],
-        maximum=ordered[-1],
-        p50=_nearest_rank(ordered, 50),
-        p99=_nearest_rank(ordered, 99),
-        scheduled_gap=gap,
-        latency_to_gap_ratio=(mean / gap) if (metric == "latency" and gap) else None,
-        overhead_ratio=((mean - gap) / gap) if (metric == "latency" and gap) else None,
+        count=n, metric=metric, mean=mean, minimum=ordered[0], maximum=ordered[-1],
+        p50=ordered[(50 * n + 99) // 100 - 1], p99=ordered[(99 * n + 99) // 100 - 1],
+        scheduled_gap=gap or None,
+        latency_to_gap_ratio=mean / ratio_gap if ratio_gap else None,
+        overhead_ratio=(mean - ratio_gap) / ratio_gap if ratio_gap else None,
     )
-
-
-def group_rows(
-    rows: list[RepetitionRecord],
-) -> dict[tuple[str, int, str], list[RepetitionRecord]]:
-    """One group per (scenario, payload, mode text) condition, sorted, so two
-    modes never share a summary.  The key holds the mode's text, not the
-    Mode: a Mode is not orderable, and hashing one is a Python-level call
-    per row."""
-    groups: dict[tuple[str, int, str], list[RepetitionRecord]] = {}
-    for r in rows:
-        groups.setdefault((r.scenario, r.payload_bytes, r.mode._value_), []).append(r)
-    return dict(sorted(groups.items()))
 
 
 # --------------------------------------------------------------------------
 # CSV
 
 
-def format_csv(rows: list[RepetitionRecord]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for (scenario, mode, repetition, payload, t_send, t_recv, latency, gap, ratio,
-         relaxed, stressed, delay) in rows:
-        lines.append(
-            f"{scenario},{mode.value},{repetition},{payload},"
-            f"{'' if t_send is None else t_send},{'' if t_recv is None else t_recv},"
-            f"{'' if latency is None else latency},{'' if gap is None else gap},"
-            f"{'' if ratio is None else f'{ratio:.6f}'},"
-            f"{'' if relaxed is None else relaxed},{'' if stressed is None else stressed},"
-            f"{'' if delay is None else delay}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def export_csv(rows: list[RepetitionRecord], path: str | Path) -> None:
+def export_csv(result: RunResult, path: str | Path) -> None:
+    """Write the header and then the rows of each condition in turn,
+    formatting the cells that its rows share once."""
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(format_csv(rows))
+        fh.write(CSV_HEADER + "\n")
+        for c in result.conditions:
+            head = f"{c.scenario},{c.mode.value},"
+            if c.times is None:
+                t_send, t_recv, gap = c.measurement
+                latency = t_recv - t_send
+                tail = (f",{c.payload_bytes},{t_send},{t_recv},{latency},"
+                        f"{'' if gap is None else gap},{f'{latency / gap:.6f}' if gap else ''},,,\n")
+                fh.writelines(f"{head}{rep}{tail}" for rep in range(c.repetitions))
+            else:
+                tail = f",{c.payload_bytes},,,,,,"
+                fh.writelines(f"{head}{rep}{tail}{relaxed},{stressed},{stressed - relaxed}\n"
+                              for rep, (relaxed, stressed) in enumerate(c.times))
 
 
-def read_csv(path: str | Path) -> list[RepetitionRecord]:
-    """Read rows back; raises ScenarioError on a malformed file."""
+def read_csv(
+    path: str | Path, conditions: dict[tuple[str, int, str], ReadCondition] | None = None,
+) -> dict[tuple[str, int, str], ReadCondition]:
+    """Read a result CSV into ``conditions`` (a new dict by default), keyed
+    by (scenario, payload, mode text), so that rows of one condition merge
+    wherever and in whichever file they stand.  Every cell is converted;
+    raises ScenarioError, naming the line, on a malformed file."""
+    if conditions is None:
+        conditions = {}
     text = Path(path).read_text(encoding="ascii")
     lines = text.splitlines()
-    if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
+    if not lines or lines[0] != CSV_HEADER:
         raise ScenarioError(f"{path}: missing or wrong CSV header")
-    make = RepetitionRecord._make
-    rows = []
+    last_scenario = last_payload = last_mode = entry = None
     for number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(CSV_COLUMNS):
             raise ScenarioError(f"{path}:{number}: expected {len(CSV_COLUMNS)} fields")
         (scenario, mode, repetition, payload, t_send, t_recv, latency, gap, ratio,
          relaxed, stressed, delay) = cells
+        if mode not in _MODES:
+            raise ScenarioError(f"{path}:{number}: {mode!r} is not a valid Mode")
         try:
-            # an empty value cell reads back as None
-            rows.append(make((
-                scenario, _MODES[mode], int(repetition), int(payload),
+            # every cell, in column order, so the first bad one is named;
+            # an empty value cell is absent
+            _, payload, _, _, latency, gap, _, _, _, delay = (
+                int(repetition), int(payload),
                 int(t_send) if t_send else None, int(t_recv) if t_recv else None,
                 int(latency) if latency else None, int(gap) if gap else None,
                 float(ratio) if ratio else None,
                 int(relaxed) if relaxed else None, int(stressed) if stressed else None,
                 int(delay) if delay else None,
-            )))
-        except KeyError:
-            raise ScenarioError(f"{path}:{number}: {mode!r} is not a valid Mode") from None
+            )
         except ValueError as exc:
             raise ScenarioError(f"{path}:{number}: {exc}") from None
-    return rows
+        if payload != last_payload or scenario != last_scenario or mode != last_mode:
+            last_scenario, last_payload, last_mode = scenario, payload, mode
+            entry = conditions.get((scenario, payload, mode))
+            if entry is None:
+                entry = conditions[scenario, payload, mode] = ReadCondition(f"{path}:{number}")
+        if latency is not None:
+            entry.latencies.append(latency)
+        if delay is not None:
+            entry.delays.append(delay)
+        if gap and entry.gap is None:
+            entry.gap = gap
+    return conditions

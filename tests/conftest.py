@@ -1,8 +1,11 @@
+import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from partsim.config import parse_config
+from partsim.harness import export_csv
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -118,3 +121,44 @@ recv in
 mark rx
 {extra_sections}
 """
+
+
+class Row(NamedTuple):
+    """One result CSV row with its cells converted; an empty cell is None."""
+
+    scenario: str
+    mode: str
+    repetition: int
+    payload_bytes: int
+    t_send_ns: int | None = None
+    t_recv_ns: int | None = None
+    latency_ns: int | None = None
+    gap_ns: int | None = None
+    latency_to_gap_ratio: float | None = None
+    tx_relaxed_ns: int | None = None
+    tx_stressed_ns: int | None = None
+    tx_delay_ns: int | None = None
+
+
+def csv_text(result) -> str:
+    """What ``export_csv`` writes for a run result."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        export_csv(result, path)
+        return path.read_text(encoding="ascii")
+
+
+def csv_rows(result) -> list[Row]:
+    """The data rows ``export_csv`` writes for a run result."""
+    return parse_rows(csv_text(result))
+
+
+def parse_rows(text: str) -> list[Row]:
+    """The data rows of a result CSV's text."""
+    rows = []
+    for line in text.splitlines()[1:]:
+        scenario, mode, *cells = line.split(",")
+        rows.append(Row(scenario, mode, *(
+            None if not cell else float(cell) if i == 6 else int(cell)
+            for i, cell in enumerate(cells))))
+    return rows

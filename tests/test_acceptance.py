@@ -11,7 +11,7 @@ import time
 
 from partsim.cli import main
 from partsim.config import PartitionSpec, SchedulePlan, ScheduleSlot, SystemConfig, parse_config
-from partsim.harness import parse_scenario, run_scenario, summarize
+from partsim.harness import parse_scenario, run_scenario
 from partsim.middleware import (
     BrokerTopology,
     LinkModel,
@@ -25,7 +25,7 @@ from partsim.scheduler import PartitionState, SimState
 from partsim.trace import EventRecord, HmRecord, format_trace
 from partsim.workload import ScriptMode, parse_script
 
-from conftest import SCENARIO_DIR, make_cookbook_scenario, partition_records
+from conftest import SCENARIO_DIR, csv_rows, make_cookbook_scenario, partition_records
 from refmodels import run_queuing_sequence, run_sampling_sequence
 
 SAMPLING_XML = (
@@ -133,16 +133,16 @@ def test_03_port_model_equivalence():
 def test_04_exact_latency_law():
     """Cookbook: latency 400 us, gap 100 us, every repetition, 0 ns
     tolerance; copy cost c shifts latency by exactly c."""
-    result = run_scenario(parse_scenario(make_cookbook_scenario(repetitions=100)))
-    assert len(result.rows) == 100
-    assert all(r.latency_ns == 400_000 for r in result.rows)
-    assert all(r.gap_ns == 100_000 for r in result.rows)
+    rows = csv_rows(run_scenario(parse_scenario(make_cookbook_scenario(repetitions=100))))
+    assert len(rows) == 100
+    assert all(r.latency_ns == 400_000 for r in rows)
+    assert all(r.gap_ns == 100_000 for r in rows)
     for copy_ns in (1_000, 50_000):
-        shifted = run_scenario(
+        shifted = csv_rows(run_scenario(
             parse_scenario(make_cookbook_scenario(copy_fixed=f"{copy_ns}ns", repetitions=10))
-        )
-        assert all(r.latency_ns == 400_000 + copy_ns for r in shifted.rows)
-        assert all(r.gap_ns == 100_000 for r in shifted.rows)
+        ))
+        assert all(r.latency_ns == 400_000 + copy_ns for r in shifted)
+        assert all(r.gap_ns == 100_000 for r in shifted)
     _passed("4 exact latency law")
 
 
@@ -152,7 +152,8 @@ def test_05_overhead_ratio_demo():
     scenario = parse_scenario(
         (SCENARIO_DIR / "ratio_demo.scn").read_text(), base_dir=SCENARIO_DIR
     )
-    stats = summarize(run_scenario(scenario).rows)
+    [condition] = run_scenario(scenario).conditions
+    stats = condition.summary()
     assert stats.mean == 1_021_000
     assert stats.scheduled_gap == 1_000_000
     assert stats.latency_to_gap_ratio == 1_021_000 / 1_000_000

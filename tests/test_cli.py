@@ -1,15 +1,31 @@
 """CLI contract: subcommands, exit codes, deterministic outputs."""
 
+import contextlib
+import io
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partsim.cli import main
 from partsim.harness import CSV_COLUMNS
+from partsim.middleware import BrokerTopology, LinkModel, LoadProfile, repetition_rng, tx_time
 
-from conftest import COOKBOOK_XML, REPO_ROOT, SCENARIO_DIR, make_cookbook_scenario
+from conftest import (
+    COOKBOOK_XML,
+    REPO_ROOT,
+    SCENARIO_DIR,
+    Row,
+    make_cookbook_scenario,
+    parse_rows,
+)
 
 OVERLAPPING = COOKBOOK_XML.replace('start="500us"', 'start="300us"')
 
@@ -196,6 +212,52 @@ def test_report_header_only(workdir, capsys):
     assert "no data" in capsys.readouterr().out
 
 
+HEADER = ",".join(CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("files, where", [
+    pytest.param({"a.csv": ["b,broker,0,1,,,,,,,,"]}, "a.csv:2", id="lone_row"),
+    pytest.param({"a.csv": ["b,broker,0,1,,,,,,5,8,3", "c,broker,0,1,,,,,,,,"],
+                  "b.csv": ["c,broker,1,1,,,,,,,,"]}, "a.csv:3", id="second_condition"),
+    pytest.param({"a.csv": ["b,broker,0,1,,,,,,5,8,3"],
+                  "b.csv": ["b,broker,0,2,,,,,,,,", "b,broker,1,2,,,,,,,,"]},
+                 "b.csv:2", id="second_file"),
+])
+def test_report_condition_without_a_metric_exits_3(workdir, capsys, files, where):
+    """A condition none of whose rows has a latency or tx_delay cell is
+    malformed input: exit 3, naming the condition's first row."""
+    for name, rows in files.items():
+        (workdir / name).write_text("\n".join([HEADER, *rows]) + "\n")
+    assert main(["report", *files]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {where}: no row carries latency_ns or tx_delay_ns\n"
+
+
+def test_report_merges_conditions_across_rows_and_files(workdir, capsys):
+    """Rows of one (scenario, payload, mode) condition merge wherever they
+    stand; the metric is latency when any row has one, its values are the
+    cells present, and the gap is the first non-zero one in row order."""
+    (workdir / "a.csv").write_text("\n".join([
+        HEADER,
+        "p,partitioned,0,64,0,10,10,0,,,,",
+        "q,broker,0,1,,,,,,5,8,3",
+        "p,partitioned,1,64,0,30,30,100,0.300000,,,",
+    ]) + "\n")
+    (workdir / "b.csv").write_text("\n".join([
+        HEADER,
+        "p,partitioned,2,64,,,,,,,,5",
+        "q,broker,1,1,,,,,,5,4,-1",
+        "p,partitioned,3,64,0,20,20,200,0.100000,,,",
+        "q,broker,2,1,,,,,,,,",
+    ]) + "\n")
+    assert main(["report", "b.csv", "a.csv"]) == 0
+    assert [line.split() for line in capsys.readouterr().out.splitlines()[1:]] == [
+        ["p", "64", "3", "latency", "20", "10", "30", "20", "30", "200", "0.100000", "-90.0%"],
+        ["q", "1", "2", "tx_delay", "1", "-1", "3", "-1", "3", "-", "-", "-"],
+    ]
+
+
 def test_report_malformed_csv(workdir):
     (workdir / "junk.csv").write_text("this,is,not,a,result\n")
     assert main(["report", "junk.csv"]) == 3
@@ -356,3 +418,101 @@ def test_undecodable_input_exits_3(workdir, capsys, command, name):
     (workdir / name).write_bytes(b"name = \xff\nmode = broker\n")
     assert main([command, name]) == 3
     assert "decode" in capsys.readouterr().err
+
+
+def _cli(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scn")), ids=lambda p: p.stem)
+def test_report_repeats_the_run_summary_of_each_shipped_scenario(workdir, path):
+    code, run_out = _cli(["run", str(path), "--out", "o.csv"])
+    assert code == 0
+    assert _cli(["report", "o.csv"]) == (0, run_out)
+
+
+_LOAD = st.floats(0.0, 1.0).map(repr)
+_NS = st.integers(0, 300_000)
+
+
+@st.composite
+def broker_runs(draw):
+    """A broker scenario of 1-3 payload sizes, 1-3 load pairs and 1-40
+    repetitions, with random link, processing and load parameters."""
+    sizes = draw(st.lists(st.integers(1, 10_000_000), min_size=1, max_size=3, unique=True))
+    pairs = draw(st.lists(st.tuples(_LOAD, _LOAD, _LOAD, _LOAD), min_size=1, max_size=3))
+    links = [(draw(_NS), draw(st.integers(0, 5)), draw(st.sampled_from((0, 1, 50_000))))
+             for _ in range(2)]
+    proc_fixed, proc_per_byte = draw(_NS), draw(st.integers(0, 10))
+    load_factor = draw(st.floats(0.0, 4.0))
+    repetitions = draw(st.integers(1, 40))
+    seed = draw(st.integers(min_value=0))
+    text = "\n".join([
+        "name = fuzz", "mode = broker", f"seed = {seed}", f"repetitions = {repetitions}",
+        f"payload_sizes = {','.join(map(str, sizes))}",
+        "[broker]",
+        *(f"{side} = base={b}ns per_byte={pb}ns jitter={j}ns"
+          for side, (b, pb, j) in zip(("uplink", "downlink"), links)),
+        f"proc_fixed = {proc_fixed}ns", f"proc_per_byte = {proc_per_byte}ns",
+        f"load_factor = {load_factor!r}",
+        "[loads]",
+        *(f"{rc},{rm} -> {sc},{sm}" for rc, rm, sc, sm in pairs),
+    ]) + "\n"
+    topology = BrokerTopology(LinkModel(*links[0]), LinkModel(*links[1]),
+                              proc_fixed, proc_per_byte, load_factor)
+    loads = [(LoadProfile(float(rc), float(rm)), LoadProfile(float(sc), float(sm)))
+             for rc, rm, sc, sm in pairs]
+    labels = ["fuzz"] if len(pairs) == 1 else [f"fuzz/{k}" for k in range(len(pairs))]
+    expected = []
+    for size in sizes:
+        for label, (relaxed, stressed) in zip(labels, loads):
+            for rep in range(repetitions):
+                rng = repetition_rng(seed, len(expected))
+                relaxed_ns = tx_time(topology, size, relaxed, rng)
+                stressed_ns = tx_time(topology, size, stressed, rng)
+                expected.append(Row(label, "broker", rep, size, tx_relaxed_ns=relaxed_ns,
+                                    tx_stressed_ns=stressed_ns,
+                                    tx_delay_ns=stressed_ns - relaxed_ns))
+    return text, expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(broker_runs())
+def test_broker_run_rows_and_report_agree_with_the_model(case):
+    """Every row is ``tx_time`` on ``repetition_rng(seed, c)``, with the
+    ``<name>/<k>`` labels and repetition indices in order, and ``report``
+    on the written CSV prints the summary that ``run`` printed."""
+    text, expected = case
+    with tempfile.TemporaryDirectory() as tmp:
+        scn, csv = Path(tmp) / "fuzz.scn", Path(tmp) / "fuzz.csv"
+        scn.write_text(text)
+        code, run_out = _cli(["run", str(scn), "--out", str(csv)])
+        assert code == 0
+        assert parse_rows(csv.read_text()) == expected
+        assert _cli(["report", str(csv)]) == (0, run_out)
+
+
+def _readme_cli_block() -> tuple[list[str], int]:
+    """The ``partsim`` lines of README's "CLI" block, and the exit code
+    README names for success."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    success = re.search(r"Exit codes: `(\d+)` success", section)
+    return [line for line in block.splitlines() if line.startswith("partsim ")], \
+        int(success.group(1))
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    """Each README CLI line, in order, in a directory holding a copy of
+    ``scenarios/``, exits with the success code README states."""
+    lines, success = _readme_cli_block()
+    assert len(lines) >= 5 and success == 0
+    shutil.copytree(SCENARIO_DIR, tmp_path / "scenarios")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PARTSIM_SEED", raising=False)
+    for line in lines:
+        assert _cli(shlex.split(line)[1:])[0] == success, line

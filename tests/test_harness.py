@@ -3,19 +3,20 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from partsim import harness, middleware, trace as trace_mod
 from partsim.harness import (
     CSV_COLUMNS,
+    Condition,
     EmptyResult,
     Mode,
-    RepetitionRecord,
+    RunResult,
     ScenarioError,
     ScenarioInvalid,
     export_csv,
-    format_csv,
     load_scenario,
     parse_scenario,
     read_csv,
@@ -26,7 +27,7 @@ from partsim.health import HealthAction, HmKind
 from partsim.middleware import LoadProfile
 from partsim.scheduler import SimState
 
-from conftest import REPO_ROOT, SCENARIO_DIR, make_cookbook_scenario
+from conftest import REPO_ROOT, SCENARIO_DIR, Row, csv_rows, csv_text, make_cookbook_scenario
 
 PARTITIONED_SCENARIOS = ("cookbook", "overrun", "ratio_demo", "sweep")
 
@@ -106,19 +107,20 @@ payload_sizes = 1,1000000
 0.0,0.0 -> 0.5,0.75
 """
     sc = parse_scenario(text)
-    rows = run_scenario(sc).rows
-    groups = harness.group_rows(rows)
-    assert list(groups) == [(f"pairs/{k}", p, "broker")
-                            for k in (0, 1) for p in (1, 1_000_000)]
-    assert all(len(g) == 40 and summarize(g).count == 40 for g in groups.values())
+    result = run_scenario(sc)
+    assert [(c.scenario, c.payload_bytes, c.mode) for c in result.conditions] == [
+        (f"pairs/{k}", p, Mode.BROKER) for p in (1, 1_000_000) for k in (0, 1)]
+    assert all(c.summary().count == 40 for c in result.conditions)
     # one generator per row, counted in payload -> pair -> repetition order
+    rows = csv_rows(result)
+    assert len(rows) == 4 * 40
     for counter, row in enumerate(rows):
         relaxed, stressed = sc.load_pairs[int(row.scenario[-1])]
         rng = middleware.repetition_rng(sc.seed, counter)
         assert row.tx_relaxed_ns == middleware.tx_time(sc.topology, row.payload_bytes, relaxed, rng)
         assert row.tx_stressed_ns == middleware.tx_time(sc.topology, row.payload_bytes, stressed, rng)
     one_pair = parse_scenario(text.replace("0.0,0.0 -> 0.5,0.75\n", ""))
-    assert {r.scenario for r in run_scenario(one_pair).rows} == {"pairs"}
+    assert {r.scenario for r in csv_rows(run_scenario(one_pair))} == {"pairs"}
 
 
 UPLINK_JITTER_SCN = """
@@ -161,12 +163,12 @@ def test_multi_pair_broker_rows_follow_the_documented_model():
                 counter += 1
                 relaxed = _model_tx_time(payload, relaxed_cpu, rng)
                 stressed = _model_tx_time(payload, stressed_cpu, rng)
-                expected.append(RepetitionRecord(
-                    f"skew/{k}", Mode.BROKER, rep, payload,
+                expected.append(Row(
+                    f"skew/{k}", "broker", rep, payload,
                     tx_relaxed_ns=relaxed, tx_stressed_ns=stressed,
                     tx_delay_ns=stressed - relaxed,
                 ))
-    rows = run_scenario(sc).rows
+    rows = csv_rows(run_scenario(sc))
     assert rows == expected
     assert len({r.tx_delay_ns for r in rows}) > 4  # the jitter does move rows
 
@@ -213,9 +215,9 @@ def test_payload_exceeding_channel_rejected():
 def test_cookbook_latency_law():
     """Hand-simulated oracle: send at 100us into P0's slot, receive at the
     start of P1's slot at 500us -> latency 400us over a 100us gap."""
-    result = run_scenario(parse_scenario(make_cookbook_scenario(repetitions=5)))
-    assert len(result.rows) == 5
-    for row in result.rows:
+    rows = csv_rows(run_scenario(parse_scenario(make_cookbook_scenario(repetitions=5))))
+    assert [row.repetition for row in rows] == list(range(5))
+    for row in rows:
         assert row.t_send_ns == 100_000
         assert row.t_recv_ns == 500_000
         assert row.latency_ns == 400_000
@@ -227,22 +229,22 @@ def test_cookbook_latency_law():
 @pytest.mark.parametrize("copy_ns", [1_000, 50_000])
 def test_copy_cost_shifts_latency_exactly(copy_ns):
     text = make_cookbook_scenario(copy_fixed=f"{copy_ns}ns", repetitions=3)
-    for row in run_scenario(parse_scenario(text)).rows:
+    for row in csv_rows(run_scenario(parse_scenario(text))):
         assert row.latency_ns == 400_000 + copy_ns
         assert row.gap_ns == 100_000  # the schedule is untouched
 
 
 def test_broker_equal_loads_zero_jitter():
-    result = run_scenario(parse_scenario(BROKER_SCN))
-    assert len(result.rows) == 50
-    assert all(r.tx_delay_ns == 0 for r in result.rows)
-    assert all(r.tx_relaxed_ns == r.tx_stressed_ns for r in result.rows)
+    rows = csv_rows(run_scenario(parse_scenario(BROKER_SCN)))
+    assert len(rows) == 50
+    assert all(r.tx_delay_ns == 0 for r in rows)
+    assert all(r.tx_relaxed_ns == r.tx_stressed_ns for r in rows)
 
 
 def test_run_is_reproducible():
     text = make_cookbook_scenario(repetitions=4)
-    a = format_csv(run_scenario(parse_scenario(text)).rows)
-    b = format_csv(run_scenario(parse_scenario(text)).rows)
+    a = csv_text(run_scenario(parse_scenario(text)))
+    b = csv_text(run_scenario(parse_scenario(text)))
     assert hashlib.sha256(a.encode()).hexdigest() == hashlib.sha256(b.encode()).hexdigest()
 
 
@@ -259,8 +261,8 @@ def _simulate(sc, payload):
 
 
 def _rows_simulating_every_repetition(sc):
-    """Reference: one fresh simulation per repetition, as a partitioned run
-    would need if it drew any randomness."""
+    """Reference CSV lines: one fresh simulation per repetition, as a
+    partitioned run would need if it drew any randomness."""
     rows = []
     if not harness._has_measurement_marks(sc.scripts):
         return rows
@@ -272,18 +274,17 @@ def _rows_simulating_every_repetition(sc):
                 assert sim.halted
                 continue
             t_send, t_recv, gap = measured
-            rows.append(RepetitionRecord(
-                scenario=sc.name, mode=sc.mode, repetition=rep, payload_bytes=payload,
-                t_send_ns=t_send, t_recv_ns=t_recv, latency_ns=t_recv - t_send, gap_ns=gap,
-                latency_to_gap_ratio=(t_recv - t_send) / gap if gap else None,
-            ))
+            latency = t_recv - t_send
+            ratio = f"{latency / gap:.6f}" if gap else ""
+            rows.append(f"{sc.name},partitioned,{rep},{payload},{t_send},{t_recv},{latency},"
+                        f"{'' if gap is None else gap},{ratio},,,")
     return rows
 
 
 @pytest.mark.parametrize("name", PARTITIONED_SCENARIOS)
 def test_one_simulation_per_payload_matches_every_repetition(name):
     sc = load_scenario(SCENARIO_DIR / f"{name}.scn")
-    assert format_csv(run_scenario(sc).rows) == format_csv(_rows_simulating_every_repetition(sc))
+    assert csv_text(run_scenario(sc)).splitlines()[1:] == _rows_simulating_every_repetition(sc)
 
 
 @pytest.mark.parametrize("name", PARTITIONED_SCENARIOS)
@@ -340,7 +341,7 @@ def test_measurement_reads_the_copied_periods():
     result = run_scenario(sc)
     built_rx = [r.time for r in result.trace.built if getattr(r, "label", None) == "rx"]
     assert built_rx == [0, 1_000_000, 6_000_000]
-    assert [(r.t_send_ns, r.t_recv_ns) for r in result.rows] == [(500_000, 2_000_000)] * 2
+    assert [(r.t_send_ns, r.t_recv_ns) for r in csv_rows(result)] == [(500_000, 2_000_000)] * 2
     framed = SimState(sc.system, scripts={pid: s.bind_payload(8) for pid, s in sc.scripts.items()})
     framed.boot()
     for t in range(1_000_000, 6_000_001, 1_000_000):
@@ -371,7 +372,7 @@ def test_sweep_builds_one_simulation_per_payload(monkeypatch):
     sc = load_scenario(SCENARIO_DIR / "sweep.scn")
     result = run_scenario(sc)
     assert len(built) == len(sc.payload_sizes) == 3
-    assert len(result.rows) == len(sc.payload_sizes) * sc.repetitions
+    assert len(result) == len(csv_rows(result)) == len(sc.payload_sizes) * sc.repetitions
 
 
 def test_negative_until_rejected():
@@ -387,31 +388,20 @@ def test_broker_seed_changes_jittered_rows():
     base = run_scenario(parse_scenario(text))
     same = run_scenario(parse_scenario(text), seed=3)
     other = run_scenario(parse_scenario(text), seed=4)
-    assert format_csv(base.rows) == format_csv(same.rows)
-    assert format_csv(base.rows) != format_csv(other.rows)
+    assert csv_text(base) == csv_text(same)
+    assert csv_text(base) != csv_text(other)
 
 
 # -- summarize ----------------------------------------------------------------
 
 
-def rows_from_latencies(values, gap=100_000):
-    return [
-        RepetitionRecord(
-            scenario="s", mode=Mode.PARTITIONED, repetition=i, payload_bytes=1,
-            t_send_ns=0, t_recv_ns=v, latency_ns=v, gap_ns=gap,
-            latency_to_gap_ratio=v / gap,
-        )
-        for i, v in enumerate(values)
-    ]
-
-
 def test_summarize_single_repetition():
-    stats = summarize(rows_from_latencies([123_456]))
+    stats = summarize("latency", [123_456], 100_000)
     assert stats.mean == stats.minimum == stats.maximum == stats.p50 == stats.p99 == 123_456
 
 
 def test_summarize_fixed_arithmetic():
-    stats = summarize(rows_from_latencies([1_000, 2_000, 3_000, 4_000]))
+    stats = summarize("latency", [4_000, 1_000, 3_000, 2_000], 100_000)
     assert stats.p50 == 2_000  # nearest-rank
     assert stats.p99 == 4_000
     assert stats.mean == 2_500  # 2.5us, exact
@@ -420,12 +410,12 @@ def test_summarize_fixed_arithmetic():
 
 
 def test_summarize_mean_rounds_ties_up():
-    stats = summarize(rows_from_latencies([1, 2]))  # 1.5 -> 2
+    stats = summarize("latency", [1, 2], 100_000)  # 1.5 -> 2
     assert stats.mean == 2
 
 
 def test_summarize_ratio_example():
-    stats = summarize(rows_from_latencies([102_100], gap=100_000))
+    stats = summarize("latency", [102_100], 100_000)
     assert stats.latency_to_gap_ratio == pytest.approx(1.021)
     assert stats.overhead_ratio == pytest.approx(0.021)
     assert f"{stats.overhead_ratio * 100:.1f}%" == "2.1%"
@@ -433,7 +423,7 @@ def test_summarize_ratio_example():
 
 def test_summarize_empty():
     with pytest.raises(EmptyResult):
-        summarize([])
+        summarize("latency", [])
 
 
 # -- CSV ----------------------------------------------------------------------
@@ -448,22 +438,22 @@ def test_csv_header_contract():
 
 def test_csv_empty_result_is_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    export_csv([], path)
+    export_csv(RunResult([]), path)
     assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
 
 
 def test_csv_row_count(tmp_path):
-    rows = run_scenario(parse_scenario(make_cookbook_scenario(repetitions=100))).rows
+    result = run_scenario(parse_scenario(make_cookbook_scenario(repetitions=100)))
     path = tmp_path / "out.csv"
-    export_csv(rows, path)
+    export_csv(result, path)
     assert len(path.read_text().splitlines()) == 101
 
 
 def test_csv_reexport_is_byte_identical(tmp_path):
-    rows = run_scenario(parse_scenario(make_cookbook_scenario(repetitions=7))).rows
+    result = run_scenario(parse_scenario(make_cookbook_scenario(repetitions=7)))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    export_csv(rows, p1)
-    export_csv(rows, p2)
+    export_csv(result, p1)
+    export_csv(result, p2)
     assert hashlib.sha256(p1.read_bytes()).digest() == hashlib.sha256(p2.read_bytes()).digest()
 
 
@@ -473,28 +463,43 @@ def test_csv_reexport_is_byte_identical(tmp_path):
         "repetitions = 100", "repetitions = 4"), id="broker"),
 ])
 def test_csv_round_trip(tmp_path, text):
-    rows = run_scenario(parse_scenario(text)).rows
+    """What report reads back of each condition is what run kept: its
+    metric values, in row order, and its first non-zero gap."""
+    result = run_scenario(parse_scenario(text))
     path = tmp_path / "rt.csv"
-    export_csv(rows, path)
-    assert read_csv(path) == rows
+    export_csv(result, path)
+    expected = {}
+    for c in result.conditions:
+        if c.times is None:
+            t_send, t_recv, gap = c.measurement
+            expected[c.scenario, c.payload_bytes, c.mode.value] = (
+                [t_recv - t_send] * c.repetitions, [], gap or None)
+        else:
+            expected[c.scenario, c.payload_bytes, c.mode.value] = (
+                [], [s - r for r, s in c.times], None)
+    read = read_csv(path)
+    assert {key: (g.latencies, g.delays, g.gap) for key, g in read.items()} == expected
+    assert {key: g.summary() for key, g in read.items()} == {
+        (c.scenario, c.payload_bytes, c.mode.value): c.summary() for c in result.conditions}
 
 
 def test_csv_edge_cells():
-    rows = [
-        RepetitionRecord("b", Mode.BROKER, 0, 1, tx_relaxed_ns=300, tx_stressed_ns=100,
-                         tx_delay_ns=-200),
-        RepetitionRecord("p", Mode.PARTITIONED, 2, 64, t_send_ns=5, t_recv_ns=10,
-                         latency_ns=5, gap_ns=None, latency_to_gap_ratio=None),
-        RepetitionRecord("p", Mode.PARTITIONED, 3, 64, t_send_ns=0, t_recv_ns=2,
-                         latency_ns=2, gap_ns=3, latency_to_gap_ratio=2 / 3),
-        RepetitionRecord("p", Mode.PARTITIONED, 4, 64, t_send_ns=0, t_recv_ns=1_021_000,
-                         latency_ns=1_021_000, gap_ns=1_000_000, latency_to_gap_ratio=1.021),
-    ]
-    assert format_csv(rows).splitlines()[1:] == [
+    result = RunResult([
+        Condition("b", Mode.BROKER, 1, 2, times=[(300, 100), (7, 7)]),
+        Condition("p", Mode.PARTITIONED, 64, 2, (5, 10, None)),
+        Condition("p", Mode.PARTITIONED, 65, 1, (0, 2, 3)),
+        Condition("p", Mode.PARTITIONED, 66, 1, (0, 1_021_000, 1_000_000)),
+        Condition("p", Mode.PARTITIONED, 67, 1, (4, 6, 0)),
+    ])
+    assert len(result) == 7
+    assert csv_text(result).splitlines()[1:] == [
         "b,broker,0,1,,,,,,300,100,-200",
-        "p,partitioned,2,64,5,10,5,,,,,",
-        "p,partitioned,3,64,0,2,2,3,0.666667,,,",
-        "p,partitioned,4,64,0,1021000,1021000,1000000,1.021000,,,",
+        "b,broker,1,1,,,,,,7,7,0",
+        "p,partitioned,0,64,5,10,5,,,,,",
+        "p,partitioned,1,64,5,10,5,,,,,",
+        "p,partitioned,0,65,0,2,2,3,0.666667,,,",
+        "p,partitioned,0,66,0,1021000,1021000,1000000,1.021000,,,",
+        "p,partitioned,0,67,4,6,2,0,,,,",
     ]
 
 
@@ -509,7 +514,7 @@ def test_csv_edge_cells():
 ])
 def test_csv_read_errors_are_located(tmp_path, row, message):
     path = tmp_path / "bad.csv"
-    path.write_text(format_csv([RepetitionRecord("b", Mode.BROKER, 0, 1)]) + row + "\n")
+    path.write_text(",".join(CSV_COLUMNS) + "\nb,broker,0,1,,,,,,,,\n" + row + "\n")
     with pytest.raises(ScenarioError) as info:
         read_csv(path)
     assert str(info.value) == f"{path}:3: {message}"
@@ -524,3 +529,20 @@ def test_csv_malformed_rejected(tmp_path):
     short.write_text(",".join(CSV_COLUMNS) + "\nonly,three,cells\n")
     with pytest.raises(ScenarioError):
         read_csv(short)
+
+
+def test_broker_run_and_export_memory_per_row(tmp_path):
+    """A broker run keeps each condition's times and nothing per row, and
+    export writes the rows as it formats them: no row records and no
+    whole-file string, so the traced peak stays below 250 bytes a row."""
+    sc = load_scenario(SCENARIO_DIR / "broker.scn")
+    sc.repetitions = 2_000  # 3 payloads x 1 load pair: 6,000 jittered rows
+    tracemalloc.start()
+    try:
+        export_csv(run_scenario(sc), tmp_path / "m.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = len((tmp_path / "m.csv").read_text().splitlines()) - 1
+    assert rows == 6_000
+    assert peak / rows < 250, f"{peak / rows:.0f} bytes per row"

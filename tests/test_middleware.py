@@ -20,7 +20,7 @@ from partsim.middleware import (
     tx_time,
 )
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, csv_rows
 
 
 def quiet_topology(per_byte=1, k=2.0):
@@ -228,7 +228,7 @@ def test_broker_run_equals_the_reference_model():
                         .replace("jitter=50us\nproc", "jitter=0ns\nproc")
                         + "0.25,0.0 -> 0.5,0.0\n0.0,0.0 -> 0.0,0.0\n")
     assert sc.topology.downlink.jitter_stddev == 0 < sc.topology.uplink.jitter_stddev
-    rows = run_scenario(sc, seed=424242).rows
+    rows = csv_rows(run_scenario(sc, seed=424242))
     assert len(rows) == 3 * 3 * 7
     for c, row in enumerate(rows):
         relaxed, stressed = sc.load_pairs[int(row.scenario.rsplit("/", 1)[1])]
