@@ -103,7 +103,7 @@ def _cmd_run(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (config_mod.ConfigError, harness.ScenarioError) as exc:
+    except harness.ScenarioError as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
 

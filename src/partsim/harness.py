@@ -49,10 +49,15 @@ start of a line; later in a line it is part of the value::
     [loads]
     0.0,0.0 -> 1.0,0.75
 
-Only partitioned scenarios read ``max_frames``, ``api_call_cost``,
-``system_file``, ``[system]``, ``[script N]`` and ``[health]``; only broker
-scenarios read ``[broker]`` and ``[loads]``.  A key or section of the other
-mode, like a malformed value, raises a ScenarioError that names it.
+One reader, ``_read_pairs``, reads every ``key = value`` line (the top
+level, ``[broker]``, ``[health]``, a script's ``mode``).  ``_KEYS`` gives
+each top-level key, and ``_SECTIONS`` each section by its header's first
+word, the mode that reads it and how it is parsed.  Only partitioned
+scenarios read ``max_frames``, ``api_call_cost``, ``system_file``,
+``[system]``, ``[script N]`` and ``[health]``; only broker scenarios read
+``[broker]`` and ``[loads]``.  A key or section of the other mode, like a
+malformed value, a second ``[script N]`` for one partition or a system XML
+error, raises a ScenarioError that names it.
 
 Results are kept per condition, one (scenario label, mode, payload)
 group, and never as one object per row.  Partitioned runs draw no
@@ -86,7 +91,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import middleware, trace as trace_mod, workload
-from .config import Finding, SystemConfig, parse_config, transition_gap, validate
+from .config import ConfigError, Finding, SystemConfig, parse_config, transition_gap, validate
 from .health import HealthAction, HealthTable, HmKind
 from .middleware import BrokerTopology, LinkModel, LoadProfile
 from .scheduler import SimState
@@ -97,11 +102,6 @@ from .workload import AppScript, Mark, Read, Receive, ScriptMode, Send
 class Mode(enum.Enum):
     PARTITIONED = "partitioned"
     BROKER = "broker"
-
-
-DEFAULT_PAYLOAD_SIZES = (1, 1_000_000, 6_000_000)
-DEFAULT_REPETITIONS = 100
-DEFAULT_MAX_FRAMES = 16
 
 
 class ScenarioError(ValueError):
@@ -124,18 +124,20 @@ class EmptyResult(ValueError):
 
 @dataclass
 class Scenario:
+    """A parsed scenario; ``parse_scenario`` sets every field."""
+
     name: str
     mode: Mode
-    system: SystemConfig | None = None
-    topology: BrokerTopology | None = None
-    scripts: dict[int, AppScript] = field(default_factory=dict)
-    payload_sizes: tuple[int, ...] = DEFAULT_PAYLOAD_SIZES
-    repetitions: int = DEFAULT_REPETITIONS
-    seed: int = 0
-    health_table: HealthTable = field(default_factory=HealthTable)
-    load_pairs: tuple[tuple[LoadProfile, LoadProfile], ...] = ()
-    api_call_cost: Duration = 0
-    max_frames: int = DEFAULT_MAX_FRAMES
+    system: SystemConfig | None
+    topology: BrokerTopology | None
+    scripts: dict[int, AppScript]
+    payload_sizes: tuple[int, ...]
+    repetitions: int
+    seed: int
+    health_table: HealthTable
+    load_pairs: tuple[tuple[LoadProfile, LoadProfile], ...]
+    api_call_cost: Duration
+    max_frames: int
 
 
 CSV_HEADER = ("scenario,mode,repetition,payload_bytes,t_send_ns,t_recv_ns,latency_ns,"
@@ -162,7 +164,7 @@ class Condition(NamedTuple):
         if self.times is None:
             t_send, t_recv, gap = self.measurement
             return summarize("latency", [t_recv - t_send] * self.repetitions, gap)
-        # each row's tx_delay: stressed minus relaxed (middleware.tx_delay)
+        # each row's tx_delay: stressed minus relaxed
         return summarize("tx_delay", [stressed - relaxed for relaxed, stressed in self.times])
 
 
@@ -218,54 +220,55 @@ class SummaryStats:
 # scenario file parsing
 
 
+def _read_pairs(lines: list[str], where: str):
+    """Yield each line's (key, value): split at the first ``=``, the key's
+    words joined by one space, the value stripped.  ``where`` names the
+    section ("" at the top level); a line without ``=`` or a repeated key
+    raises a ScenarioError when it is reached, after the pairs before it."""
+    seen = set()
+    for line in lines:
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ScenarioError(
+                f"{where or 'top level'}: expected 'key = value', got {line.strip()!r}")
+        key = " ".join(key.split())
+        if key in seen:
+            raise ScenarioError(f"{f'{where} {key}'.strip()}: duplicate key")
+        seen.add(key)
+        yield key, value.strip()
+
+
 def _split_sections(text: str) -> tuple[dict[str, str], dict[str, list[str]]]:
-    top: dict[str, str] = {}
-    sections: dict[str, list[str]] = {}
-    current: list[str] | None = None
+    """The top-level pairs, then each section's lines by its name as
+    written; blank and comment lines are dropped."""
+    top_lines: list[str] = []
+    blocks: list[tuple[str, list[str]]] = []
+    current = top_lines
     for raw in text.splitlines():
         line = raw.rstrip()
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
-            name = stripped[1:-1].strip()
-            if name in sections:
-                raise ScenarioError(f"duplicate section [{name}]")
-            sections[name] = []
-            current = sections[name]
-            continue
-        if current is None:
-            if "=" not in stripped:
-                raise ScenarioError(f"expected 'key = value' before sections, got {line!r}")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key in top:
-                raise ScenarioError(f"{key}: duplicate key before the first section")
-            top[key] = value.strip()
+            current = []
+            blocks.append((stripped[1:-1].strip(), current))
         else:
             current.append(line)
+    top = dict(_read_pairs(top_lines, ""))
+    sections: dict[str, list[str]] = {}
+    for name, lines in blocks:
+        if name in sections:
+            raise ScenarioError(f"duplicate section [{name}]")
+        sections[name] = lines
     return top, sections
 
 
-def _kv_lines(lines: list[str], section: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for line in lines:
-        if "=" not in line:
-            raise ScenarioError(f"[{section}]: expected 'key = value', got {line.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in out:
-            raise ScenarioError(f"[{section}] {key}: duplicate key")
-        out[key] = value.strip()
-    return out
-
-
 def _convert(where: str, convert, text: str):
-    """``convert(text)``, with a ValueError re-raised as a ScenarioError
-    that names ``where``."""
+    """``convert(text)``, with a ValueError or ConfigError re-raised as a
+    ScenarioError that names ``where``."""
     try:
         return convert(text)
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
@@ -292,6 +295,16 @@ def _parse_load(value: str) -> LoadProfile:
     return LoadProfile(cpu_load=float(parts[0]), memory_load=float(parts[1]))
 
 
+def _parse_sizes(text: str) -> tuple[int, ...]:
+    items = text.split(",")
+    if not all(p.strip() for p in items):
+        raise ValueError(f"empty item in {text!r}")
+    return tuple(int(p) for p in items)
+
+
+# A section parser, ``parse(fields, where, header_id, lines)``, sets the
+# Scenario ``fields`` its section gives; ``where`` is the header as written.
+
 _BROKER_KEYS = {
     "uplink": _parse_link,
     "downlink": _parse_link,
@@ -301,105 +314,116 @@ _BROKER_KEYS = {
 }
 
 
-def _parse_broker(lines: list[str]) -> BrokerTopology:
+def _parse_broker(fields: dict, where: str, _: str, lines: list[str]) -> None:
     """The one publisher -> broker -> subscriber path; omitted keys keep
     the calibration of ``middleware.default_topology``."""
-    kv = _kv_lines(lines, "broker")
-    subscribers = _convert("[broker] subscribers", int, kv.pop("subscribers", "1"))
+    kv = dict(_read_pairs(lines, where))
+    subscribers = _convert(f"{where} subscribers", int, kv.pop("subscribers", "1"))
     if subscribers != 1:
         raise ScenarioError(
-            f"[broker] subscribers: exactly one subscriber is modelled, got {subscribers}"
-        )
+            f"{where} subscribers: exactly one subscriber is modelled, got {subscribers}")
     unknown = set(kv) - set(_BROKER_KEYS)
     if unknown:
-        raise ScenarioError(f"[broker]: unknown keys {sorted(unknown)}")
-    fields = {key: _convert(f"[broker] {key}", _BROKER_KEYS[key], text)
-              for key, text in kv.items()}
-    return dataclasses.replace(middleware.default_topology(), **fields)
+        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
+    fields["topology"] = dataclasses.replace(fields["topology"], **{
+        key: _convert(f"{where} {key}", _BROKER_KEYS[key], text) for key, text in kv.items()})
 
 
-def _parse_health(lines: list[str]) -> HealthTable:
-    table = HealthTable()
-    seen = set()
+def _parse_loads(fields: dict, where: str, _: str, lines: list[str]) -> None:
+    """One ``relaxed -> stressed`` pair per line; none keeps the default."""
+    pairs = []
     for line in lines:
-        lhs, sep, rhs = line.partition("=")
-        parts = lhs.split()
-        if not sep or len(parts) not in (1, 2):
-            raise ScenarioError(f"[health]: expected 'KIND [partition] = ACTION', got {line!r}")
+        relaxed_text, sep, stressed_text = line.partition("->")
+        if not sep:
+            raise ScenarioError(f"{where}: expected 'r_cpu,r_mem -> s_cpu,s_mem', got {line!r}")
+        pairs.append((_convert(f"{where} relaxed", _parse_load, relaxed_text),
+                      _convert(f"{where} stressed", _parse_load, stressed_text)))
+    fields["load_pairs"] = tuple(pairs) or fields["load_pairs"]
+
+
+def _parse_health(fields: dict, where: str, _: str, lines: list[str]) -> None:
+    """``KIND [partition] = ACTION`` lines."""
+    table = fields["health_table"]
+    for key, value in _read_pairs(lines, where):
+        parts = key.split()
+        if len(parts) not in (1, 2):
+            raise ScenarioError(f"{where} {key}: expected 'KIND [partition] = ACTION'")
         try:
-            action = HealthAction[rhs.strip()]
+            action = HealthAction[value]
         except KeyError:
-            raise ScenarioError(f"[health]: unknown action {rhs.strip()!r}") from None
+            raise ScenarioError(f"{where}: unknown action {value!r}") from None
         try:
             kind = HmKind[parts[0]]
         except KeyError:
-            raise ScenarioError(f"[health]: unknown event kind {parts[0]!r}") from None
-        pid = int(parts[1]) if len(parts) == 2 else None
-        if (kind, pid) in seen:
-            raise ScenarioError(f"[health] {lhs.strip()}: duplicate key")
-        seen.add((kind, pid))
-        if pid is None:
+            raise ScenarioError(f"{where}: unknown event kind {parts[0]!r}") from None
+        if len(parts) == 1:
             table.set_default(kind, action)
-        else:
-            table.set_override(kind, pid, action)
-    return table
+            continue
+        pid = int(parts[1])
+        if (kind, pid) in table.overrides:  # an earlier line's key, spelt otherwise
+            raise ScenarioError(f"{where} {key}: duplicate key")
+        table.set_override(kind, pid, action)
 
 
 _SCRIPT_MODES = {"once": ScriptMode.ONCE, "repeat": ScriptMode.REPEAT_EACH_SLOT}
 
 
-def _parse_script_section(lines: list[str], partition_id: int) -> AppScript:
-    """``mode = once|repeat`` at most once; every other line is an action."""
-    mode = None
-    action_lines = []
+def _parse_script_section(fields: dict, where: str, header_id: str, lines: list[str]) -> None:
+    """One section per partition: a ``mode = once|repeat`` line (in any
+    case) at most once, and every other line an action."""
+    words = header_id.split()
+    if len(words) != 1:
+        raise ScenarioError(f"{where}: expected [script <partition id>]")
+    pid = int(words[0])
+    if pid in fields["scripts"]:
+        raise ScenarioError(f"{where}: partition {pid} already has a script section")
+    mode_lines, action_lines = [], []
     for line in lines:
-        stripped = line.strip()
-        key, sep, value = stripped.partition("=")
-        if not sep or key.strip().lower() != "mode":
-            action_lines.append(stripped)
-        elif mode is not None:
-            raise ScenarioError(f"[script {partition_id}] mode: duplicate key")
+        key, sep, _ = line.partition("=")
+        if sep and key.strip().lower() == "mode":
+            mode_lines.append(line.lower())
         else:
-            value = value.strip().lower()
-            mode = _SCRIPT_MODES.get(value)
-            if mode is None:
-                raise ScenarioError(f"[script {partition_id}]: unknown mode {value!r}")
-    return workload.parse_script(action_lines, partition_id, mode or ScriptMode.ONCE)
+            action_lines.append(line)
+    mode = ScriptMode.ONCE
+    for _, value in _read_pairs(mode_lines, where):
+        if value not in _SCRIPT_MODES:
+            raise ScenarioError(f"{where}: unknown mode {value!r}")
+        mode = _SCRIPT_MODES[value]
+    fields["scripts"][pid] = workload.parse_script(action_lines, pid, mode)
 
 
-def _parse_loads(lines: list[str]) -> list[tuple[LoadProfile, LoadProfile]]:
-    pairs = []
-    for line in lines:
-        relaxed_text, sep, stressed_text = line.partition("->")
-        if not sep:
-            raise ScenarioError(f"[loads]: expected 'r_cpu,r_mem -> s_cpu,s_mem', got {line!r}")
-        pairs.append((_convert("[loads] relaxed", _parse_load, relaxed_text),
-                      _convert("[loads] stressed", _parse_load, stressed_text)))
-    return pairs
+# Every top-level key: the mode that reads it (None: both), its converter
+# and default, in the order of conversion.  ``parse_scenario`` reads the
+# two without a converter first.
+_KEYS = {
+    "name": (None, str, None),
+    "mode": (None, None, None),
+    "payload_sizes": (None, _parse_sizes, (1, 1_000_000, 6_000_000)),
+    "repetitions": (None, int, 100),
+    "seed": (None, int, 0),
+    "api_call_cost": (Mode.PARTITIONED, parse_duration, 0),
+    "max_frames": (Mode.PARTITIONED, int, 16),
+    "system_file": (Mode.PARTITIONED, None, None),
+}
 
-
-def _parse_sizes(text: str) -> tuple[int, ...]:
-    items = text.split(",")
-    if not all(p.strip() for p in items):
-        raise ValueError(f"empty item in {text!r}")
-    return tuple(int(p) for p in items)
-
-
-# top-level keys that both modes read
-_COMMON_KEYS = {"name", "mode", "seed", "repetitions", "payload_sizes"}
-# what only one mode reads: top-level keys, and sections by their first word
-_PARTITIONED_KEYS = {"api_call_cost", "max_frames", "system_file"}
-_SECTION_MODE = {
-    "system": Mode.PARTITIONED, "script": Mode.PARTITIONED, "health": Mode.PARTITIONED,
-    "broker": Mode.BROKER, "loads": Mode.BROKER,
+# Every section by the first word of its header: the mode that reads it,
+# whether the rest of the header is an id, and its parser.  ``[system]`` has
+# none: ``parse_scenario`` reads it first, as the system.
+_SECTIONS = {
+    "system": (Mode.PARTITIONED, False, None),
+    "script": (Mode.PARTITIONED, True, _parse_script_section),
+    "health": (Mode.PARTITIONED, False, _parse_health),
+    "broker": (Mode.BROKER, False, _parse_broker),
+    "loads": (Mode.BROKER, False, _parse_loads),
 }
 
 
 def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
-    """Parse a scenario document; raises ScenarioError / ScenarioInvalid."""
+    """Parse a scenario document; raises ScenarioError / ScenarioInvalid,
+    or OSError naming ``system_file`` when that file cannot be read."""
     top, sections = _split_sections(text)
 
-    unknown = set(top) - _COMMON_KEYS - _PARTITIONED_KEYS
+    unknown = set(top) - set(_KEYS)
     if unknown:
         raise ScenarioError(f"unknown keys {sorted(unknown)}")
     if "name" not in top or "mode" not in top:
@@ -408,69 +432,46 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         mode = Mode(top["mode"].lower())
     except ValueError:
         raise ScenarioError(f"mode must be partitioned or broker, got {top['mode']!r}") from None
-    foreign = sorted(_PARTITIONED_KEYS & set(top)) if mode is Mode.BROKER else []
+    foreign = sorted(key for key in top if _KEYS[key][0] not in (None, mode))
     foreign += [f"[{name}]" for name in sections
-                if _SECTION_MODE.get(name.partition(" ")[0], mode) is not mode]
+                if _SECTIONS.get(name.partition(" ")[0], (mode,))[0] is not mode]
     if foreign:
         raise ScenarioError(f"{', '.join(foreign)}: not read by a {mode.value} scenario")
 
-    def value(key: str, convert, default):
-        return _convert(key, convert, top[key]) if key in top else default
-
     system = None
     if "system" in sections:
-        system = parse_config("\n".join(sections.pop("system")))
+        system = _convert("[system]", parse_config, "\n".join(sections.pop("system")))
     elif "system_file" in top:
         path = Path(top["system_file"])
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        system = parse_config(path.read_text(encoding="utf-8"))
+        try:
+            xml = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise OSError(f"system_file: {exc}") from None
+        system = _convert("system_file", parse_config, xml)
 
-    scripts: dict[int, AppScript] = {}
-    topology = None
-    health_table = HealthTable()
-    load_pairs: list[tuple[LoadProfile, LoadProfile]] = []
+    broker = mode is Mode.BROKER
+    fields = {"scripts": {}, "health_table": HealthTable(),
+              "topology": middleware.default_topology() if broker else None,
+              "load_pairs": ((LoadProfile(0.0, 0.0), LoadProfile(1.0, 0.75)),) if broker else ()}
     for name, lines in sections.items():
         where = f"[{name}]"
+        first, _, header_id = name.partition(" ")
+        _, takes_id, parse = _SECTIONS.get(first, (None, False, None))
+        if parse is None or takes_id != bool(header_id):
+            raise ScenarioError(f"unknown section {where}")
         try:
-            if name.startswith("script "):
-                words = name.split()
-                if len(words) != 2:
-                    raise ScenarioError(f"{where}: expected [script <partition id>]")
-                pid = int(words[1])
-                scripts[pid] = _parse_script_section(lines, pid)
-            elif name == "health":
-                health_table = _parse_health(lines)
-            elif name == "broker":
-                topology = _parse_broker(lines)
-            elif name == "loads":
-                load_pairs = _parse_loads(lines)
-            else:
-                raise ScenarioError(f"unknown section {where}")
+            parse(fields, where, header_id, lines)
+        except ScenarioError:
+            raise
         except ValueError as exc:
-            if isinstance(exc, ScenarioError) and where in str(exc):
-                raise
             raise ScenarioError(f"{where}: {exc}") from None
 
-    if mode is Mode.BROKER and topology is None:
-        topology = middleware.default_topology()
-    if mode is Mode.BROKER and not load_pairs:
-        load_pairs = [(LoadProfile(0.0, 0.0), LoadProfile(1.0, 0.75))]
-
-    scenario = Scenario(
-        name=top["name"],
-        mode=mode,
-        system=system,
-        topology=topology,
-        scripts=scripts,
-        payload_sizes=value("payload_sizes", _parse_sizes, DEFAULT_PAYLOAD_SIZES),
-        repetitions=value("repetitions", int, DEFAULT_REPETITIONS),
-        seed=value("seed", int, 0),
-        health_table=health_table,
-        load_pairs=tuple(load_pairs),
-        api_call_cost=value("api_call_cost", parse_duration, 0),
-        max_frames=value("max_frames", int, DEFAULT_MAX_FRAMES),
-    )
+    for key, (_, convert, default) in _KEYS.items():
+        if convert is not None:
+            fields[key] = _convert(key, convert, top[key]) if key in top else default
+    scenario = Scenario(mode=mode, system=system, **fields)
     findings = validate_scenario(scenario)
     if findings:
         raise ScenarioInvalid(findings)

@@ -5,9 +5,11 @@ The engine raises two kinds of anomaly with
 the planner finds a running COMPUTE truncated by its slot end (the detail
 is the overrun in ns), and a memory violation, when a port call names a
 port its partition does not own (the detail is ``"<op> <port>"``).  A
-HealthTable maps (kind, partition) to the action the hypervisor applies;
-per-partition overrides fall back to a per-kind default, which starts as
-DEFAULT_ACTIONS for every kind.
+scenario run raises only overruns: ``harness.validate_scenario`` rejects
+such a port call (``SCRIPT_PORT``) first, so only the ``SimState`` API
+meets a memory violation.  A HealthTable maps (kind, partition) to the
+action the hypervisor applies; per-partition overrides fall back to a
+per-kind default, which starts as DEFAULT_ACTIONS for every kind.
 """
 
 from __future__ import annotations

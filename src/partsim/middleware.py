@@ -194,13 +194,3 @@ def condition_times(
         times.append((t_relaxed,
                       stressed_base + (ju if ju > 0 else 0) + (jd if jd > 0 else 0)))
     return times
-
-
-def tx_delay(stressed: Duration, relaxed: Duration) -> Duration:
-    """Stressed transmission time minus relaxed transmission time.
-
-    Exact signed subtraction; jitter can make individual values negative
-    and they are reported as-is.
-    """
-    return stressed - relaxed
-

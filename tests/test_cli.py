@@ -348,6 +348,9 @@ def add_to_broker(extra):
     pytest.param(make_cookbook_scenario(extra_sections=(
         "[health]\nMEMORY_VIOLATION 1 = LOG\nMEMORY_VIOLATION 1 = HALT_SYSTEM\n")), (),
         "[health] MEMORY_VIOLATION 1: duplicate key", id="duplicate_health_key"),
+    pytest.param(make_cookbook_scenario(extra_sections=(
+        "[health]\nSLOT_OVERRUN 1 = LOG\nSLOT_OVERRUN  01 = HALT_SYSTEM\n")), (),
+        "[health] SLOT_OVERRUN 01: duplicate key", id="duplicate_health_key_respelt"),
     pytest.param(make_cookbook_scenario().replace("mode = once\nrecv", "modes = repeat\nrecv"),
                  (), "[script 1]: partition 1: unrecognized action 'modes = repeat'",
                  id="script_modes_key"),
@@ -363,6 +366,18 @@ def add_to_broker(extra):
                  "[health]: unknown event kind 'TRAP'", id="health_trap"),
     pytest.param(make_cookbook_scenario(extra_sections="[health]\nHYPERVISOR_EVENT = LOG\n"), (),
                  "[health]: unknown event kind 'HYPERVISOR_EVENT'", id="health_hypervisor_event"),
+    # a second script section for one partition, its id spelt otherwise
+    *(pytest.param(make_cookbook_scenario(extra_sections=f"[script {pid}]\nmark zz\n"), (),
+                   f"[script {pid}]: partition 0 already has a script section",
+                   id=f"second_script_{label}")
+      for pid, label in (("00", "00"), ("+0", "plus"), ("-0", "minus"), ("  0", "spaces"))),
+    # system XML errors name the section or key they came from
+    pytest.param(make_cookbook_scenario().replace(
+        "<Channels>", "<Bogus/>\n  <Channels>"), (),
+        "[system]: unknown element <Bogus> in <SystemDescription>", id="system_xml"),
+    # (bad.scn names itself, which is no system XML)
+    pytest.param("name = x\nmode = partitioned\nsystem_file = bad.scn\n", (),
+                 "system_file: ", id="system_file_xml"),
     # keys and sections that only the other mode reads
     pytest.param(add_to_broker("[health]\nSLOT_OVERRUN = HALT_SYSTEM\n"), (),
                  "[health]: not read by a broker scenario", id="broker_health"),

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -546,3 +547,19 @@ def test_broker_run_and_export_memory_per_row(tmp_path):
     rows = len((tmp_path / "m.csv").read_text().splitlines()) - 1
     assert rows == 6_000
     assert peak / rows < 250, f"{peak / rows:.0f} bytes per row"
+
+
+def test_readme_mode_table_matches_the_parser_tables():
+    """README "Which mode reads what" gives every top-level key and every
+    section the mode that the parser's key and section tables give it."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Which mode reads what:\n\n", 1)[1].split("\n\n", 1)[0]
+    keys, sections = {}, {}
+    for row in table.splitlines()[2:]:
+        mode, key_cell, section_cell = (cell.strip() for cell in row.strip("|").split("|"))
+        owner = None if mode == "both" else Mode(mode.strip("`"))
+        keys.update((key, owner) for key in re.findall(r"`(\w+)`", key_cell))
+        sections.update((name.split()[0], owner)
+                        for name in re.findall(r"`\[([^\]]+)\]`", section_cell))
+    assert keys == {key: entry[0] for key, entry in harness._KEYS.items()}
+    assert sections == {word: entry[0] for word, entry in harness._SECTIONS.items()}

@@ -16,7 +16,6 @@ from partsim.middleware import (
     condition_times,
     default_topology,
     repetition_rng,
-    tx_delay,
     tx_time,
 )
 
@@ -79,11 +78,6 @@ def test_load_profile_bounds():
     assert LoadProfile(1.0, 0.75).memory_load == 0.75  # recorded, no effect
 
 
-def test_tx_delay_arithmetic():
-    assert tx_delay(7_000_000, 2_000_000) == 5_000_000
-    assert tx_delay(123, 123) == 0
-    assert tx_delay(100, 300) == -200  # jitter may push it negative; reported as-is
-
 
 def test_equal_load_jittered_delay_centers_on_zero():
     """Statistical oracle: with identical load profiles the expected delay
@@ -96,7 +90,7 @@ def test_equal_load_jittered_delay_centers_on_zero():
         rng = repetition_rng(5, rep)
         relaxed = tx_time(topo, 1_000_000, load, rng)
         stressed = tx_time(topo, 1_000_000, load, rng)
-        deltas.append(tx_delay(stressed, relaxed))
+        deltas.append(stressed - relaxed)
     mean = sum(deltas) / n
     variance = sum((d - mean) ** 2 for d in deltas) / (n - 1)
     stderr = math.sqrt(variance / n)
@@ -130,7 +124,7 @@ def test_default_calibration_magnitude():
         rng = repetition_rng(11, rep)
         relaxed = tx_time(topo, 1_000_000, LoadProfile(0.0), rng)
         stressed = tx_time(topo, 1_000_000, LoadProfile(1.0, 0.75), rng)
-        total += tx_delay(stressed, relaxed)
+        total += stressed - relaxed
     mean = total / n
     assert 4_000_000 <= mean <= 6_000_000
 
