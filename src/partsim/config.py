@@ -3,11 +3,8 @@
 The XML document plays the role of the integrator-authored system
 configuration: partitions with their memory areas, the cyclic schedule
 (major frame plus slots), the inter-partition channels, and the
-hypervisor's per-message copy cost.  Parsing is strict: unknown elements
-or attributes are rejected, and all durations are normalized to integer
-nanoseconds.
-
-Element and attribute names are normative and case-sensitive::
+hypervisor's per-message copy cost.  Element and attribute names are
+normative and case-sensitive::
 
     <SystemDescription majorFrame="1000us">
       <PartitionTable>
@@ -31,9 +28,27 @@ Element and attribute names are normative and case-sensitive::
       <Hypervisor copyCostFixed="0ns" copyCostPerByte="0ns"/>
     </SystemDescription>
 
-Addresses and byte sizes accept decimal or 0x-hex.  ``Channels`` and
-``Hypervisor`` are optional; the copy cost defaults to zero so the
-zero-overhead baseline is exact.
+One table, ``_ELEMENTS``, gives each element its attributes and the count
+of each child it may hold, and one reader checks every element against it:
+
+* every attribute shown is required, except that ``Hypervisor``'s two
+  default to ``0ns``, so the zero-overhead baseline is exact;
+* ``SystemDescription`` holds one ``PartitionTable`` and one ``Schedule``,
+  and at most one ``Channels`` and one ``Hypervisor``; a channel holds one
+  ``Source`` and at least one ``Destination``; ``PartitionTable``,
+  ``Partition``, ``Schedule`` and ``Channels`` hold any number of the
+  children shown; the other elements hold none;
+* unknown elements and attributes, and text other than whitespace, are
+  rejected;
+* durations are normalized to integer nanoseconds, and ``majorFrame`` is
+  positive; the other numbers accept decimal or 0x-hex, sizes and
+  ``maxNoMessages`` are positive and the rest non-negative; a memory area
+  ends within the 64-bit address space.
+
+Each fault raises a ConfigError that names its element, and its attribute
+when it has one: ``<Slot> duration: negative duration '-4us'``.  A
+channel's index, its ``c<index>`` trace label, is its position in
+``<Channels>`` across both kinds.
 """
 
 from __future__ import annotations
@@ -163,148 +178,103 @@ class Finding:
 # parsing
 
 
-def _reject_text(elem: ET.Element) -> None:
-    for part in (elem.text, elem.tail):
-        if part is not None and part.strip():
-            raise SchemaError(f"unexpected text {part.strip()!r} in <{elem.tag}>")
-
-
-def _attrs(elem: ET.Element, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    known = set(required) | set(optional)
-    for name in elem.attrib:
-        if name not in known:
-            raise SchemaError(f"unknown attribute {name!r} on <{elem.tag}>")
-    out = {}
-    for name in required:
-        if name not in elem.attrib:
-            raise SchemaError(f"<{elem.tag}> is missing attribute {name!r}")
-        out[name] = elem.attrib[name]
-    for name in optional:
-        if name in elem.attrib:
-            out[name] = elem.attrib[name]
-    return out
-
-
-def _parse_int(text: str, where: str) -> int:
+def _integer(text: str) -> int:
+    """Decimal or 0x-hex, with an optional leading minus."""
     t = text.strip()
+    negative = t.startswith("-")
+    body = t[1:] if negative else t
     try:
-        negative = t.startswith("-")
-        body = t[1:] if negative else t
         value = int(body, 16) if body.lower().startswith("0x") else int(body, 10)
-        return -value if negative else value
     except ValueError:
-        raise SchemaError(f"bad integer {text!r} for {where}") from None
+        raise SchemaError(f"bad integer {text!r}") from None
+    return -value if negative else value
 
 
-def _parse_dur(text: str, where: str) -> Duration:
+def _duration(text: str) -> Duration:
     try:
         return parse_duration(text)
-    except NegativeDuration:
-        raise RangeError(f"negative duration {text!r} for {where}") from None
+    except NegativeDuration as exc:
+        raise RangeError(str(exc)) from None
     except UnitError as exc:
-        raise SchemaError(f"{exc} for {where}") from None
+        raise SchemaError(str(exc)) from None
 
 
-def _parse_memory_area(elem: ET.Element) -> MemoryArea:
-    _reject_text(elem)
-    if len(elem) != 0:
-        raise SchemaError("<MemoryArea> has no child elements")
-    a = _attrs(elem, ("start", "size"))
-    start = _parse_int(a["start"], "MemoryArea start")
-    size = _parse_int(a["size"], "MemoryArea size")
-    if start < 0:
-        raise RangeError(f"negative address {a['start']!r}")
-    if size <= 0:
-        raise RangeError(f"memory area size must be positive, got {a['size']!r}")
-    if start + size > ADDRESS_LIMIT:
-        raise RangeError(f"memory area [{a['start']}, +{a['size']}) overflows the "
-                         f"{ADDRESS_BITS}-bit address space")
-    return MemoryArea(start=start, size=size)
+def _at_least(convert, least: int):
+    """``convert``, then a RangeError for a value below ``least`` (0 or 1)."""
+    def checked(text: str) -> int:
+        value = convert(text)
+        if value < least:
+            raise RangeError(f"must be {'positive' if least else 'non-negative'}, got {text!r}")
+        return value
+    return checked
 
 
-def _parse_partition(elem: ET.Element) -> PartitionSpec:
-    _reject_text(elem)
-    a = _attrs(elem, ("id", "name"))
-    pid = _parse_int(a["id"], "Partition id")
-    if pid < 0:
-        raise RangeError(f"partition id must be non-negative, got {pid}")
-    areas = []
+_NATURAL, _POSITIVE = _at_least(_integer, 0), _at_least(_integer, 1)
+_ENDPOINTS = {"Source": (1, 1), "Destination": (1, None)}
+_PORT_REF = ({"partition": (_NATURAL, None), "port": (str, None)}, {})
+
+# Every element: its attributes (name -> converter, and the text an omitted
+# attribute reads as, None when it is required) and the children it may
+# hold (tag -> least and most count; most is 1, or None for no limit).
+_ELEMENTS = {
+    "SystemDescription": ({"majorFrame": (_at_least(_duration, 1), None)},
+                          {"PartitionTable": (1, 1), "Schedule": (1, 1),
+                           "Channels": (0, 1), "Hypervisor": (0, 1)}),
+    "PartitionTable": ({}, {"Partition": (0, None)}),
+    "Partition": ({"id": (_NATURAL, None), "name": (str, None)}, {"MemoryArea": (0, None)}),
+    "MemoryArea": ({"start": (_NATURAL, None), "size": (_POSITIVE, None)}, {}),
+    "Schedule": ({}, {"Slot": (0, None)}),
+    "Slot": ({"id": (_NATURAL, None), "partition": (_NATURAL, None),
+              "start": (_duration, None), "duration": (_duration, None)}, {}),
+    "Channels": ({}, {"SamplingChannel": (0, None), "QueuingChannel": (0, None)}),
+    "SamplingChannel": ({"maxMessageSize": (_POSITIVE, None),
+                         "refreshPeriod": (_duration, None)}, _ENDPOINTS),
+    "QueuingChannel": ({"maxMessageSize": (_POSITIVE, None),
+                        "maxNoMessages": (_POSITIVE, None)}, _ENDPOINTS),
+    "Source": _PORT_REF,
+    "Destination": _PORT_REF,
+    "Hypervisor": ({"copyCostFixed": (_duration, "0ns"),
+                    "copyCostPerByte": (_duration, "0ns")}, {}),
+}
+
+
+def _read(elem: ET.Element) -> tuple[str, dict, list]:
+    """Check ``elem`` against its ``_ELEMENTS`` entry.  Returns its tag, its
+    converted attributes and its children, each read the same way, in
+    document order; raises a ConfigError that names the element's tag."""
+    tag = elem.tag
+    attributes, allowed = _ELEMENTS[tag]
+    for name in elem.attrib:
+        if name not in attributes:
+            raise SchemaError(f"unknown attribute {name!r} on <{tag}>")
+    values = {}
+    for name, (convert, default) in attributes.items():
+        text = elem.get(name, default)
+        if text is None:
+            raise SchemaError(f"<{tag}> is missing attribute {name!r}")
+        try:
+            values[name] = convert(text)
+        except ConfigError as exc:
+            raise type(exc)(f"<{tag}> {name}: {exc}") from None
+    counts = dict.fromkeys(allowed, 0)
+    children = []
+    text = elem.text  # the text before each child, then after the last one
     for child in elem:
-        if child.tag != "MemoryArea":
-            raise SchemaError(f"unknown element <{child.tag}> in <Partition>")
-        areas.append(_parse_memory_area(child))
-    return PartitionSpec(id=pid, name=a["name"], memory_areas=tuple(areas))
-
-
-def _parse_slot(elem: ET.Element) -> ScheduleSlot:
-    _reject_text(elem)
-    if len(elem) != 0:
-        raise SchemaError("<Slot> has no child elements")
-    a = _attrs(elem, ("id", "partition", "start", "duration"))
-    slot_id = _parse_int(a["id"], "Slot id")
-    partition = _parse_int(a["partition"], "Slot partition")
-    if slot_id < 0 or partition < 0:
-        raise RangeError("slot id and partition must be non-negative")
-    return ScheduleSlot(
-        slot_id=slot_id,
-        partition_id=partition,
-        start=_parse_dur(a["start"], "Slot start"),
-        duration=_parse_dur(a["duration"], "Slot duration"),
-    )
-
-
-def _parse_port_ref(elem: ET.Element, tag: str) -> PortRef:
-    _reject_text(elem)
-    if len(elem) != 0:
-        raise SchemaError(f"<{tag}> has no child elements")
-    a = _attrs(elem, ("partition", "port"))
-    pid = _parse_int(a["partition"], f"{tag} partition")
-    if pid < 0:
-        raise RangeError(f"{tag} partition must be non-negative")
-    return PortRef(partition_id=pid, port=a["port"])
-
-
-def _parse_channel(elem: ET.Element) -> ChannelSpec:
-    _reject_text(elem)
-    if elem.tag == "SamplingChannel":
-        kind = ChannelKind.SAMPLING
-        a = _attrs(elem, ("maxMessageSize", "refreshPeriod"))
-        refresh: Duration | None = _parse_dur(a["refreshPeriod"], "refreshPeriod")
-        capacity: int | None = None
-    else:
-        kind = ChannelKind.QUEUING
-        a = _attrs(elem, ("maxMessageSize", "maxNoMessages"))
-        refresh = None
-        capacity = _parse_int(a["maxNoMessages"], "maxNoMessages")
-        if capacity <= 0:
-            raise RangeError(f"maxNoMessages must be positive, got {capacity}")
-    max_size = _parse_int(a["maxMessageSize"], "maxMessageSize")
-    if max_size <= 0:
-        raise RangeError(f"maxMessageSize must be positive, got {max_size}")
-
-    source: PortRef | None = None
-    dests: list[PortRef] = []
-    for child in elem:
-        if child.tag == "Source":
-            if source is not None:
-                raise SchemaError(f"<{elem.tag}> has more than one <Source>")
-            source = _parse_port_ref(child, "Source")
-        elif child.tag == "Destination":
-            dests.append(_parse_port_ref(child, "Destination"))
-        else:
-            raise SchemaError(f"unknown element <{child.tag}> in <{elem.tag}>")
-    if source is None:
-        raise SchemaError(f"<{elem.tag}> is missing <Source>")
-    if not dests:
-        raise SchemaError(f"<{elem.tag}> needs at least one <Destination>")
-    return ChannelSpec(
-        kind=kind,
-        source=source,
-        destinations=tuple(dests),
-        max_message_size=max_size,
-        refresh_period=refresh,
-        capacity=capacity,
-    )
+        if text and not text.isspace():
+            break
+        if child.tag not in counts:
+            raise SchemaError(f"unknown element <{child.tag}> in <{tag}>")
+        counts[child.tag] += 1
+        if counts[child.tag] > 1 and allowed[child.tag][1] == 1:
+            raise SchemaError(f"<{tag}> has more than one <{child.tag}>")
+        children.append(_read(child))
+        text = child.tail
+    if text and not text.isspace():
+        raise SchemaError(f"unexpected text {text.strip()!r} in <{tag}>")
+    for name, (least, _) in allowed.items():
+        if counts[name] < least:
+            raise SchemaError(f"<{tag}> is missing <{name}>")
+    return tag, values, children
 
 
 def parse_config(text: str) -> SystemConfig:
@@ -312,7 +282,7 @@ def parse_config(text: str) -> SystemConfig:
 
     Raises XmlSyntaxError for malformed XML, SchemaError for unknown or
     missing elements/attributes and bad literals, RangeError for negative
-    durations and non-positive sizes.
+    durations, non-positive sizes and a memory area past the address space.
     """
     try:
         root = ET.fromstring(text)
@@ -320,64 +290,36 @@ def parse_config(text: str) -> SystemConfig:
         raise XmlSyntaxError(f"malformed XML: {exc}") from None
     if root.tag != "SystemDescription":
         raise SchemaError(f"root element must be <SystemDescription>, got <{root.tag}>")
-    _reject_text(root)
-    a = _attrs(root, ("majorFrame",))
-    major_frame = _parse_dur(a["majorFrame"], "majorFrame")
-    if major_frame <= 0:
-        raise RangeError("majorFrame must be positive")
+    _, system, sections = _read(root)
+    content = {tag: (attrs, children) for tag, attrs, children in sections}
 
-    seen: set[str] = set()
-    partitions: list[PartitionSpec] = []
-    slots: list[ScheduleSlot] = []
-    channels: list[ChannelSpec] = []
-    copy_cost = CopyCost()
-    have_partition_table = False
-    have_schedule = False
-
-    for section in root:
-        if section.tag in seen:
-            raise SchemaError(f"duplicate <{section.tag}> section")
-        seen.add(section.tag)
-        _reject_text(section)
-        if section.tag == "PartitionTable":
-            have_partition_table = True
-            for child in section:
-                if child.tag != "Partition":
-                    raise SchemaError(f"unknown element <{child.tag}> in <PartitionTable>")
-                partitions.append(_parse_partition(child))
-        elif section.tag == "Schedule":
-            have_schedule = True
-            for child in section:
-                if child.tag != "Slot":
-                    raise SchemaError(f"unknown element <{child.tag}> in <Schedule>")
-                slots.append(_parse_slot(child))
-        elif section.tag == "Channels":
-            for child in section:
-                if child.tag not in ("SamplingChannel", "QueuingChannel"):
-                    raise SchemaError(f"unknown element <{child.tag}> in <Channels>")
-                channels.append(_parse_channel(child))
-        elif section.tag == "Hypervisor":
-            if len(section) != 0:
-                raise SchemaError("<Hypervisor> has no child elements")
-            ha = _attrs(section, (), ("copyCostFixed", "copyCostPerByte"))
-            copy_cost = CopyCost(
-                fixed=_parse_dur(ha.get("copyCostFixed", "0ns"), "copyCostFixed"),
-                per_byte=_parse_dur(ha.get("copyCostPerByte", "0ns"), "copyCostPerByte"),
-            )
-        else:
-            raise SchemaError(f"unknown element <{section.tag}> in <SystemDescription>")
-
-    if not have_partition_table:
-        raise SchemaError("missing <PartitionTable>")
-    if not have_schedule:
-        raise SchemaError("missing <Schedule>")
-
-    slots.sort(key=lambda s: (s.start, s.slot_id))
+    partitions = []
+    for _, p, children in content["PartitionTable"][1]:
+        areas = tuple(MemoryArea(a["start"], a["size"]) for _, a, _ in children)
+        for area in areas:
+            if area.end > ADDRESS_LIMIT:
+                raise RangeError(f"<MemoryArea> [0x{area.start:x}, +0x{area.size:x}) overflows "
+                                 f"the {ADDRESS_BITS}-bit address space")
+        partitions.append(PartitionSpec(p["id"], p["name"], areas))
+    slots = sorted((ScheduleSlot(s["id"], s["partition"], s["start"], s["duration"])
+                    for _, s, _ in content["Schedule"][1]), key=lambda s: (s.start, s.slot_id))
+    channels = []
+    for tag, c, children in content.get("Channels", ({}, ()))[1]:
+        ends = [(end, PortRef(e["partition"], e["port"])) for end, e, _ in children]
+        channels.append(ChannelSpec(
+            kind=ChannelKind.SAMPLING if tag == "SamplingChannel" else ChannelKind.QUEUING,
+            source=next(ref for end, ref in ends if end == "Source"),
+            destinations=tuple(ref for end, ref in ends if end == "Destination"),
+            max_message_size=c["maxMessageSize"],
+            refresh_period=c.get("refreshPeriod"), capacity=c.get("maxNoMessages"),
+        ))
+    # an omitted <Hypervisor> reads as an empty one
+    hypervisor = content.get("Hypervisor") or _read(ET.Element("Hypervisor"))[1:]
     return SystemConfig(
         partitions=tuple(partitions),
-        plan=SchedulePlan(major_frame=major_frame, slots=tuple(slots)),
+        plan=SchedulePlan(major_frame=system["majorFrame"], slots=tuple(slots)),
         channels=tuple(channels),
-        copy_cost=copy_cost,
+        copy_cost=CopyCost(hypervisor[0]["copyCostFixed"], hypervisor[0]["copyCostPerByte"]),
     )
 
 
@@ -459,12 +401,6 @@ def validate(cfg: SystemConfig) -> list[Finding]:
         if ch.kind is ChannelKind.QUEUING and len(ch.destinations) != 1:
             err("QUEUING_FANOUT", loc,
                 f"queuing channels have exactly one destination, got {len(ch.destinations)}")
-        if ch.kind is ChannelKind.SAMPLING and ch.refresh_period is None:
-            err("CHANNEL_PARAM", loc, "sampling channel needs a refresh period")
-        if ch.kind is ChannelKind.QUEUING and (ch.capacity is None or ch.capacity <= 0):
-            err("CHANNEL_PARAM", loc, "queuing channel needs a positive capacity")
-        if ch.max_message_size <= 0:
-            err("CHANNEL_PARAM", loc, "max message size must be positive")
 
         key = (ch.source.partition_id, ch.source.port)
         if key in sources_seen:

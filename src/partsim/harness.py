@@ -439,6 +439,8 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         raise ScenarioError(f"{', '.join(foreign)}: not read by a {mode.value} scenario")
 
     system = None
+    if "system" in sections and "system_file" in top:
+        raise ScenarioError("system_file: give it or an inline [system] section, not both")
     if "system" in sections:
         system = _convert("[system]", parse_config, "\n".join(sections.pop("system")))
     elif "system_file" in top:

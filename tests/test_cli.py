@@ -378,6 +378,10 @@ def add_to_broker(extra):
     # (bad.scn names itself, which is no system XML)
     pytest.param("name = x\nmode = partitioned\nsystem_file = bad.scn\n", (),
                  "system_file: ", id="system_file_xml"),
+    # one system only: the file (here one that does not exist) or the section
+    pytest.param(make_cookbook_scenario().replace("[system]", "system_file = missing.xml\n[system]"),
+                 (), "system_file: give it or an inline [system] section, not both",
+                 id="system_file_and_section"),
     # keys and sections that only the other mode reads
     pytest.param(add_to_broker("[health]\nSLOT_OVERRUN = HALT_SYSTEM\n"), (),
                  "[health]: not read by a broker scenario", id="broker_health"),

@@ -1,11 +1,16 @@
 """System description parsing, validation, and schedule geometry."""
 
 import random
+import re
+import textwrap
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, strategies as st
 
+from partsim import config
 from partsim.config import (
+    ChannelKind,
     RangeError,
     SchedulePlan,
     ScheduleSlot,
@@ -16,9 +21,12 @@ from partsim.config import (
     transition_gap,
     validate,
 )
+from partsim.scheduler import SimState
+from partsim.trace import PortOpRecord
 from partsim.units import parse_duration
+from partsim.workload import parse_script
 
-from conftest import COOKBOOK_XML
+from conftest import COOKBOOK_XML, REPO_ROOT
 
 MINIMAL = """
 <SystemDescription majorFrame="1ms">
@@ -77,6 +85,109 @@ def test_schema_errors(mutation):
     old, new = mutation
     with pytest.raises(SchemaError):
         parse_config(MINIMAL.replace(old, new))
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('duration="400us"/>', 'duration="-4us"/>', "<Slot> duration: negative duration '-4us'"),
+    ('<Slot id="0"', '<Slot id="-0x1"', "<Slot> id: must be non-negative, got '-0x1'"),
+    ('id="0" name="solo"', 'id="zero" name="solo"', "<Partition> id: bad integer 'zero'"),
+    ("</Schedule>", "</Schedule><Schedule/>",
+     "<SystemDescription> has more than one <Schedule>"),
+    # a section's attributes are checked like any other element's
+    ("<PartitionTable>", '<PartitionTable id="3">', "unknown attribute 'id' on <PartitionTable>"),
+    ("<Schedule>", '<Schedule id="3">', "unknown attribute 'id' on <Schedule>"),
+    ('<Slot id="0" partition="0" start="0us" duration="400us"/>',
+     '<Slot id="0" partition="0" start="0us" duration="400us"/> idle',
+     "unexpected text 'idle' in <Schedule>"),
+])
+def test_errors_name_their_element(old, new, message):
+    with pytest.raises((SchemaError, RangeError)) as info:
+        parse_config(MINIMAL.replace(old, new))
+    assert str(info.value) == message
+
+
+ORDERED_CHANNELS = """
+<SystemDescription majorFrame="1ms">
+  <PartitionTable>
+    <Partition id="0" name="pub"/>
+    <Partition id="1" name="sub"/>
+  </PartitionTable>
+  <Schedule>
+    <Slot id="0" partition="0" start="0us" duration="400us"/>
+    <Slot id="1" partition="1" start="500us" duration="400us"/>
+  </Schedule>
+  <Channels>
+    <QueuingChannel maxMessageSize="8" maxNoMessages="4">
+      <Source partition="0" port="a"/><Destination partition="1" port="a"/>
+    </QueuingChannel>
+    <SamplingChannel maxMessageSize="8" refreshPeriod="2ms">
+      <Source partition="0" port="b"/><Destination partition="1" port="b"/>
+    </SamplingChannel>
+    <QueuingChannel maxMessageSize="8" maxNoMessages="4">
+      <Destination partition="1" port="c"/><Source partition="0" port="c"/>
+    </QueuingChannel>
+  </Channels>
+</SystemDescription>
+"""
+
+
+def test_channels_keep_document_order_across_both_kinds():
+    """A channel's index, its ``c<index>`` trace label, is its position in
+    <Channels>, whichever kind it is."""
+    cfg = parse_config(ORDERED_CHANNELS)
+    assert [(c.kind, c.source.port) for c in cfg.channels] == [
+        (ChannelKind.QUEUING, "a"), (ChannelKind.SAMPLING, "b"), (ChannelKind.QUEUING, "c")]
+    scripts = {0: parse_script(["send a 8", "send b 8", "send c 8"], 0)}
+    sim = SimState(cfg, scripts=scripts).boot()
+    sim.run_until(400_000)
+    ops = [(r.op, r.channel, r.result) for r in sim.trace if type(r) is PortOpRecord]
+    assert ops == [("SEND", "c0", "OK"), ("WRITE", "c1", "OK"), ("SEND", "c2", "OK")]
+
+
+# -- the documented grammar and the parser's table ---------------------------
+
+_COUNTS = {"one": (1, 1), "at most one": (0, 1), "at least one": (1, None),
+           "any number of": (0, None)}
+
+
+def test_readme_element_table_matches_the_parser_table():
+    """README "System description XML" gives every element the attributes
+    (with the default of an optional one) and the child counts that
+    ``config._ELEMENTS`` gives it."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| element | attributes | children |\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines()[1:]:
+        element, attributes, children = (cell.strip() for cell in row.strip("|").split("|"))
+        counts = {}
+        for item in children.split(", ") if children != "none" else ():
+            phrase, tag = re.fullmatch(r"(.+) `(\w+)`", item).groups()
+            counts[tag] = _COUNTS[phrase]
+        documented[element.strip("`")] = (
+            dict(re.findall(r'`(\w+)(?:="([^"]*)")?`', attributes)), counts)
+    assert documented == {
+        tag: ({name: default or "" for name, (_, default) in attributes.items()}, allowed)
+        for tag, (attributes, allowed) in config._ELEMENTS.items()}
+
+
+def _documented_examples():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    docstring = config.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]
+    return {"README": readme.split("## System description XML\n\n```xml\n", 1)[1]
+            .split("```", 1)[0], "config docstring": textwrap.dedent(docstring)}
+
+
+@pytest.mark.parametrize("where", ["README", "config docstring"])
+def test_documented_example_parses_and_shows_every_attribute(where):
+    """The example document parses, and the (element, attribute) pairs it
+    shows are those of ``config._ELEMENTS``: every element, every
+    attribute."""
+    text = _documented_examples()[where]
+    parse_config(text)
+    elements = list(ET.fromstring(text).iter())
+    assert {e.tag for e in elements} == set(config._ELEMENTS)
+    assert {(e.tag, name) for e in elements for name in e.attrib} == {
+        (tag, name) for tag, (attributes, _) in config._ELEMENTS.items() for name in attributes}
 
 
 def test_range_errors():

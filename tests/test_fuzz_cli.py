@@ -221,13 +221,17 @@ def written_scenarios(draw):
 
 def _mutations(lines):
     """Every (index, op) a written scenario offers: ``drop`` a value or a
-    last word, ``duplicate`` a line, swap in ``junk``, or ``respell`` a
-    later ``[script N]`` id as the id of an earlier one.  Each leaves
-    exactly one fault in the file."""
+    last word, ``duplicate`` a line, swap in ``junk``, ``respell`` a
+    later ``[script N]`` id as the id of an earlier one, or give the
+    system ``both`` ways (a first ``system_file`` line beside a ``[system]``
+    section, or a last ``[system]`` section beside a ``system_file`` line).
+    Each leaves exactly one fault in the file."""
     after_script = False
     for i, line in enumerate(lines):
         if line.kind == "pair":
             yield from ((i, op) for op in ("drop", "duplicate", "junk"))
+            if line.owner == "system_file":
+                yield i, "both"
         elif line.kind == "action":
             yield i, "drop"
             if line.tokens[0] in ("compute", "send"):
@@ -238,6 +242,8 @@ def _mutations(lines):
             yield i, "junk"  # the root element's open tag
         elif line.kind == "header":
             yield i, "duplicate"
+            if line.tokens == ("system",):
+                yield i, "both"
             if line.tokens[0] == "script":
                 if after_script:
                     yield i, "respell"
@@ -259,6 +265,13 @@ def _mutate(draw, lines):
     code = 3 if line.owner == "system_file" and op != "duplicate" else 1
     if op == "duplicate":
         return lines[:i + 1] + lines[i:], code, line.owner
+    if op == "both":
+        named = "system_file: give it or an inline [system] section, not both"
+        if line.owner == "system_file":  # a [system] section at the end
+            return (lines + [Line("header", "[system]", ("system",))]
+                    + [Line("xml", "[system]", (text,)) for text in FUZZ_XML.splitlines()],
+                    1, named)
+        return [Line("pair", "system_file", ("system_file", "fuzz.xml"))] + lines, 1, named
     if op == "respell":
         pid = next(other.tokens[1] for other in lines[:i]
                    if other.kind == "header" and other.tokens[0] == "script")
