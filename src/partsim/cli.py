@@ -1,9 +1,9 @@
 """Command-line interface: ``partsim validate|run|report``.
 
-Exit codes are stable: 0 success, 1 validation findings or an invalid
-scenario, 2 runtime fault (system halt, failed measurement), 3 I/O or
-malformed input files.  ``PARTSIM_SEED`` is the fallback when --seed is
-not given.  All output is deterministic for fixed inputs and seed.
+Exit codes are stable: 0 success, 1 validation findings, an invalid
+scenario or a bad argument, 2 runtime fault (system halt, failed measurement),
+3 I/O or malformed input files.  ``PARTSIM_SEED`` is the fallback when --seed
+is not given.  All output is deterministic for fixed inputs and seed.
 
 Each subcommand imports the partsim modules it needs when it runs, so
 ``validate`` loads only ``config`` and ``units``, not the engine.
@@ -22,8 +22,14 @@ EXIT_RUNTIME = 2
 EXIT_IO = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # exit 1, not 2; the subparsers inherit it
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_FINDINGS, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="partsim",
         description="Deterministic partitioned-system simulator and pub/sub delay harness",
     )
@@ -36,9 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario_path")
     p_run.add_argument("--out", help="CSV output path (default: <scenario name>.csv)")
     bound = p_run.add_mutually_exclusive_group()
-    bound.add_argument("--frames", type=int, help="run each repetition for N major frames")
+    bound.add_argument("--frames", help="run each repetition for N major frames")
     bound.add_argument("--until", help="run each repetition until this duration, e.g. 10ms")
-    p_run.add_argument("--seed", type=int, help="override the scenario seed")
+    p_run.add_argument("--seed", help="override the scenario seed")
     p_run.add_argument("--trace", help="write the first repetition's trace to this path "
                        "(partitioned scenarios only)")
 
@@ -96,7 +102,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     from . import config as config_mod, harness, trace as trace_mod
-    from .units import parse_duration
+    from .units import parse_duration, parse_integer
 
     try:
         scenario = harness.load_scenario(args.scenario_path)
@@ -107,23 +113,26 @@ def _cmd_run(args) -> int:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
 
-    seed, where = args.seed, "PARTSIM_SEED"
+    # --seed, else a non-empty PARTSIM_SEED; each value a units literal
+    seed_from = "PARTSIM_SEED" if args.seed is None and os.environ.get("PARTSIM_SEED") else "--seed"
+    values = {seed_from: os.environ[seed_from] if seed_from == "PARTSIM_SEED" else args.seed,
+              "--frames": args.frames, "--until": args.until}
     try:
-        if seed is None and os.environ.get(where):
-            seed = int(os.environ[where])
-            if seed < 0:
+        for where, text in values.items():
+            values[where] = text if text is None else (
+                parse_duration if where == "--until" else parse_integer)(text)
+            if where == "PARTSIM_SEED" and values[where] < 0:  # a negative --seed is a finding
                 raise ValueError("seed must be >= 0")
-        where = "--until"
-        until = parse_duration(args.until) if args.until else None
     except ValueError as exc:
         print(f"error: {where}: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
+    seed, frames, until = values.values()
 
     if args.trace and scenario.mode is harness.Mode.BROKER:
         print(config_mod.Finding("TRACE", "--trace", "a broker scenario has no trace"))
         return EXIT_FINDINGS
     try:
-        result = harness.run_scenario(scenario, until=until, frames=args.frames, seed=seed)
+        result = harness.run_scenario(scenario, until=until, frames=frames, seed=seed)
     except harness.ScenarioInvalid as exc:
         for finding in exc.findings:
             print(str(finding))

@@ -40,10 +40,10 @@ of each child it may hold, and one reader checks every element against it:
   children shown; the other elements hold none;
 * unknown elements and attributes, and text other than whitespace, are
   rejected;
-* durations are normalized to integer nanoseconds, and ``majorFrame`` is
-  positive; the other numbers accept decimal or 0x-hex, sizes and
-  ``maxNoMessages`` are positive and the rest non-negative; a memory area
-  ends within the 64-bit address space.
+* numbers are ``units`` literals, integers in decimal or 0x-hex;
+  ``majorFrame`` is positive, sizes and ``maxNoMessages`` are positive and
+  the rest non-negative; a memory area ends within the 64-bit address
+  space.
 
 Each fault raises a ConfigError that names its element, and its attribute
 when it has one: ``<Slot> duration: negative duration '-4us'``.  A
@@ -57,7 +57,7 @@ import enum
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
-from .units import Duration, NegativeDuration, UnitError, parse_duration
+from .units import Duration, NegativeDuration, parse_duration, parse_integer
 
 ADDRESS_BITS = 64
 ADDRESS_LIMIT = 1 << ADDRESS_BITS
@@ -178,38 +178,25 @@ class Finding:
 # parsing
 
 
-def _integer(text: str) -> int:
-    """Decimal or 0x-hex, with an optional leading minus."""
-    t = text.strip()
-    negative = t.startswith("-")
-    body = t[1:] if negative else t
-    try:
-        value = int(body, 16) if body.lower().startswith("0x") else int(body, 10)
-    except ValueError:
-        raise SchemaError(f"bad integer {text!r}") from None
-    return -value if negative else value
-
-
-def _duration(text: str) -> Duration:
-    try:
-        return parse_duration(text)
-    except NegativeDuration as exc:
-        raise RangeError(str(exc)) from None
-    except UnitError as exc:
-        raise SchemaError(str(exc)) from None
-
-
-def _at_least(convert, least: int):
-    """``convert``, then a RangeError for a value below ``least`` (0 or 1)."""
-    def checked(text: str) -> int:
-        value = convert(text)
+def _literal(parse, least: int):
+    """``parse`` (a ``units`` reader), with a bad literal raised as a SchemaError,
+    and a negative duration or a value below ``least`` (0 or 1) as a RangeError."""
+    def convert(text: str) -> int:
+        try:
+            value = parse(text)
+        except NegativeDuration as exc:
+            raise RangeError(str(exc)) from None
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from None
         if value < least:
             raise RangeError(f"must be {'positive' if least else 'non-negative'}, got {text!r}")
         return value
-    return checked
+    return convert
 
 
-_NATURAL, _POSITIVE = _at_least(_integer, 0), _at_least(_integer, 1)
+_NATURAL = _literal(lambda text: parse_integer(text, hex_ok=True), 0)
+_POSITIVE = _literal(lambda text: parse_integer(text, hex_ok=True), 1)
+_DURATION = _literal(parse_duration, 0)
 _ENDPOINTS = {"Source": (1, 1), "Destination": (1, None)}
 _PORT_REF = ({"partition": (_NATURAL, None), "port": (str, None)}, {})
 
@@ -217,7 +204,7 @@ _PORT_REF = ({"partition": (_NATURAL, None), "port": (str, None)}, {})
 # attribute reads as, None when it is required) and the children it may
 # hold (tag -> least and most count; most is 1, or None for no limit).
 _ELEMENTS = {
-    "SystemDescription": ({"majorFrame": (_at_least(_duration, 1), None)},
+    "SystemDescription": ({"majorFrame": (_literal(parse_duration, 1), None)},
                           {"PartitionTable": (1, 1), "Schedule": (1, 1),
                            "Channels": (0, 1), "Hypervisor": (0, 1)}),
     "PartitionTable": ({}, {"Partition": (0, None)}),
@@ -225,16 +212,16 @@ _ELEMENTS = {
     "MemoryArea": ({"start": (_NATURAL, None), "size": (_POSITIVE, None)}, {}),
     "Schedule": ({}, {"Slot": (0, None)}),
     "Slot": ({"id": (_NATURAL, None), "partition": (_NATURAL, None),
-              "start": (_duration, None), "duration": (_duration, None)}, {}),
+              "start": (_DURATION, None), "duration": (_DURATION, None)}, {}),
     "Channels": ({}, {"SamplingChannel": (0, None), "QueuingChannel": (0, None)}),
     "SamplingChannel": ({"maxMessageSize": (_POSITIVE, None),
-                         "refreshPeriod": (_duration, None)}, _ENDPOINTS),
+                         "refreshPeriod": (_DURATION, None)}, _ENDPOINTS),
     "QueuingChannel": ({"maxMessageSize": (_POSITIVE, None),
                         "maxNoMessages": (_POSITIVE, None)}, _ENDPOINTS),
     "Source": _PORT_REF,
     "Destination": _PORT_REF,
-    "Hypervisor": ({"copyCostFixed": (_duration, "0ns"),
-                    "copyCostPerByte": (_duration, "0ns")}, {}),
+    "Hypervisor": ({"copyCostFixed": (_DURATION, "0ns"),
+                    "copyCostPerByte": (_DURATION, "0ns")}, {}),
 }
 
 

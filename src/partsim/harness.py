@@ -95,7 +95,7 @@ from .config import ConfigError, Finding, SystemConfig, parse_config, transition
 from .health import HealthAction, HealthTable, HmKind
 from .middleware import BrokerTopology, LinkModel, LoadProfile
 from .scheduler import SimState
-from .units import Duration, parse_duration
+from .units import Duration, parse_duration, parse_fraction, parse_integer
 from .workload import AppScript, Mark, Read, Receive, ScriptMode, Send
 
 
@@ -263,11 +263,13 @@ def _split_sections(text: str) -> tuple[dict[str, str], dict[str, list[str]]]:
     return top, sections
 
 
-def _convert(where: str, convert, text: str):
-    """``convert(text)``, with a ValueError or ConfigError re-raised as a
-    ScenarioError that names ``where``."""
+def _convert(where: str, convert, *args):
+    """``convert(*args)``, with a ValueError or ConfigError other than a
+    ScenarioError re-raised as a ScenarioError that names ``where``."""
     try:
-        return convert(text)
+        return convert(*args)
+    except ScenarioError:
+        raise
     except (ValueError, ConfigError) as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
@@ -292,14 +294,14 @@ def _parse_load(value: str) -> LoadProfile:
     parts = value.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 'cpu,mem', got {value.strip()!r}")
-    return LoadProfile(cpu_load=float(parts[0]), memory_load=float(parts[1]))
+    return LoadProfile(cpu_load=parse_fraction(parts[0]), memory_load=parse_fraction(parts[1]))
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
     items = text.split(",")
     if not all(p.strip() for p in items):
         raise ValueError(f"empty item in {text!r}")
-    return tuple(int(p) for p in items)
+    return tuple(parse_integer(p) for p in items)
 
 
 # A section parser, ``parse(fields, where, header_id, lines)``, sets the
@@ -310,7 +312,7 @@ _BROKER_KEYS = {
     "downlink": _parse_link,
     "proc_fixed": parse_duration,
     "proc_per_byte": parse_duration,
-    "load_factor": float,
+    "load_factor": parse_fraction,
 }
 
 
@@ -318,7 +320,7 @@ def _parse_broker(fields: dict, where: str, _: str, lines: list[str]) -> None:
     """The one publisher -> broker -> subscriber path; omitted keys keep
     the calibration of ``middleware.default_topology``."""
     kv = dict(_read_pairs(lines, where))
-    subscribers = _convert(f"{where} subscribers", int, kv.pop("subscribers", "1"))
+    subscribers = _convert(f"{where} subscribers", parse_integer, kv.pop("subscribers", "1"))
     if subscribers != 1:
         raise ScenarioError(
             f"{where} subscribers: exactly one subscriber is modelled, got {subscribers}")
@@ -359,7 +361,7 @@ def _parse_health(fields: dict, where: str, _: str, lines: list[str]) -> None:
         if len(parts) == 1:
             table.set_default(kind, action)
             continue
-        pid = int(parts[1])
+        pid = _convert(f"{where} {key}", parse_integer, parts[1])
         if (kind, pid) in table.overrides:  # an earlier line's key, spelt otherwise
             raise ScenarioError(f"{where} {key}: duplicate key")
         table.set_override(kind, pid, action)
@@ -371,10 +373,7 @@ _SCRIPT_MODES = {"once": ScriptMode.ONCE, "repeat": ScriptMode.REPEAT_EACH_SLOT}
 def _parse_script_section(fields: dict, where: str, header_id: str, lines: list[str]) -> None:
     """One section per partition: a ``mode = once|repeat`` line (in any
     case) at most once, and every other line an action."""
-    words = header_id.split()
-    if len(words) != 1:
-        raise ScenarioError(f"{where}: expected [script <partition id>]")
-    pid = int(words[0])
+    pid = parse_integer(header_id)
     if pid in fields["scripts"]:
         raise ScenarioError(f"{where}: partition {pid} already has a script section")
     mode_lines, action_lines = [], []
@@ -399,10 +398,10 @@ _KEYS = {
     "name": (None, str, None),
     "mode": (None, None, None),
     "payload_sizes": (None, _parse_sizes, (1, 1_000_000, 6_000_000)),
-    "repetitions": (None, int, 100),
-    "seed": (None, int, 0),
+    "repetitions": (None, parse_integer, 100),
+    "seed": (None, parse_integer, 0),
     "api_call_cost": (Mode.PARTITIONED, parse_duration, 0),
-    "max_frames": (Mode.PARTITIONED, int, 16),
+    "max_frames": (Mode.PARTITIONED, parse_integer, 16),
     "system_file": (Mode.PARTITIONED, None, None),
 }
 
@@ -463,12 +462,7 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         _, takes_id, parse = _SECTIONS.get(first, (None, False, None))
         if parse is None or takes_id != bool(header_id):
             raise ScenarioError(f"unknown section {where}")
-        try:
-            parse(fields, where, header_id, lines)
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
+        _convert(where, parse, fields, where, header_id, lines)
 
     for key, (_, convert, default) in _KEYS.items():
         if convert is not None:

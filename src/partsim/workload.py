@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .units import Duration, parse_duration
+from .units import Duration, parse_duration, parse_integer
 
 PAYLOAD_PLACEHOLDER = "$payload"
 
@@ -127,7 +127,7 @@ def parse_action(line: str) -> Action:
     if op == "send" and len(args) == 2:
         if args[1] == PAYLOAD_PLACEHOLDER:
             return Send(port=args[0], size=None)
-        size = int(args[1])
+        size = parse_integer(args[1])
         if size <= 0:
             raise ScriptError(f"send size must be positive: {line!r}")
         return Send(port=args[0], size=size)

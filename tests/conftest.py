@@ -1,8 +1,10 @@
+import re
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import strategies as st
 
 from partsim.config import parse_config
 from partsim.harness import export_csv
@@ -121,6 +123,32 @@ recv in
 mark rx
 {extra_sections}
 """
+
+
+# the zero of three other scripts' digits: Arabic-Indic, Devanagari, fullwidth
+_UNICODE_ZEROS = (0x0660, 0x0966, 0xFF10)
+
+
+def misspell_number(draw, token: str, fraction: bool = False) -> str:
+    """``token`` with one of its numbers written in a form that no literal
+    takes: one digit from another script, an ``_`` after the first digit,
+    a leading ``+`` or ``--``, or, on a ``fraction``, an ``e0`` exponent."""
+    number = draw(st.sampled_from(list(re.finditer(r"[0-9]+(?:\.[0-9]+)?", token))))
+    text = number[0]
+    op = draw(st.sampled_from(("digit", "underscore", "plus", "minus")
+                              + (("exponent",) if fraction else ())))
+    if op == "digit":
+        i = draw(st.sampled_from([i for i, c in enumerate(text) if c != "."]))
+        text = text[:i] + chr(draw(st.sampled_from(_UNICODE_ZEROS)) + int(text[i])) + text[i + 1:]
+    elif op == "underscore":
+        text = f"{text[0]}_{text[1:] or '0'}"
+    elif op == "plus":
+        text = "+" + text
+    elif op == "minus":
+        text = "--" + text
+    else:
+        text += "e0"
+    return token[:number.start()] + text + token[number.end():]
 
 
 class Row(NamedTuple):

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -132,7 +133,39 @@ def test_malformed_until_is_a_finding(workdir, capsys):
     assert "--until" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["x", "-1"])
+@pytest.mark.parametrize("flags, code, named", [
+    pytest.param(("run", "cb.scn", "--frames", "abc"), 1, "--frames: bad integer 'abc'",
+                 id="frames_abc"),
+    pytest.param(("run", "cb.scn", "--frames", "1_0"), 1, "--frames: bad integer '1_0'",
+                 id="frames_underscore"),
+    pytest.param(("run", "cb.scn", "--seed", "٣"), 1, "--seed: bad integer '٣'",
+                 id="seed_unicode_digit"),
+    pytest.param(("run", "cb.scn", "--until", "٣ms"), 1, "--until: bad duration '٣ms'",
+                 id="until_unicode_digit"),
+    pytest.param(("run", "cb.scn", "--frames"), 1, "argument --frames: expected one argument",
+                 id="frames_without_value"),
+    pytest.param(("run", "cb.scn", "--frames", "1", "--until", "1ms"), 1,
+                 "argument --until: not allowed", id="both_bounds"),
+    pytest.param(("run", "cb.scn", "--bogus"), 1, "unrecognized arguments: --bogus",
+                 id="unknown_flag"),
+    pytest.param(("report",), 1, "the following arguments are required: csv_paths",
+                 id="report_without_path"),
+    pytest.param(("bogus",), 1, "argument command: invalid choice: 'bogus'",
+                 id="unknown_command"),
+    pytest.param(("run", "-h"), 0, "", id="help"),
+])
+def test_flag_errors_exit_1(workdir, capsys, flags, code, named):
+    write(workdir / "cb.scn", make_cookbook_scenario(repetitions=1))
+    try:
+        exit_code = main(list(flags))
+    except SystemExit as exc:
+        exit_code = exc.code
+    err = capsys.readouterr().err
+    assert (exit_code, named in err, "Traceback" in err) == (code, True, False), err
+    assert not (workdir / "cookbook.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["x", "-1", "1_0", "+1", "٣"])
 def test_malformed_env_seed_is_a_finding(workdir, monkeypatch, capsys, value):
     broker = write(workdir / "br.scn", (SCENARIO_DIR / "broker.scn").read_text())
     monkeypatch.setenv("PARTSIM_SEED", value)
@@ -366,11 +399,44 @@ def add_to_broker(extra):
                  "[health]: unknown event kind 'TRAP'", id="health_trap"),
     pytest.param(make_cookbook_scenario(extra_sections="[health]\nHYPERVISOR_EVENT = LOG\n"), (),
                  "[health]: unknown event kind 'HYPERVISOR_EVENT'", id="health_hypervisor_event"),
-    # a second script section for one partition, its id spelt otherwise
+    # a number in a form that no literal takes
+    *(pytest.param(text, (), named, id=f"literal_{label}") for text, named, label in (
+        (make_cookbook_scenario().replace("seed = 1", "seed = 1_0"), "seed: bad integer",
+         "seed_underscore"),
+        (make_cookbook_scenario().replace("seed = 1", "seed = +1"), "seed: bad integer",
+         "seed_plus"),
+        (make_cookbook_scenario().replace("seed = 1", "seed = ٣"), "seed: bad integer",
+         "seed_unicode_digit"),
+        (make_cookbook_scenario(repetitions="1_0"), "repetitions: bad integer",
+         "repetitions_underscore"),
+        (make_cookbook_scenario(payloads="٦٤"), "payload_sizes: bad integer",
+         "payload_unicode_digits"),
+        (make_cookbook_scenario().replace("send out $payload", "send out 1_0"),
+         "[script 0]: partition 0: bad integer '1_0'", "send_size_underscore"),
+        (make_cookbook_scenario().replace("[script 1]", "[script ١]"),
+         "[script ١]: bad integer '١'", "script_id_unicode_digit"),
+        (make_cookbook_scenario(extra_sections="[health]\nSLOT_OVERRUN ١ = LOG\n"),
+         "[health] SLOT_OVERRUN ١: bad integer '١'", "health_id_unicode_digit"),
+        (make_cookbook_scenario(extra_sections="[health]\nSLOT_OVERRUN x = LOG\n"),
+         "[health] SLOT_OVERRUN x: bad integer 'x'", "health_id_x"),
+        (make_cookbook_scenario().replace('Partition id="1"', 'Partition id="--1"'),
+         "[system]: <Partition> id: bad integer '--1'", "xml_double_minus"),
+        (BROKER_TEXT.replace("load_factor = 1.0", "load_factor = ٢"),
+         "[broker] load_factor: bad fraction '٢'", "load_factor_unicode_digit"),
+        (BROKER_TEXT.replace("0.0,0.0 -> 1.0,0.75", "0.0,0.0 -> 1e0,0.75"),
+         "[loads] stressed: bad fraction ' 1e0'", "loads_exponent"),
+        (BROKER_TEXT.replace("0.0,0.0 -> 1.0,0.75", "٠.٥,0.0 -> 1.0,0.75"),
+         "[loads] relaxed: bad fraction '٠.٥'", "loads_unicode_digits"),
+    )),
+    # a second script section for one partition, its id spelt otherwise;
+    # a leading "+" is no integer literal
     *(pytest.param(make_cookbook_scenario(extra_sections=f"[script {pid}]\nmark zz\n"), (),
-                   f"[script {pid}]: partition 0 already has a script section",
-                   id=f"second_script_{label}")
-      for pid, label in (("00", "00"), ("+0", "plus"), ("-0", "minus"), ("  0", "spaces"))),
+                   f"[script {pid}]: {named}", id=f"second_script_{label}")
+      for pid, label, named in (
+          ("00", "00", "partition 0 already has a script section"),
+          ("+0", "plus", "bad integer '+0'"),
+          ("-0", "minus", "partition 0 already has a script section"),
+          ("  0", "spaces", "partition 0 already has a script section"))),
     # system XML errors name the section or key they came from
     pytest.param(make_cookbook_scenario().replace(
         "<Channels>", "<Bogus/>\n  <Channels>"), (),
@@ -453,7 +519,13 @@ def test_report_repeats_the_run_summary_of_each_shipped_scenario(workdir, path):
     assert _cli(["report", "o.csv"]) == (0, run_out)
 
 
-_LOAD = st.floats(0.0, 1.0).map(repr)
+def _fraction(x: float) -> str:
+    """``x`` as a fraction literal: its shortest repr, written without an
+    exponent."""
+    return format(Decimal(repr(x)), "f")
+
+
+_LOAD = st.floats(0.0, 1.0).map(_fraction)
 _NS = st.integers(0, 300_000)
 
 
@@ -476,7 +548,7 @@ def broker_runs(draw):
         *(f"{side} = base={b}ns per_byte={pb}ns jitter={j}ns"
           for side, (b, pb, j) in zip(("uplink", "downlink"), links)),
         f"proc_fixed = {proc_fixed}ns", f"proc_per_byte = {proc_per_byte}ns",
-        f"load_factor = {load_factor!r}",
+        f"load_factor = {_fraction(load_factor)}",
         "[loads]",
         *(f"{rc},{rm} -> {sc},{sm}" for rc, rm, sc, sm in pairs),
     ]) + "\n"

@@ -91,6 +91,11 @@ def test_schema_errors(mutation):
     ('duration="400us"/>', 'duration="-4us"/>', "<Slot> duration: negative duration '-4us'"),
     ('<Slot id="0"', '<Slot id="-0x1"', "<Slot> id: must be non-negative, got '-0x1'"),
     ('id="0" name="solo"', 'id="zero" name="solo"', "<Partition> id: bad integer 'zero'"),
+    # numbers are units literals: no doubled sign, no "_", no non-ASCII digit
+    ('id="0" name="solo"', 'id="--1" name="solo"', "<Partition> id: bad integer '--1'"),
+    ('id="0" name="solo"', 'id="1_0" name="solo"', "<Partition> id: bad integer '1_0'"),
+    ('duration="400us"/>', 'duration="٣us"/>',
+     "<Slot> duration: bad duration '٣us' (expected integer + ns/us/ms/s)"),
     ("</Schedule>", "</Schedule><Schedule/>",
      "<SystemDescription> has more than one <Schedule>"),
     # a section's attributes are checked like any other element's

@@ -5,7 +5,8 @@ documented exit code and never raises.  Scenarios written from the
 documented grammar, with comments, blank lines, free section and key order
 and free whitespace: each parses to the same Scenario as its canonical
 form, and one mutated token makes `partsim run` exit with its documented
-code and a message that names the token's key or section."""
+code and a message that names the token's key or section; so does a
+number written in a form that no literal takes."""
 
 import contextlib
 import io
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from partsim.cli import main
 from partsim.harness import parse_scenario
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, misspell_number
 
 SCENARIOS = {p.name: p.read_text(encoding="utf-8") for p in sorted(SCENARIO_DIR.glob("*.scn"))}
 
@@ -222,12 +223,15 @@ def written_scenarios(draw):
 def _mutations(lines):
     """Every (index, op) a written scenario offers: ``drop`` a value or a
     last word, ``duplicate`` a line, swap in ``junk``, ``respell`` a
-    later ``[script N]`` id as the id of an earlier one, or give the
-    system ``both`` ways (a first ``system_file`` line beside a ``[system]``
-    section, or a last ``[system]`` section beside a ``system_file`` line).
-    Each leaves exactly one fault in the file."""
+    later ``[script N]`` id as the id of an earlier one, give the system
+    ``both`` ways (a first ``system_file`` line beside a ``[system]``
+    section, or a last ``[system]`` section beside a ``system_file`` line),
+    or ``misspell`` a number.  Each leaves exactly one fault in the file."""
     after_script = False
     for i, line in enumerate(lines):
+        if line.kind in ("pair", "header", "action", "loads") and line.owner != "name" and any(
+                c.isdigit() for c in "".join(line.tokens)):
+            yield i, "misspell"
         if line.kind == "pair":
             yield from ((i, op) for op in ("drop", "duplicate", "junk"))
             if line.owner == "system_file":
@@ -275,11 +279,25 @@ def _mutate(draw, lines):
     if op == "respell":
         pid = next(other.tokens[1] for other in lines[:i]
                    if other.kind == "header" and other.tokens[0] == "script")
-        aliases = (f"0{pid}", f"+{pid}", f"  {pid}") + (("-0",) if pid == "0" else ())
+        aliases = (f"0{pid}", f"  {pid}") + (("-0",) if pid == "0" else ())
         alias = draw(st.sampled_from(aliases))
         line = line._replace(tokens=("script", alias))
         return (lines[:i] + [line] + lines[i + 1:], code,
                 f"[script {alias}]: partition {pid} already has a script section")
+    if op == "misspell":
+        k = draw(st.sampled_from([k for k, token in enumerate(line.tokens)
+                                  if any(c.isdigit() for c in token)]))
+        fraction = line.kind == "loads" or line.tokens[0] == "load_factor"
+        tokens = list(line.tokens)
+        tokens[k] = misspell_number(draw, tokens[k], fraction)
+        line = line._replace(tokens=tuple(tokens))
+        if line.kind == "header":
+            named = f"[{' '.join(tokens)}]"
+        elif line.kind == "pair" and line.owner.startswith("["):  # a section's key
+            named = f"{line.owner} {' '.join(tokens[0].split())}"
+        else:
+            named = line.owner
+        return lines[:i] + [line] + lines[i + 1:], 1, named
     if line.kind == "pair":
         tokens = (line.tokens[0], "" if op == "drop" else junk)
     elif line.kind == "loads":

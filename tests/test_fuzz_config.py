@@ -7,7 +7,8 @@ SystemConfig that its values describe.  One mutated token (a dropped
 required attribute, a repeated singleton child, an unknown attribute or
 element, a junk value or stray text) makes ``parse_config`` raise a
 ConfigError that names the element it is in, and makes ``partsim
-validate`` print one ERROR line and exit 1.
+validate`` print one ERROR line and exit 1.  A number written in a form
+that no literal takes is named by its element and attribute.
 
 The grammar is written out here, not read from the parser's table, so
 that a fault in the table cannot hide in its own test."""
@@ -26,6 +27,8 @@ from partsim.config import (
     ChannelKind, ChannelSpec, ConfigError, CopyCost, MemoryArea, PartitionSpec, PortRef,
     SchedulePlan, ScheduleSlot, SystemConfig, parse_config,
 )
+
+from conftest import misspell_number
 
 
 class Node(NamedTuple):
@@ -177,12 +180,14 @@ def _offers(node):
         yield "drop_attribute"
     if any(name not in TEXT_ATTRS for name, _ in node.attrs):
         yield "junk"
+        yield "misspell"
     if node.tag in SINGLETONS:
         yield "repeat"
 
 
 def _mutate(draw, root):
-    """``(mutated root, the tag its error must name)``."""
+    """``(mutated root, the text its error must hold)``: the element's
+    tag, and for a misspelt number its attribute too."""
     offered = {}
     for path, node in _nodes(root):
         for op in _offers(node):
@@ -190,12 +195,12 @@ def _mutate(draw, root):
     op = draw(st.sampled_from(sorted(offered)))
     path = draw(st.sampled_from(offered[op]))
     node = dict(_nodes(root))[path]
-    attrs = list(node.attrs)
+    attrs, named = list(node.attrs), f"<{node.tag}>"
     if op == "repeat":  # a second copy beside the first, in the parent
         parent = dict(_nodes(root))[path[:-1]]
         children = list(parent.children)
         children.insert(path[-1], node)
-        return _replace(root, path[:-1], parent._replace(children=tuple(children))), node.tag
+        return _replace(root, path[:-1], parent._replace(children=tuple(children))), named
     if op == "unknown_attribute":
         attrs.insert(draw(st.integers(0, len(attrs))), ("bogus", "1"))
     elif op == "drop_attribute":
@@ -203,12 +208,16 @@ def _mutate(draw, root):
     elif op == "junk":
         i = draw(st.sampled_from([i for i, a in enumerate(attrs) if a[0] not in TEXT_ATTRS]))
         attrs[i] = (attrs[i][0], draw(st.sampled_from(JUNK)))
+    elif op == "misspell":
+        i = draw(st.sampled_from([i for i, a in enumerate(attrs) if a[0] not in TEXT_ATTRS]))
+        attrs[i] = (attrs[i][0], misspell_number(draw, attrs[i][1]))
+        named = f"<{node.tag}> {attrs[i][0]}: bad "
     else:
         extra = Node("Bogus", ()) if op == "unknown_element" else "stray"
         children = list(node.children)
         children.insert(draw(st.integers(0, len(children))), extra)
         node = node._replace(children=tuple(children))
-    return _replace(root, path, node._replace(attrs=tuple(attrs))), node.tag
+    return _replace(root, path, node._replace(attrs=tuple(attrs))), named
 
 
 @settings(deadline=None, max_examples=100)
@@ -222,11 +231,11 @@ def test_written_document_parses_to_its_config(data):
 @given(st.data())
 def test_one_mutated_token_is_located(data):
     root, _ = data.draw(documents())
-    mutated, tag = _mutate(data.draw, root)
+    mutated, named = _mutate(data.draw, root)
     text = _render(data.draw, mutated)
     with pytest.raises(ConfigError) as info:
         parse_config(text)
-    assert f"<{tag}>" in str(info.value), (tag, str(info.value))
+    assert named in str(info.value), (named, str(info.value))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "system.xml"
         path.write_text(text, encoding="utf-8")
