@@ -3,7 +3,9 @@
 Exit codes are stable: 0 success, 1 validation findings, an invalid
 scenario or a bad argument, 2 runtime fault (system halt, failed measurement),
 3 I/O or malformed input files.  ``PARTSIM_SEED`` is the fallback when --seed
-is not given.  All output is deterministic for fixed inputs and seed.
+is not given; a bad flag or ``PARTSIM_SEED`` is one stderr line ``error:
+<flag or variable>: <message>``.  All output is deterministic for fixed
+inputs and seed.
 
 Each subcommand imports the partsim modules it needs when it runs, so
 ``validate`` loads only ``config`` and ``units``, not the engine.
@@ -101,7 +103,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from . import config as config_mod, harness, trace as trace_mod
+    from . import harness, trace as trace_mod
     from .units import parse_duration, parse_integer
 
     try:
@@ -113,30 +115,28 @@ def _cmd_run(args) -> int:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
 
-    # --seed, else a non-empty PARTSIM_SEED; each value a units literal
+    # a non-empty PARTSIM_SEED is read only when --seed is absent
     seed_from = "PARTSIM_SEED" if args.seed is None and os.environ.get("PARTSIM_SEED") else "--seed"
-    values = {seed_from: os.environ[seed_from] if seed_from == "PARTSIM_SEED" else args.seed,
-              "--frames": args.frames, "--until": args.until}
+    values = {}
     try:
-        for where, text in values.items():
-            values[where] = text if text is None else (
-                parse_duration if where == "--until" else parse_integer)(text)
-            if where == "PARTSIM_SEED" and values[where] < 0:  # a negative --seed is a finding
-                raise ValueError("seed must be >= 0")
+        for where, text, parse, least in (
+                (seed_from, os.environ[seed_from] if seed_from == "PARTSIM_SEED" else args.seed,
+                 parse_integer, 0),
+                ("--frames", args.frames, parse_integer, 1),
+                ("--until", args.until, parse_duration, 0)):
+            values[where] = None if text is None else parse(text)
+            if text is not None and values[where] < least:
+                raise ValueError(f"must be {'positive' if least else 'non-negative'}, got {text!r}")
+        for where in ("--frames", "--until", "--trace"):
+            if getattr(args, where[2:]) and scenario.mode is harness.Mode.BROKER:
+                raise ValueError("not read by a broker scenario")
     except ValueError as exc:
         print(f"error: {where}: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
     seed, frames, until = values.values()
 
-    if args.trace and scenario.mode is harness.Mode.BROKER:
-        print(config_mod.Finding("TRACE", "--trace", "a broker scenario has no trace"))
-        return EXIT_FINDINGS
     try:
         result = harness.run_scenario(scenario, until=until, frames=frames, seed=seed)
-    except harness.ScenarioInvalid as exc:
-        for finding in exc.findings:
-            print(str(finding))
-        return EXIT_FINDINGS
     except harness.MeasurementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -170,7 +170,7 @@ def _cmd_report(args) -> int:
         for path in args.csv_paths:
             harness.read_csv(path, conditions)
         lines = _summary_lines(conditions)
-    except (OSError, UnicodeDecodeError, harness.ScenarioError) as exc:
+    except (OSError, harness.ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     if not conditions:

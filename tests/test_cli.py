@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, deterministic outputs."""
 
+import ast
 import contextlib
 import io
 import os
@@ -183,13 +184,6 @@ def test_non_positive_max_frames_exits_1(workdir, capsys, value):
     assert "MAX_FRAMES scenario max_frames" in capsys.readouterr().err
 
 
-def test_zero_frames_flag_exits_1(workdir, capsys):
-    scn = write(workdir / "cb.scn", make_cookbook_scenario(repetitions=1))
-    assert main(["run", scn, "--frames", "0", "--out", "o.csv"]) == 1
-    assert "RUN_BOUND --frames" in capsys.readouterr().out
-    assert not (workdir / "o.csv").exists()
-
-
 def test_halt_system_exit_code(workdir):
     scn = write(
         workdir / "halt.scn",
@@ -321,86 +315,86 @@ def add_to_broker(extra):
     return BROKER_TEXT.replace("\n[broker]", f"\n{extra}\n[broker]")
 
 
-@pytest.mark.parametrize("text, flags, named", [
-    pytest.param(make_cookbook_scenario().replace("repetitions = 3", "repetitions = abc"), (),
+@pytest.mark.parametrize("text, named", [
+    pytest.param(make_cookbook_scenario().replace("repetitions = 3", "repetitions = abc"),
                  "repetitions", id="repetitions"),
-    pytest.param(make_cookbook_scenario().replace("seed = 1", "seed = x"), (),
+    pytest.param(make_cookbook_scenario().replace("seed = 1", "seed = x"),
                  "seed", id="seed"),
-    pytest.param(make_cookbook_scenario().replace("seed = 1", "seed = -1"), (),
+    pytest.param(make_cookbook_scenario().replace("seed = 1", "seed = -1"),
                  "SEED scenario seed must be >= 0", id="negative_seed"),
-    pytest.param(BROKER_TEXT.replace("seed = 7", "seed = -7"), (),
+    pytest.param(BROKER_TEXT.replace("seed = 7", "seed = -7"),
                  "SEED scenario seed must be >= 0", id="broker_negative_seed"),
-    pytest.param(BROKER_TEXT.replace("repetitions = 100", "repetitions = 333335"), (),
+    pytest.param(BROKER_TEXT.replace("repetitions = 100", "repetitions = 333335"),
                  "DRAWS scenario payload sizes x load pairs x repetitions = 1000005",
                  id="broker_draws_over_stride"),
-    pytest.param(make_cookbook_scenario().replace("payload_sizes = 64", "payload_sizes = 6x"), (),
+    pytest.param(make_cookbook_scenario().replace("payload_sizes = 64", "payload_sizes = 6x"),
                  "payload_sizes", id="payload_sizes"),
-    pytest.param(make_cookbook_scenario(payloads="64,8,64"), (),
+    pytest.param(make_cookbook_scenario(payloads="64,8,64"),
                  "PAYLOAD scenario payload sizes must be distinct", id="duplicate_payload"),
     pytest.param(BROKER_TEXT.replace("payload_sizes = 1,1000000,6000000", "payload_sizes = 1,1"),
-                 (), "PAYLOAD scenario payload sizes must be distinct",
+                 "PAYLOAD scenario payload sizes must be distinct",
                  id="broker_duplicate_payload"),
-    pytest.param(make_cookbook_scenario().replace("name = cookbook", "name = "), (),
+    pytest.param(make_cookbook_scenario().replace("name = cookbook", "name = "),
                  "NAME scenario name must not be empty", id="empty_name"),
-    pytest.param(make_cookbook_scenario(payloads=""), (),
+    pytest.param(make_cookbook_scenario(payloads=""),
                  "payload_sizes: empty item in ''", id="empty_payload_sizes"),
-    pytest.param(make_cookbook_scenario(payloads=","), (),
+    pytest.param(make_cookbook_scenario(payloads=","),
                  "payload_sizes: empty item in ','", id="comma_payload_sizes"),
-    pytest.param(make_cookbook_scenario(payloads="64,,8"), (),
+    pytest.param(make_cookbook_scenario(payloads="64,,8"),
                  "payload_sizes: empty item in '64,,8'", id="empty_payload_item"),
     pytest.param(BROKER_TEXT.replace("payload_sizes = 1,1000000,6000000", "payload_sizes = "),
-                 (), "payload_sizes: empty item in ''", id="broker_empty_payload_sizes"),
+                 "payload_sizes: empty item in ''", id="broker_empty_payload_sizes"),
     pytest.param(BROKER_TEXT.replace("payload_sizes = 1,1000000,6000000", "payload_sizes = ,"),
-                 (), "payload_sizes: empty item in ','", id="broker_comma_payload_sizes"),
+                 "payload_sizes: empty item in ','", id="broker_comma_payload_sizes"),
     pytest.param(BROKER_TEXT.replace("payload_sizes = 1,1000000,6000000", "payload_sizes = 1,,2"),
-                 (), "payload_sizes: empty item in '1,,2'", id="broker_empty_payload_item"),
+                 "payload_sizes: empty item in '1,,2'", id="broker_empty_payload_item"),
     pytest.param(BROKER_TEXT.replace("uplink = base=200us per_byte=0ns jitter=50us",
                                      "uplink = base=200us base=9ms jitter=0ns"),
-                 (), "[broker] uplink: duplicate link field 'base'", id="broker_duplicate_link_field"),
+                 "[broker] uplink: duplicate link field 'base'", id="broker_duplicate_link_field"),
     pytest.param(BROKER_TEXT.replace("uplink = base=200us per_byte=0ns jitter=50us", "uplink = "),
-                 (), "[broker] uplink: expected base=, per_byte= or jitter= fields",
+                 "[broker] uplink: expected base=, per_byte= or jitter= fields",
                  id="broker_empty_link"),
-    pytest.param(make_cookbook_scenario().replace("[script 1]", "[script one]"), (),
+    pytest.param(make_cookbook_scenario().replace("[script 1]", "[script one]"),
                  "[script one]", id="script_id"),
-    pytest.param(make_cookbook_scenario().replace("compute 100us", "compute 100xs"), (),
+    pytest.param(make_cookbook_scenario().replace("compute 100us", "compute 100xs"),
                  "[script 0]", id="script_duration"),
-    pytest.param(BROKER_TEXT.replace("load_factor = 1.0", "load_factor = fast"), (),
+    pytest.param(BROKER_TEXT.replace("load_factor = 1.0", "load_factor = fast"),
                  "[broker] load_factor", id="load_factor"),
-    pytest.param(BROKER_TEXT.replace("proc_fixed = 20us", "proc_fixed = 20xs"), (),
+    pytest.param(BROKER_TEXT.replace("proc_fixed = 20us", "proc_fixed = 20xs"),
                  "[broker] proc_fixed", id="proc_fixed"),
-    pytest.param(BROKER_TEXT.replace("subscribers = 1", "subscribers = 0"), (),
+    pytest.param(BROKER_TEXT.replace("subscribers = 1", "subscribers = 0"),
                  "[broker] subscribers", id="subscribers_0"),
-    pytest.param(BROKER_TEXT.replace("subscribers = 1", "subscribers = 3"), (),
+    pytest.param(BROKER_TEXT.replace("subscribers = 1", "subscribers = 3"),
                  "[broker] subscribers", id="subscribers_3"),
-    pytest.param(BROKER_TEXT.replace("subscribers = 1", "subscribers = abc"), (),
+    pytest.param(BROKER_TEXT.replace("subscribers = 1", "subscribers = abc"),
                  "[broker] subscribers", id="subscribers_abc"),
-    pytest.param(make_cookbook_scenario().replace("seed = 1", "seed = 1\nrepetitions = 5"), (),
+    pytest.param(make_cookbook_scenario().replace("seed = 1", "seed = 1\nrepetitions = 5"),
                  "repetitions: duplicate key", id="duplicate_top_key"),
     pytest.param(BROKER_TEXT.replace("proc_fixed = 20us", "proc_fixed = 20us\nproc_fixed = 30us"),
-                 (), "[broker] proc_fixed: duplicate key", id="duplicate_broker_key"),
+                 "[broker] proc_fixed: duplicate key", id="duplicate_broker_key"),
     pytest.param(make_cookbook_scenario(extra_sections=(
-        "[health]\nMEMORY_VIOLATION 1 = LOG\nMEMORY_VIOLATION 1 = HALT_SYSTEM\n")), (),
+        "[health]\nMEMORY_VIOLATION 1 = LOG\nMEMORY_VIOLATION 1 = HALT_SYSTEM\n")),
         "[health] MEMORY_VIOLATION 1: duplicate key", id="duplicate_health_key"),
     pytest.param(make_cookbook_scenario(extra_sections=(
-        "[health]\nSLOT_OVERRUN 1 = LOG\nSLOT_OVERRUN  01 = HALT_SYSTEM\n")), (),
+        "[health]\nSLOT_OVERRUN 1 = LOG\nSLOT_OVERRUN  01 = HALT_SYSTEM\n")),
         "[health] SLOT_OVERRUN 01: duplicate key", id="duplicate_health_key_respelt"),
     pytest.param(make_cookbook_scenario().replace("mode = once\nrecv", "modes = repeat\nrecv"),
-                 (), "[script 1]: partition 1: unrecognized action 'modes = repeat'",
+                 "[script 1]: partition 1: unrecognized action 'modes = repeat'",
                  id="script_modes_key"),
     pytest.param(make_cookbook_scenario().replace("mode = once\nrecv", "modefoo = repeat\nrecv"),
-                 (), "[script 1]: partition 1: unrecognized action 'modefoo = repeat'",
+                 "[script 1]: partition 1: unrecognized action 'modefoo = repeat'",
                  id="script_modefoo_key"),
     pytest.param(make_cookbook_scenario().replace("mode = once\nrecv",
                                                   "mode = once\nmode = repeat\nrecv"),
-                 (), "[script 1] mode: duplicate key", id="duplicate_script_mode"),
-    pytest.param(make_cookbook_scenario().replace("[script 1]", "[script 1 junk]"), (),
+                 "[script 1] mode: duplicate key", id="duplicate_script_mode"),
+    pytest.param(make_cookbook_scenario().replace("[script 1]", "[script 1 junk]"),
                  "[script 1 junk]", id="script_junk"),
-    pytest.param(make_cookbook_scenario(extra_sections="[health]\nTRAP = HALT_SYSTEM\n"), (),
+    pytest.param(make_cookbook_scenario(extra_sections="[health]\nTRAP = HALT_SYSTEM\n"),
                  "[health]: unknown event kind 'TRAP'", id="health_trap"),
-    pytest.param(make_cookbook_scenario(extra_sections="[health]\nHYPERVISOR_EVENT = LOG\n"), (),
+    pytest.param(make_cookbook_scenario(extra_sections="[health]\nHYPERVISOR_EVENT = LOG\n"),
                  "[health]: unknown event kind 'HYPERVISOR_EVENT'", id="health_hypervisor_event"),
     # a number in a form that no literal takes
-    *(pytest.param(text, (), named, id=f"literal_{label}") for text, named, label in (
+    *(pytest.param(text, named, id=f"literal_{label}") for text, named, label in (
         (make_cookbook_scenario().replace("seed = 1", "seed = 1_0"), "seed: bad integer",
          "seed_underscore"),
         (make_cookbook_scenario().replace("seed = 1", "seed = +1"), "seed: bad integer",
@@ -430,7 +424,7 @@ def add_to_broker(extra):
     )),
     # a second script section for one partition, its id spelt otherwise;
     # a leading "+" is no integer literal
-    *(pytest.param(make_cookbook_scenario(extra_sections=f"[script {pid}]\nmark zz\n"), (),
+    *(pytest.param(make_cookbook_scenario(extra_sections=f"[script {pid}]\nmark zz\n"),
                    f"[script {pid}]: {named}", id=f"second_script_{label}")
       for pid, label, named in (
           ("00", "00", "partition 0 already has a script section"),
@@ -439,46 +433,113 @@ def add_to_broker(extra):
           ("  0", "spaces", "partition 0 already has a script section"))),
     # system XML errors name the section or key they came from
     pytest.param(make_cookbook_scenario().replace(
-        "<Channels>", "<Bogus/>\n  <Channels>"), (),
+        "<Channels>", "<Bogus/>\n  <Channels>"),
         "[system]: unknown element <Bogus> in <SystemDescription>", id="system_xml"),
     # (bad.scn names itself, which is no system XML)
-    pytest.param("name = x\nmode = partitioned\nsystem_file = bad.scn\n", (),
+    pytest.param("name = x\nmode = partitioned\nsystem_file = bad.scn\n",
                  "system_file: ", id="system_file_xml"),
     # one system only: the file (here one that does not exist) or the section
     pytest.param(make_cookbook_scenario().replace("[system]", "system_file = missing.xml\n[system]"),
-                 (), "system_file: give it or an inline [system] section, not both",
+                 "system_file: give it or an inline [system] section, not both",
                  id="system_file_and_section"),
     # keys and sections that only the other mode reads
-    pytest.param(add_to_broker("[health]\nSLOT_OVERRUN = HALT_SYSTEM\n"), (),
+    pytest.param(add_to_broker("[health]\nSLOT_OVERRUN = HALT_SYSTEM\n"),
                  "[health]: not read by a broker scenario", id="broker_health"),
-    pytest.param(add_to_broker("[script 0]\ncompute 1us\n"), (),
+    pytest.param(add_to_broker("[script 0]\ncompute 1us\n"),
                  "[script 0]: not read by a broker scenario", id="broker_script"),
-    pytest.param(add_to_broker("[system]\n" + COOKBOOK_XML), (),
+    pytest.param(add_to_broker("[system]\n" + COOKBOOK_XML),
                  "[system]: not read by a broker scenario", id="broker_system"),
-    pytest.param(add_to_broker("system_file = cookbook.xml"), (),
+    pytest.param(add_to_broker("system_file = cookbook.xml"),
                  "system_file: not read by a broker scenario", id="broker_system_file"),
-    pytest.param(add_to_broker("max_frames = 2"), (),
+    pytest.param(add_to_broker("max_frames = 2"),
                  "max_frames: not read by a broker scenario", id="broker_max_frames"),
-    pytest.param(add_to_broker("api_call_cost = 1us"), (),
+    pytest.param(add_to_broker("api_call_cost = 1us"),
                  "api_call_cost: not read by a broker scenario", id="broker_api_call_cost"),
-    pytest.param(make_cookbook_scenario(extra_sections="[broker]\nproc_fixed = 20us\n"), (),
+    pytest.param(make_cookbook_scenario(extra_sections="[broker]\nproc_fixed = 20us\n"),
                  "[broker]: not read by a partitioned scenario", id="partitioned_broker"),
-    pytest.param(make_cookbook_scenario(extra_sections="[loads]\n0.0,0.0 -> 1.0,0.75\n"), (),
+    pytest.param(make_cookbook_scenario(extra_sections="[loads]\n0.0,0.0 -> 1.0,0.75\n"),
                  "[loads]: not read by a partitioned scenario", id="partitioned_loads"),
-    # a run bound is a finding on stdout; everything above an error on stderr
-    pytest.param(BROKER_TEXT, ("--frames", "2"), "RUN_BOUND --frames", id="broker_frames"),
-    pytest.param(BROKER_TEXT, ("--until", "1ms"), "RUN_BOUND --until", id="broker_until"),
-    pytest.param(BROKER_TEXT, ("--trace", "o.trace"), "TRACE --trace", id="broker_trace"),
-    pytest.param(BROKER_TEXT, ("--seed", "-1"), "SEED --seed", id="broker_negative_seed_flag"),
-    pytest.param(make_cookbook_scenario(), ("--seed", "-1"), "SEED --seed",
-                 id="negative_seed_flag"),
 ])
-def test_malformed_value_is_located(workdir, capsys, text, flags, named):
+def test_malformed_value_is_located(workdir, capsys, text, named):
+    scn = write(workdir / "bad.scn", text)
+    assert main(["run", scn, "--out", "o.csv"]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (workdir / "o.csv").exists()
+
+
+@pytest.mark.parametrize("text, flags, env_seed, message", [
+    pytest.param(make_cookbook_scenario(), ("--trace", "o.trace", "--frames", "0"), None,
+                 "--frames: must be positive, got '0'", id="zero_frames"),
+    pytest.param(make_cookbook_scenario(), ("--trace", "o.trace", "--seed", "-1"), None,
+                 "--seed: must be non-negative, got '-1'", id="negative_seed"),
+    pytest.param(BROKER_TEXT, ("--seed", "-1"), None,
+                 "--seed: must be non-negative, got '-1'", id="broker_negative_seed"),
+    pytest.param(BROKER_TEXT, (), "-3",
+                 "PARTSIM_SEED: must be non-negative, got '-3'", id="negative_env_seed"),
+    pytest.param(make_cookbook_scenario(), ("--trace", "o.trace", "--until=-1ms"), None,
+                 "--until: negative duration '-1ms'", id="negative_until"),
+    pytest.param(BROKER_TEXT, ("--frames", "2"), None,
+                 "--frames: not read by a broker scenario", id="broker_frames"),
+    pytest.param(BROKER_TEXT, ("--until", "1ms"), None,
+                 "--until: not read by a broker scenario", id="broker_until"),
+    pytest.param(BROKER_TEXT, ("--trace", "o.trace"), None,
+                 "--trace: not read by a broker scenario", id="broker_trace"),
+])
+def test_flag_fault_is_one_located_line(workdir, monkeypatch, capsys, text, flags, env_seed,
+                                        message):
+    """A fault in a flag or in PARTSIM_SEED has one form: exit 1, one
+    ``error: <flag or variable>: <message>`` line on stderr, nothing on
+    stdout, and neither CSV nor trace written."""
+    if env_seed is None:
+        monkeypatch.delenv("PARTSIM_SEED", raising=False)
+    else:
+        monkeypatch.setenv("PARTSIM_SEED", env_seed)
     scn = write(workdir / "bad.scn", text)
     assert main(["run", scn, "--out", "o.csv", *flags]) == 1
-    out, err = capsys.readouterr()
-    assert named in (out if flags else err) and "Traceback" not in err
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (workdir / "o.csv").exists() and not (workdir / "o.trace").exists()
+
+
+def test_a_run_validates_the_system_once(workdir, monkeypatch, capsys):
+    """``partsim run`` checks the system XML once, when the scenario is
+    parsed, however many payloads it then simulates."""
+    from partsim import config
+
+    calls = []
+    original = config.validate
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "partsim" and getattr(module, "validate", None) is original:
+            monkeypatch.setattr(module, "validate", lambda cfg: calls.append(cfg) or original(cfg))
+    assert main(["run", str(SCENARIO_DIR / "sweep.scn"), "--out", "o.csv"]) == 0
+    assert len(calls) == 1
+
+
+def _callers(name: str) -> set[str]:
+    """The top-level functions and methods of ``src/partsim`` that call a
+    function or method named ``name``, as ``module.function`` or
+    ``module.Class.method``."""
+    found = set()
+    for path in sorted((REPO_ROOT / "src" / "partsim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            inside = isinstance(top, ast.ClassDef)
+            for node in top.body if inside else [top]:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and name in (
+                            getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+                        found.add(f"{path.stem}.{top.name + '.' if inside else ''}{node.name}")
+    return found
+
+
+def test_each_input_is_checked_in_one_place():
+    """The system XML is validated only by ``partsim validate`` and by the
+    scenario check, and the scenario check runs only in ``parse_scenario``:
+    neither ``run_scenario`` nor the engine checks a parsed input again."""
+    assert _callers("validate") == {"cli._cmd_validate", "harness.validate_scenario"}
+    assert _callers("validate_scenario") == {"harness.parse_scenario"}
 
 
 def test_health_override_for_missing_partition_exits_1(workdir, capsys):

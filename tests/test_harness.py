@@ -16,7 +16,6 @@ from partsim.harness import (
     Mode,
     RunResult,
     ScenarioError,
-    ScenarioInvalid,
     export_csv,
     load_scenario,
     parse_scenario,
@@ -200,17 +199,22 @@ def test_unknown_keys_rejected():
 
 
 def test_script_port_validation():
-    text = make_cookbook_scenario().replace("send out $payload", "send elsewhere 64")
-    with pytest.raises(ScenarioInvalid) as err:
+    """Every finding of a scenario is in the one ScenarioError the parser
+    raises, joined by "; "."""
+    text = (make_cookbook_scenario().replace("send out $payload", "send elsewhere 64")
+            .replace("recv in", "recv nowhere"))
+    with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
-    assert any(f.code == "SCRIPT_PORT" for f in err.value.findings)
+    assert str(err.value) == (
+        "ERROR SCRIPT_PORT script 0 partition 0 owns no source port 'elsewhere'; "
+        "ERROR SCRIPT_PORT script 1 partition 1 owns no destination port 'nowhere'")
 
 
 def test_payload_exceeding_channel_rejected():
     text = make_cookbook_scenario(payloads="1,1000000", max_message_size=64)
-    with pytest.raises(ScenarioInvalid) as err:
+    with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
-    assert any(f.code == "SCRIPT_SIZE" for f in err.value.findings)
+    assert str(err.value) == "ERROR SCRIPT_SIZE script 0 payload sweep exceeds maxMessageSize=64"
 
 
 def test_cookbook_latency_law():
@@ -376,13 +380,6 @@ def test_sweep_builds_one_simulation_per_payload(monkeypatch):
     assert len(result) == len(csv_rows(result)) == len(sc.payload_sizes) * sc.repetitions
 
 
-def test_negative_until_rejected():
-    sc = parse_scenario(make_cookbook_scenario())
-    with pytest.raises(ScenarioInvalid) as err:
-        run_scenario(sc, until=-1)
-    assert [(f.code, f.location) for f in err.value.findings] == [("RUN_BOUND", "--until")]
-
-
 def test_broker_seed_changes_jittered_rows():
     text = BROKER_SCN.replace("jitter=0ns", "jitter=20us")
     text = text.replace("0.5,0.25 -> 0.5,0.25", "0.0,0.0 -> 1.0,0.5")
@@ -519,6 +516,57 @@ def test_csv_read_errors_are_located(tmp_path, row, message):
     with pytest.raises(ScenarioError) as info:
         read_csv(path)
     assert str(info.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_csv_read_errors_name_the_line_whatever_the_newline(tmp_path, newline):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(newline.join([",".join(CSV_COLUMNS), "b,broker,0,1,,,,,,,,",
+                                   "b,broker,x,1,,,,,,300,100,-200", ""]).encode())
+    with pytest.raises(ScenarioError) as info:
+        read_csv(path)
+    assert str(info.value) == f"{path}:3: invalid literal for int() with base 10: 'x'"
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_csv_lines_end_only_at_newlines(tmp_path, separator):
+    """``str.splitlines`` also splits at these; ``read_csv`` does not, so
+    two rows joined by one are a single line with too many fields."""
+    path = tmp_path / "joined.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\nb,broker,0,1,,,,,,300,100,-200"
+                    + separator + "b,broker,1,1,,,,,,7,7,0\n")
+    with pytest.raises(ScenarioError) as info:
+        read_csv(path)
+    assert str(info.value) == f"{path}:2: expected 12 fields"
+
+
+def test_csv_non_ascii_byte_names_its_line(tmp_path):
+    """A non-ASCII byte far past the first read block is reported by the
+    line that holds it, as every other malformed cell is."""
+    path = tmp_path / "bad.csv"
+    rows = ["b,broker,%d,1,,,,,,300,100,-200" % n for n in range(1000)]
+    path.write_bytes("\n".join([",".join(CSV_COLUMNS), *rows, ""]).encode()
+                     .replace(b",-200\nb,broker,900,", b",-200\nb,\xffbroker,900,"))
+    with pytest.raises(ScenarioError) as info:
+        read_csv(path)
+    assert str(info.value) == f"{path}:902: cannot decode byte 0xff as ASCII"
+
+
+def test_csv_read_peak_is_at_most_twice_what_it_keeps(tmp_path):
+    """``read_csv`` reads one line at a time: its traced peak is bounded
+    by what it keeps of the conditions, not by the size of the file."""
+    sc = load_scenario(SCENARIO_DIR / "broker.scn")
+    sc.repetitions = 2_000  # 3 payloads x 1 load pair: 6,000 rows
+    path = tmp_path / "m.csv"
+    export_csv(run_scenario(sc), path)
+    tracemalloc.start()
+    try:
+        conditions = read_csv(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(c.delays) for c in conditions.values()) == 6_000
+    assert peak <= 2 * kept, f"peak {peak} B, kept {kept} B"
 
 
 def test_csv_malformed_rejected(tmp_path):

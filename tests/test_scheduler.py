@@ -9,7 +9,7 @@ from partsim import workload
 from partsim.config import PartitionSpec, SchedulePlan, ScheduleSlot, SystemConfig, parse_config
 from partsim.harness import load_scenario
 from partsim.health import HealthAction, HealthTable, HmKind
-from partsim.scheduler import ConfigInvalid, PartitionState, SimState
+from partsim.scheduler import PartitionState, SimState
 from partsim.trace import (
     EventRecord, HmRecord, PortOpRecord, StateRecord, format_trace, write_trace,
 )
@@ -36,22 +36,6 @@ def test_boot_brings_partitions_to_normal(cookbook):
     assert all(s is PartitionState.NORMAL for s in sim.partition_states.values())
     assert sim.now == 0
     assert events(sim.run_until(0))[0] == (0, "SLOT_START", 0)
-
-
-def test_boot_rejects_invalid_config():
-    cfg = parse_config(COOKBOOK_XML.replace(
-        '<Partition id="0" name="pub">\n      <MemoryArea start="0x100000" size="0x10000"/>\n    </Partition>\n    ', ''
-    ))
-    # the publisher partition is gone: dangling slot and channel endpoints
-    with pytest.raises(ConfigInvalid):
-        SimState(cfg).boot()
-
-
-def test_boot_rejects_empty_partition_table():
-    cfg = SystemConfig(partitions=(), plan=SchedulePlan(major_frame=1_000_000))
-    with pytest.raises(ConfigInvalid) as err:
-        SimState(cfg).boot()
-    assert any(f.code == "NO_PARTITIONS" for f in err.value.findings)
 
 
 def test_boot_after_the_clock_moved_is_rejected(cookbook):
