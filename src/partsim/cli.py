@@ -8,7 +8,8 @@ is not given; a bad flag or ``PARTSIM_SEED`` is one stderr line ``error:
 inputs and seed.
 
 Each subcommand imports the partsim modules it needs when it runs, so
-``validate`` loads only ``config`` and ``units``, not the engine.
+``validate`` loads only ``config`` and ``units``, not the engine, and
+``report`` loads only ``results``.
 """
 
 from __future__ import annotations
@@ -55,31 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _summary_lines(conditions: dict) -> list[str]:
-    """The summary table of a ``(scenario, payload, mode text) -> condition``
-    dict, one line per condition (each has a ``summary()``) in key order."""
-    header = (
-        f"{'scenario':<20} {'payload_bytes':>13} {'n':>6} {'metric':>9} "
-        f"{'mean_ns':>12} {'min_ns':>12} {'max_ns':>12} {'p50_ns':>12} {'p99_ns':>12} "
-        f"{'gap_ns':>10} {'lat/gap':>10} {'overhead':>9}"
-    )
-    lines = [header]
-    for key in sorted(conditions):
-        scenario, payload, _ = key
-        stats = conditions[key].summary()
-        gap = str(stats.scheduled_gap) if stats.scheduled_gap is not None else "-"
-        ratio = f"{stats.latency_to_gap_ratio:.6f}" if stats.latency_to_gap_ratio is not None else "-"
-        overhead = (
-            f"{stats.overhead_ratio * 100:.1f}%" if stats.overhead_ratio is not None else "-"
-        )
-        lines.append(
-            f"{scenario:<20} {payload:>13} {stats.count:>6} {stats.metric:>9} "
-            f"{stats.mean:>12} {stats.minimum:>12} {stats.maximum:>12} {stats.p50:>12} "
-            f"{stats.p99:>12} {gap:>10} {ratio:>10} {overhead:>9}"
-        )
-    return lines
-
-
 def _cmd_validate(args) -> int:
     from . import config as config_mod
 
@@ -103,7 +79,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from . import harness, trace as trace_mod
+    from . import harness, results, trace as trace_mod
     from .units import parse_duration, parse_integer
 
     try:
@@ -128,7 +104,7 @@ def _cmd_run(args) -> int:
             if text is not None and values[where] < least:
                 raise ValueError(f"must be {'positive' if least else 'non-negative'}, got {text!r}")
         for where in ("--frames", "--until", "--trace"):
-            if getattr(args, where[2:]) and scenario.mode is harness.Mode.BROKER:
+            if getattr(args, where[2:]) and scenario.mode is results.Mode.BROKER:
                 raise ValueError("not read by a broker scenario")
     except ValueError as exc:
         print(f"error: {where}: {exc}", file=sys.stderr)
@@ -143,7 +119,7 @@ def _cmd_run(args) -> int:
 
     out_path = args.out or f"{scenario.name}.csv"
     try:
-        harness.export_csv(result, out_path)
+        results.export_csv(result, out_path)
         if args.trace:
             trace_mod.write_trace(result.trace, args.trace)
     except OSError as exc:
@@ -151,7 +127,7 @@ def _cmd_run(args) -> int:
         return EXIT_IO
 
     if result.conditions:
-        for line in _summary_lines(
+        for line in results.summary_lines(
                 {(c.scenario, c.payload_bytes, c.mode.value): c for c in result.conditions}):
             print(line)
     else:
@@ -163,14 +139,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from . import harness
+    from . import results
 
     conditions = {}
     try:
         for path in args.csv_paths:
-            harness.read_csv(path, conditions)
-        lines = _summary_lines(conditions)
-    except (OSError, harness.ScenarioError) as exc:
+            results.read_csv(path, conditions)
+        lines = results.summary_lines(conditions)
+    except (OSError, results.CsvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     if not conditions:

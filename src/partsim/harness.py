@@ -1,4 +1,4 @@
-"""Scenario definition, experiment execution, statistics, CSV reporting.
+"""Scenario files and experiment execution.
 
 A scenario is a flat key-value file with sections.  It either embeds the
 system XML (partitioned mode) or describes a broker topology (broker
@@ -59,49 +59,27 @@ scenarios read ``max_frames``, ``api_call_cost``, ``system_file``,
 malformed value, a second ``[script N]`` for one partition or a system XML
 error, raises a ScenarioError that names it.
 
-Results are kept per condition, one (scenario label, mode, payload)
-group, and never as one object per row.  Partitioned runs draw no
-randomness, so each payload is simulated once, measuring the latency
-between the producer's ``tx`` mark and the consumer's ``rx`` mark (the
-first one that follows a successful receive) and the scheduled transition
-gap between the two slots; the condition keeps that one measurement, which
-is written as one row per repetition.  Broker runs evaluate the
-transmission time under both load profiles per repetition; the condition
-keeps each row's (relaxed, stressed) pair, and the row records the
-stressed-minus-relaxed delay.  With more than one load pair, each row's
-scenario is labelled ``<name>/<k>`` (``k`` the 0-based pair index) so every
-condition is summarized on its own.  ``read_csv`` keeps of each condition
-only what ``summarize`` reads: its latency and tx_delay cells and its first
-non-zero gap.
-
-CSV column contract (exact order; unused fields empty)::
-
-    scenario,mode,repetition,payload_bytes,t_send_ns,t_recv_ns,latency_ns,
-    gap_ns,latency_to_gap_ratio,tx_relaxed_ns,tx_stressed_ns,tx_delay_ns
-
-Output is byte-deterministic for a fixed scenario and seed.
+A run's results, their statistics and the CSV are in ``results``.  Output
+is byte-deterministic for a fixed scenario and seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 from . import middleware, trace as trace_mod, workload
 from .config import ConfigError, Finding, SystemConfig, parse_config, transition_gap, validate
 from .health import HealthAction, HealthTable, HmKind
 from .middleware import BrokerTopology, LinkModel, LoadProfile
+from .results import Condition, Mode
+# not called here: bench/tracing.py wraps these three by their harness.*
+# names, as it does scheduler's validate, until it wraps them in results
+from .results import export_csv, read_csv, summarize  # noqa: F401
 from .scheduler import SimState
 from .units import Duration, parse_duration, parse_fraction, parse_integer
 from .workload import AppScript, Mark, Read, Receive, ScriptMode, Send
-
-
-class Mode(enum.Enum):
-    PARTITIONED = "partitioned"
-    BROKER = "broker"
 
 
 class ScenarioError(ValueError):
@@ -110,10 +88,6 @@ class ScenarioError(ValueError):
 
 class MeasurementError(RuntimeError):
     """The run ended without observing the tx/rx mark pair."""
-
-
-class EmptyResult(ValueError):
-    """summarize() over zero repetitions."""
 
 
 @dataclass
@@ -134,34 +108,6 @@ class Scenario:
     max_frames: int
 
 
-CSV_HEADER = ("scenario,mode,repetition,payload_bytes,t_send_ns,t_recv_ns,latency_ns,"
-              "gap_ns,latency_to_gap_ratio,tx_relaxed_ns,tx_stressed_ns,tx_delay_ns")
-CSV_COLUMNS = tuple(CSV_HEADER.split(","))
-_MODES = {mode.value for mode in Mode}  # the valid mode cells
-
-
-class Condition(NamedTuple):
-    """One (scenario label, mode, payload) condition of a run, as the values
-    its CSV rows and its summary are made from: a partitioned condition's
-    one ``(t_send, t_recv, gap)`` measurement, written as ``repetitions``
-    equal rows, or a broker condition's ``(relaxed, stressed)`` times, one
-    pair per row."""
-
-    scenario: str
-    mode: Mode
-    payload_bytes: int
-    repetitions: int
-    measurement: tuple[int, int, int | None] | None = None
-    times: list[tuple[Duration, Duration]] | None = None
-
-    def summary(self) -> SummaryStats:
-        if self.times is None:
-            t_send, t_recv, gap = self.measurement
-            return summarize("latency", [t_recv - t_send] * self.repetitions, gap)
-        # each row's tx_delay: stressed minus relaxed
-        return summarize("tx_delay", [stressed - relaxed for relaxed, stressed in self.times])
-
-
 @dataclass
 class RunResult:
     """``len()`` is the number of CSV rows the conditions make."""
@@ -172,42 +118,6 @@ class RunResult:
 
     def __len__(self) -> int:
         return sum(c.repetitions for c in self.conditions)
-
-
-@dataclass(slots=True)
-class ReadCondition:
-    """What ``partsim report`` keeps of one (scenario, payload, mode)
-    condition read back from CSV rows: where its first row is (``path:N``),
-    and the present latency and tx_delay cells and the first non-zero gap,
-    in row order."""
-
-    where: str
-    latencies: list[int] = field(default_factory=list)
-    delays: list[int] = field(default_factory=list)
-    gap: int | None = None
-
-    def summary(self) -> SummaryStats:
-        """Latency when any row has one, else tx_delay; a ScenarioError
-        naming the first row when no row has either."""
-        if self.latencies:
-            return summarize("latency", self.latencies, self.gap)
-        if self.delays:
-            return summarize("tx_delay", self.delays, self.gap)
-        raise ScenarioError(f"{self.where}: no row carries latency_ns or tx_delay_ns")
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    count: int
-    metric: str  # "latency" or "tx_delay"
-    mean: int
-    minimum: int
-    maximum: int
-    p50: int
-    p99: int
-    scheduled_gap: int | None = None
-    latency_to_gap_ratio: float | None = None
-    overhead_ratio: float | None = None
 
 
 # --------------------------------------------------------------------------
@@ -485,6 +395,8 @@ def validate_scenario(sc: Scenario) -> list[Finding]:
         err("NAME", "scenario", "name must not be empty")
     if "," in sc.name:
         err("NAME", "scenario", "name must not contain ',' (it is a CSV cell)")
+    if not sc.name.isascii():
+        err("NAME", "scenario", "name must be ASCII (it is a CSV cell)")
     if sc.repetitions < 1:
         err("REPETITIONS", "scenario", "repetitions must be >= 1")
     if not sc.payload_sizes or any(p <= 0 for p in sc.payload_sizes):
@@ -680,112 +592,3 @@ def _run_broker(sc: Scenario, *, seed: int) -> RunResult:
             counter += sc.repetitions
             conditions.append(Condition(label, sc.mode, payload, sc.repetitions, times=times))
     return RunResult(conditions)
-
-
-# --------------------------------------------------------------------------
-# statistics
-
-
-def summarize(metric: str, values: list[int], gap: int | None = None) -> SummaryStats:
-    """Exact integer statistics of one condition's ``metric`` values, with
-    its first non-zero scheduled gap: mean rounded to the nearest ns (ties
-    up), percentiles by nearest rank (the ceil(p * n / 100)-th value)."""
-    n = len(values)
-    if not n:
-        raise EmptyResult("no repetitions to summarize")
-    ordered = sorted(values)
-    mean = (2 * sum(values) + n) // (2 * n)
-    ratio_gap = gap if metric == "latency" else None  # only a latency is set against the gap
-    return SummaryStats(
-        count=n, metric=metric, mean=mean, minimum=ordered[0], maximum=ordered[-1],
-        p50=ordered[(50 * n + 99) // 100 - 1], p99=ordered[(99 * n + 99) // 100 - 1],
-        scheduled_gap=gap or None,
-        latency_to_gap_ratio=mean / ratio_gap if ratio_gap else None,
-        overhead_ratio=(mean - ratio_gap) / ratio_gap if ratio_gap else None,
-    )
-
-
-# --------------------------------------------------------------------------
-# CSV
-
-
-def export_csv(result: RunResult, path: str | Path) -> None:
-    """Write the header and then the rows of each condition in turn,
-    formatting the cells that its rows share once."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for c in result.conditions:
-            head = f"{c.scenario},{c.mode.value},"
-            if c.times is None:
-                t_send, t_recv, gap = c.measurement
-                latency = t_recv - t_send
-                tail = (f",{c.payload_bytes},{t_send},{t_recv},{latency},"
-                        f"{'' if gap is None else gap},{f'{latency / gap:.6f}' if gap else ''},,,\n")
-                fh.writelines(f"{head}{rep}{tail}" for rep in range(c.repetitions))
-            else:
-                tail = f",{c.payload_bytes},,,,,,"
-                fh.writelines(f"{head}{rep}{tail}{relaxed},{stressed},{stressed - relaxed}\n"
-                              for rep, (relaxed, stressed) in enumerate(c.times))
-
-
-def _not_ascii(path: str | Path, number: int, line: str) -> ScenarioError:
-    byte = next(c for c in line if c > "\x7f")
-    return ScenarioError(f"{path}:{number}: cannot decode byte 0x{ord(byte):02x} as ASCII")
-
-
-def read_csv(
-    path: str | Path, conditions: dict[tuple[str, int, str], ReadCondition] | None = None,
-) -> dict[tuple[str, int, str], ReadCondition]:
-    """Read a result CSV into ``conditions`` (a new dict by default), keyed
-    by (scenario, payload, mode text), so that rows of one condition merge
-    wherever and in whichever file they stand.  Every cell is converted;
-    raises ScenarioError, naming the line, on a malformed file.
-
-    The file is read one line at a time.  A line ends at ``\n``, ``\r\n``
-    or ``\r`` only, not at ``\x0b``, ``\x0c`` or ``\x1c``-``\x1e`` as in
-    ``str.splitlines``; a non-ASCII byte is an error of its line."""
-    if conditions is None:
-        conditions = {}
-    # latin-1 decodes every byte, so a non-ASCII one is found by its line
-    with open(path, encoding="latin-1") as fh:
-        header = next(fh, "")
-        if not header.isascii():
-            raise _not_ascii(path, 1, header)
-        if header.rstrip("\n") != CSV_HEADER:
-            raise ScenarioError(f"{path}: missing or wrong CSV header")
-        last_scenario = last_payload = last_mode = entry = None
-        for number, line in enumerate(fh, start=2):
-            if not line.isascii():
-                raise _not_ascii(path, number, line)
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != len(CSV_COLUMNS):
-                raise ScenarioError(f"{path}:{number}: expected {len(CSV_COLUMNS)} fields")
-            (scenario, mode, repetition, payload, t_send, t_recv, latency, gap, ratio,
-             relaxed, stressed, delay) = cells
-            if mode not in _MODES:
-                raise ScenarioError(f"{path}:{number}: {mode!r} is not a valid Mode")
-            try:
-                # every cell, in column order, so the first bad one is named;
-                # an empty value cell is absent
-                _, payload, _, _, latency, gap, _, _, _, delay = (
-                    int(repetition), int(payload),
-                    int(t_send) if t_send else None, int(t_recv) if t_recv else None,
-                    int(latency) if latency else None, int(gap) if gap else None,
-                    float(ratio) if ratio else None,
-                    int(relaxed) if relaxed else None, int(stressed) if stressed else None,
-                    int(delay) if delay else None,
-                )
-            except ValueError as exc:
-                raise ScenarioError(f"{path}:{number}: {exc}") from None
-            if payload != last_payload or scenario != last_scenario or mode != last_mode:
-                last_scenario, last_payload, last_mode = scenario, payload, mode
-                entry = conditions.get((scenario, payload, mode))
-                if entry is None:
-                    entry = conditions[scenario, payload, mode] = ReadCondition(f"{path}:{number}")
-            if latency is not None:
-                entry.latencies.append(latency)
-            if delay is not None:
-                entry.delays.append(delay)
-            if gap and entry.gap is None:
-                entry.gap = gap
-    return conditions

@@ -15,6 +15,8 @@ comment::
     read in
     mark tx
 
+A mark label is ASCII and holds no ``,``: it is a cell of its trace line.
+
 Execution semantics:
 
 * The cursor survives across slots: actions that do not fit run in the
@@ -136,6 +138,8 @@ def parse_action(line: str) -> Action:
     if op == "read" and len(args) == 1:
         return Read(port=args[0])
     if op == "mark" and len(args) == 1:
+        if not args[0].isascii() or "," in args[0]:  # it is a trace cell
+            raise ScriptError(f"mark label must be ASCII without ',': {line!r}")
         return Mark(label=args[0])
     raise ScriptError(f"unrecognized action {line!r}")
 

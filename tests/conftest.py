@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from partsim.config import parse_config
-from partsim.harness import export_csv
+from partsim.results import export_csv
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from partsim.cli import main
-from partsim.harness import CSV_COLUMNS
 from partsim.middleware import BrokerTopology, LinkModel, LoadProfile, repetition_rng, tx_time
+from partsim.results import CSV_COLUMNS
 
 from conftest import (
     COOKBOOK_XML,
@@ -555,6 +555,27 @@ def test_comma_in_name_exits_1(workdir, capsys):
     assert main(["run", scn, "--out", "o.csv"]) == 1
     assert "NAME scenario" in capsys.readouterr().err
     assert not (workdir / "o.csv").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    pytest.param("name = cookbook", "name = café",
+                 "ERROR NAME scenario name must be ASCII (it is a CSV cell)", id="non_ascii_name"),
+    pytest.param("mark tx", "mark ütx",
+                 "[script 0]: partition 0: mark label must be ASCII without ',': 'mark ütx'",
+                 id="non_ascii_mark"),
+    pytest.param("mark tx", "mark a,b",
+                 "[script 0]: partition 0: mark label must be ASCII without ',': 'mark a,b'",
+                 id="comma_mark"),
+])
+def test_free_text_that_reaches_an_output_is_checked_where_it_enters(workdir, capsys, old, new,
+                                                                     message):
+    """A scenario name is a CSV cell and a mark label a trace cell: either
+    one that is not ASCII, or a label holding ``,``, exits 1 with a located
+    message before anything is written."""
+    scn = write(workdir / "t.scn", make_cookbook_scenario().replace(old, new, 1))
+    assert main(["run", scn, "--out", "o.csv", "--trace", "o.trace"]) == 1
+    assert capsys.readouterr() == ("", f"error: invalid scenario: {message}\n")
+    assert not (workdir / "o.csv").exists() and not (workdir / "o.trace").exists()
 
 
 @pytest.mark.parametrize("command, name", [

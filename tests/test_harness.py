@@ -9,22 +9,19 @@ import tracemalloc
 import pytest
 
 from partsim import harness, middleware, trace as trace_mod
-from partsim.harness import (
-    CSV_COLUMNS,
-    Condition,
-    EmptyResult,
-    Mode,
-    RunResult,
-    ScenarioError,
-    export_csv,
-    load_scenario,
-    parse_scenario,
-    read_csv,
-    run_scenario,
-    summarize,
-)
+from partsim.harness import RunResult, ScenarioError, load_scenario, parse_scenario, run_scenario
 from partsim.health import HealthAction, HmKind
 from partsim.middleware import LoadProfile
+from partsim.results import (
+    CSV_COLUMNS,
+    Condition,
+    CsvError,
+    EmptyResult,
+    Mode,
+    export_csv,
+    read_csv,
+    summarize,
+)
 from partsim.scheduler import SimState
 
 from conftest import REPO_ROOT, SCENARIO_DIR, Row, csv_rows, csv_text, make_cookbook_scenario
@@ -513,7 +510,7 @@ def test_csv_edge_cells():
 def test_csv_read_errors_are_located(tmp_path, row, message):
     path = tmp_path / "bad.csv"
     path.write_text(",".join(CSV_COLUMNS) + "\nb,broker,0,1,,,,,,,,\n" + row + "\n")
-    with pytest.raises(ScenarioError) as info:
+    with pytest.raises(CsvError) as info:
         read_csv(path)
     assert str(info.value) == f"{path}:3: {message}"
 
@@ -523,7 +520,7 @@ def test_csv_read_errors_name_the_line_whatever_the_newline(tmp_path, newline):
     path = tmp_path / "bad.csv"
     path.write_bytes(newline.join([",".join(CSV_COLUMNS), "b,broker,0,1,,,,,,,,",
                                    "b,broker,x,1,,,,,,300,100,-200", ""]).encode())
-    with pytest.raises(ScenarioError) as info:
+    with pytest.raises(CsvError) as info:
         read_csv(path)
     assert str(info.value) == f"{path}:3: invalid literal for int() with base 10: 'x'"
 
@@ -535,7 +532,7 @@ def test_csv_lines_end_only_at_newlines(tmp_path, separator):
     path = tmp_path / "joined.csv"
     path.write_text(",".join(CSV_COLUMNS) + "\nb,broker,0,1,,,,,,300,100,-200"
                     + separator + "b,broker,1,1,,,,,,7,7,0\n")
-    with pytest.raises(ScenarioError) as info:
+    with pytest.raises(CsvError) as info:
         read_csv(path)
     assert str(info.value) == f"{path}:2: expected 12 fields"
 
@@ -547,7 +544,7 @@ def test_csv_non_ascii_byte_names_its_line(tmp_path):
     rows = ["b,broker,%d,1,,,,,,300,100,-200" % n for n in range(1000)]
     path.write_bytes("\n".join([",".join(CSV_COLUMNS), *rows, ""]).encode()
                      .replace(b",-200\nb,broker,900,", b",-200\nb,\xffbroker,900,"))
-    with pytest.raises(ScenarioError) as info:
+    with pytest.raises(CsvError) as info:
         read_csv(path)
     assert str(info.value) == f"{path}:902: cannot decode byte 0xff as ASCII"
 
@@ -572,11 +569,11 @@ def test_csv_read_peak_is_at_most_twice_what_it_keeps(tmp_path):
 def test_csv_malformed_rejected(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope,nope\n1,2\n")
-    with pytest.raises(ScenarioError):
+    with pytest.raises(CsvError):
         read_csv(bad)
     short = tmp_path / "short.csv"
     short.write_text(",".join(CSV_COLUMNS) + "\nonly,three,cells\n")
-    with pytest.raises(ScenarioError):
+    with pytest.raises(CsvError):
         read_csv(short)
 
 

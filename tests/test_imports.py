@@ -50,6 +50,17 @@ def test_validate_loads_only_the_config_parser():
     assert not loaded & engine
 
 
+def test_report_loads_only_the_results_module():
+    assert loaded_after(
+        "from partsim import cli\n"
+        "assert cli.main(['report', 'tests/golden/cookbook.csv']) == 0"
+    ) == {"partsim", "partsim.cli", "partsim.results"}
+
+
+def test_the_results_module_imports_no_other_module():
+    assert loaded_after("import partsim.results") == {"partsim", "partsim.results"}
+
+
 def test_the_package_exports_nothing():
     assert loaded_after("import partsim\nassert not hasattr(partsim, 'parse_config')") == {
         "partsim"}
