@@ -13,9 +13,11 @@ or enqueues on a queuing port, ``receive`` dequeues from a queuing port and
 ``read`` reads a sampling port (either on the other kind is BAD_KIND).
 Operations never raise for application-level failures; they return a
 PortStatus so callers (the scripted workloads) can record the miss and
-proceed.  A NOT_OWNER result is the spatial-isolation violation that the
-health monitor turns into a MEMORY_VIOLATION event; that wiring lives in
-the engine, not here.
+proceed.  A NOT_OWNER result, for a port that the calling partition does
+not own at that end, changes no port state; it is the spatial-isolation
+violation that the health monitor turns into a MEMORY_VIOLATION event,
+whether a scenario script or the ``SimState`` API made the call.  That
+wiring lives in the engine, not here.
 """
 
 from __future__ import annotations

@@ -59,6 +59,14 @@ scenarios read ``max_frames``, ``api_call_cost``, ``system_file``,
 malformed value, a second ``[script N]`` for one partition or a system XML
 error, raises a ScenarioError that names it.
 
+``validate_scenario`` checks a script's port calls by name only: a name
+that no channel's source or destination has is a typo (``SCRIPT_PORT``).
+A call on a port that another partition owns is a fault to simulate, not
+a finding: it runs, and the engine raises a MEMORY_VIOLATION against the
+caller, the same as through the ``SimState`` API.  Only a call on the
+partition's own port is checked further (``SCRIPT_SIZE``,
+``SCRIPT_KIND``).
+
 A run's results, their statistics and the CSV are in ``results``.  Output
 is byte-deterministic for a fixed scenario and seed.
 """
@@ -397,6 +405,8 @@ def validate_scenario(sc: Scenario) -> list[Finding]:
         err("NAME", "scenario", "name must not contain ',' (it is a CSV cell)")
     if not sc.name.isascii():
         err("NAME", "scenario", "name must be ASCII (it is a CSV cell)")
+    if "/" in sc.name or "\0" in sc.name:
+        err("NAME", "scenario", "name must not contain '/' or NUL (it names the default CSV file)")
     if sc.repetitions < 1:
         err("REPETITIONS", "scenario", "repetitions must be >= 1")
     if not sc.payload_sizes or any(p <= 0 for p in sc.payload_sizes):
@@ -417,33 +427,28 @@ def validate_scenario(sc: Scenario) -> list[Finding]:
         sources = {(c.source.partition_id, c.source.port): c for c in sc.system.channels}
         dests = {(d.partition_id, d.port): c
                  for c in sc.system.channels for d in c.destinations}
+        ports = {port for _, port in (*sources, *dests)}
         for pid, script in sc.scripts.items():
             loc = f"script {pid}"
             if pid not in partitions:
                 err("UNKNOWN_PARTITION", loc, "script references a missing partition")
                 continue
             for action in script.actions:
-                if isinstance(action, Send):
-                    ch = sources.get((pid, action.port))
-                    if ch is None:
-                        err("SCRIPT_PORT", loc, f"partition {pid} owns no source port {action.port!r}")
-                    elif action.size is None and any(
-                        p > ch.max_message_size for p in sc.payload_sizes
-                    ):
-                        err("SCRIPT_SIZE", loc,
-                            f"payload sweep exceeds maxMessageSize={ch.max_message_size}")
-                elif isinstance(action, Receive):
-                    ch = dests.get((pid, action.port))
-                    if ch is None:
-                        err("SCRIPT_PORT", loc, f"partition {pid} owns no destination port {action.port!r}")
-                    elif ch.capacity is None:
-                        err("SCRIPT_KIND", loc, f"recv on sampling port {action.port!r} (use read)")
-                elif isinstance(action, Read):
-                    ch = dests.get((pid, action.port))
-                    if ch is None:
-                        err("SCRIPT_PORT", loc, f"partition {pid} owns no destination port {action.port!r}")
-                    elif ch.refresh_period is None:
-                        err("SCRIPT_KIND", loc, f"read on queuing port {action.port!r} (use recv)")
+                kind = type(action)
+                if kind not in (Send, Receive, Read):
+                    continue
+                ch = (sources if kind is Send else dests).get((pid, action.port))
+                if ch is None:  # another partition's port runs: a MEMORY_VIOLATION
+                    if action.port not in ports:
+                        err("SCRIPT_PORT", loc, f"no channel has a port {action.port!r}")
+                elif kind is Send and action.size is None and any(
+                        p > ch.max_message_size for p in sc.payload_sizes):
+                    err("SCRIPT_SIZE", loc,
+                        f"payload sweep exceeds maxMessageSize={ch.max_message_size}")
+                elif kind is Receive and ch.capacity is None:
+                    err("SCRIPT_KIND", loc, f"recv on sampling port {action.port!r} (use read)")
+                elif kind is Read and ch.refresh_period is None:
+                    err("SCRIPT_KIND", loc, f"read on queuing port {action.port!r} (use recv)")
         for kind, pid in sc.health_table.overrides:
             if pid not in partitions:
                 err("UNKNOWN_PARTITION", f"health {kind.value} {pid}",

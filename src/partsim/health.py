@@ -5,9 +5,10 @@ The engine raises two kinds of anomaly with
 the planner finds a running COMPUTE truncated by its slot end (the detail
 is the overrun in ns), and a memory violation, when a port call names a
 port its partition does not own (the detail is ``"<op> <port>"``).  A
-scenario run raises only overruns: ``harness.validate_scenario`` rejects
-such a port call (``SCRIPT_PORT``) first, so only the ``SimState`` API
-meets a memory violation.  A HealthTable maps (kind, partition) to the
+scenario script raises both: ``harness.validate_scenario`` refuses only a
+port name that no channel has (``SCRIPT_PORT``), so a call on another
+partition's port runs, as it does through the ``SimState`` API, and meets
+this one policy.  A HealthTable maps (kind, partition) to the
 action the hypervisor applies; per-partition overrides fall back to a
 per-kind default, which starts as DEFAULT_ACTIONS for every kind.
 """

@@ -28,6 +28,7 @@ only it and ``cli``.
 from __future__ import annotations
 
 import enum
+import re
 from pathlib import Path
 from typing import NamedTuple
 
@@ -171,9 +172,35 @@ def export_csv(result, path: str | Path) -> None:
                               for rep, (relaxed, stressed) in enumerate(c.times))
 
 
-def _not_ascii(path: str | Path, number: int, line: str) -> CsvError:
-    byte = next(c for c in line if c > "\x7f")
-    return CsvError(f"{path}:{number}: cannot decode byte 0x{ord(byte):02x} as ASCII")
+# A result line is what ``export_csv`` writes: the scenario cell (ASCII but
+# ``,``; the file is read as latin-1, so a non-ASCII byte is a character over
+# \x7f), the mode, and the cells after it in column order, each one optional
+# (``|)``: an empty alternative matches faster than ``?``) where
+# ``export_csv`` may leave it empty.  The groups are what ``read_csv`` keeps.
+_INT, _RATIO = "-?[0-9]+", r"-?[0-9]+\.[0-9]+"
+_CELLS = (_INT, f"({_INT})", f"(?:{_INT}|)", f"(?:{_INT}|)", f"({_INT}|)", f"({_INT}|)",
+          f"(?:{_RATIO}|)", f"(?:{_INT}|)", f"(?:{_INT}|)", f"({_INT}|)")
+_ROW = re.compile(f"([^,\x80-\xff]*),({'|'.join(sorted(_MODES))}),{','.join(_CELLS)}\n?")
+
+
+def _bad_line(path: str | Path, number: int, line: str) -> CsvError:
+    """The fault of a line that ``_ROW`` refused, checked one part at a
+    time: a non-ASCII byte, the field count, the mode, then each cell in
+    column order."""
+    where = f"{path}:{number}"
+    if not line.isascii():
+        byte = next(c for c in line if c > "\x7f")
+        return CsvError(f"{where}: cannot decode byte 0x{ord(byte):02x} as ASCII")
+    cells = line.rstrip("\n").split(",")
+    if len(cells) != len(CSV_COLUMNS):
+        return CsvError(f"{where}: expected {len(CSV_COLUMNS)} fields")
+    if cells[1] not in _MODES:
+        return CsvError(f"{where}: {cells[1]!r} is not a valid Mode")
+    cell, pattern = next((cell, pattern) for cell, pattern in zip(cells[2:], _CELLS)
+                         if not re.fullmatch(pattern, cell))
+    if _RATIO in pattern:
+        return CsvError(f"{where}: could not convert string to float: {cell!r}")
+    return CsvError(f"{where}: invalid literal for int() with base 10: {cell!r}")
 
 
 def read_csv(
@@ -181,54 +208,40 @@ def read_csv(
 ) -> dict[tuple[str, int, str], ReadCondition]:
     """Read a result CSV into ``conditions`` (a new dict by default), keyed
     by (scenario, payload, mode text), so that rows of one condition merge
-    wherever and in whichever file they stand.  Every cell is converted;
-    raises CsvError, naming the line, on a malformed file.
+    wherever and in whichever file they stand.  Each line must match the
+    cells that ``export_csv`` writes; only the payload, latency, gap and
+    tx_delay cells are converted.  Raises CsvError, naming the line, on a
+    malformed file.
 
     The file is read one line at a time.  A line ends at ``\n``, ``\r\n``
     or ``\r`` only, not at ``\x0b``, ``\x0c`` or ``\x1c``-``\x1e`` as in
     ``str.splitlines``; a non-ASCII byte is an error of its line."""
     if conditions is None:
         conditions = {}
+    match_row = _ROW.fullmatch
     # latin-1 decodes every byte, so a non-ASCII one is found by its line
     with open(path, encoding="latin-1") as fh:
         header = next(fh, "")
         if not header.isascii():
-            raise _not_ascii(path, 1, header)
+            raise _bad_line(path, 1, header)
         if header.rstrip("\n") != CSV_HEADER:
             raise CsvError(f"{path}: missing or wrong CSV header")
         last_scenario = last_payload = last_mode = entry = None
         for number, line in enumerate(fh, start=2):
-            if not line.isascii():
-                raise _not_ascii(path, number, line)
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != len(CSV_COLUMNS):
-                raise CsvError(f"{path}:{number}: expected {len(CSV_COLUMNS)} fields")
-            (scenario, mode, repetition, payload, t_send, t_recv, latency, gap, ratio,
-             relaxed, stressed, delay) = cells
-            if mode not in _MODES:
-                raise CsvError(f"{path}:{number}: {mode!r} is not a valid Mode")
-            try:
-                # every cell, in column order, so the first bad one is named;
-                # an empty value cell is absent
-                _, payload, _, _, latency, gap, _, _, _, delay = (
-                    int(repetition), int(payload),
-                    int(t_send) if t_send else None, int(t_recv) if t_recv else None,
-                    int(latency) if latency else None, int(gap) if gap else None,
-                    float(ratio) if ratio else None,
-                    int(relaxed) if relaxed else None, int(stressed) if stressed else None,
-                    int(delay) if delay else None,
-                )
-            except ValueError as exc:
-                raise CsvError(f"{path}:{number}: {exc}") from None
+            row = match_row(line)
+            if row is None:
+                raise _bad_line(path, number, line)
+            scenario, mode, payload, latency, gap, delay = row.groups()
             if payload != last_payload or scenario != last_scenario or mode != last_mode:
                 last_scenario, last_payload, last_mode = scenario, payload, mode
-                entry = conditions.get((scenario, payload, mode))
+                key = scenario, int(payload), mode
+                entry = conditions.get(key)
                 if entry is None:
-                    entry = conditions[scenario, payload, mode] = ReadCondition(f"{path}:{number}")
-            if latency is not None:
-                entry.latencies.append(latency)
-            if delay is not None:
-                entry.delays.append(delay)
+                    entry = conditions[key] = ReadCondition(f"{path}:{number}")
+            if latency:
+                entry.latencies.append(int(latency))
+            if delay:
+                entry.delays.append(int(delay))
             if gap and entry.gap is None:
-                entry.gap = gap
+                entry.gap = int(gap) or None
     return conditions

@@ -354,33 +354,29 @@ class SimState:
         next_t = now
         if kind is Mark:
             self.trace.append(MarkRecord(now, pid, action.label))
-        elif kind is Send:
-            size = action.size if action.size is not None else 0
-            status, _msg, channel, op = self.ports.send(pid, action.port, size, now)
-            self.trace.append(PortOpRecord(now, op, channel, pid, size, status.value))
-            if status is PortStatus.NOT_OWNER:
-                self._post_violation(pid, op, action.port)
+        else:  # a port call; the planner consumes every COMPUTE
             next_t = now + self.api_call_cost
-        elif kind is Receive or kind is Read:
-            if kind is Receive:
-                status, msg, channel, op = self.ports.receive(pid, action.port, now)
-                valid = msg is not None
+            if kind is Send:
+                size = action.size if action.size is not None else 0
+                status, _msg, channel, op = self.ports.send(pid, action.port, size, now)
+                result = status.value
             else:
-                status, msg, valid, channel, op = self.ports.read(pid, action.port, now)
-            result = status.value
-            if status is PortStatus.OK and not valid:
-                result = "STALE"  # returned anyway; freshness window elapsed
-            self.trace.append(PortOpRecord(
-                now, op, channel, pid, msg.payload_size if msg else 0, result,
-            ))
+                if kind is Receive:
+                    status, msg, channel, op = self.ports.receive(pid, action.port, now)
+                    valid = msg is not None
+                else:
+                    status, msg, valid, channel, op = self.ports.read(pid, action.port, now)
+                result = status.value
+                if status is PortStatus.OK and not valid:
+                    result = "STALE"  # returned anyway; freshness window elapsed
+                size = 0
+                if msg is not None:
+                    size = msg.payload_size
+                    # delivery copies the payload into the partition's space
+                    next_t += self.config.copy_cost.of(size)
+            self.trace.append(PortOpRecord(now, op, channel, pid, size, result))
             if status is PortStatus.NOT_OWNER:
                 self._post_violation(pid, op, action.port)
-            next_t = now + self.api_call_cost
-            if msg is not None:
-                # delivery copies the payload into the partition's space
-                next_t += self.config.copy_cost.of(msg.payload_size)
-        else:  # pragma: no cover - computes never schedule
-            raise SimulationError("COMPUTE actions are consumed by the planner")
         self.cursors[pid].index = index + 1
         self._dispatch_from(pid, next_t)
 

@@ -16,6 +16,8 @@ comment::
     mark tx
 
 A mark label is ASCII and holds no ``,``: it is a cell of its trace line.
+A port name is ASCII: a call on a port of another partition writes it to
+the trace, in the detail of its memory violation.
 
 Execution semantics:
 
@@ -124,6 +126,9 @@ def parse_action(line: str) -> Action:
     if not parts:
         raise ScriptError("empty action line")
     op, args = parts[0].lower(), parts[1:]
+    if op in ("send", "recv", "read") and args and not args[0].isascii():
+        # a call on another partition's port writes its name to the trace
+        raise ScriptError(f"port name must be ASCII: {line!r}")
     if op == "compute" and len(args) == 1:
         return Compute(duration=parse_duration(args[0]))
     if op == "send" and len(args) == 2:

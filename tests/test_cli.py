@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from partsim.cli import main
+from partsim.health import DEFAULT_ACTIONS, HealthAction, HmKind
 from partsim.middleware import BrokerTopology, LinkModel, LoadProfile, repetition_rng, tx_time
 from partsim.results import CSV_COLUMNS
 
@@ -29,6 +30,7 @@ from conftest import (
     parse_rows,
 )
 
+GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 OVERLAPPING = COOKBOOK_XML.replace('start="500us"', 'start="300us"')
 
 
@@ -283,6 +285,16 @@ def test_report_merges_conditions_across_rows_and_files(workdir, capsys):
         ["p", "64", "3", "latency", "20", "10", "30", "20", "30", "200", "0.100000", "-90.0%"],
         ["q", "1", "2", "tx_delay", "1", "-1", "3", "-1", "3", "-", "-", "-"],
     ]
+
+
+def test_report_reads_only_what_run_writes(workdir, capsys):
+    """A cell that int() would take but ``export_csv`` never writes exits 3
+    naming its line."""
+    (workdir / "a.csv").write_text(f"{HEADER}\nb,broker,0,1,,,,,,300,100,-200\n"
+                                   "b,broker,1,1_0,,,,,,300,100,-200\n")
+    assert main(["report", "a.csv"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: a.csv:3: invalid literal for int() with base 10: '1_0'\n")
 
 
 def test_report_malformed_csv(workdir):
@@ -566,16 +578,160 @@ def test_comma_in_name_exits_1(workdir, capsys):
     pytest.param("mark tx", "mark a,b",
                  "[script 0]: partition 0: mark label must be ASCII without ',': 'mark a,b'",
                  id="comma_mark"),
+    pytest.param("recv in", "recv ün",
+                 "[script 1]: partition 1: port name must be ASCII: 'recv ün'",
+                 id="non_ascii_port"),
 ])
 def test_free_text_that_reaches_an_output_is_checked_where_it_enters(workdir, capsys, old, new,
                                                                      message):
-    """A scenario name is a CSV cell and a mark label a trace cell: either
-    one that is not ASCII, or a label holding ``,``, exits 1 with a located
-    message before anything is written."""
+    """A scenario name is a CSV cell, a mark label a trace cell and a port
+    name the detail of a memory violation's trace line: any of them that is
+    not ASCII, or a label holding ``,``, exits 1 with a located message
+    before anything is written."""
     scn = write(workdir / "t.scn", make_cookbook_scenario().replace(old, new, 1))
     assert main(["run", scn, "--out", "o.csv", "--trace", "o.trace"]) == 1
     assert capsys.readouterr() == ("", f"error: invalid scenario: {message}\n")
     assert not (workdir / "o.csv").exists() and not (workdir / "o.trace").exists()
+
+
+@pytest.mark.parametrize("name", ["sub/x", "../escaped", "a\0b"],
+                         ids=["slash", "parent", "nul"])
+def test_name_that_is_not_a_file_name_exits_1(tmp_path, monkeypatch, capsys, name):
+    """The default CSV is ``<name>.csv``, so a name holding ``/`` or NUL is
+    a NAME finding: exit 1 before the run, and no CSV written anywhere."""
+    (tmp_path / "w").mkdir()
+    monkeypatch.chdir(tmp_path / "w")
+    scn = write(tmp_path / "w" / "n.scn",
+                make_cookbook_scenario().replace("name = cookbook", f"name = {name}"))
+    assert main(["run", scn]) == 1
+    assert capsys.readouterr() == ("", "error: invalid scenario: ERROR NAME scenario name must "
+                                   "not contain '/' or NUL (it names the default CSV file)\n")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def _run_outputs(text: str) -> tuple:
+    """The exit code, stdout, CSV and trace of ``partsim run`` on scenario
+    ``text``, written to the working directory; None for a file not written."""
+    Path("s.scn").write_text(text, encoding="utf-8")
+    outputs = Path("o.csv"), Path("o.trace")
+    for path in outputs:
+        path.unlink(missing_ok=True)
+    code, out = _cli(["run", "s.scn", "--out", "o.csv", "--trace", "o.trace"])
+    return (code, out, *(path.read_bytes() if path.exists() else None for path in outputs))
+
+
+VIOLATION_TEXT = (SCENARIO_DIR / "violation.scn").read_text(encoding="utf-8")
+
+
+def test_a_foreign_port_call_runs_and_its_action_changes_only_the_trace(workdir):
+    """``violation.scn``: the rogue partition 2 sends on the publisher's
+    port.  Under LOG, SUSPEND_PARTITION and HALT_PARTITION the run exits 0
+    with the same CSV and stdout and a trace of its own for each action;
+    HALT_SYSTEM halts it before the subscriber's slot, exit 2.  A port name
+    that no channel has still exits 1."""
+    runs = {action: _run_outputs(f"{VIOLATION_TEXT}\n[health]\nMEMORY_VIOLATION 2 = {action.value}")
+            for action in HealthAction}
+    halted = runs.pop(HealthAction.HALT_SYSTEM)
+    assert {run[:3] for run in runs.values()} == {
+        (0, (GOLDEN_DIR / "violation.stdout").read_text(),
+         (GOLDEN_DIR / "violation.csv").read_bytes())}
+    traces = [run[3] for run in runs.values()]
+    assert len(set(traces)) == len(traces)
+    assert all(b"350000,PORT_OP,SEND,-,2,8,NOT_OWNER" in trace for trace in traces)
+    assert halted[:2] == (2, "no data\n")
+    assert _run_outputs(VIOLATION_TEXT.replace("send out 8", "send oot 8"))[:2] == (1, "")
+
+
+def test_every_health_kind_changes_some_shipped_scenario(workdir):
+    """For each health event kind, changing its ``[health]`` default action
+    changes the exit code, stdout, CSV or trace of some shipped scenario, so
+    no kind is read and then ignored."""
+    for xml in SCENARIO_DIR.glob("*.xml"):
+        shutil.copy(xml, workdir)
+    texts = [path.read_text(encoding="utf-8") for path in sorted(SCENARIO_DIR.glob("*.scn"))]
+    texts = [text for text in texts if "[health]" not in map(str.strip, text.splitlines())]
+    for kind in HmKind:
+        assert any(
+            _run_outputs(f"{text}\n[health]\n{kind.value} = {action.value}\n") != base
+            for text, base in ((text, _run_outputs(text)) for text in texts)
+            for action in HealthAction if action is not DEFAULT_ACTIONS[kind]
+        ), kind
+
+
+@st.composite
+def isolation_systems(draw):
+    """A publisher (partition 0) and a subscriber (1) on a channel of a
+    random kind, 0-2 bystanders, and a rogue partition that owns no port,
+    each in a slot of random length and place in the frame.  Returns the
+    scenario text, with ``{rogue}`` for the rogue's script and ``{health}``
+    for the body of its ``[health]`` section, the rogue's id, and the
+    rogue's script with and without its calls."""
+    n = draw(st.integers(2, 4))  # the partitions other than the rogue
+    spacing = 100_000
+    order = draw(st.permutations(range(n + 1)))
+    durations = [draw(st.integers(20_000, spacing)) for _ in order]
+    partitions = "".join(f'<Partition id="{i}" name="p{i}"/>' for i in range(n + 1))
+    slots = "".join(f'<Slot id="{k}" partition="{pid}" start="{k * spacing}ns" duration="{d}ns"/>'
+                    for k, (pid, d) in enumerate(zip(order, durations)))
+    ends = '<Source partition="0" port="out"/><Destination partition="1" port="in"/>'
+    queuing = draw(st.booleans())
+    kind, bound = ("Queuing", 'maxNoMessages="2"') if queuing else (
+        "Sampling", 'refreshPeriod="50us"')
+    channel = f'<{kind}Channel maxMessageSize="64" {bound}>{ends}</{kind}Channel>'
+    compute = draw(st.integers(1_000, durations[order.index(0)] - 1_000))
+    scripts = {
+        0: ["mode = once", f"compute {compute}ns", "send out $payload", "mark tx"],
+        1: ["mode = repeat", "recv in" if queuing else "read in", "mark rx"],
+        **{i: ["mode = repeat", f"compute {draw(st.integers(1_000, 150_000))}ns", f"mark b{i}"]
+           for i in range(2, n)},
+    }
+    text = "\n".join([
+        "name = isolation", "mode = partitioned", "repetitions = 2", "payload_sizes = 8",
+        "max_frames = 4", f"api_call_cost = {draw(st.integers(0, 5_000))}ns", "[system]",
+        f'<SystemDescription majorFrame="{(n + 1) * spacing}ns">',
+        f"<PartitionTable>{partitions}</PartitionTable><Schedule>{slots}</Schedule>",
+        f"<Channels>{channel}</Channels>",
+        f'<Hypervisor copyCostFixed="{draw(st.integers(0, 30_000))}ns" copyCostPerByte="0ns"/>',
+        "</SystemDescription>",
+        *(line for pid, lines in scripts.items() for line in [f"[script {pid}]", *lines]),
+        f"[script {n}]", "{rogue}", "[health]", "{health}",
+    ]) + "\n"
+    calls = ["send out 8", "send in 8", "recv in", "read in", "recv out", "read out"]
+    work = st.integers(1_000, 150_000).map(lambda d: f"compute {d}ns")
+    # the first call is a violation at the rogue's first slot start
+    rogue = [draw(st.sampled_from(calls))]
+    rogue += draw(st.lists(st.one_of(work, st.sampled_from(calls)), max_size=4))
+    mode = f"mode = {draw(st.sampled_from(['once', 'repeat']))}"
+    clean = [line for line in rogue if line.startswith("compute")]
+    return text, n, [mode, *rogue], [mode, *clean]
+
+
+def test_a_spatial_fault_moves_no_other_partition(workdir):
+    """Temporal isolation under a spatial fault: a rogue partition that
+    calls ports it does not own leaves every latency row of the channel
+    between two other partitions byte-identical to the run without those
+    calls, whether its violations are logged, suspend it or halt it;
+    HALT_SYSTEM ends the run with exit 2."""
+
+    @settings(deadline=None, max_examples=50, derandomize=True)
+    @given(isolation_systems())
+    def check(system):
+        template, rogue, faulty, clean = system
+
+        def run(script: list[str], action: HealthAction | None = None) -> tuple:
+            health = f"MEMORY_VIOLATION {rogue} = {action.value}" if action else ""
+            return _run_outputs(template.format(rogue="\n".join(script), health=health))
+
+        code, out, csv, _ = run(clean)
+        assert code == 0 and csv.count(b"\n") == 3
+        for action in (HealthAction.LOG, HealthAction.SUSPEND_PARTITION,
+                       HealthAction.HALT_PARTITION):
+            faulted = run(faulty, action)
+            assert faulted[:3] == (code, out, csv)
+            assert b"NOT_OWNER" in faulted[3]
+        assert run(faulty, HealthAction.HALT_SYSTEM)[0] == 2
+
+    check()
 
 
 @pytest.mark.parametrize("command, name", [

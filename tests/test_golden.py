@@ -8,10 +8,12 @@ plus the case's extra flags (stdout to ``<name>.stdout``, exit code to
 and ends in mid-frame, long enough for the engine to fast-forward over the
 repeating part of the run; ``cookbook_long`` does the same for 250 frames
 that repeat from the second one on, so its trace is almost all shifted
-copies.  ``report.stdout`` and ``report.exit`` pin ``partsim report`` over
-all of those CSVs at once; they were written by the code of the commit
-before ``read_csv`` was rewritten and ``report`` learnt to keep modes
-apart, so both changes are checked against the old output.  A change
+copies.  ``violation`` pins a memory violation raised by a scenario
+script: its rogue partition sends on a port it does not own.
+``report.stdout`` and ``report.exit`` pin ``partsim report`` over the CSVs
+of every case but ``violation`` at once; they were written by the code of
+the commit before ``read_csv`` was rewritten and ``report`` learnt to keep
+modes apart, so both changes are checked against the old output.  A change
 that alters any of these bytes must say so and replace the files on
 purpose.
 
@@ -39,7 +41,9 @@ CASES = {  # name -> (scenario, extra flags)
     "broker": ("broker", ()),
     "overrun_long": ("overrun", ("--until", "200500us")),
     "cookbook_long": ("cookbook", ("--until", "250700us")),
+    "violation": ("violation", ()),
 }
+REPORTED = sorted(CASES.keys() - {"violation"})  # the cases that report.stdout predates
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -63,7 +67,7 @@ def test_shipped_scenario_output_is_unchanged(name, tmp_path, capsys):
 
 
 def test_report_of_the_golden_csvs_is_unchanged(capsys):
-    code = main(["report", *(str(GOLDEN_DIR / f"{name}.csv") for name in sorted(CASES))])
+    code = main(["report", *(str(GOLDEN_DIR / f"{name}.csv") for name in REPORTED)])
     assert f"{code}\n".encode() == (GOLDEN_DIR / "report.exit").read_bytes()
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / "report.stdout").read_bytes()
 

@@ -197,14 +197,18 @@ def test_unknown_keys_rejected():
 
 def test_script_port_validation():
     """Every finding of a scenario is in the one ScenarioError the parser
-    raises, joined by "; "."""
+    raises, joined by "; ".  A port name that no channel has is a finding;
+    a port of another partition is not, since the call runs and raises a
+    memory violation."""
     text = (make_cookbook_scenario().replace("send out $payload", "send elsewhere 64")
             .replace("recv in", "recv nowhere"))
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
     assert str(err.value) == (
-        "ERROR SCRIPT_PORT script 0 partition 0 owns no source port 'elsewhere'; "
-        "ERROR SCRIPT_PORT script 1 partition 1 owns no destination port 'nowhere'")
+        "ERROR SCRIPT_PORT script 0 no channel has a port 'elsewhere'; "
+        "ERROR SCRIPT_PORT script 1 no channel has a port 'nowhere'")
+    foreign = make_cookbook_scenario().replace("send out $payload", "send in $payload")
+    assert parse_scenario(foreign).scripts[0].actions[1].port == "in"
 
 
 def test_payload_exceeding_channel_rejected():
@@ -506,6 +510,12 @@ def test_csv_edge_cells():
     ("b,broker,0,,,,,,,300,100,-200", "invalid literal for int() with base 10: ''"),
     ("p,partitioned,0,64,0,2,2,3,0.6x,,,", "could not convert string to float: '0.6x'"),
     ("b,broker,0,1,,,,,,300,100,-2e2", "invalid literal for int() with base 10: '-2e2'"),
+    # forms that int() and float() take but export_csv never writes
+    ("b,broker,0,1_0,,,,,,300,100,-200", "invalid literal for int() with base 10: '1_0'"),
+    ("b,broker,0,1,,,,,,300,100,+2_00", "invalid literal for int() with base 10: '+2_00'"),
+    ("b,broker,0,1,,,,,,300,100, -200", "invalid literal for int() with base 10: ' -200'"),
+    ("p,partitioned,0,64,0,2,2,3,4,,,", "could not convert string to float: '4'"),
+    ("p,partitioned,0,64,0,2,2,3,.5,,,", "could not convert string to float: '.5'"),
 ])
 def test_csv_read_errors_are_located(tmp_path, row, message):
     path = tmp_path / "bad.csv"
