@@ -23,7 +23,7 @@ wiring lives in the engine, not here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .config import ChannelKind, ChannelSpec, SystemConfig
 from .units import Duration
@@ -38,13 +38,11 @@ class PortStatus(enum.Enum):
     BAD_KIND = "BAD_KIND"
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     payload_size: int
     written_at: Duration
 
 
-@dataclass
 class PortState:
     """One channel's held messages as (message, visible_at) pairs in write
     order.  A queuing channel's are its bounded FIFO; a sampling channel's
@@ -52,8 +50,9 @@ class PortState:
     write drops what it supersedes by its visibility time and all visible
     but the newest."""
 
-    channel: ChannelSpec
-    held: list[tuple[Message, Duration]] = field(default_factory=list)
+    def __init__(self, channel: ChannelSpec) -> None:
+        self.channel = channel
+        self.held: list[tuple[Message, Duration]] = []
 
 
 class PortTable:
@@ -71,7 +70,7 @@ class PortTable:
         self._source_of: dict[tuple[int, str], int] = {}
         self._dest_of: dict[tuple[int, str], int] = {}
         for index, ch in enumerate(config.channels):
-            self._states.append(PortState(channel=ch))
+            self._states.append(PortState(ch))
             self._source_of[(ch.source.partition_id, ch.source.port)] = index
             for d in ch.destinations:
                 self._dest_of[(d.partition_id, d.port)] = index

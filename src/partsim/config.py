@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import enum
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .units import Duration, NegativeDuration, parse_duration, parse_integer
 
@@ -89,8 +89,7 @@ class ChannelKind(enum.Enum):
     QUEUING = "QUEUING"
 
 
-@dataclass(frozen=True)
-class MemoryArea:
+class MemoryArea(NamedTuple):
     start: int
     size: int
 
@@ -99,15 +98,13 @@ class MemoryArea:
         return self.start + self.size
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(NamedTuple):
     id: int
     name: str
     memory_areas: tuple[MemoryArea, ...] = ()
 
 
-@dataclass(frozen=True)
-class ScheduleSlot:
+class ScheduleSlot(NamedTuple):
     slot_id: int
     partition_id: int
     start: Duration
@@ -118,20 +115,17 @@ class ScheduleSlot:
         return self.start + self.duration
 
 
-@dataclass(frozen=True)
-class SchedulePlan:
+class SchedulePlan(NamedTuple):
     major_frame: Duration
     slots: tuple[ScheduleSlot, ...] = ()
 
 
-@dataclass(frozen=True)
-class PortRef:
+class PortRef(NamedTuple):
     partition_id: int
     port: str
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(NamedTuple):
     kind: ChannelKind
     source: PortRef
     destinations: tuple[PortRef, ...]
@@ -140,8 +134,7 @@ class ChannelSpec:
     capacity: int | None = None  # QUEUING only
 
 
-@dataclass(frozen=True)
-class CopyCost:
+class CopyCost(NamedTuple):
     """Per-message transport overhead charged by the hypervisor.
 
     ``of(size)`` = fixed + per_byte * size, in nanoseconds.
@@ -154,16 +147,14 @@ class CopyCost:
         return self.fixed + self.per_byte * size
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(NamedTuple):
     partitions: tuple[PartitionSpec, ...]
     plan: SchedulePlan
     channels: tuple[ChannelSpec, ...] = ()
     copy_cost: CopyCost = CopyCost()
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One validation finding; findings are data, never exceptions."""
 
     code: str

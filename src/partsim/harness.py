@@ -73,9 +73,8 @@ is byte-deterministic for a fixed scenario and seed.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import middleware, trace as trace_mod, workload
 from .config import ConfigError, Finding, SystemConfig, parse_config, transition_gap, validate
@@ -90,6 +89,11 @@ from .units import Duration, parse_duration, parse_fraction, parse_integer
 from .workload import AppScript, Mark, Read, Receive, ScriptMode, Send
 
 
+# the most CSV rows a run may write; a broker row's number seeds its jitter,
+# so it must stay below the seed stride
+MAX_ROWS = middleware.SEED_STRIDE
+
+
 class ScenarioError(ValueError):
     """Malformed or invalid scenario file."""
 
@@ -98,8 +102,7 @@ class MeasurementError(RuntimeError):
     """The run ended without observing the tx/rx mark pair."""
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     """A parsed scenario; ``parse_scenario`` sets every field."""
 
     name: str
@@ -116,13 +119,12 @@ class Scenario:
     max_frames: int
 
 
-@dataclass
 class RunResult:
     """``len()`` is the number of CSV rows the conditions make."""
 
-    conditions: list[Condition]
-    trace: trace_mod.PeriodicTrace | None = None
-    halted: bool = False
+    def __init__(self, conditions: list[Condition],
+                 trace: trace_mod.PeriodicTrace | None = None, halted: bool = False) -> None:
+        self.conditions, self.trace, self.halted = conditions, trace, halted
 
     def __len__(self) -> int:
         return sum(c.repetitions for c in self.conditions)
@@ -239,7 +241,8 @@ def _parse_broker(fields: dict, where: str, _: str, lines: list[str]) -> None:
     unknown = set(kv) - set(_BROKER_KEYS)
     if unknown:
         raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
-    fields["topology"] = dataclasses.replace(fields["topology"], **{
+    # the constructor, not _replace, so that the range checks apply
+    fields["topology"] = BrokerTopology(**fields["topology"]._asdict() | {
         key: _convert(f"{where} {key}", _BROKER_KEYS[key], text) for key, text in kv.items()})
 
 
@@ -417,6 +420,10 @@ def validate_scenario(sc: Scenario) -> list[Finding]:
         err("MAX_FRAMES", "scenario", "max_frames must be >= 1")
     if sc.seed < 0:
         err("SEED", "scenario", "seed must be >= 0")
+    rows = len(sc.payload_sizes) * max(len(sc.load_pairs), 1) * sc.repetitions
+    if rows > MAX_ROWS:
+        err("ROWS", "scenario", f"payload sizes x load pairs x repetitions = {rows} "
+            f"exceeds the row limit {MAX_ROWS}")
 
     if sc.mode is Mode.PARTITIONED:
         if sc.system is None:
@@ -453,11 +460,6 @@ def validate_scenario(sc: Scenario) -> list[Finding]:
             if pid not in partitions:
                 err("UNKNOWN_PARTITION", f"health {kind.value} {pid}",
                     "health override references a missing partition")
-    else:
-        draws = len(sc.payload_sizes) * len(sc.load_pairs) * sc.repetitions
-        if draws > middleware.SEED_STRIDE:
-            err("DRAWS", "scenario", f"payload sizes x load pairs x repetitions = {draws} "
-                f"exceeds the seed stride {middleware.SEED_STRIDE}")
     return findings
 
 

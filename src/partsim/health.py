@@ -16,7 +16,6 @@ per-kind default, which starts as DEFAULT_ACTIONS for every kind.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import trace
@@ -45,11 +44,13 @@ DEFAULT_ACTIONS: dict[HmKind, HealthAction] = {
 }
 
 
-@dataclass
 class HealthTable:
-    defaults: dict[HmKind, HealthAction] = field(
-        init=False, default_factory=lambda: dict(DEFAULT_ACTIONS))
-    overrides: dict[tuple[HmKind, int], HealthAction] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.defaults: dict[HmKind, HealthAction] = dict(DEFAULT_ACTIONS)
+        self.overrides: dict[tuple[HmKind, int], HealthAction] = {}
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, HealthTable) and vars(self) == vars(other)
 
     def resolve(self, kind: HmKind, partition_id: int) -> HealthAction:
         return self.overrides.get((kind, partition_id), self.defaults[kind])

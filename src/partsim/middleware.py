@@ -47,8 +47,8 @@ from __future__ import annotations
 import _random
 import math
 import random
-from dataclasses import dataclass
 from math import cos, floor, log, sin, sqrt, tau
+from typing import NamedTuple
 
 from .units import Duration
 
@@ -63,42 +63,59 @@ DEFAULT_LOAD_FACTOR = 1.0
 SEED_STRIDE = 1_000_003  # repetition seed = base_seed * stride + repetition
 
 
-@dataclass(frozen=True)
-class LinkModel:
+# Each value's range check is in the __new__ of a subclass, as a NamedTuple
+# cannot define __new__; _replace and _make skip it, so build through the
+# constructor.
+class _Link(NamedTuple):
     base_latency: Duration
     per_byte: Duration = 0
     jitter_stddev: Duration = 0
 
-    def __post_init__(self) -> None:
-        if self.base_latency < 0 or self.per_byte < 0 or self.jitter_stddev < 0:
+
+class LinkModel(_Link):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if min(self) < 0:
             raise ValueError("link parameters must be non-negative")
+        return self
 
 
-@dataclass(frozen=True)
-class LoadProfile:
+class _Load(NamedTuple):
     cpu_load: float
     memory_load: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.cpu_load <= 1.0:
-            raise ValueError(f"cpu_load must be in [0,1], got {self.cpu_load}")
-        if not 0.0 <= self.memory_load <= 1.0:
-            raise ValueError(f"memory_load must be in [0,1], got {self.memory_load}")
+
+class LoadProfile(_Load):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, load in zip(self._fields, self):
+            if not 0.0 <= load <= 1.0:
+                raise ValueError(f"{name} must be in [0,1], got {load}")
+        return self
 
 
-@dataclass(frozen=True)
-class BrokerTopology:
+class _Topology(NamedTuple):
     uplink: LinkModel
     downlink: LinkModel
     proc_fixed: Duration = DEFAULT_PROC_FIXED
     proc_per_byte: Duration = DEFAULT_PROC_PER_BYTE
     load_factor: float = DEFAULT_LOAD_FACTOR
 
-    def __post_init__(self) -> None:
+
+class BrokerTopology(_Topology):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.proc_fixed < 0 or self.proc_per_byte < 0:
             raise ValueError("processing parameters must be non-negative")
         if not 0.0 <= self.load_factor < math.inf:
             raise ValueError(f"load_factor must be finite and >= 0, got {self.load_factor}")
+        return self
 
 
 def default_topology() -> BrokerTopology:

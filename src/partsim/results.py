@@ -196,11 +196,11 @@ def _bad_line(path: str | Path, number: int, line: str) -> CsvError:
         return CsvError(f"{where}: expected {len(CSV_COLUMNS)} fields")
     if cells[1] not in _MODES:
         return CsvError(f"{where}: {cells[1]!r} is not a valid Mode")
-    cell, pattern = next((cell, pattern) for cell, pattern in zip(cells[2:], _CELLS)
-                         if not re.fullmatch(pattern, cell))
-    if _RATIO in pattern:
-        return CsvError(f"{where}: could not convert string to float: {cell!r}")
-    return CsvError(f"{where}: invalid literal for int() with base 10: {cell!r}")
+    column, cell, pattern = next(
+        (column, cell, pattern) for column, cell, pattern in zip(CSV_COLUMNS[2:], cells[2:], _CELLS)
+        if not re.fullmatch(pattern, cell))
+    form = "a decimal such as 0.5" if _RATIO in pattern else "an integer"
+    return CsvError(f"{where}: {column}: expected {form}, got {cell!r}")
 
 
 def read_csv(

@@ -11,19 +11,22 @@ the tool's contract and are pinned by golden tests:
 * script marks:          ``time_ns,MARK,partition,label``
 * partition transitions: ``time_ns,STATE,partition,old,new``
 * health resolutions:    ``time_ns,HM,kind,partition,action,detail``
+
+Records are NamedTuples, and no two kinds compare equal: only EventRecord
+and StateRecord have as many fields, and their second field is a str in
+one and an int in the other.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from operator import add
+from typing import NamedTuple
 
 from .units import Duration
 
 
-@dataclass(frozen=True, slots=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     time: Duration
     kind: str
     partition: int
@@ -33,8 +36,7 @@ class EventRecord:
         return f"{self.time},{self.kind},{self.partition},{self.seq}"
 
 
-@dataclass(frozen=True, slots=True)
-class PortOpRecord:
+class PortOpRecord(NamedTuple):
     time: Duration
     op: str  # WRITE | READ | SEND | RECV
     channel: str  # "c<index>", or "-" when the port resolves to no channel
@@ -46,8 +48,7 @@ class PortOpRecord:
         return f"{self.time},PORT_OP,{self.op},{self.channel},{self.partition},{self.size},{self.result}"
 
 
-@dataclass(frozen=True, slots=True)
-class MarkRecord:
+class MarkRecord(NamedTuple):
     time: Duration
     partition: int
     label: str
@@ -56,8 +57,7 @@ class MarkRecord:
         return f"{self.time},MARK,{self.partition},{self.label}"
 
 
-@dataclass(frozen=True, slots=True)
-class StateRecord:
+class StateRecord(NamedTuple):
     time: Duration
     partition: int
     old: str
@@ -67,8 +67,7 @@ class StateRecord:
         return f"{self.time},STATE,{self.partition},{self.old},{self.new}"
 
 
-@dataclass(frozen=True, slots=True)
-class HmRecord:
+class HmRecord(NamedTuple):
     time: Duration
     kind: str
     partition: int
@@ -93,15 +92,10 @@ def _copies(period: list, periods: int, span: Duration, gain: dict) -> Iterator[
             if r.time != time:  # same-time records share one int, as the engine's do
                 time = r.time
                 shifted = time + dt
-            cls = type(r)
-            if cls is EventRecord:
+            if type(r) is EventRecord:
                 yield EventRecord(shifted, r.kind, r.partition, r.seq + k * gain[r.partition])
-            elif cls is PortOpRecord:
-                yield PortOpRecord(shifted, r.op, r.channel, r.partition, r.size, r.result)
-            elif cls is MarkRecord:
-                yield MarkRecord(shifted, r.partition, r.label)
-            else:  # a period holds no StateRecord: the lifecycle never goes back
-                yield HmRecord(shifted, r.kind, r.partition, r.action, r.detail)
+            else:
+                yield type(r)(shifted, *r[1:])
 
 
 def _copy_lines(period: list, periods: int, span: Duration, gain: dict) -> Iterator[str]:

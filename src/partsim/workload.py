@@ -37,7 +37,7 @@ Execution semantics:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .units import Duration, parse_duration, parse_integer
 
@@ -53,37 +53,32 @@ class ScriptMode(enum.Enum):
     REPEAT_EACH_SLOT = "REPEAT_EACH_SLOT"
 
 
-@dataclass(frozen=True)
-class Compute:
+class Compute(NamedTuple):
     duration: Duration
 
 
-@dataclass(frozen=True)
-class Send:
+class Send(NamedTuple):
     port: str
     size: int | None  # None = bind to the scenario's current payload size
 
 
-@dataclass(frozen=True)
-class Receive:
+class Receive(NamedTuple):
     port: str
 
 
-@dataclass(frozen=True)
-class Read:
+class Read(NamedTuple):
     port: str
 
 
-@dataclass(frozen=True)
-class Mark:
+class Mark(NamedTuple):
     label: str
 
 
+# actions are tuples, so Receive("in") == Read("in"): dispatch on type()
 Action = Compute | Send | Receive | Read | Mark
 
 
-@dataclass(frozen=True)
-class AppScript:
+class AppScript(NamedTuple):
     actions: tuple[Action, ...]
     mode: ScriptMode = ScriptMode.ONCE
 
@@ -96,25 +91,24 @@ class AppScript:
         return AppScript(bound, self.mode)
 
 
-@dataclass
 class AppCursor:
     """Per-partition execution position; carry holds the unfinished part
     of an overrun COMPUTE and is positive only after a SLOT_OVERRUN."""
 
-    index: int = 0
-    carry: Duration = 0
+    __slots__ = ("index", "carry")
+
+    def __init__(self, index: int = 0, carry: Duration = 0) -> None:
+        self.index, self.carry = index, carry
 
 
-@dataclass(frozen=True, slots=True)
-class PendingAction:
+class PendingAction(NamedTuple):
     """The next port/mark action, due at an absolute time inside the slot."""
 
     time: Duration
     index: int
 
 
-@dataclass(frozen=True)
-class PendingOverrun:
+class PendingOverrun(NamedTuple):
     """A running COMPUTE will be truncated at the slot end."""
 
     demanded: Duration

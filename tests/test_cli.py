@@ -294,7 +294,7 @@ def test_report_reads_only_what_run_writes(workdir, capsys):
                                    "b,broker,1,1_0,,,,,,300,100,-200\n")
     assert main(["report", "a.csv"]) == 3
     assert capsys.readouterr() == (
-        "", "error: a.csv:3: invalid literal for int() with base 10: '1_0'\n")
+        "", "error: a.csv:3: payload_bytes: expected an integer, got '1_0'\n")
 
 
 def test_report_malformed_csv(workdir):
@@ -337,7 +337,7 @@ def add_to_broker(extra):
     pytest.param(BROKER_TEXT.replace("seed = 7", "seed = -7"),
                  "SEED scenario seed must be >= 0", id="broker_negative_seed"),
     pytest.param(BROKER_TEXT.replace("repetitions = 100", "repetitions = 333335"),
-                 "DRAWS scenario payload sizes x load pairs x repetitions = 1000005",
+                 "ROWS scenario payload sizes x load pairs x repetitions = 1000005",
                  id="broker_draws_over_stride"),
     pytest.param(make_cookbook_scenario().replace("payload_sizes = 64", "payload_sizes = 6x"),
                  "payload_sizes", id="payload_sizes"),
@@ -374,6 +374,12 @@ def add_to_broker(extra):
                  "[broker] load_factor", id="load_factor"),
     pytest.param(BROKER_TEXT.replace("proc_fixed = 20us", "proc_fixed = 20xs"),
                  "[broker] proc_fixed", id="proc_fixed"),
+    # the range checks of the broker values, reached from a scenario
+    pytest.param(BROKER_TEXT.replace("load_factor = 1.0", "load_factor = -1.0"),
+                 "[broker]: load_factor must be finite and >= 0, got -1.0",
+                 id="load_factor_negative"),
+    pytest.param(BROKER_TEXT.replace("0.0,0.0 -> 1.0,0.75", "0.0,0.0 -> 1.5,0.75"),
+                 "[loads] stressed: cpu_load must be in [0,1], got 1.5", id="loads_cpu_over_one"),
     pytest.param(BROKER_TEXT.replace("subscribers = 1", "subscribers = 0"),
                  "[broker] subscribers", id="subscribers_0"),
     pytest.param(BROKER_TEXT.replace("subscribers = 1", "subscribers = 3"),

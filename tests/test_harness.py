@@ -172,10 +172,20 @@ def test_multi_pair_broker_rows_follow_the_documented_model():
 
 def test_draw_count_may_reach_the_seed_stride():
     sc = parse_scenario(BROKER_SCN)  # 1 payload x 1 load pair
-    sc.repetitions = middleware.SEED_STRIDE
+    sc = sc._replace(repetitions=middleware.SEED_STRIDE)
     assert harness.validate_scenario(sc) == []
-    sc.repetitions += 1
-    assert [f.code for f in harness.validate_scenario(sc)] == ["DRAWS"]
+    sc = sc._replace(repetitions=sc.repetitions + 1)
+    assert [f.code for f in harness.validate_scenario(sc)] == ["ROWS"]
+
+
+def test_partitioned_row_count_is_bounded_too():
+    """Each repetition of a payload is a CSV row in partitioned mode too,
+    so the same 1,000,003-row limit refuses the scenario before it runs."""
+    assert parse_scenario(make_cookbook_scenario(repetitions=500_001, payloads="8,64"))
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(make_cookbook_scenario(repetitions=500_002, payloads="8,64"))
+    assert str(info.value) == ("ERROR ROWS scenario payload sizes x load pairs x repetitions"
+                               " = 1000004 exceeds the row limit 1000003")
 
 
 def test_parse_health_section():
@@ -506,16 +516,19 @@ def test_csv_edge_cells():
     ("b,broker,0,1,,,,,,300,100", "expected 12 fields"),
     ("b,brokr,0,1,,,,,,300,100,-200", "'brokr' is not a valid Mode"),
     ("b,,0,1,,,,,,300,100,-200", "'' is not a valid Mode"),
-    ("b,broker,x,1,,,,,,300,100,-200", "invalid literal for int() with base 10: 'x'"),
-    ("b,broker,0,,,,,,,300,100,-200", "invalid literal for int() with base 10: ''"),
-    ("p,partitioned,0,64,0,2,2,3,0.6x,,,", "could not convert string to float: '0.6x'"),
-    ("b,broker,0,1,,,,,,300,100,-2e2", "invalid literal for int() with base 10: '-2e2'"),
+    ("b,broker,x,1,,,,,,300,100,-200", "repetition: expected an integer, got 'x'"),
+    ("b,broker,0,,,,,,,300,100,-200", "payload_bytes: expected an integer, got ''"),
+    ("p,partitioned,0,64,0,2,2,3,0.6x,,,",
+     "latency_to_gap_ratio: expected a decimal such as 0.5, got '0.6x'"),
+    ("b,broker,0,1,,,,,,300,100,-2e2", "tx_delay_ns: expected an integer, got '-2e2'"),
     # forms that int() and float() take but export_csv never writes
-    ("b,broker,0,1_0,,,,,,300,100,-200", "invalid literal for int() with base 10: '1_0'"),
-    ("b,broker,0,1,,,,,,300,100,+2_00", "invalid literal for int() with base 10: '+2_00'"),
-    ("b,broker,0,1,,,,,,300,100, -200", "invalid literal for int() with base 10: ' -200'"),
-    ("p,partitioned,0,64,0,2,2,3,4,,,", "could not convert string to float: '4'"),
-    ("p,partitioned,0,64,0,2,2,3,.5,,,", "could not convert string to float: '.5'"),
+    ("b,broker,0,1_0,,,,,,300,100,-200", "payload_bytes: expected an integer, got '1_0'"),
+    ("b,broker,0,1,,,,,,300,100,+2_00", "tx_delay_ns: expected an integer, got '+2_00'"),
+    ("b,broker,0,1,,,,,,300,100, -200", "tx_delay_ns: expected an integer, got ' -200'"),
+    ("p,partitioned,0,64,0,2,2,3,4,,,",
+     "latency_to_gap_ratio: expected a decimal such as 0.5, got '4'"),
+    ("p,partitioned,0,64,0,2,2,3,.5,,,",
+     "latency_to_gap_ratio: expected a decimal such as 0.5, got '.5'"),
 ])
 def test_csv_read_errors_are_located(tmp_path, row, message):
     path = tmp_path / "bad.csv"
@@ -532,7 +545,7 @@ def test_csv_read_errors_name_the_line_whatever_the_newline(tmp_path, newline):
                                    "b,broker,x,1,,,,,,300,100,-200", ""]).encode())
     with pytest.raises(CsvError) as info:
         read_csv(path)
-    assert str(info.value) == f"{path}:3: invalid literal for int() with base 10: 'x'"
+    assert str(info.value) == f"{path}:3: repetition: expected an integer, got 'x'"
 
 
 @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
@@ -563,7 +576,7 @@ def test_csv_read_peak_is_at_most_twice_what_it_keeps(tmp_path):
     """``read_csv`` reads one line at a time: its traced peak is bounded
     by what it keeps of the conditions, not by the size of the file."""
     sc = load_scenario(SCENARIO_DIR / "broker.scn")
-    sc.repetitions = 2_000  # 3 payloads x 1 load pair: 6,000 rows
+    sc = sc._replace(repetitions=2_000)  # 3 payloads x 1 load pair: 6,000 rows
     path = tmp_path / "m.csv"
     export_csv(run_scenario(sc), path)
     tracemalloc.start()
@@ -592,7 +605,7 @@ def test_broker_run_and_export_memory_per_row(tmp_path):
     export writes the rows as it formats them: no row records and no
     whole-file string, so the traced peak stays below 250 bytes a row."""
     sc = load_scenario(SCENARIO_DIR / "broker.scn")
-    sc.repetitions = 2_000  # 3 payloads x 1 load pair: 6,000 jittered rows
+    sc = sc._replace(repetitions=2_000)  # 3 payloads x 1 load pair: 6,000 jittered rows
     tracemalloc.start()
     try:
         export_csv(run_scenario(sc), tmp_path / "m.csv")

@@ -17,14 +17,12 @@ MODULES = sorted(path.stem for path in (REPO_ROOT / "src" / "partsim").glob("*.p
                  if not path.stem.startswith("__"))
 
 
-def loaded_after(code: str) -> set[str]:
-    """The partsim modules in ``sys.modules`` after a fresh interpreter
-    runs ``code``."""
+def modules_after(code: str) -> set[str]:
+    """The names in ``sys.modules`` after a fresh interpreter runs ``code``."""
     pythonpath = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p
     )
-    script = (f"{code}\nimport json, sys\n"
-              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'partsim')))")
+    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
@@ -34,6 +32,12 @@ def loaded_after(code: str) -> set[str]:
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def loaded_after(code: str) -> set[str]:
+    """The partsim modules in ``sys.modules`` after a fresh interpreter
+    runs ``code``."""
+    return {m for m in modules_after(code) if m.split(".")[0] == "partsim"}
 
 
 def test_importing_the_cli_loads_no_other_module():
@@ -69,3 +73,16 @@ def test_the_package_exports_nothing():
 @pytest.mark.parametrize("module", MODULES)
 def test_each_module_imports_alone(module):
     assert f"partsim.{module}" in loaded_after(f"import partsim.{module}")
+
+
+@pytest.mark.parametrize("command", ["run scenarios/cookbook.scn --out {tmp}/c.csv",
+                                     "validate scenarios/cookbook.xml",
+                                     "report tests/golden/cookbook.csv"],
+                         ids=["run", "validate", "report"])
+def test_no_command_loads_dataclasses(tmp_path, command):
+    """partsim's values are NamedTuples and plain classes, so no command
+    loads ``dataclasses`` or the ``inspect`` module that it imports,
+    beyond what a bare interpreter loads."""
+    argv = command.format(tmp=tmp_path).split()
+    loaded = modules_after(f"from partsim import cli\nassert cli.main({argv!r}) == 0")
+    assert not (loaded - modules_after("")) & {"dataclasses", "inspect"}

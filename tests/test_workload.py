@@ -26,12 +26,12 @@ def marks(sim, label=None):
 
 
 def test_action_grammar():
-    assert parse_action("compute 100us") == Compute(100_000)
-    assert parse_action("send out 64") == Send("out", 64)
-    assert parse_action("send out $payload") == Send("out", None)
-    assert parse_action("recv in") == Receive("in")
-    assert parse_action("read in") == Read("in")
-    assert parse_action("mark tx") == Mark("tx")
+    # actions are tuples, so Receive("in") == Read("in"): compare kinds too
+    for line, action in (("compute 100us", Compute(100_000)), ("send out 64", Send("out", 64)),
+                         ("send out $payload", Send("out", None)), ("recv in", Receive("in")),
+                         ("read in", Read("in")), ("mark tx", Mark("tx"))):
+        parsed = parse_action(line)
+        assert (type(parsed), parsed) == (type(action), action)
     for bad in ("jump 3", "compute", "send out", "mark", "send out 0"):
         with pytest.raises(ScriptError):
             parse_action(bad)
