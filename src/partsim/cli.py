@@ -1,11 +1,11 @@
 """Command-line interface: ``partsim validate|run|report``.
 
 Exit codes are stable: 0 success, 1 validation findings, an invalid
-scenario or a bad argument, 2 runtime fault (system halt, failed measurement),
-3 I/O or malformed input files.  ``PARTSIM_SEED`` is the fallback when --seed
-is not given; a bad flag or ``PARTSIM_SEED`` is one stderr line ``error:
-<flag or variable>: <message>``.  All output is deterministic for fixed
-inputs and seed.
+scenario or a bad argument, 2 runtime fault (system halt, failed
+measurement, a lost broker worker process), 3 I/O or malformed input
+files.  ``PARTSIM_SEED`` is the fallback when --seed is not given; a bad
+flag or ``PARTSIM_SEED`` is one stderr line ``error: <flag or variable>:
+<message>``.  All output is deterministic for fixed inputs and seed.
 
 Each subcommand imports the partsim modules it needs when it runs, so
 ``validate`` loads only ``config`` and ``units``, not the engine, and
@@ -113,7 +113,7 @@ def _cmd_run(args) -> int:
 
     try:
         result = harness.run_scenario(scenario, until=until, frames=frames, seed=seed)
-    except harness.MeasurementError as exc:
+    except (harness.MeasurementError, harness.WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -69,10 +69,25 @@ partition's own port is checked further (``SCRIPT_SIZE``,
 
 A run's results, their statistics and the CSV are in ``results``.  Output
 is byte-deterministic for a fixed scenario and seed.
+
+A broker row depends only on the run seed and its own row number, so a
+large broker run splits its row range ``[0, rows)`` into one contiguous
+range per worker: ``min(cores, rows // ROWS_PER_WORKER)`` workers when a
+link is jittered, else one, where ``cores`` is the number this process may
+run on.  This process computes the first range; each other range runs in
+a child made with ``os.fork``, which sends its rows back through a pipe as
+one ``marshal`` blob, and the rows are stitched back in row order.  The
+bytes never depend on the number of workers.  A child ends only through
+``os._exit``; one that dies or exits non-zero is a ``WorkerError``, and
+every child is reaped (killed first on an error path) before the run
+returns or raises.
 """
 
 from __future__ import annotations
 
+import _signal  # the C module under ``signal``, loaded by every interpreter
+import marshal
+import os
 from pathlib import Path
 from typing import NamedTuple
 
@@ -93,6 +108,11 @@ from .workload import AppScript, Mark, Read, Receive, ScriptMode, Send
 # so it must stay below the seed stride
 MAX_ROWS = middleware.SEED_STRIDE
 
+# the fewest broker rows a worker is given: forking and reaping a worker
+# took 2-4 ms, the work of 200-450 rows (about 9 us a row; 2-core Xeon,
+# CPython 3.11), so a worker's share is worth at least twice its fork
+ROWS_PER_WORKER = 1000
+
 
 class ScenarioError(ValueError):
     """Malformed or invalid scenario file."""
@@ -100,6 +120,10 @@ class ScenarioError(ValueError):
 
 class MeasurementError(RuntimeError):
     """The run ended without observing the tx/rx mark pair."""
+
+
+class WorkerError(RuntimeError):
+    """A forked broker worker died or exited without sending its rows."""
 
 
 class Scenario(NamedTuple):
@@ -583,6 +607,83 @@ def _run_partitioned(
     return RunResult(conditions, first_trace, halted)
 
 
+def _cores() -> int:
+    """The cores this process may run on; 1 where the platform cannot say
+    or cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork(work, first: int, end: int, inherited: list[int]) -> tuple[int, int]:
+    """Fork a child that writes ``marshal.dumps(work(first, end))`` to a
+    new pipe and ends through ``os._exit``: 0 once the blob is written,
+    1 on any exception, so nothing unwinds into the caller's frames.  The
+    caller blocks signals around the fork; the child keeps them blocked,
+    and first closes the ``inherited`` read ends of its siblings' pipes.
+    The child takes no lock that another thread of the parent may hold: it
+    only computes and calls ``os.write``.  Returns the child's pid and the
+    pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            for fd in (read_fd, *inherited):
+                os.close(fd)
+            blob = memoryview(marshal.dumps(work(first, end)))
+            while blob:
+                blob = blob[os.write(write_fd, blob):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _split(work, rows: int, workers: int) -> list:
+    """``work(first, end)`` over ``workers`` contiguous ranges that cover
+    ``[0, rows)``, in range order: the first here, each other in a forked
+    child (see ``_fork``).  Every child is reaped before this returns or
+    raises; on an error path the ones left are killed first."""
+    if workers == 1:
+        return [work(0, rows)]
+    bounds = [rows * w // workers for w in range(workers + 1)]
+    children = []  # (pid, read end, first, end) of each forked range, in order
+    try:
+        mask = _signal.pthread_sigmask(_signal.SIG_BLOCK, _signal.valid_signals())
+        try:
+            for first, end in zip(bounds[1:-1], bounds[2:]):
+                children.append(
+                    (*_fork(work, first, end, [child[1] for child in children]), first, end))
+        finally:
+            _signal.pthread_sigmask(_signal.SIG_SETMASK, mask)
+        pieces = [work(bounds[0], bounds[1])]
+        while children:
+            pid, fd, first, end = children[0]
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            os.close(fd)
+            if status:
+                how = f"was killed by signal {-status}" if status < 0 else f"exited with {status}"
+                raise WorkerError(f"the worker for broker rows {first}-{end - 1} {how}")
+            pieces.append(marshal.loads(b"".join(chunks)))
+        return pieces
+    finally:
+        for pid, fd, _, _ in children:
+            os.kill(pid, _signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+
+
 def _run_broker(sc: Scenario, *, seed: int) -> RunResult:
     topology = sc.topology
     assert topology is not None
@@ -590,12 +691,26 @@ def _run_broker(sc: Scenario, *, seed: int) -> RunResult:
         labels = [sc.name]
     else:
         labels = [f"{sc.name}/{k}" for k in range(len(sc.load_pairs))]
-    conditions: list[Condition] = []
-    counter = 0  # the row number over all conditions; it seeds the row's jitter
-    for payload in sc.payload_sizes:
-        for label, (relaxed, stressed) in zip(labels, sc.load_pairs):
-            times = middleware.condition_times(
-                topology, payload, relaxed, stressed, seed, counter, sc.repetitions)
-            counter += sc.repetitions
-            conditions.append(Condition(label, sc.mode, payload, sc.repetitions, times=times))
-    return RunResult(conditions)
+    # one (label, payload, relaxed, stressed) per condition, in row order;
+    # condition k holds rows k * reps to (k + 1) * reps - 1, and a row's
+    # number over all conditions seeds its jitter
+    plan = [(label, payload, relaxed, stressed) for payload in sc.payload_sizes
+            for label, (relaxed, stressed) in zip(labels, sc.load_pairs)]
+    reps = sc.repetitions
+
+    def work(first: int, end: int) -> list[tuple[int, list]]:
+        """(k, times) of each condition k's part of rows first..end-1."""
+        return [(k, middleware.condition_times(topology, payload, relaxed, stressed,
+                                               seed, lo, hi - lo))
+                for k, (_, payload, relaxed, stressed) in enumerate(plan)
+                for lo, hi in [(max(first, k * reps), min(end, (k + 1) * reps))] if lo < hi]
+
+    rows = len(plan) * reps
+    jittered = topology.uplink.jitter_stddev or topology.downlink.jitter_stddev
+    workers = max(1, min(_cores(), rows // ROWS_PER_WORKER)) if jittered else 1
+    times = [[] for _ in plan]
+    for piece in _split(work, rows, workers):
+        for k, chunk in piece:
+            times[k] += chunk
+    return RunResult([Condition(label, sc.mode, payload, reps, times=times[k])
+                      for k, (label, payload, _, _) in enumerate(plan)])

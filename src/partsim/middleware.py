@@ -8,7 +8,11 @@ direct path by construction.  The transmission time is
 
 plus one normal jitter draw per link, rounded to the nearest ns (ties
 up), with negative draws clamped to zero; the load-scaled processing term
-is rounded the same way.  A link whose jitter_stddev is 0 draws nothing.
+is rounded the same way, exactly: ``load_factor`` and ``cpu_load`` enter
+at their exact values (the decimals a scenario wrote, which
+``units.parse_fraction`` returns as Fractions; a float is taken at its
+binary value), so 50 ns at load 0.13 is 56.5 ns and rounds to 57, at any
+size.  A link whose jitter_stddev is 0 draws nothing.
 CPU load enters multiplicatively on the broker processing term only, so
 the stressed-minus-relaxed delta isolates the load-induced delay; links
 are load-independent.  memory_load is validated but has no effect on
@@ -20,7 +24,9 @@ come from that generator in path order (uplink first, then downlink), one
 model; ``repetition_rng`` is its reference generator for row ``c``, seeded
 ``seed * 1_000_003 + c``.  The streams of different (seed, c) pairs stay
 disjoint only while the seed is non-negative and ``c`` stays below that
-stride.
+stride.  So a row depends on no other row: ``harness`` splits a large
+run's rows into ``min(cores, rows // ROWS_PER_WORKER)`` contiguous ranges,
+one per forked worker, and the bytes never depend on that number.
 
 ``condition_times`` evaluates a whole condition (one payload and one
 relaxed/stressed load pair) to the same values as calling ``tx_time``
@@ -50,7 +56,7 @@ import random
 from math import cos, floor, log, sin, sqrt, tau
 from typing import NamedTuple
 
-from .units import Duration
+from .units import Duration, fraction_text
 
 # calibration constants (see module docstring)
 DEFAULT_LINK_BASE = 200_000  # 200 us per hop
@@ -82,7 +88,7 @@ class LinkModel(_Link):
         return self
 
 
-class _Load(NamedTuple):
+class _Load(NamedTuple):  # a load is a float or an exact Fraction
     cpu_load: float
     memory_load: float = 0.0
 
@@ -94,7 +100,7 @@ class LoadProfile(_Load):
         self = super().__new__(cls, *args, **kwargs)
         for name, load in zip(self._fields, self):
             if not 0.0 <= load <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {load}")
+                raise ValueError(f"{name} must be in [0,1], got {fraction_text(load)}")
         return self
 
 
@@ -114,7 +120,8 @@ class BrokerTopology(_Topology):
         if self.proc_fixed < 0 or self.proc_per_byte < 0:
             raise ValueError("processing parameters must be non-negative")
         if not 0.0 <= self.load_factor < math.inf:
-            raise ValueError(f"load_factor must be finite and >= 0, got {self.load_factor}")
+            raise ValueError(
+                f"load_factor must be finite and >= 0, got {fraction_text(self.load_factor)}")
         return self
 
 
@@ -133,14 +140,18 @@ def repetition_rng(seed: int, repetition: int) -> random.Random:
 
 def base_time(topology: BrokerTopology, size: int, load: LoadProfile) -> Duration:
     """The jitter-free transmission time: both links' base and per-byte
-    terms plus the load-scaled processing, rounded half up."""
+    terms plus the load-scaled processing, rounded half up in integers."""
     if size <= 0:
         raise ValueError("payload size must be positive")
     up, down = topology.uplink, topology.downlink
     processing = topology.proc_fixed + topology.proc_per_byte * size
+    factor_num, factor_den = topology.load_factor.as_integer_ratio()
+    cpu_num, cpu_den = load.cpu_load.as_integer_ratio()
+    den = factor_den * cpu_den
+    # processing * (den + factor * cpu) / den, plus one half, floored
     return (
         up.base_latency + down.base_latency + (up.per_byte + down.per_byte) * size
-        + math.floor(processing * (1.0 + topology.load_factor * load.cpu_load) + 0.5)
+        + (2 * processing * (den + factor_num * cpu_num) + den) // (2 * den)
     )
 
 

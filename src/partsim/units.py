@@ -5,6 +5,7 @@ no fractional ticks.  Every number partsim reads, ASCII digits only and
 surrounding whitespace stripped, is an integer ``-?[0-9]+`` (the system XML
 also takes ``0x`` hex), a duration (that decimal integer, optional
 whitespace and ns/us/ms/s) or a fraction ``-?[0-9]+``, optionally ``.[0-9]+``.
+A fraction is read exactly, as the decimal it writes.
 """
 
 import re
@@ -50,8 +51,20 @@ def parse_duration(text: str) -> Duration:
     return value
 
 
-def parse_fraction(text: str) -> float:
-    """Parse a ``"0.75"``-style literal."""
-    if not _FRACTION_RE.fullmatch(text.strip()):
+def parse_fraction(text: str):
+    """Parse a ``"0.75"``-style literal into the exact ``fractions.Fraction``
+    it writes; ``0.13`` is 13/100, not the nearest float."""
+    # imported here: only a broker scenario reads a fraction, and the module
+    # (with the ``decimal`` it imports) costs a few ms at start-up
+    from fractions import Fraction
+
+    t = text.strip()
+    if not _FRACTION_RE.fullmatch(t):
         raise UnitError(f"bad fraction {text!r}")
-    return float(text)
+    return Fraction(t)
+
+
+def fraction_text(value) -> str:
+    """A float, or the Fraction that ``parse_fraction`` returns, as a
+    message shows it: ``1.5``, not ``3/2``."""
+    return str(float(value))

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -782,7 +783,7 @@ def broker_runs(draw):
     links = [(draw(_NS), draw(st.integers(0, 5)), draw(st.sampled_from((0, 1, 50_000))))
              for _ in range(2)]
     proc_fixed, proc_per_byte = draw(_NS), draw(st.integers(0, 10))
-    load_factor = draw(st.floats(0.0, 4.0))
+    load_factor = _fraction(draw(st.floats(0.0, 4.0)))
     repetitions = draw(st.integers(1, 40))
     seed = draw(st.integers(min_value=0))
     text = "\n".join([
@@ -792,13 +793,14 @@ def broker_runs(draw):
         *(f"{side} = base={b}ns per_byte={pb}ns jitter={j}ns"
           for side, (b, pb, j) in zip(("uplink", "downlink"), links)),
         f"proc_fixed = {proc_fixed}ns", f"proc_per_byte = {proc_per_byte}ns",
-        f"load_factor = {_fraction(load_factor)}",
+        f"load_factor = {load_factor}",
         "[loads]",
         *(f"{rc},{rm} -> {sc},{sm}" for rc, rm, sc, sm in pairs),
     ]) + "\n"
+    # the model reads each literal as the exact decimal it writes
     topology = BrokerTopology(LinkModel(*links[0]), LinkModel(*links[1]),
-                              proc_fixed, proc_per_byte, load_factor)
-    loads = [(LoadProfile(float(rc), float(rm)), LoadProfile(float(sc), float(sm)))
+                              proc_fixed, proc_per_byte, Fraction(load_factor))
+    loads = [(LoadProfile(Fraction(rc), Fraction(rm)), LoadProfile(Fraction(sc), Fraction(sm)))
              for rc, rm, sc, sm in pairs]
     labels = ["fuzz"] if len(pairs) == 1 else [f"fuzz/{k}" for k in range(len(pairs))]
     expected = []

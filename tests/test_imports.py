@@ -86,3 +86,24 @@ def test_no_command_loads_dataclasses(tmp_path, command):
     argv = command.format(tmp=tmp_path).split()
     loaded = modules_after(f"from partsim import cli\nassert cli.main({argv!r}) == 0")
     assert not (loaded - modules_after("")) & {"dataclasses", "inspect"}
+
+
+def test_a_split_broker_run_loads_no_process_or_thread_pool(tmp_path):
+    """A broker run large enough to fork its rows across two cores uses
+    ``os.fork``, a pipe and ``marshal``: it loads no ``multiprocessing``,
+    ``concurrent.futures`` or ``threading`` beyond what a bare interpreter
+    loads."""
+    scenario = tmp_path / "big.scn"
+    scenario.write_text((REPO_ROOT / "scenarios" / "broker.scn").read_text()
+                        .replace("repetitions = 100", "repetitions = 1000"))
+    argv = ["run", str(scenario), "--out", str(tmp_path / "big.csv")]
+    loaded = modules_after(
+        "import os\n"
+        "from partsim import cli, harness\n"
+        "harness._cores = lambda: 2\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        f"assert cli.main({argv!r}) == 0 and forks == [1]"
+    )
+    assert not [m for m in loaded - modules_after("")
+                if m.split(".")[0] in ("multiprocessing", "concurrent", "threading")]

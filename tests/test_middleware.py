@@ -3,9 +3,10 @@ the per-condition path against the reference model."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from partsim.harness import parse_scenario, run_scenario
 from partsim.middleware import (
@@ -16,8 +17,10 @@ from partsim.middleware import (
     condition_times,
     default_topology,
     repetition_rng,
+    base_time,
     tx_time,
 )
+from partsim.units import parse_fraction
 
 from conftest import SCENARIO_DIR, csv_rows
 
@@ -48,6 +51,31 @@ def test_full_load_scales_processing_only():
     relaxed = tx_time(topo, 1_000, LoadProfile(0.0), rng)
     stressed = tx_time(topo, 1_000, LoadProfile(1.0), rng)
     assert stressed - relaxed == 2 * (10_000 + 3_000)  # k * processing
+
+
+def _two_decimals(low: int, high: int):
+    """A fraction literal with two decimals, from low/100 to high/100."""
+    return st.integers(low, high).map(lambda n: f"{n // 100}.{n % 100:02d}")
+
+
+@settings(max_examples=300)
+@given(
+    # multiples of 50 ns make ties: 50 * m * k / 100 ends in .5 for odd m * k
+    processing=st.one_of(st.integers(0, 10**4).map(lambda m: 50 * m),
+                         st.integers(0, 10**18)),
+    load_factor=_two_decimals(0, 400),
+    cpu_load=_two_decimals(0, 100),
+)
+@example(processing=50, load_factor="1.00", cpu_load="0.13")  # 56.5 ns: 57, not 56
+@example(processing=2**60 + 1, load_factor="1.00", cpu_load="0.50")  # past 2**53
+def test_load_term_rounds_half_up_exactly(processing, load_factor, cpu_load):
+    """The load-scaled processing is the exact decimal product rounded to
+    the nearest ns, ties up, at any size."""
+    quiet = LinkModel(0)
+    topology = BrokerTopology(quiet, quiet, processing, 0, parse_fraction(load_factor))
+    exact = processing * (1 + Fraction(load_factor) * Fraction(cpu_load))
+    assert base_time(topology, 1, LoadProfile(parse_fraction(cpu_load))) == \
+        math.floor(exact + Fraction(1, 2))
 
 
 def test_determinism_same_seed():
