@@ -15,6 +15,7 @@ Each subcommand imports the partsim modules it needs when it runs, so
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -31,6 +32,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_FINDINGS, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # one parser per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="partsim",
@@ -78,6 +80,16 @@ def _cmd_validate(args) -> int:
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
+def _same_file(path: str, other: str) -> bool:
+    """Whether two paths name one file: the same inode when both exist (a
+    hard link, a symlink, a case-insensitive name), else the same resolved
+    path."""
+    try:
+        return os.path.samefile(path, other)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(path) == os.path.realpath(other)
+
+
 def _cmd_run(args) -> int:
     from . import harness, results, trace as trace_mod
     from .units import parse_duration, parse_integer
@@ -106,6 +118,13 @@ def _cmd_run(args) -> int:
         for where in ("--frames", "--until", "--trace"):
             if getattr(args, where[2:]) and scenario.mode is results.Mode.BROKER:
                 raise ValueError("not read by a broker scenario")
+        out_path = args.out or f"{scenario.name}.csv"
+        for where, path, other, named in (
+                ("--out", out_path, args.scenario_path, "the scenario"),
+                ("--trace", args.trace, args.scenario_path, "the scenario"),
+                ("--trace", args.trace, out_path, "--out")):
+            if path and _same_file(path, other):
+                raise ValueError(f"names the same file as {named}")
     except ValueError as exc:
         print(f"error: {where}: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
@@ -117,7 +136,6 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    out_path = args.out or f"{scenario.name}.csv"
     try:
         results.export_csv(result, out_path)
         if args.trace:

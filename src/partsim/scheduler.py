@@ -39,9 +39,11 @@ by ``t_end``, the engine has its trace repeat the last period m times
 period), moves the clock, the timeline and the port messages m*p frames
 forward, advances the ``seq`` counters as much, and simulates the
 remainder.  The trace keeps one descriptor per repeat: iterating it
-builds the copies, and its file gets them as shifted line templates; every
-CSV and trace byte is that of simulating each frame.  A partition's
-lifecycle only moves forward, so no period holds a state change.
+builds the copies, and its file gets them as one bytes template per
+period, each time and ``seq`` field filled from its own arithmetic
+progression; every CSV and trace byte is that of simulating each frame.
+A partition's lifecycle only moves forward, so no period holds a state
+change.
 
 The scheduler never extends a slot: a slot always ends at its scheduled
 end, and whatever compute time the application still demanded carries over

@@ -1,8 +1,11 @@
 """Trace records and their stable text encoding.
 
 A run's trace is a ``PeriodicTrace``: the records the engine built, plus
-one descriptor per run of repeated periods.  The line formats are part of
-the tool's contract and are pinned by golden tests:
+one descriptor per run of repeated periods.  ``write_trace`` writes it as
+ASCII bytes, each repeated period as one template whose time and event
+``seq`` fields are each filled from one arithmetic progression, a term per
+copy.  The line formats are part of the tool's contract and are pinned by
+golden tests:
 
 * scheduler events:      ``time_ns,KIND,partition,seq``
   (KIND is one of SLOT_START, SLOT_END, FRAME_WRAP, APP_ACTION, HM_EVENT;
@@ -20,7 +23,6 @@ one and an int in the other.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from operator import add
 from typing import NamedTuple
 
 from .units import Duration
@@ -98,23 +100,23 @@ def _copies(period: list, periods: int, span: Duration, gain: dict) -> Iterator[
                 yield type(r)(shifted, *r[1:])
 
 
-def _copy_lines(period: list, periods: int, span: Duration, gain: dict) -> Iterator[str]:
-    """The text of ``_copies``, one chunk per copy: the period is formatted
-    once, with a slot for each time and event ``seq`` that a copy fills in."""
-    parts, values, steps = [], [], []
+def _copy_lines(period: list, periods: int, span: Duration, gain: dict) -> Iterator[bytes]:
+    """The bytes of ``_copies``, one chunk per copy: the period is formatted
+    once, with a slot for each time and event ``seq``, and each slot is
+    filled from its own arithmetic progression, one term per copy."""
+    # each column is a range's iterator, which keeps its progression in C
+    # integers: the range and its int bounds are freed at once
+    parts, columns, end = [], [], periods + 1
     for r in period:
         part = "%d," + r.line().partition(",")[2].replace("%", "%%")
-        values.append(r.time)
-        steps.append(span)
+        columns.append(iter(range(r.time + span, r.time + end * span, span)))
         if type(r) is EventRecord:
             part = part.rpartition(",")[0] + ",%d"
-            values.append(r.seq)
-            steps.append(gain[r.partition])
+            step = gain[r.partition]
+            assert span > 0 and step > 0  # a range's step: this event advances its seq
+            columns.append(iter(range(r.seq + step, r.seq + end * step, step)))
         parts.append(part + "\n")
-    template = "".join(parts)
-    for _ in range(periods):
-        values = tuple(map(add, values, steps))
-        yield template % values
+    return map("".join(parts).encode("ascii").__mod__, zip(*columns))
 
 
 class PeriodicTrace:
@@ -152,8 +154,9 @@ def format_trace(records: Iterable[TraceRecord]) -> str:
 
 
 def write_trace(trace: PeriodicTrace, path: str) -> None:
-    """Write every record; each repeated period is formatted once."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    """Write every record as ASCII bytes; each repeated period is formatted
+    once, as ``_copy_lines`` describes."""
+    with open(path, "wb") as fh:
         for records, period, copies in trace.pieces():
-            fh.write(format_trace(records))
+            fh.write(format_trace(records).encode("ascii"))
             fh.writelines(_copy_lines(period, *copies))

@@ -1,24 +1,31 @@
 """The partsim names that ``bench/tracing.py`` wraps by name still exist,
 and a traced ``partsim run`` counts every row it writes, so a refactor
-cannot silently break ``bench/run.py --trace 1``."""
+cannot silently break ``bench/run.py --trace 1``.  The bench's ``ring``
+trace, which the bench itself only counts by line kind, is checked here
+byte for byte."""
 
 import importlib
 import importlib.util
+import sys
 
-from partsim import cli
+import pytest
+
+from partsim import cli, trace as trace_mod
 
 from conftest import REPO_ROOT, SCENARIO_DIR
 
 
-def _load_tracing():
+def _load_bench(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_tracing", REPO_ROOT / "bench" / "tracing.py")
+        f"bench_{name}", REPO_ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load_bench("tracing")
+workloads = _load_bench("workloads")
 
 
 def test_every_entry_point_exists():
@@ -51,3 +58,25 @@ def test_traced_broker_run_counts_every_written_row(tmp_path, capsys):
     calls = {name: entry[0] for name, entry in tracer.totals().items()}
     assert calls["harness.export_csv"] == calls["harness.read_csv"] == 1
     assert calls["harness.summarize"] == 2 * 3 * 2  # one per condition, in run and report
+
+
+@pytest.mark.parametrize("seed", [7, 123])
+def test_bench_ring_trace_file_is_its_records(seed, tmp_path, monkeypatch, capsys):
+    """``partsim run --trace`` on the bench's ``ring`` workload writes the
+    text of every record the run's trace iterates, copies included, and
+    the bench's own line-count check passes on that file."""
+    wl = workloads.ring(seed)
+    scn = tmp_path / "ring.scn"
+    scn.write_text(wl.scenario, encoding="ascii")
+    written = []
+    write = trace_mod.write_trace
+    monkeypatch.setattr(trace_mod, "write_trace", lambda t, path: written.append(t) or write(t, path))
+    argv = ["run", str(scn), "--out", str(tmp_path / "ring.csv"), "--seed", str(seed),
+            "--trace", str(tmp_path / "ring.trace")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    (run_trace,) = written
+    assert run_trace.repeats
+    data = (tmp_path / "ring.trace").read_bytes()
+    assert data == trace_mod.format_trace(run_trace).encode()
+    assert workloads.check_trace(wl, data.decode())[1] == 0

@@ -169,6 +169,54 @@ def test_flag_errors_exit_1(workdir, capsys, flags, code, named):
     assert not (workdir / "cookbook.csv").exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    pytest.param(("cb.scn", "--out", "cb.scn"), "--out: names the same file as the scenario",
+                 id="out_is_scenario"),
+    pytest.param(("scenario.csv",), "--out: names the same file as the scenario",
+                 id="default_out_is_scenario"),
+    pytest.param(("cb.scn", "--out", "hard.scn"), "--out: names the same file as the scenario",
+                 id="out_is_hard_link_to_scenario"),
+    pytest.param(("link.scn", "--out", "./cb.scn"),
+                 "--out: names the same file as the scenario", id="out_resolves_to_scenario"),
+    pytest.param(("cb.scn", "--out", "o.csv", "--trace", "cb.scn"),
+                 "--trace: names the same file as the scenario", id="trace_is_scenario"),
+    pytest.param(("cb.scn", "--out", "same.out", "--trace", "same.out"),
+                 "--trace: names the same file as --out", id="trace_is_out"),
+    pytest.param(("cb.scn", "--trace", "./cookbook.csv"), "--trace: names the same file as --out",
+                 id="trace_is_default_out"),
+])
+def test_an_output_that_names_an_input_or_the_other_output_exits_1(workdir, capsys, flags, named):
+    """A run whose CSV path (``--out`` or the default ``<name>.csv``),
+    ``--trace`` and scenario path name one file in two places is refused
+    before it runs, and every file is left as it was."""
+    text = make_cookbook_scenario(repetitions=1)
+    write(workdir / "cb.scn", text)
+    write(workdir / "scenario.csv", text.replace("name = cookbook", "name = scenario"))
+    os.link(workdir / "cb.scn", workdir / "hard.scn")
+    os.symlink("cb.scn", workdir / "link.scn")
+    before = {path.name: path.read_bytes() for path in workdir.iterdir()}
+    assert main(["run", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
+
+
+def test_one_process_runs_calls_that_share_the_parser(workdir, capsys):
+    """``main`` builds its parser once per process, and no flag of one call
+    reaches the next: a run after a ``--frames 3`` run and a refused
+    ``--frames`` call stops at the scenario's ``max_frames``."""
+    from partsim import cli
+
+    scn = write(workdir / "cb.scn", make_cookbook_scenario(repetitions=1))
+    with pytest.raises(SystemExit) as refused:
+        main(["run", scn, "--frames", "1", "--until", "1ms"])
+    assert refused.value.code == 1
+    assert main(["run", scn, "--frames", "3", "--out", "f.csv", "--trace", "f.trace"]) == 0
+    assert main(["run", scn, "--out", "m.csv", "--trace", "m.trace"]) == 0
+    wraps = [(workdir / name).read_text().count(",FRAME_WRAP,") for name in ("f.trace", "m.trace")]
+    assert wraps == [3, 2]  # make_cookbook_scenario sets max_frames = 2
+    assert cli._build_parser() is cli._build_parser()
+
+
 @pytest.mark.parametrize("value", ["x", "-1", "1_0", "+1", "٣"])
 def test_malformed_env_seed_is_a_finding(workdir, monkeypatch, capsys, value):
     broker = write(workdir / "br.scn", (SCENARIO_DIR / "broker.scn").read_text())
