@@ -15,6 +15,7 @@ Each subcommand imports the partsim modules it needs when it runs, so
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -136,11 +137,22 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
+    # both outputs are opened before either is written, and an I/O error
+    # removes each regular file this run opened: it leaves no partial output
+    outputs = [(out_path, results.export_csv, result)]
+    if args.trace:
+        outputs.append((args.trace, trace_mod.write_trace, result.trace))
+    opened = []
     try:
-        results.export_csv(result, out_path)
-        if args.trace:
-            trace_mod.write_trace(result.trace, args.trace)
+        for path, _, _ in outputs:
+            open(path, "wb").close()
+            opened.append(path)
+        for path, write, data in outputs:
+            write(data, path)
     except OSError as exc:
+        for path in filter(os.path.isfile, opened):  # not a device or a pipe
+            with contextlib.suppress(OSError):
+                os.remove(os.path.realpath(path))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -80,10 +80,6 @@ class RangeError(ConfigError):
     zero size, address overflow)."""
 
 
-class UnknownSlot(ConfigError):
-    """A slot id does not exist in the schedule plan."""
-
-
 class ChannelKind(enum.Enum):
     SAMPLING = "SAMPLING"
     QUEUING = "QUEUING"
@@ -116,8 +112,24 @@ class ScheduleSlot(NamedTuple):
 
 
 class SchedulePlan(NamedTuple):
+    """The cyclic schedule, and the only slot arithmetic in partsim."""
+
     major_frame: Duration
     slots: tuple[ScheduleSlot, ...] = ()
+
+    def slot_at(self, partition_id: int, t: Duration) -> ScheduleSlot | None:
+        """The partition's slot whose half-open [start, end) holds ``t``'s
+        offset into its major frame; None in the partition's unallocated time."""
+        offset = t % self.major_frame
+        for slot in self.slots:
+            if slot.partition_id == partition_id and slot.start <= offset < slot.end:
+                return slot
+        return None
+
+    def gap(self, src: ScheduleSlot, dst: ScheduleSlot) -> Duration:
+        """Duration from the end of ``src`` to the next start of ``dst``,
+        wrapping across the major frame.  Always in [0, frame)."""
+        return (dst.start - src.end) % self.major_frame
 
 
 class PortRef(NamedTuple):
@@ -395,17 +407,3 @@ def validate(cfg: SystemConfig) -> list[Finding]:
                 dests_seen[key] = idx
 
     return findings
-
-
-def transition_gap(plan: SchedulePlan, from_slot: int, to_slot: int) -> Duration:
-    """Duration from the end of ``from_slot`` to the next start of
-    ``to_slot``, wrapping across the major frame.  Always in [0, frame).
-    """
-    if from_slot == to_slot:
-        raise ValueError("from_slot and to_slot must differ")
-    by_id = {s.slot_id: s for s in plan.slots}
-    try:
-        src, dst = by_id[from_slot], by_id[to_slot]
-    except KeyError as exc:
-        raise UnknownSlot(f"no slot with id {exc.args[0]}") from None
-    return (dst.start - src.end) % plan.major_frame

@@ -78,9 +78,9 @@ run on.  This process computes the first range; each other range runs in
 a child made with ``os.fork``, which sends its rows back through a pipe as
 one ``marshal`` blob, and the rows are stitched back in row order.  The
 bytes never depend on the number of workers.  A child ends only through
-``os._exit``; one that dies or exits non-zero is a ``WorkerError``, and
-every child is reaped (killed first on an error path) before the run
-returns or raises.
+``os._exit``; a worker whose pipe or fork fails, or that dies or exits
+non-zero, is a ``WorkerError``, and every child is reaped (killed first on
+an error path) before the run returns or raises.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import middleware, trace as trace_mod, workload
-from .config import ConfigError, Finding, SystemConfig, parse_config, transition_gap, validate
+from .config import ConfigError, Finding, SystemConfig, parse_config, validate
 from .health import HealthAction, HealthTable, HmKind
 from .middleware import BrokerTopology, LinkModel, LoadProfile
 from .results import Condition, Mode
@@ -123,7 +123,8 @@ class MeasurementError(RuntimeError):
 
 
 class WorkerError(RuntimeError):
-    """A forked broker worker died or exited without sending its rows."""
+    """A broker worker could not be forked, or died or exited without
+    sending its rows."""
 
 
 class Scenario(NamedTuple):
@@ -498,14 +499,6 @@ def _has_measurement_marks(scripts: dict[int, AppScript]) -> bool:
     return "tx" in labels and "rx" in labels
 
 
-def _slot_at(system: SystemConfig, partition_id: int, t: Duration) -> int | None:
-    offset = t % system.plan.major_frame
-    for slot in system.plan.slots:
-        if slot.partition_id == partition_id and slot.start <= offset < slot.end:
-            return slot.slot_id
-    return None
-
-
 def _measure(records: trace_mod.PeriodicTrace, system: SystemConfig):
     """Extract (t_send, t_recv, gap) from one repetition's trace.
 
@@ -539,12 +532,10 @@ def _measure(records: trace_mod.PeriodicTrace, system: SystemConfig):
             delivery_time, delivery_partition = r.time, r.partition
     if t_send is None or t_recv is None:
         return None
-    from_slot = _slot_at(system, send_partition, t_send)
-    to_slot = _slot_at(system, delivery_partition, delivery_time)
-    gap = None
-    if from_slot is not None and to_slot is not None and from_slot != to_slot:
-        gap = transition_gap(system.plan, from_slot, to_slot)
-    return t_send, t_recv, gap
+    plan = system.plan
+    src = plan.slot_at(send_partition, t_send)
+    dst = plan.slot_at(delivery_partition, delivery_time)
+    return t_send, t_recv, None if src is None or dst is None or src == dst else plan.gap(src, dst)
 
 
 def run_scenario(
@@ -623,14 +614,19 @@ def _fork(work, first: int, end: int, inherited: list[int]) -> tuple[int, int]:
     and first closes the ``inherited`` read ends of its siblings' pipes.
     The child takes no lock that another thread of the parent may hold: it
     only computes and calls ``os.write``.  Returns the child's pid and the
-    pipe's read end."""
-    read_fd, write_fd = os.pipe()
+    pipe's read end; an OSError from ``os.pipe`` or ``os.fork`` is a
+    WorkerError."""
     try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+    except OSError as exc:
+        rows = f"{first}-{end - 1}"
+        raise WorkerError(f"the worker for broker rows {rows} could not start: {exc}") from None
     if pid == 0:
         code = 1
         try:

@@ -126,7 +126,7 @@ class SimState:
         # trace byte-identical when another partition misbehaves
         self._record_seq: dict[int, int] = {}
         self._epoch: dict[int, int] = {p.id: 0 for p in config.partitions}
-        self._active: tuple[int, int, Duration] | None = None  # (pid, slot_id, abs end)
+        self._active: tuple[int, Duration] | None = None  # (pid, abs end)
         self._booted = False
         # the marked frame wrap: (fingerprint, (wrap time, built record count,
         # _record_seq)), wraps since it, and the wrap count at which the mark
@@ -313,7 +313,7 @@ class SimState:
 
     def _on_slot_start(self, pid: int, slot: ScheduleSlot) -> None:
         self.record_event(self.now, "SLOT_START", pid)
-        self._active = (pid, slot.slot_id, self.now + slot.duration)
+        self._active = (pid, self.now + slot.duration)
         script = self.scripts.get(pid)
         if script is None or not script.actions:
             return
@@ -331,7 +331,7 @@ class SimState:
         active = self._active
         if active is None or active[0] != pid:
             return
-        slot_end = active[2]
+        slot_end = active[1]
         plan = workload_mod.plan_until_next_action(
             self.scripts[pid], self.cursors[pid], t, slot_end
         )

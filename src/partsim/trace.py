@@ -2,10 +2,10 @@
 
 A run's trace is a ``PeriodicTrace``: the records the engine built, plus
 one descriptor per run of repeated periods.  ``write_trace`` writes it as
-ASCII bytes, each repeated period as one template whose time and event
-``seq`` fields are each filled from one arithmetic progression, a term per
-copy.  The line formats are part of the tool's contract and are pinned by
-golden tests:
+ASCII bytes: built records ``WRITE_CHUNK`` at a time, and each repeated
+period as one template whose time and event ``seq`` fields are each filled
+from one arithmetic progression, a term per copy.  The line formats are
+part of the tool's contract and are pinned by golden tests:
 
 * scheduler events:      ``time_ns,KIND,partition,seq``
   (KIND is one of SLOT_START, SLOT_END, FRAME_WRAP, APP_ACTION, HM_EVENT;
@@ -26,6 +26,10 @@ from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from .units import Duration
+
+# the most built records formatted and written at once, so that writing a
+# trace holds a bounded part of its text however many records a run built
+WRITE_CHUNK = 4096
 
 
 class EventRecord(NamedTuple):
@@ -133,16 +137,17 @@ class PeriodicTrace:
     def repeat(self, start: int, periods: int, span: Duration, gain: dict) -> None:
         self.repeats.append((start, len(self.built), periods, span, gain))
 
-    def pieces(self) -> Iterator[tuple[list[TraceRecord], list[TraceRecord], tuple]]:
-        """In order: (built records, the period whose copies follow, copies)."""
-        built, n = 0, len(self.built)
+    def pieces(self) -> Iterator[tuple[int, int, list[TraceRecord], tuple]]:
+        """In order: (first, end) of a range of built records, the period
+        whose copies follow them, and the copies."""
+        first, n = 0, len(self.built)
         for start, end, *copies in self.repeats + [(n, n, 0, 0, {})]:
-            yield self.built[built:end], self.built[start:end], copies
-            built = end
+            yield first, end, self.built[start:end], copies
+            first = end
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        for records, period, copies in self.pieces():
-            yield from records
+        for first, end, period, copies in self.pieces():
+            yield from self.built[first:end]
             yield from _copies(period, *copies)
 
     def __len__(self) -> int:
@@ -154,9 +159,12 @@ def format_trace(records: Iterable[TraceRecord]) -> str:
 
 
 def write_trace(trace: PeriodicTrace, path: str) -> None:
-    """Write every record as ASCII bytes; each repeated period is formatted
-    once, as ``_copy_lines`` describes."""
+    """Write every record as ASCII bytes: built records ``WRITE_CHUNK`` at
+    a time, and each repeated period formatted once, as ``_copy_lines``
+    describes."""
+    built = trace.built
     with open(path, "wb") as fh:
-        for records, period, copies in trace.pieces():
-            fh.write(format_trace(records).encode("ascii"))
+        for first, end, period, copies in trace.pieces():
+            for chunk in range(first, end, WRITE_CHUNK):
+                fh.write(format_trace(built[chunk:min(chunk + WRITE_CHUNK, end)]).encode("ascii"))
             fh.writelines(_copy_lines(period, *copies))

@@ -2,6 +2,7 @@
 count, no fork below ``2 * ROWS_PER_WORKER`` rows, and no child that
 outlives the run or unwinds into the caller's frames."""
 
+import errno
 import os
 import signal
 
@@ -187,6 +188,36 @@ def test_a_lost_worker_exits_2_with_one_error_line_and_no_csv(monkeypatch, tmp_p
     assert captured.out == ""
     assert captured.err == "error: the worker for broker rows 150-299 exited with 1\n"
     assert not out.exists()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("call, error", [
+    ("fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+    ("pipe", OSError(errno.EMFILE, "Too many open files")),
+], ids=["fork", "pipe"])
+def test_a_worker_that_cannot_start_exits_2_with_one_error_line_and_no_csv(
+        monkeypatch, tmp_path, capsys, call, error):
+    """The second worker's ``os.fork`` or ``os.pipe`` fails: the first
+    worker, already forked, is killed and reaped, and no fd is left open."""
+    forks = split(monkeypatch, cores=3)
+    real, calls = getattr(os, call), []
+
+    def fail_the_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(os, call, fail_the_second)
+    fds = os.listdir("/proc/self/fd")
+    out = tmp_path / "broker.csv"
+    assert main(["run", str(SCENARIO_DIR / "broker.scn"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the worker for broker rows 200-299 could not start: {error}\n"
+    assert not out.exists()
+    assert forks.count == 1
+    assert os.listdir("/proc/self/fd") == fds
     assert_no_child_left()
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import errno
 import io
 import os
 import re
@@ -197,6 +198,36 @@ def test_an_output_that_names_an_input_or_the_other_output_exits_1(workdir, caps
     before = {path.name: path.read_bytes() for path in workdir.iterdir()}
     assert main(["run", *flags]) == 1
     assert capsys.readouterr().err == f"error: {named}\n"
+    assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
+
+
+def _write_half_then_fail(trace, path):
+    Path(path).write_text("0,SLOT_START,0,0\n")
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("flags, fault, error", [
+    pytest.param(("--out", "o.csv", "--trace", "nodir/t.trace"), None,
+                 "[Errno 2] No such file or directory: 'nodir/t.trace'", id="bad_trace"),
+    pytest.param(("--out", "nodir/o.csv", "--trace", "old.trace"), None,
+                 "[Errno 2] No such file or directory: 'nodir/o.csv'", id="bad_out"),
+    pytest.param(("--out", "o.csv", "--trace", "t.trace"), _write_half_then_fail,
+                 "[Errno 28] No space left on device", id="trace_write_fails"),
+])
+def test_an_output_that_cannot_be_written_leaves_no_partial_output(
+        workdir, capsys, monkeypatch, flags, fault, error):
+    """Exit 3 with one error line, and no output that this run opened is
+    left, a half-written one included; a file the run did not open (an
+    existing trace, when ``--out`` cannot be opened) is left as it was."""
+    from partsim import trace as trace_mod
+
+    if fault is not None:
+        monkeypatch.setattr(trace_mod, "write_trace", fault)
+    write(workdir / "cb.scn", make_cookbook_scenario(repetitions=1))
+    write(workdir / "old.trace", "an earlier run's trace\n")
+    before = {path.name: path.read_bytes() for path in workdir.iterdir()}
+    assert main(["run", "cb.scn", *flags]) == 3
+    assert capsys.readouterr() == ("", f"error: {error}\n")
     assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
 
 

@@ -15,10 +15,8 @@ from partsim.config import (
     SchedulePlan,
     ScheduleSlot,
     SchemaError,
-    UnknownSlot,
     XmlSyntaxError,
     parse_config,
-    transition_gap,
     validate,
 )
 from partsim.scheduler import SimState
@@ -288,19 +286,14 @@ def test_validate_findings_are_pure(cookbook):
     assert cookbook == before
 
 
-# -- transition_gap ---------------------------------------------------------
+# -- SchedulePlan: slot_at and gap -----------------------------------------
 
 
 def test_transition_gap_cookbook(cookbook):
-    assert transition_gap(cookbook.plan, 0, 1) == 100_000  # 500us - 400us
-    assert transition_gap(cookbook.plan, 1, 0) == 100_000  # wraps: 1000 - 900 + 0
-
-
-def test_transition_gap_unknown_slot(cookbook):
-    with pytest.raises(UnknownSlot):
-        transition_gap(cookbook.plan, 0, 9)
-    with pytest.raises(ValueError):
-        transition_gap(cookbook.plan, 0, 0)
+    plan = cookbook.plan
+    pub, sub = plan.slots
+    assert plan.gap(pub, sub) == 100_000  # 500us - 400us
+    assert plan.gap(sub, pub) == 100_000  # wraps: 1000 - 900 + 0
 
 
 def _random_plan(rng):
@@ -328,11 +321,47 @@ def test_transition_gap_matches_brute_force():
     rng = random.Random(20260809)
     for _ in range(300):
         plan = _random_plan(rng)
-        ids = [s.slot_id for s in plan.slots]
-        a, b = rng.sample(ids, 2)
-        gap = transition_gap(plan, a, b)
-        assert gap == _brute_force_gap(plan, a, b)
+        a, b = rng.sample(plan.slots, 2)
+        gap = plan.gap(a, b)
+        assert gap == _brute_force_gap(plan, a.slot_id, b.slot_id)
         assert 0 <= gap < plan.major_frame
+
+
+@st.composite
+def _plans(draw):
+    """A valid plan: disjoint slots of partitions 0-2 (some may have none)
+    within a frame, in start order."""
+    frame = draw(st.integers(min_value=2, max_value=10**7))
+    cuts = sorted(draw(st.sets(st.integers(0, frame), min_size=2, max_size=12)))
+    slots = []
+    for start, end in zip(cuts[::2], cuts[1::2]):
+        slots.append(ScheduleSlot(len(slots), draw(st.integers(0, 2)), start, end - start))
+    return SchedulePlan(major_frame=frame, slots=tuple(slots))
+
+
+def _brute_force_slot(plan, partition_id, t):
+    # independent oracle: no modulo, every frame up to t's
+    for slot in plan.slots:
+        for k in range(t // plan.major_frame + 1):
+            if slot.partition_id == partition_id and (
+                    slot.start + k * plan.major_frame <= t < slot.end + k * plan.major_frame):
+                return slot
+    return None
+
+
+@given(_plans(), st.integers(0, 3), st.integers(0, 40), st.integers(0, 10**7))
+def test_slot_at_matches_brute_force(plan, partition_id, frames, offset):
+    frame = plan.major_frame
+    t = frames * frame + offset % frame
+    assert plan.slot_at(partition_id, t) == _brute_force_slot(plan, partition_id, t)
+    for slot in plan.slots:
+        # a slot holds its start and not its end, in every frame; a slot
+        # that fills the frame ends where its next frame's copy starts
+        assert plan.slot_at(slot.partition_id, slot.start + frames * frame) == slot
+        at_end = plan.slot_at(slot.partition_id, slot.end + frames * frame)
+        assert at_end != slot or slot.duration == frame
+    # partition 3 has no slot: all of its time is unallocated
+    assert plan.slot_at(3, t) is None
 
 
 def test_valid_plan_durations_fit_frame():

@@ -12,7 +12,8 @@ from partsim.harness import load_scenario
 from partsim.health import HealthAction, HealthTable, HmKind
 from partsim.scheduler import PartitionState, SimState
 from partsim.trace import (
-    EventRecord, HmRecord, PortOpRecord, StateRecord, format_trace, write_trace,
+    EventRecord, HmRecord, MarkRecord, PeriodicTrace, PortOpRecord, StateRecord, format_trace,
+    write_trace,
 )
 from partsim.workload import parse_script
 
@@ -564,6 +565,25 @@ def test_trace_file_is_written_one_copy_at_a_time(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "t.trace").stat().st_size > periods * copy
     assert peak < 20 * copy  # CPython 3.11 peaks near 14, of which the 8 KiB file buffer is 3
+
+
+def test_built_records_are_written_in_bounded_chunks(tmp_path):
+    """200,000 built records and no repeat: the write holds a bounded chunk
+    of the text at a time, not all of it (4.7 MB here)."""
+    trace = PeriodicTrace()
+    for i in range(100_000):
+        trace.append(EventRecord(i * 1_000, "SLOT_START", i % 4, i))
+        trace.append(MarkRecord(i * 1_000 + 500, i % 4, "tx"))
+    path = tmp_path / "t.trace"
+    tracemalloc.start()
+    try:
+        write_trace(trace, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == format_trace(trace).encode("ascii")
+    assert path.stat().st_size > 4_000_000
+    assert peak < 2_000_000
 
 
 def write_only_sampling_sim(n=3):

@@ -92,3 +92,28 @@ def test_every_number_is_read_through_units():
     uses = [use for path in sorted(SRC.glob("*.py")) if path.name != "units.py"
             for use in _converter_uses(path)]
     assert uses == []
+
+
+def _frame_modulos(path) -> list[str]:
+    """Each ``%`` (or ``%=``) in ``path`` whose right operand is a
+    ``.major_frame`` attribute."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.BinOp):
+            right = node.right
+        elif isinstance(node, ast.AugAssign):
+            right = node.value
+        else:
+            continue
+        if (isinstance(node.op, ast.Mod) and isinstance(right, ast.Attribute)
+                and right.attr == "major_frame"):
+            uses.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    return uses
+
+
+def test_slot_arithmetic_stays_in_config():
+    # SchedulePlan.slot_at and .gap in config are partsim's only slot arithmetic
+    assert len(_frame_modulos(SRC / "config.py")) == 2  # the guard sees the two it allows
+    uses = [use for path in sorted(SRC.rglob("*.py")) if path != SRC / "config.py"
+            for use in _frame_modulos(path)]
+    assert uses == []
