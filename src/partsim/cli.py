@@ -136,6 +136,10 @@ def _cmd_run(args) -> int:
     except (harness.MeasurementError, harness.WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    if args.trace and (records := result.trace.record_count()) > trace_mod.MAX_RECORDS:
+        print(f"error: --trace: {records:,} records, more than the limit of "
+              f"{trace_mod.MAX_RECORDS:,}", file=sys.stderr)
+        return EXIT_FINDINGS
 
     # both outputs are opened before either is written, and an I/O error
     # removes each regular file this run opened: it leaves no partial output

@@ -15,35 +15,36 @@ before starting the next one makes back-to-back slots unambiguous, and a
 health action applied at time t takes effect before any same-time slot
 start or app action.
 
-The cyclic plan never changes during a run, so its events are not queued.
+One heap holds every pending event, the cyclic schedule's included.
 ``boot()`` sorts one frame's SLOT_START and SLOT_END entries, plus the
-FRAME_WRAP at ``major_frame``, into a static timeline once, and the engine
-replays it frame after frame by adding ``frame_index * major_frame`` to
-each offset.  Only the dynamic events, APP_ACTION and HM_EVENT, go through
-a heap.  The two sources never tie: timeline events have ranks 0, 2 and 3
-and dynamic events ranks 1 and 4, so comparing (time, rank) of the next
-timeline entry with the heap head gives the same total order as one queue
-holding both.  ``run_until`` is the only way to apply events.
+FRAME_WRAP at ``major_frame``, once, and queues that frame at t=0; each
+FRAME_WRAP queues the next frame at its own time, so the heap holds at
+most one frame of schedule events.  The key is (time, rank, partition,
+insertion order).  Schedule events (ranks 0, 2, 3) and dynamic events
+(APP_ACTION and HM_EVENT, ranks 1 and 4) never share a rank, so
+insertion order decides only between dynamic events of one rank and
+partition.  ``run_until`` is the only way to apply events.
 
 A cyclic system is built to repeat, so the engine fast-forwards over the
-repeats.  At every FRAME_WRAP it takes a fingerprint of its state relative
-to the frame start: the partition states, each cursor's index and carry,
-and each port's held messages (sizes, and times relative).  Nothing else
-is live at a wrap: every slot ends by the frame end, so no slot is active
-and no event is pending, and a halted system has no more wraps.  The rest
-of the run depends only on these; the per-partition trace ``seq`` only
-counts.  When a fingerprint equals the one of a wrap p frames earlier,
-the run repeats every p frames from there on.  If m >= 1 whole periods end
-by ``t_end``, the engine has its trace repeat the last period m times
-(each copy p frames later, each partition's ``seq`` ahead by its gain per
-period), moves the clock, the timeline and the port messages m*p frames
-forward, advances the ``seq`` counters as much, and simulates the
-remainder.  The trace keeps one descriptor per repeat: iterating it
-builds the copies, and its file gets them as one bytes template per
-period, each time and ``seq`` field filled from its own arithmetic
-progression; every CSV and trace byte is that of simulating each frame.
-A partition's lifecycle only moves forward, so no period holds a state
-change.
+repeats.  At every FRAME_WRAP it takes a fingerprint of its state
+relative to the frame start: the partition states, each cursor's index
+and carry, and each port's held messages (sizes, and times relative).
+Nothing else is live at a wrap: every slot ends by the frame end, so no
+slot is active and, until the wrap queues the next frame, no event is
+pending; a halted system has no more wraps.  The rest of the run depends
+only on these; the per-partition trace ``seq`` only counts.  When a
+fingerprint equals the one of a wrap p frames earlier, the run repeats
+every p frames from there on.  If m >= 1 whole periods end by ``t_end``,
+the engine has its trace repeat the last period m times (each copy p
+frames later, each partition's ``seq`` ahead by its gain per period),
+moves the clock and the port messages m*p frames forward, advances the
+``seq`` counters as much, queues the next frame at the shifted clock and
+simulates the remainder.  The trace keeps one descriptor per repeat:
+iterating it builds the copies, and its file gets them as one bytes
+template per period, each time and ``seq`` field filled from its own
+arithmetic progression; every CSV and trace byte is that of simulating
+each frame.  A partition's lifecycle only moves forward, so no period
+holds a state change.
 
 The scheduler never extends a slot: a slot always ends at its scheduled
 end, and whatever compute time the application still demanded carries over
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import math
 from typing import Any
 
 from . import health as health_mod
@@ -84,7 +84,6 @@ class PartitionState(enum.Enum):
 _SLOT_END, _HM_EVENT, _FRAME_WRAP, _SLOT_START, _APP_ACTION = range(5)
 
 FRAME_PARTITION = -1  # frame wraps belong to no partition
-_NEVER = math.inf  # next timeline time before boot and after a system halt
 
 
 class SimState:
@@ -113,15 +112,13 @@ class SimState:
         self.api_call_cost = api_call_cost
         self.trace = trace_mod.PeriodicTrace()
         self.halted = False
-        # dynamic events: (time, rank, partition, seq, payload); every
-        # payload starts with the partition's epoch when it was queued
+        # pending events: (time, rank, partition, seq, payload); a schedule
+        # event's payload is its slot, a dynamic event's starts with the
+        # partition's epoch when it was queued
         self._heap: list[tuple[Duration, int, int, int, Any]] = []
         self._heap_seq = 0  # heap insertion order, breaks all remaining ties
-        # one frame of (offset, rank, partition, kind, slot), replayed per frame
-        self._timeline: tuple[tuple[Duration, int, int, str, ScheduleSlot | None], ...] = ()
-        self._tl_index = 0  # next timeline entry
-        self._tl_base: Duration = 0  # start of the frame being replayed
-        self._tl_time: Duration | float = _NEVER  # absolute time of the next entry
+        # one frame's schedule events, (offset, rank, partition, slot) in key order
+        self._frame: list[tuple[Duration, int, int, ScheduleSlot | None]] = []
         # per-partition event numbering keeps one partition's projected
         # trace byte-identical when another partition misbehaves
         self._record_seq: dict[int, int] = {}
@@ -149,27 +146,32 @@ class SimState:
     # -- lifecycle -----------------------------------------------------------
 
     def boot(self) -> SimState:
-        """Bring every booting partition to NORMAL at t=0 and start the
-        frame timeline.  The config must be valid and hold every script's
-        partition; ``parse_scenario`` checks both, so boot does not."""
+        """Bring every booting partition to NORMAL at t=0 and queue the
+        first frame's schedule events.  The config must be valid and hold
+        every script's partition; ``parse_scenario`` checks both, so boot
+        does not."""
         if self._booted:
             raise SimulationError("already booted")
         if self.now != 0:
-            raise SimulationError(f"cannot boot at {self.now}: the timeline starts at 0")
+            raise SimulationError(f"cannot boot at {self.now}: the first frame starts at 0")
         self._booted = True
         for p in self.config.partitions:
             if self.partition_states[p.id] is PartitionState.BOOT:
                 self._transition(p.id, PartitionState.NORMAL)  # halted stay halted
         plan = self.config.plan
-        entries = [(plan.major_frame, _FRAME_WRAP, FRAME_PARTITION, "FRAME_WRAP", None)]
+        frame = self._frame = [(plan.major_frame, _FRAME_WRAP, FRAME_PARTITION, None)]
         for slot in plan.slots:
-            entries.append((slot.start, _SLOT_START, slot.partition_id, "SLOT_START", slot))
-            entries.append((slot.end, _SLOT_END, slot.partition_id, "SLOT_END", slot))
+            frame.append((slot.start, _SLOT_START, slot.partition_id, slot))
+            frame.append((slot.end, _SLOT_END, slot.partition_id, slot))
         # validated slots lie inside the frame, so FRAME_WRAP sorts last
-        entries.sort(key=lambda e: e[:3])
-        self._timeline = tuple(entries)
-        self._tl_time = entries[0][0]
+        frame.sort(key=lambda e: e[:3])
+        self._queue_frame()
         return self
+
+    def _queue_frame(self) -> None:
+        """Queue one frame of schedule events, starting now."""
+        for offset, rank, pid, slot in self._frame:
+            self._push(self.now + offset, rank, pid, slot)
 
     def _transition(self, pid: int, new: PartitionState) -> None:
         old = self.partition_states[pid]
@@ -190,10 +192,9 @@ class SimState:
             self._transition(partition_id, PartitionState.HALTED)
 
     def halt_system(self) -> None:
-        """Drop every pending event and stop the timeline; nothing happens
-        after now."""
+        """Drop every pending event, the rest of the schedule included;
+        nothing happens after now."""
         self._heap.clear()
-        self._tl_time = _NEVER
         self.halted = True
 
     # -- engine --------------------------------------------------------------
@@ -206,60 +207,34 @@ class SimState:
             raise SimulationError(f"cannot run backwards: {t_end} < {self.now}")
         built = self.trace.built
         start = len(built)
-        apply_next = self._apply_next
-        while apply_next(t_end):
-            pass
+        heap = self._heap
+        while heap and heap[0][0] <= t_end:
+            time, rank, pid, _, payload = heapq.heappop(heap)
+            assert time >= self.now, "event queue delivered an event from the past"
+            self.now = time
+            if rank == _APP_ACTION:
+                self._on_app_action(pid, payload)
+            elif rank == _HM_EVENT:
+                self._on_hm_event(pid, payload)
+            elif rank == _SLOT_START:
+                self._on_slot_start(pid, payload)
+            elif rank == _SLOT_END:
+                self.record_event(time, "SLOT_END", pid)
+                self._active = None
+            else:
+                self.record_event(time, "FRAME_WRAP", pid)
+                self._fast_forward(t_end)
+                self._queue_frame()
         self.now = t_end
         return built[start:]
-
-    def _apply_next(self, t_end: Duration) -> bool:
-        """Apply the least pending event if it is due by ``t_end``; returns
-        whether one was applied."""
-        heap = self._heap
-        t = self._tl_time
-        if heap:
-            head = heap[0]
-            if head[0] < t or (head[0] == t and head[1] < self._timeline[self._tl_index][1]):
-                if head[0] > t_end:
-                    return False
-                heapq.heappop(heap)
-                time, rank, pid, _, payload = head
-                assert time >= self.now, "event queue delivered an event from the past"
-                self.now = time
-                if rank == _APP_ACTION:
-                    self._on_app_action(pid, payload)
-                else:
-                    self._on_hm_event(pid, payload)
-                return True
-        if t > t_end:
-            return False
-        timeline = self._timeline
-        index = self._tl_index
-        _, rank, pid, kind, slot = timeline[index]
-        # advance before applying: a handler may halt the system
-        if index + 1 < len(timeline):
-            self._tl_index = index + 1
-        else:  # FRAME_WRAP: replay the timeline for the next frame
-            self._tl_index = 0
-            self._tl_base = t
-        self._tl_time = self._tl_base + timeline[self._tl_index][0]
-        self.now = t
-        if rank == _SLOT_START:
-            self._on_slot_start(pid, slot)
-        else:
-            self.record_event(t, kind, pid)
-            if rank == _SLOT_END:
-                self._active = None
-            elif rank == _FRAME_WRAP:
-                self._fast_forward(t_end)
-        return True
 
     # -- periodic fast-forward -------------------------------------------
 
     def _fingerprint(self) -> tuple:
         """Everything the rest of the run depends on, relative to now."""
         # at a wrap every slot has ended, and with it every app action and
-        # overrun of its slot; a halted system replays no timeline
+        # overrun of its slot; the next frame is not queued yet, and a
+        # halted system has no wraps left
         assert not self._heap and self._active is None and not self.halted
         return (
             tuple(self.partition_states.values()),
@@ -296,8 +271,6 @@ class SimState:
             self.trace.repeat(start, periods, span, gain)
             shift = periods * span
             self.now += shift
-            self._tl_base += shift
-            self._tl_time += shift
             for pid, g in gain.items():
                 record_seq[pid] += periods * g
             self.ports.shift(shift)

@@ -23,6 +23,7 @@ one and an int in the other.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import islice
 from typing import NamedTuple
 
 from .units import Duration
@@ -30,6 +31,10 @@ from .units import Duration
 # the most built records formatted and written at once, so that writing a
 # trace holds a bounded part of its text however many records a run built
 WRITE_CHUNK = 4096
+
+# the most records a trace file may hold (about 280 MB at bench ``ring``'s
+# 27.6 bytes a line); ``partsim run --trace`` refuses a longer trace
+MAX_RECORDS = 10_000_000
 
 
 class EventRecord(NamedTuple):
@@ -147,10 +152,11 @@ class PeriodicTrace:
 
     def __iter__(self) -> Iterator[TraceRecord]:
         for first, end, period, copies in self.pieces():
-            yield from self.built[first:end]
+            yield from islice(self.built, first, end)
             yield from _copies(period, *copies)
 
-    def __len__(self) -> int:
+    def record_count(self) -> int:
+        """How many records iterating gives, however many that is."""
         return len(self.built) + sum((end - start) * n for start, end, n, *_ in self.repeats)
 
 

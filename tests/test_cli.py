@@ -6,6 +6,7 @@ import errno
 import io
 import os
 import re
+import resource
 import shlex
 import shutil
 import subprocess
@@ -229,6 +230,45 @@ def test_an_output_that_cannot_be_written_leaves_no_partial_output(
     assert main(["run", "cb.scn", *flags]) == 3
     assert capsys.readouterr() == ("", f"error: {error}\n")
     assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
+
+
+def _file_size_limit():
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20))
+
+
+@pytest.mark.parametrize("frames", [10**9, 10**30])
+def test_a_trace_over_the_limit_is_refused_before_any_output(workdir, frames):
+    """A run whose trace would hold more than ``trace.MAX_RECORDS`` records
+    exits 1 with one error line that names the count and the limit, and
+    writes neither output.  The run fast-forwards, so it ends at once; a
+    partsim that wrote such a trace would be stopped by the 1 MiB file size
+    limit or the timeout, not fill the disk."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "partsim", "run", str(SCENARIO_DIR / "cookbook.scn"),
+         "--frames", str(frames), "--out", "o.csv", "--trace", "t.trace"],
+        capture_output=True, text=True, cwd=workdir, timeout=60, preexec_fn=_file_size_limit,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p)},
+    )
+    records = 5 * frames + 11  # 16 records in the cookbook's first frame, 5 in each later one
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"error: --trace: {records:,} records, more than the limit of 10,000,000\n")
+    assert list(workdir.iterdir()) == []
+
+
+def test_the_trace_limit_counts_every_record(workdir, capsys, monkeypatch):
+    """The limit is on the records the trace file would hold, repeated
+    copies included: a trace of exactly the limit is written."""
+    from partsim import trace as trace_mod
+
+    scn = str(SCENARIO_DIR / "cookbook.scn")
+    monkeypatch.setattr(trace_mod, "MAX_RECORDS", 5 * 40 + 11)
+    assert main(["run", scn, "--frames", "40", "--out", "o.csv", "--trace", "t.trace"]) == 0
+    assert len((workdir / "t.trace").read_text().splitlines()) == 5 * 40 + 11
+    capsys.readouterr()
+    assert main(["run", scn, "--frames", "41", "--out", "p.csv", "--trace", "p.trace"]) == 1
+    assert capsys.readouterr() == ("", "error: --trace: 216 records, more than the limit of 211\n")
+    assert sorted(path.name for path in workdir.iterdir()) == ["o.csv", "t.trace"]
 
 
 def test_one_process_runs_calls_that_share_the_parser(workdir, capsys):
