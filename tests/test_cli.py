@@ -43,6 +43,14 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def _src_env() -> dict:
+    """The environment of a ``python -m partsim`` child that imports this tree."""
+    pythonpath = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
@@ -247,8 +255,7 @@ def test_a_trace_over_the_limit_is_refused_before_any_output(workdir, frames):
         [sys.executable, "-m", "partsim", "run", str(SCENARIO_DIR / "cookbook.scn"),
          "--frames", str(frames), "--out", "o.csv", "--trace", "t.trace"],
         capture_output=True, text=True, cwd=workdir, timeout=60, preexec_fn=_file_size_limit,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p)},
+        env=_src_env(),
     )
     records = 5 * frames + 11  # 16 records in the cookbook's first frame, 5 in each later one
     assert (proc.returncode, proc.stdout, proc.stderr) == (
@@ -424,15 +431,12 @@ def test_report_malformed_csv(workdir):
 
 def test_module_entry_point(workdir):
     scn = write(workdir / "cb.scn", make_cookbook_scenario(repetitions=2))
-    pythonpath = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "partsim", "run", scn, "--out", "sub.csv"],
         capture_output=True,
         text=True,
         cwd=workdir,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (workdir / "sub.csv").exists()
