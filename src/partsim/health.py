@@ -49,9 +49,6 @@ class HealthTable:
         self.defaults: dict[HmKind, HealthAction] = dict(DEFAULT_ACTIONS)
         self.overrides: dict[tuple[HmKind, int], HealthAction] = {}
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HealthTable) and vars(self) == vars(other)
-
     def resolve(self, kind: HmKind, partition_id: int) -> HealthAction:
         return self.overrides.get((kind, partition_id), self.defaults[kind])
 

@@ -14,7 +14,9 @@ stressed-minus-relaxed delay.  With more than one load pair, each row's
 scenario is labelled ``<name>/<k>`` (``k`` the 0-based pair index) so every
 condition is summarized on its own.  ``read_csv`` keeps of each condition
 only what ``summarize`` reads: its latency and tx_delay cells and its first
-non-zero gap.
+non-zero gap.  It reads a CSV in bounded blocks of whole lines, checks each
+distinct digit-blind shape of a line once, and takes the cells it keeps by
+column, so its memory grows with what it keeps, not with the file.
 
 CSV column contract (exact order; unused fields empty)::
 
@@ -29,8 +31,9 @@ from __future__ import annotations
 
 import enum
 import re
+from itertools import groupby
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 
 class Mode(enum.Enum):
@@ -78,7 +81,8 @@ class ReadCondition:
     """What ``partsim report`` keeps of one (scenario, payload, mode)
     condition read back from CSV rows: where its first row is (``path:N``),
     and the present latency and tx_delay cells and the first non-zero gap,
-    in row order."""
+    in row order.  ``read_csv`` adds each run of the condition's rows in a
+    block at once, from the block's columns."""
 
     __slots__ = ("where", "latencies", "delays", "gap")
 
@@ -176,11 +180,18 @@ def export_csv(result, path: str | Path) -> None:
 # ``,``; the file is read as latin-1, so a non-ASCII byte is a character over
 # \x7f), the mode, and the cells after it in column order, each one optional
 # (``|)``: an empty alternative matches faster than ``?``) where
-# ``export_csv`` may leave it empty.  The groups are what ``read_csv`` keeps.
+# ``export_csv`` may leave it empty.  ``_ROW`` admits a digit only through
+# ``[0-9]`` or the scenario cell's class, both of which take every digit, so
+# a line matches exactly when its shape does: the line with digits 1-9
+# turned into 0 by ``_SHAPE``.  Lines that differ only in their digits share
+# one shape, and ``read_csv`` checks each shape once.
 _INT, _RATIO = "-?[0-9]+", r"-?[0-9]+\.[0-9]+"
-_CELLS = (_INT, f"({_INT})", f"(?:{_INT}|)", f"(?:{_INT}|)", f"({_INT}|)", f"({_INT}|)",
-          f"(?:{_RATIO}|)", f"(?:{_INT}|)", f"(?:{_INT}|)", f"({_INT}|)")
-_ROW = re.compile(f"([^,\x80-\xff]*),({'|'.join(sorted(_MODES))}),{','.join(_CELLS)}\n?")
+_OPT = f"(?:{_INT}|)"
+_CELLS = (_INT, _INT, _OPT, _OPT, _OPT, _OPT, f"(?:{_RATIO}|)", _OPT, _OPT, _OPT)
+_ROW = re.compile(f"[^,\x80-\xff]*,(?:{'|'.join(sorted(_MODES))}),{','.join(_CELLS)}\n?")
+_SHAPE = bytes.maketrans(b"123456789", b"000000000")
+READ_CHUNK = 4096  # characters read_csv reads at once, then on to the end of the line
+MAX_SHAPES = 1024  # checked shapes that read_csv remembers; it forgets them all past this
 
 
 def _bad_line(path: str | Path, number: int, line: str) -> CsvError:
@@ -203,6 +214,33 @@ def _bad_line(path: str | Path, number: int, line: str) -> CsvError:
     return CsvError(f"{where}: {column}: expected {form}, got {cell!r}")
 
 
+def _checked_blocks(path: str | Path, fh: TextIO):
+    """Each block of whole lines left in ``fh`` as ``(number of its first
+    line, its line count, its text)``, once ``_ROW`` has checked the shape
+    of each of its lines; a CsvError naming the first line it refuses."""
+    match_row, seen = _ROW.fullmatch, set()  # seen: shapes _ROW took, at most MAX_SHAPES
+    number, block = 2, fh.read(READ_CHUNK)
+    while block:
+        more = len(block) == READ_CHUNK  # read() stops short only at the end
+        if more and block[-1] != "\n":
+            block += fh.readline()
+        # bytes.splitlines ends a line at \n and \r only, and newline
+        # translation has left no \r
+        shapes = block.encode("latin-1").translate(_SHAPE).splitlines()
+        if not seen.issuperset(shapes):
+            for shape in set(shapes).difference(seen):
+                if match_row(shape.decode("latin-1")) is None:
+                    for at, line in enumerate(block.split("\n"), number):
+                        if match_row(line) is None:
+                            raise _bad_line(path, at, line)
+                if len(seen) == MAX_SHAPES:
+                    seen.clear()
+                seen.add(shape)
+        yield number, len(shapes), block
+        number += len(shapes)
+        block = fh.read(READ_CHUNK) if more else ""
+
+
 def read_csv(
     path: str | Path, conditions: dict[tuple[str, int, str], ReadCondition] | None = None,
 ) -> dict[tuple[str, int, str], ReadCondition]:
@@ -213,12 +251,18 @@ def read_csv(
     tx_delay cells are converted.  Raises CsvError, naming the line, on a
     malformed file.
 
-    The file is read one line at a time.  A line ends at ``\n``, ``\r\n``
-    or ``\r`` only, not at ``\x0b``, ``\x0c`` or ``\x1c``-``\x1e`` as in
-    ``str.splitlines``; a non-ASCII byte is an error of its line."""
+    The file is read in blocks of whole lines, ``READ_CHUNK`` characters
+    and the rest of the last line.  ``_ROW`` checks each shape of a block's
+    lines that this call has not checked yet; a block with a refused shape
+    is checked again line by line, so the first bad line is the one named.
+    A checked block is split at ``,`` and ``\n`` into 12 cells a line, so
+    column ``k`` is every 12th cell from the ``k``-th, and each run of rows
+    of one condition is converted and added at once.  A line ends at
+    ``\n``, ``\r\n`` or ``\r`` only, not at ``\x0b``, ``\x0c`` or
+    ``\x1c``-``\x1e`` as in ``str.splitlines``; a non-ASCII byte is an
+    error of its line."""
     if conditions is None:
         conditions = {}
-    match_row = _ROW.fullmatch
     # latin-1 decodes every byte, so a non-ASCII one is found by its line
     with open(path, encoding="latin-1") as fh:
         header = next(fh, "")
@@ -226,22 +270,26 @@ def read_csv(
             raise _bad_line(path, 1, header)
         if header.rstrip("\n") != CSV_HEADER:
             raise CsvError(f"{path}: missing or wrong CSV header")
-        last_scenario = last_payload = last_mode = entry = None
-        for number, line in enumerate(fh, start=2):
-            row = match_row(line)
-            if row is None:
-                raise _bad_line(path, number, line)
-            scenario, mode, payload, latency, gap, delay = row.groups()
-            if payload != last_payload or scenario != last_scenario or mode != last_mode:
-                last_scenario, last_payload, last_mode = scenario, payload, mode
+        for number, n, block in _checked_blocks(path, fh):
+            cells = block.replace("\n", ",").split(",")  # 12 a line
+            scenarios, modes, payloads = cells[:12 * n:12], cells[1::12], cells[3::12]
+            latencies, gaps, delays = cells[6::12], cells[7::12], cells[11::12]
+            first = scenarios[0], payloads[0], modes[0]
+            if scenarios.count(first[0]) == payloads.count(first[1]) == modes.count(first[2]) == n:
+                runs = [(first, n)]  # one condition throughout, as in most blocks
+            else:
+                runs = [(key, len(list(run)))
+                        for key, run in groupby(zip(scenarios, payloads, modes))]
+            i = 0
+            for (scenario, payload, mode), length in runs:
+                j = i + length
                 key = scenario, int(payload), mode
                 entry = conditions.get(key)
                 if entry is None:
-                    entry = conditions[key] = ReadCondition(f"{path}:{number}")
-            if latency:
-                entry.latencies.append(int(latency))
-            if delay:
-                entry.delays.append(int(delay))
-            if gap and entry.gap is None:
-                entry.gap = int(gap) or None
+                    entry = conditions[key] = ReadCondition(f"{path}:{number + i}")
+                entry.latencies += map(int, filter(None, latencies[i:j]))
+                entry.delays += map(int, filter(None, delays[i:j]))
+                if entry.gap is None:
+                    entry.gap = next(filter(None, map(int, filter(None, gaps[i:j]))), None)
+                i = j
     return conditions

@@ -1,14 +1,23 @@
-"""Independent reference models for port behavior.
+"""Independent reference models for port behavior, and the per-line
+result CSV reader.
 
-These deliberately know nothing about the production implementation: a
-single cell for sampling ports, a plain bounded list for queuing ports.
-Randomized operation sequences are replayed against both and every status,
-message identity, and validity flag must match exactly.  A message is
-identified by its (size, written_at) pair; each sequence asserts that no
-two messages it sends share one, so the identity stays exact.
+The port models deliberately know nothing about the production
+implementation: a single cell for sampling ports, a plain bounded list for
+queuing ports.  Randomized operation sequences are replayed against both
+and every status, message identity, and validity flag must match exactly.
+A message is identified by its (size, written_at) pair; each sequence
+asserts that no two messages it sends share one, so the identity stays
+exact.
+
+``read_csv`` reads a result CSV one line at a time, one ``fullmatch`` a
+line whose groups are the cells it keeps; ``partsim.results.read_csv``
+checks and splits whole blocks of lines and must return what it returns.
 """
 
+import re
+
 from partsim.channels import PortTable
+from partsim.results import _INT, _MODES, _RATIO, CSV_HEADER, CsvError, ReadCondition, _bad_line
 
 
 class SamplingModel:
@@ -118,3 +127,42 @@ def run_queuing_sequence(config, rng, ops=40):
             assert (status.value, msg_tuple(msg)) == (e_status, e_msg), (
                 f"receive diverged at t={now}"
             )
+
+
+# the result line, with groups for the cells that read_csv keeps
+_CELLS = (_INT, f"({_INT})", f"(?:{_INT}|)", f"(?:{_INT}|)", f"({_INT}|)", f"({_INT}|)",
+          f"(?:{_RATIO}|)", f"(?:{_INT}|)", f"(?:{_INT}|)", f"({_INT}|)")
+_ROW = re.compile(f"([^,\x80-\xff]*),({'|'.join(sorted(_MODES))}),{','.join(_CELLS)}\n?")
+
+
+def read_csv(path, conditions=None):
+    """What ``partsim.results.read_csv`` returns or raises, one line at a time."""
+    if conditions is None:
+        conditions = {}
+    match_row = _ROW.fullmatch
+    # latin-1 decodes every byte, so a non-ASCII one is found by its line
+    with open(path, encoding="latin-1") as fh:
+        header = next(fh, "")
+        if not header.isascii():
+            raise _bad_line(path, 1, header)
+        if header.rstrip("\n") != CSV_HEADER:
+            raise CsvError(f"{path}: missing or wrong CSV header")
+        last_scenario = last_payload = last_mode = entry = None
+        for number, line in enumerate(fh, start=2):
+            row = match_row(line)
+            if row is None:
+                raise _bad_line(path, number, line)
+            scenario, mode, payload, latency, gap, delay = row.groups()
+            if payload != last_payload or scenario != last_scenario or mode != last_mode:
+                last_scenario, last_payload, last_mode = scenario, payload, mode
+                key = scenario, int(payload), mode
+                entry = conditions.get(key)
+                if entry is None:
+                    entry = conditions[key] = ReadCondition(f"{path}:{number}")
+            if latency:
+                entry.latencies.append(int(latency))
+            if delay:
+                entry.delays.append(int(delay))
+            if gap and entry.gap is None:
+                entry.gap = int(gap) or None
+    return conditions

@@ -313,13 +313,20 @@ def _render(lines) -> str:
     return "\n".join(line.text() for line in lines) + "\n"
 
 
+def _by_value(scenario):
+    """``scenario`` with its HealthTable as the tables it holds, which
+    compare by value; a HealthTable itself compares by identity."""
+    return scenario._replace(health_table=vars(scenario.health_table))
+
+
 @settings(deadline=None, max_examples=150)
 @given(written_scenarios())
 def test_written_scenario_parses_as_its_canonical_form(written):
     lines, canonical = written
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "fuzz.xml").write_text(FUZZ_XML, encoding="utf-8")
-        assert parse_scenario(_render(lines), Path(tmp)) == parse_scenario(canonical)
+        assert _by_value(parse_scenario(_render(lines), Path(tmp))) == _by_value(
+            parse_scenario(canonical))
 
 
 @st.composite

@@ -573,8 +573,8 @@ def test_csv_non_ascii_byte_names_its_line(tmp_path):
 
 
 def test_csv_read_peak_is_at_most_twice_what_it_keeps(tmp_path):
-    """``read_csv`` reads one line at a time: its traced peak is bounded
-    by what it keeps of the conditions, not by the size of the file."""
+    """``read_csv`` reads bounded blocks of lines: its traced peak is
+    bounded by what it keeps of the conditions, not by the size of the file."""
     sc = load_scenario(SCENARIO_DIR / "broker.scn")
     sc = sc._replace(repetitions=2_000)  # 3 payloads x 1 load pair: 6,000 rows
     path = tmp_path / "m.csv"
