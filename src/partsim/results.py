@@ -15,8 +15,8 @@ scenario is labelled ``<name>/<k>`` (``k`` the 0-based pair index) so every
 condition is summarized on its own.  ``read_csv`` keeps of each condition
 only what ``summarize`` reads: its latency and tx_delay cells and its first
 non-zero gap.  It reads a CSV in bounded blocks of whole lines, checks each
-distinct digit-blind shape of a line once, and takes the cells it keeps by
-column, so its memory grows with what it keeps, not with the file.
+distinct digit-blind shape of a block's lines once, and takes the cells it
+keeps by column, so its memory grows with what it keeps, not with the file.
 
 CSV column contract (exact order; unused fields empty)::
 
@@ -184,14 +184,13 @@ def export_csv(result, path: str | Path) -> None:
 # ``[0-9]`` or the scenario cell's class, both of which take every digit, so
 # a line matches exactly when its shape does: the line with digits 1-9
 # turned into 0 by ``_SHAPE``.  Lines that differ only in their digits share
-# one shape, and ``read_csv`` checks each shape once.
+# one shape, and ``read_csv`` checks each shape of a block once.
 _INT, _RATIO = "-?[0-9]+", r"-?[0-9]+\.[0-9]+"
 _OPT = f"(?:{_INT}|)"
 _CELLS = (_INT, _INT, _OPT, _OPT, _OPT, _OPT, f"(?:{_RATIO}|)", _OPT, _OPT, _OPT)
 _ROW = re.compile(f"[^,\x80-\xff]*,(?:{'|'.join(sorted(_MODES))}),{','.join(_CELLS)}\n?")
 _SHAPE = bytes.maketrans(b"123456789", b"000000000")
 READ_CHUNK = 4096  # characters read_csv reads at once, then on to the end of the line
-MAX_SHAPES = 1024  # checked shapes that read_csv remembers; it forgets them all past this
 
 
 def _bad_line(path: str | Path, number: int, line: str) -> CsvError:
@@ -216,9 +215,9 @@ def _bad_line(path: str | Path, number: int, line: str) -> CsvError:
 
 def _checked_blocks(path: str | Path, fh: TextIO):
     """Each block of whole lines left in ``fh`` as ``(number of its first
-    line, its line count, its text)``, once ``_ROW`` has checked the shape
-    of each of its lines; a CsvError naming the first line it refuses."""
-    match_row, seen = _ROW.fullmatch, set()  # seen: shapes _ROW took, at most MAX_SHAPES
+    line, its text)``, once ``_ROW`` has checked each distinct shape of its
+    lines; a CsvError naming the first line it refuses."""
+    match_row = _ROW.fullmatch
     number, block = 2, fh.read(READ_CHUNK)
     while block:
         more = len(block) == READ_CHUNK  # read() stops short only at the end
@@ -227,16 +226,12 @@ def _checked_blocks(path: str | Path, fh: TextIO):
         # bytes.splitlines ends a line at \n and \r only, and newline
         # translation has left no \r
         shapes = block.encode("latin-1").translate(_SHAPE).splitlines()
-        if not seen.issuperset(shapes):
-            for shape in set(shapes).difference(seen):
-                if match_row(shape.decode("latin-1")) is None:
-                    for at, line in enumerate(block.split("\n"), number):
-                        if match_row(line) is None:
-                            raise _bad_line(path, at, line)
-                if len(seen) == MAX_SHAPES:
-                    seen.clear()
-                seen.add(shape)
-        yield number, len(shapes), block
+        for shape in set(shapes):
+            if match_row(shape.decode("latin-1")) is None:
+                for at, line in enumerate(block.split("\n"), number):
+                    if match_row(line) is None:
+                        raise _bad_line(path, at, line)
+        yield number, block
         number += len(shapes)
         block = fh.read(READ_CHUNK) if more else ""
 
@@ -252,15 +247,14 @@ def read_csv(
     malformed file.
 
     The file is read in blocks of whole lines, ``READ_CHUNK`` characters
-    and the rest of the last line.  ``_ROW`` checks each shape of a block's
-    lines that this call has not checked yet; a block with a refused shape
-    is checked again line by line, so the first bad line is the one named.
-    A checked block is split at ``,`` and ``\n`` into 12 cells a line, so
-    column ``k`` is every 12th cell from the ``k``-th, and each run of rows
-    of one condition is converted and added at once.  A line ends at
-    ``\n``, ``\r\n`` or ``\r`` only, not at ``\x0b``, ``\x0c`` or
-    ``\x1c``-``\x1e`` as in ``str.splitlines``; a non-ASCII byte is an
-    error of its line."""
+    and the rest of the last line.  ``_ROW`` checks each distinct shape of
+    a block's lines; a block with a refused shape is checked again line by
+    line, so the first bad line is the one named.  A checked block is split
+    at ``,`` and ``\n`` into 12 cells a line, so column ``k`` is every 12th
+    cell from the ``k``-th, and each run of rows of one condition is
+    converted and added at once.  A line ends at ``\n``, ``\r\n`` or
+    ``\r`` only, not at ``\x0b``, ``\x0c`` or ``\x1c``-``\x1e`` as in
+    ``str.splitlines``; a non-ASCII byte is an error of its line."""
     if conditions is None:
         conditions = {}
     # latin-1 decodes every byte, so a non-ASCII one is found by its line
@@ -270,19 +264,13 @@ def read_csv(
             raise _bad_line(path, 1, header)
         if header.rstrip("\n") != CSV_HEADER:
             raise CsvError(f"{path}: missing or wrong CSV header")
-        for number, n, block in _checked_blocks(path, fh):
+        for number, block in _checked_blocks(path, fh):
             cells = block.replace("\n", ",").split(",")  # 12 a line
-            scenarios, modes, payloads = cells[:12 * n:12], cells[1::12], cells[3::12]
             latencies, gaps, delays = cells[6::12], cells[7::12], cells[11::12]
-            first = scenarios[0], payloads[0], modes[0]
-            if scenarios.count(first[0]) == payloads.count(first[1]) == modes.count(first[2]) == n:
-                runs = [(first, n)]  # one condition throughout, as in most blocks
-            else:
-                runs = [(key, len(list(run)))
-                        for key, run in groupby(zip(scenarios, payloads, modes))]
             i = 0
-            for (scenario, payload, mode), length in runs:
-                j = i + length
+            for (scenario, payload, mode), run in groupby(
+                    zip(cells[::12], cells[3::12], cells[1::12])):
+                j = i + len(list(run))
                 key = scenario, int(payload), mode
                 entry = conditions.get(key)
                 if entry is None:

@@ -5,7 +5,6 @@ from typing import NamedTuple
 
 import pytest
 from hypothesis import settings, strategies as st
-from hypothesis.internal.conjecture import providers as _providers
 
 from partsim.config import parse_config
 from partsim.results import export_csv
@@ -16,15 +15,6 @@ from partsim.results import export_csv
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.register_profile("explore", deadline=None)
 settings.load_profile("tier1")
-
-# Hypothesis also draws some values from the literals of the non-test modules
-# loaded so far (src/partsim, and bench/ once a test loads it), so without
-# this an edit to any literal there, or which tests ran first, would change
-# every derandomized test's examples.  Derandomized runs draw none of them.
-_all_literals = getattr(_providers, "_get_local_constants", None)
-if _all_literals is not None:
-    _providers._get_local_constants = lambda: (
-        _providers._local_constants if settings.default.derandomize else _all_literals())
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"

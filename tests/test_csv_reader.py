@@ -39,27 +39,21 @@ def _row(rng, label, mode, payload, rep, empty):
     return ",".join(cells)
 
 
-@st.composite
-def csv_files(draw):
-    """A result CSV as bytes: runs of rows of a few interleaved conditions
-    in both modes, each up to a few blocks long, with one newline form, a
-    final newline or none, and up to three faulty lines anywhere."""
-    conditions = draw(st.lists(st.tuples(
-        st.sampled_from(LABELS), st.sampled_from(sorted(results._MODES)),
-        st.sampled_from(PAYLOADS), st.sampled_from((0.0, 0.3, 1.0))), min_size=1, max_size=4))
-    runs = draw(st.lists(st.tuples(st.integers(0, len(conditions) - 1), st.integers(1, 120)),
-                         min_size=1, max_size=8))
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+def _csv_file(conditions, runs, seed, faults, newline, final):
+    """A result CSV as bytes, with its newline and the kinds of the faults
+    placed: ``runs`` of rows of ``conditions`` (label, mode, payload, chance
+    of an empty cell), then each fault (kind, where in the file as a share
+    of its lines, seed) in turn."""
+    rng = random.Random(seed)
     lines, reps = [], [0] * len(conditions)
     for index, length in runs:
         label, mode, payload, empty = conditions[index]
         for _ in range(length):
             lines.append(_row(rng, label, mode, payload, reps[index], empty))
             reps[index] += 1
-    faults = draw(st.lists(st.tuples(st.sampled_from(FAULTS), st.floats(0, 1),
-                                     st.randoms(use_true_random=False)), max_size=3))
     placed = []
-    for kind, where, frng in faults:
+    for kind, where, fseed in faults:
+        frng = random.Random(fseed)
         at = int(where * len(lines))
         if kind == "blank":
             lines.insert(at, "")
@@ -84,9 +78,39 @@ def csv_files(draw):
                 line = line[:cut] + frng.choice("\x80\xe9\xff") + line[cut:]
             lines.insert(at, line)
         placed.append(kind)
-    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
-    text = newline.join([CSV_HEADER, *lines]) + (newline if draw(st.booleans()) else "")
+    text = newline.join([CSV_HEADER, *lines]) + (newline if final else "")
     return text.encode("latin-1"), newline, placed
+
+
+@st.composite
+def csv_files(draw):
+    """A result CSV as ``_csv_file`` makes it: runs of rows of a few
+    interleaved conditions in both modes, each up to a few blocks long, one
+    newline form, a final newline or none, and, in about half the files, up
+    to three faulty lines anywhere."""
+    conditions = draw(st.lists(st.tuples(
+        st.sampled_from(LABELS), st.sampled_from(sorted(results._MODES)),
+        st.sampled_from(PAYLOADS), st.sampled_from((0.0, 0.3, 1.0))), min_size=1, max_size=4))
+    runs = draw(st.lists(st.tuples(st.integers(0, len(conditions) - 1), st.integers(1, 120)),
+                         min_size=1, max_size=8))
+    seed = draw(st.integers(0, 2 ** 32))
+    faults = []
+    if draw(st.booleans()):
+        faults = draw(st.lists(st.tuples(st.sampled_from(FAULTS), st.floats(0, 1),
+                                         st.integers(0, 2 ** 32)), max_size=3))
+    return _csv_file(conditions, runs, seed, faults,
+                     draw(st.sampled_from(("\n", "\r\n", "\r"))), draw(st.booleans()))
+
+
+# Files that reach every case the test requires, whatever examples
+# Hypothesis draws: a gapless condition between runs of one with gaps, and
+# each fault kind past the first block or in it, under each newline form.
+_TWO = [("bench/0", "broker", "64", 0.0), ("p 9", "partitioned", "1", 1.0)]
+EXAMPLES = [_csv_file(_TWO, [(0, 90), (1, 30), (0, 60)], 1, [], "\n", True)] + [
+    _csv_file(_TWO, [(0, 90), (1, 30), (0, 60)], k, [(kind, where, k)], newline, k % 2 == 0)
+    for k, (kind, where, newline) in enumerate(
+        (kind, where, newline) for kind in FAULTS
+        for where, newline in ((0.0, "\r"), (0.8, "\n"), (0.9, "\r\n")))]
 
 
 def _outcome(reader, path):
@@ -101,18 +125,15 @@ def _outcome(reader, path):
 def test_block_reader_returns_what_the_line_reader_returns(tmp_path):
     """Over CSVs of several blocks, with runs that cross block ends, faults
     in any block and every newline form, the block reader returns the same
-    conditions, or raises the same error, as the per-line reader."""
+    conditions, or raises the same error, as the per-line reader: on the
+    fixed ``EXAMPLES``, then on Hypothesis's."""
     path = tmp_path / "r.csv"
     seen = set()
 
-    @settings(deadline=None, max_examples=120, derandomize=True)
-    @given(csv_files(), st.sampled_from((40, 97, 256, results.READ_CHUNK)),
-           st.sampled_from((1, 3, results.MAX_SHAPES)))
-    def check(csv, chunk, max_shapes):
+    def check(csv, chunk):
         data, newline, faults = csv
         path.write_bytes(data)
-        with mock.patch.object(results, "READ_CHUNK", chunk), \
-                mock.patch.object(results, "MAX_SHAPES", max_shapes):
+        with mock.patch.object(results, "READ_CHUNK", chunk):
             got = _outcome(read_csv, path)
         expected = _outcome(refmodels.read_csv, path)
         assert got == expected
@@ -125,10 +146,17 @@ def test_block_reader_returns_what_the_line_reader_returns(tmp_path):
             seen.add("error" if sum(map(len, before)) < chunk else "error past the first block")
         else:
             seen.add("read")
+            gaps = {gap is None for *_, gap in expected}
+            if len(gaps) == 2:  # a condition's gap must not come from another's rows
+                seen.add("with and without a gap")
 
-    check()
-    assert seen >= {"\n", "\r\n", "\r", "error", "read", "several blocks",
-                    "error past the first block", *FAULTS}
+    for csv in EXAMPLES:
+        for chunk in (256, results.READ_CHUNK):
+            check(csv, chunk)
+    assert seen == {"\n", "\r\n", "\r", "error", "read", "several blocks",
+                    "error past the first block", "with and without a gap", *FAULTS}
+    settings(deadline=None, max_examples=120, derandomize=True)(
+        given(csv_files(), st.sampled_from((40, 97, 256, results.READ_CHUNK)))(check))()
 
 
 _DIGITS = str.maketrans("123456789", "000000000")
@@ -219,16 +247,3 @@ def test_csv_read_of_many_conditions_is_at_most_twice_what_it_keeps(tmp_path):
     assert len(conditions) == 10_000
     assert peak <= 2 * kept, f"peak {peak} B, kept {kept} B"
 
-
-def test_csv_read_remembers_a_bounded_number_of_shapes(tmp_path):
-    """One condition whose rows keep nothing but take thousands of shapes,
-    by the lengths of the cells that are checked and not kept: what
-    ``read_csv`` holds stays within a block and ``MAX_SHAPES`` shapes."""
-    rng = random.Random(5)
-    path = tmp_path / "shapes.csv"
-    widths = ((rng.randrange(16) for _ in range(4)) for _ in range(10_000))
-    _write_rows(path, ("b,broker,0,1,{},{},,,,{},{},\n".format(*(10 ** w for w in row))
-                       for row in widths))
-    conditions, kept, peak = _traced_read(path)
-    assert [len(c.delays) for c in conditions.values()] == [0]
-    assert peak - kept <= 512 * 1024, f"peak {peak} B, kept {kept} B"
