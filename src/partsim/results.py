@@ -17,6 +17,9 @@ only what ``summarize`` reads: its latency and tx_delay cells and its first
 non-zero gap.  It reads a CSV in bounded blocks of whole lines, checks each
 distinct digit-blind shape of a block's lines once, and takes the cells it
 keeps by column, so its memory grows with what it keeps, not with the file.
+``export_csv`` writes each condition's rows from one row template, one
+``%`` for each block of ``WRITE_ROWS`` rows, so its memory is bounded by a
+block, not by the file.
 
 CSV column contract (exact order; unused fields empty)::
 
@@ -31,9 +34,10 @@ from __future__ import annotations
 
 import enum
 import re
-from itertools import groupby
+from itertools import chain, groupby, islice
+from operator import itemgetter, sub
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import BinaryIO, NamedTuple, TextIO
 
 
 class Mode(enum.Enum):
@@ -156,24 +160,44 @@ def summary_lines(conditions: dict) -> list[str]:
     return lines
 
 
+WRITE_ROWS = 1024  # rows export_csv fills with one % at a time
+
+
 def export_csv(result, path: str | Path) -> None:
     """Write the header and then the rows of each condition of ``result``
-    (a ``harness.RunResult``) in turn, formatting the cells that its rows
-    share once."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
+    (a ``harness.RunResult``) in turn.  A condition's rows are one ASCII
+    row template, with the cells they share formatted once and a ``%d``
+    for each cell that changes from row to row: the repetition, and a
+    broker row's relaxed, stressed and delay, each taken from an iterator
+    over the condition.  So the file holds the bytes that formatting each
+    row on its own would give, and no more than ``WRITE_ROWS`` rows of
+    text are held at once."""
+    with open(path, "wb") as fh:
+        fh.write(f"{CSV_HEADER}\n".encode())
         for c in result.conditions:
-            head = f"{c.scenario},{c.mode.value},"
+            head = f"{c.scenario.replace('%', '%%')},{c.mode.value},%d,{c.payload_bytes},"
+            columns = [range(c.repetitions)]
             if c.times is None:
                 t_send, t_recv, gap = c.measurement
                 latency = t_recv - t_send
-                tail = (f",{c.payload_bytes},{t_send},{t_recv},{latency},"
-                        f"{'' if gap is None else gap},{f'{latency / gap:.6f}' if gap else ''},,,\n")
-                fh.writelines(f"{head}{rep}{tail}" for rep in range(c.repetitions))
+                row = (f"{head}{t_send},{t_recv},{latency},{'' if gap is None else gap},"
+                       f"{f'{latency / gap:.6f}' if gap else ''},,,\n")
             else:
-                tail = f",{c.payload_bytes},,,,,,"
-                fh.writelines(f"{head}{rep}{tail}{relaxed},{stressed},{stressed - relaxed}\n"
-                              for rep, (relaxed, stressed) in enumerate(c.times))
+                row = f"{head},,,,,%d,%d,%d\n"
+                relaxed, stressed = itemgetter(0), itemgetter(1)
+                columns += (map(relaxed, c.times), map(stressed, c.times),
+                            map(sub, map(stressed, c.times), map(relaxed, c.times)))
+            _write_rows(fh, row, columns, c.repetitions)
+
+
+def _write_rows(fh: BinaryIO, row: str, columns: list, rows: int) -> None:
+    """Write ``rows`` copies of the ``row`` template to ``fh``, its ``%d``
+    cells filled in row order from ``columns``, one iterator a cell, with
+    one ``%`` for each ``WRITE_ROWS`` rows."""
+    row, cells = row.encode("ascii"), chain.from_iterable(zip(*columns))
+    for done in range(0, rows, WRITE_ROWS):
+        n = min(WRITE_ROWS, rows - done)
+        fh.write(row * n % tuple(islice(cells, n * len(columns))))
 
 
 # A result line is what ``export_csv`` writes: the scenario cell (ASCII but

@@ -1,5 +1,5 @@
-"""Independent reference models for port behavior, and the per-line
-result CSV reader.
+"""Independent reference models for port behavior, and the per-row result
+CSV writer and per-line reader.
 
 The port models deliberately know nothing about the production
 implementation: a single cell for sampling ports, a plain bounded list for
@@ -12,6 +12,9 @@ exact.
 ``read_csv`` reads a result CSV one line at a time, one ``fullmatch`` a
 line whose groups are the cells it keeps; ``partsim.results.read_csv``
 checks and splits whole blocks of lines and must return what it returns.
+``export_csv`` formats and writes a result CSV one row at a time;
+``partsim.results.export_csv`` fills blocks of rows from one template per
+condition and must write its bytes.
 """
 
 import re
@@ -166,3 +169,23 @@ def read_csv(path, conditions=None):
             if gap and entry.gap is None:
                 entry.gap = int(gap) or None
     return conditions
+
+
+def export_csv(result, path):
+    """Write the header and then the rows of each condition of ``result``
+    (a ``harness.RunResult``) in turn, formatting the cells that its rows
+    share once."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for c in result.conditions:
+            head = f"{c.scenario},{c.mode.value},"
+            if c.times is None:
+                t_send, t_recv, gap = c.measurement
+                latency = t_recv - t_send
+                tail = (f",{c.payload_bytes},{t_send},{t_recv},{latency},"
+                        f"{'' if gap is None else gap},{f'{latency / gap:.6f}' if gap else ''},,,\n")
+                fh.writelines(f"{head}{rep}{tail}" for rep in range(c.repetitions))
+            else:
+                tail = f",{c.payload_bytes},,,,,,"
+                fh.writelines(f"{head}{rep}{tail}{relaxed},{stressed},{stressed - relaxed}\n"
+                              for rep, (relaxed, stressed) in enumerate(c.times))
