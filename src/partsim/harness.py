@@ -82,13 +82,16 @@ A broker row depends only on the run seed and its own row number, so a
 large broker run splits its row range ``[0, rows)`` into one contiguous
 range per worker: ``min(cores, rows // ROWS_PER_WORKER)`` workers when a
 link is jittered, else one, where ``cores`` is the number this process may
-run on.  This process computes the first range; each other range runs in
-a child made with ``os.fork``, which sends its rows back through a pipe as
-one ``marshal`` blob, and the rows are stitched back in row order.  The
-bytes never depend on the number of workers.  A child ends only through
-``os._exit``; a worker whose pipe or fork fails, or that dies or exits
-non-zero, is a ``WorkerError``, and every child is reaped (killed first on
-an error path) before the run returns or raises.
+run on.  Each worker draws its range, renders those rows' CSV bytes
+(``results.broker_rows``) and takes their delay column, sorted, for the
+summary.  This process is the worker of the first range; each other range
+runs in a child made with ``os.fork``, which sends its bytes and delays
+back through a pipe as one ``marshal`` blob.  The parent only joins each
+condition's bytes and delays in row order.  The bytes never depend on the
+number of workers.  A child ends only through ``os._exit``; a worker
+whose pipe or fork fails, or that dies or exits non-zero, is a
+``WorkerError``, and every child is reaped (killed first on an error
+path) before the run returns or raises.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ from . import middleware, trace as trace_mod, workload
 from .config import ConfigError, Finding, SystemConfig, parse_config, validate
 from .health import HealthAction, HealthTable, HmKind
 from .middleware import BrokerTopology, LinkModel, LoadProfile
-from .results import Condition, Mode
+from .results import Condition, Mode, broker_rows
 # not called here: bench/tracing.py wraps these three by their harness.*
 # names, as it does scheduler's validate, until it wraps them in results
 from .results import export_csv, read_csv, summarize  # noqa: F401
@@ -118,8 +121,9 @@ from .workload import AppScript, Mark, Read, Receive, ScriptMode, Send
 MAX_ROWS = middleware.SEED_STRIDE
 
 # the fewest broker rows a worker is given: forking and reaping a worker
-# took 2-4 ms, the work of 200-450 rows (about 9 us a row; 2-core Xeon,
-# CPython 3.11), so a worker's share is worth at least twice its fork
+# took 2-4 ms, the work of 250-500 rows (about 8 us a row drawn, rendered
+# and its delay sorted; 2-core Xeon, CPython 3.11), so a worker's share is
+# worth at least twice its fork
 ROWS_PER_WORKER = 1000
 
 
@@ -688,16 +692,16 @@ def _split(work, rows: int, workers: int) -> list:
         pieces = [work(bounds[0], bounds[1])]
         while children:
             pid, fd, first, end = children[0]
-            chunks = []
+            blob = bytearray()  # grown in place, so the blob is held once
             while chunk := os.read(fd, 1 << 16):
-                chunks.append(chunk)
+                blob += chunk
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[0]
             os.close(fd)
             if status:
                 how = f"was killed by signal {-status}" if status < 0 else f"exited with {status}"
                 raise WorkerError(f"the worker for broker rows {first}-{end - 1} {how}")
-            pieces.append(marshal.loads(b"".join(chunks)))
+            pieces.append(marshal.loads(blob))
         return pieces
     finally:
         for pid, fd, _, _ in children:
@@ -720,19 +724,27 @@ def _run_broker(sc: Scenario, *, seed: int) -> RunResult:
             for label, (relaxed, stressed) in zip(labels, sc.load_pairs)]
     reps = sc.repetitions
 
-    def work(first: int, end: int) -> list[tuple[int, list]]:
-        """(k, times) of each condition k's part of rows first..end-1."""
-        return [(k, middleware.condition_times(topology, payload, relaxed, stressed,
-                                               seed, lo, hi - lo))
-                for k, (_, payload, relaxed, stressed) in enumerate(plan)
-                for lo, hi in [(max(first, k * reps), min(end, (k + 1) * reps))] if lo < hi]
+    def work(first: int, end: int) -> list[tuple[int, list[bytes], list[int]]]:
+        """(k, CSV blocks, sorted delays) of each condition k's part of rows
+        first..end-1; sorted, the parts' delays are runs that ``summarize``
+        merges in one pass."""
+        pieces = []
+        for k, (label, payload, relaxed, stressed) in enumerate(plan):
+            lo, hi = max(first, k * reps), min(end, (k + 1) * reps)
+            if lo < hi:
+                cells = middleware.condition_times(topology, payload, relaxed, stressed,
+                                                   seed, lo, hi - lo)
+                pieces.append((k, broker_rows(label, payload, lo - k * reps, cells),
+                               sorted(cells[2::3])))
+        return pieces
 
     rows = len(plan) * reps
     jittered = topology.uplink.jitter_stddev or topology.downlink.jitter_stddev
     workers = max(1, min(_cores(), rows // ROWS_PER_WORKER)) if jittered else 1
-    times = [[] for _ in plan]
+    blocks, delays = [[] for _ in plan], [[] for _ in plan]
     for piece in _split(work, rows, workers):
-        for k, chunk in piece:
-            times[k] += chunk
-    return RunResult([Condition(label, sc.mode, payload, reps, times=times[k])
+        for k, part_rows, part_delays in piece:
+            blocks[k] += part_rows
+            delays[k] += part_delays
+    return RunResult([Condition(label, sc.mode, payload, reps, rows=blocks[k], delays=delays[k])
                       for k, (label, payload, _, _) in enumerate(plan)])

@@ -37,7 +37,11 @@ one per forked worker, and the bytes never depend on that number.
 ``condition_times`` evaluates a whole condition (one payload and one
 relaxed/stressed load pair) to the same values as calling ``tx_time``
 twice per row on ``repetition_rng(seed, c)``: relaxed first, then
-stressed, on one generator.  It computes the deterministic part
+stressed, on one generator.  It returns them as one flat list of three
+cells a row, the row's relaxed time, stressed time and their delay
+(stressed minus relaxed), with no tuple per row, so that ``results``
+fills a CSV row template from the list and takes the delay column by
+slice.  It computes the deterministic part
 (``base_time``) once per condition and re-seeds one generator in place
 per row.  ``Random.gauss`` draws its normals in Box-Muller pairs (the
 cosine now, the sine on the next call), so with ``L`` jittered links a
@@ -142,24 +146,25 @@ def condition_times(
     seed: int,
     first: int,
     count: int,
-) -> list[tuple[Duration, Duration]]:
-    """``(relaxed, stressed)`` transmission times of rows ``first`` to
-    ``first + count - 1`` of one condition; row ``c`` equals ``tx_time``
-    under ``relaxed`` and then under ``stressed`` on one
-    ``repetition_rng(seed, c)`` (see module docstring).  The caller keeps
-    ``seed >= 0`` and ``0 <= first <= first + count <= SEED_STRIDE``, as a
-    parsed scenario's seed and rows do; this checks neither."""
+) -> list[Duration]:
+    """The relaxed time, stressed time and delay of rows ``first`` to
+    ``first + count - 1`` of one condition, three cells a row in one flat
+    list; row ``c`` equals ``tx_time`` under ``relaxed`` and then under
+    ``stressed`` on one ``repetition_rng(seed, c)`` (see module
+    docstring).  The caller keeps ``seed >= 0`` and ``0 <= first <= first
+    + count <= SEED_STRIDE``, as a parsed scenario's seed and rows do; this
+    checks neither."""
     relaxed_base = base_time(topology, size, relaxed)
     stressed_base = base_time(topology, size, stressed)
     sigmas = [link.jitter_stddev for link in (topology.uplink, topology.downlink)
               if link.jitter_stddev > 0]
     if not sigmas:
-        return [(relaxed_base, stressed_base)] * count
+        return [relaxed_base, stressed_base, stressed_base - relaxed_base] * count
     # the C base class: Random(x)'s state, without Random.seed's type checks
     rng = _random.Random()
     reseed, draw = rng.seed, rng.random
     start = seed * SEED_STRIDE + first
-    times = []
+    cells = []
     # gauss(0.0, s) returns 0.0 + z * s, which rounds as z * s does
     if len(sigmas) == 1:  # one pair: cosine -> relaxed, sine -> stressed
         sigma = sigmas[0]
@@ -169,9 +174,10 @@ def condition_times(
             g2rad = sqrt(-2.0 * log(1.0 - draw()))
             jr = floor(cos(x2pi) * g2rad * sigma + 0.5)
             js = floor(sin(x2pi) * g2rad * sigma + 0.5)
-            times.append((relaxed_base + (jr if jr > 0 else 0),
-                          stressed_base + (js if js > 0 else 0)))
-        return times
+            t_relaxed = relaxed_base + (jr if jr > 0 else 0)
+            t_stressed = stressed_base + (js if js > 0 else 0)
+            cells += t_relaxed, t_stressed, t_stressed - t_relaxed
+        return cells
     # two pairs, one per path: cosine -> uplink, sine -> downlink
     sigma_up, sigma_down = sigmas
     for x in range(start, start + count):
@@ -185,6 +191,6 @@ def condition_times(
         g2rad = sqrt(-2.0 * log(1.0 - draw()))
         ju = floor(cos(x2pi) * g2rad * sigma_up + 0.5)
         jd = floor(sin(x2pi) * g2rad * sigma_down + 0.5)
-        times.append((t_relaxed,
-                      stressed_base + (ju if ju > 0 else 0) + (jd if jd > 0 else 0)))
-    return times
+        t_stressed = stressed_base + (ju if ju > 0 else 0) + (jd if jd > 0 else 0)
+        cells += t_relaxed, t_stressed, t_stressed - t_relaxed
+    return cells

@@ -8,18 +8,21 @@ between the producer's ``tx`` mark and the consumer's ``rx`` mark (the
 first one that follows a successful receive) and the scheduled transition
 gap between the two slots; the condition keeps that one measurement, which
 is written as one row per repetition.  Broker runs evaluate the
-transmission time under both load profiles per repetition; the condition
-keeps each row's (relaxed, stressed) pair, and the row records the
-stressed-minus-relaxed delay.  With more than one load pair, each row's
-scenario is labelled ``<name>/<k>`` (``k`` the 0-based pair index) so every
-condition is summarized on its own.  ``read_csv`` keeps of each condition
-only what ``summarize`` reads: its latency and tx_delay cells and its first
-non-zero gap.  It reads a CSV in bounded blocks of whole lines, checks each
-distinct digit-blind shape of a block's lines once, and takes the cells it
-keeps by column, so its memory grows with what it keeps, not with the file.
-``export_csv`` writes each condition's rows from one row template, one
-``%`` for each block of ``WRITE_ROWS`` rows, so its memory is bounded by a
-block, not by the file.
+transmission time under both load profiles per repetition, and the row
+records the stressed-minus-relaxed delay; the worker that draws a range
+of rows renders them at once with ``broker_rows``, so the condition keeps
+its rows' CSV bytes and their delays, not the times.  With more than one
+load pair, each row's scenario is labelled ``<name>/<k>`` (``k`` the
+0-based pair index) so every condition is summarized on its own.
+``read_csv`` keeps of each condition only what ``summarize`` reads: its
+latency and tx_delay cells and its first non-zero gap.  It reads a CSV in
+bounded blocks of whole lines, checks each distinct digit-blind shape of
+a block's lines once, and takes the cells it keeps by column, so its
+memory grows with what it keeps, not with the file.
+A row template holds a condition's shared cells once and a ``%d`` for
+each cell that changes from row to row; ``broker_rows`` and ``export_csv``
+fill it with one ``%`` for each block of ``WRITE_ROWS`` rows, so what
+either holds beyond its output is bounded by a block.
 
 CSV column contract (exact order; unused fields empty)::
 
@@ -34,10 +37,9 @@ from __future__ import annotations
 
 import enum
 import re
-from itertools import chain, groupby, islice
-from operator import itemgetter, sub
+from itertools import groupby
 from pathlib import Path
-from typing import BinaryIO, NamedTuple, TextIO
+from typing import NamedTuple, TextIO
 
 
 class Mode(enum.Enum):
@@ -60,25 +62,26 @@ _MODES = {mode.value for mode in Mode}  # the valid mode cells
 
 
 class Condition(NamedTuple):
-    """One (scenario label, mode, payload) condition of a run, as the values
-    its CSV rows and its summary are made from: a partitioned condition's
-    one ``(t_send, t_recv, gap)`` measurement, written as ``repetitions``
-    equal rows, or a broker condition's ``(relaxed, stressed)`` times, one
-    pair per row."""
+    """One (scenario label, mode, payload) condition of a run, as its CSV
+    rows and its summary are made from it: a partitioned condition's one
+    ``(t_send, t_recv, gap)`` measurement, written as ``repetitions``
+    equal rows, or a broker condition's ``rows``, the blocks of CSV bytes
+    that ``broker_rows`` rendered, in row order, and its ``delays``, the
+    tx_delay cells of those rows, each worker's share sorted."""
 
     scenario: str
     mode: Mode
     payload_bytes: int
     repetitions: int
     measurement: tuple[int, int, int | None] | None = None
-    times: list[tuple[int, int]] | None = None
+    rows: list[bytes] | None = None
+    delays: list[int] | None = None
 
     def summary(self) -> SummaryStats:
-        if self.times is None:
+        if self.delays is None:
             t_send, t_recv, gap = self.measurement
             return summarize("latency", [t_recv - t_send] * self.repetitions, gap)
-        # each row's tx_delay: stressed minus relaxed
-        return summarize("tx_delay", [stressed - relaxed for relaxed, stressed in self.times])
+        return summarize("tx_delay", self.delays)
 
 
 class ReadCondition:
@@ -160,44 +163,55 @@ def summary_lines(conditions: dict) -> list[str]:
     return lines
 
 
-WRITE_ROWS = 1024  # rows export_csv fills with one % at a time
+WRITE_ROWS = 1024  # rows a row template is filled for with one % at a time
+
+
+def _head(scenario: str, mode: Mode, payload: int) -> str:
+    """The start of a row template: the label (``%`` escaped as ``%%``),
+    the mode, the repetition's ``%d`` and the payload."""
+    return f"{scenario.replace('%', '%%')},{mode.value},%d,{payload},"
+
+
+def broker_rows(scenario: str, payload: int, first: int, cells: list[int]) -> list[bytes]:
+    """The CSV rows of a broker condition from repetition ``first`` on, one
+    for each three ``cells`` (relaxed, stressed, delay; see
+    ``middleware.condition_times``), as blocks of at most ``WRITE_ROWS``
+    rows that hold the bytes formatting each row on its own would give.
+    Each block fills the row template once, from a list of the block's
+    cells whose columns are set by slice."""
+    row = f"{_head(scenario, Mode.BROKER, payload)},,,,,%d,%d,%d\n".encode("ascii")
+    blocks = []
+    for i in range(0, len(cells), 3 * WRITE_ROWS):
+        part, rep = cells[i:i + 3 * WRITE_ROWS], first + i // 3
+        n = len(part) // 3
+        block = [0] * (4 * n)
+        block[::4] = range(rep, rep + n)
+        block[1::4], block[2::4], block[3::4] = part[::3], part[1::3], part[2::3]
+        blocks.append(row * n % tuple(block))
+    return blocks
 
 
 def export_csv(result, path: str | Path) -> None:
     """Write the header and then the rows of each condition of ``result``
-    (a ``harness.RunResult``) in turn.  A condition's rows are one ASCII
-    row template, with the cells they share formatted once and a ``%d``
-    for each cell that changes from row to row: the repetition, and a
-    broker row's relaxed, stressed and delay, each taken from an iterator
-    over the condition.  So the file holds the bytes that formatting each
-    row on its own would give, and no more than ``WRITE_ROWS`` rows of
-    text are held at once."""
+    (a ``harness.RunResult``) in turn: a broker condition's rendered
+    blocks of ``rows`` as they are, and a partitioned condition's rows
+    from one ASCII row template, its cells formatted once and the
+    repetition a ``%d`` filled from a ``range``, one ``%`` for each
+    ``WRITE_ROWS`` rows."""
     with open(path, "wb") as fh:
         fh.write(f"{CSV_HEADER}\n".encode())
         for c in result.conditions:
-            head = f"{c.scenario.replace('%', '%%')},{c.mode.value},%d,{c.payload_bytes},"
-            columns = [range(c.repetitions)]
-            if c.times is None:
-                t_send, t_recv, gap = c.measurement
-                latency = t_recv - t_send
-                row = (f"{head}{t_send},{t_recv},{latency},{'' if gap is None else gap},"
-                       f"{f'{latency / gap:.6f}' if gap else ''},,,\n")
-            else:
-                row = f"{head},,,,,%d,%d,%d\n"
-                relaxed, stressed = itemgetter(0), itemgetter(1)
-                columns += (map(relaxed, c.times), map(stressed, c.times),
-                            map(sub, map(stressed, c.times), map(relaxed, c.times)))
-            _write_rows(fh, row, columns, c.repetitions)
-
-
-def _write_rows(fh: BinaryIO, row: str, columns: list, rows: int) -> None:
-    """Write ``rows`` copies of the ``row`` template to ``fh``, its ``%d``
-    cells filled in row order from ``columns``, one iterator a cell, with
-    one ``%`` for each ``WRITE_ROWS`` rows."""
-    row, cells = row.encode("ascii"), chain.from_iterable(zip(*columns))
-    for done in range(0, rows, WRITE_ROWS):
-        n = min(WRITE_ROWS, rows - done)
-        fh.write(row * n % tuple(islice(cells, n * len(columns))))
+            if c.rows is not None:
+                fh.writelines(c.rows)
+                continue
+            t_send, t_recv, gap = c.measurement
+            latency = t_recv - t_send
+            row = (f"{_head(c.scenario, c.mode, c.payload_bytes)}{t_send},{t_recv},{latency},"
+                   f"{'' if gap is None else gap},{f'{latency / gap:.6f}' if gap else ''},,,\n"
+                   ).encode("ascii")
+            for done in range(0, c.repetitions, WRITE_ROWS):
+                reps = range(done, min(done + WRITE_ROWS, c.repetitions))
+                fh.write(row * len(reps) % tuple(reps))
 
 
 # A result line is what ``export_csv`` writes: the scenario cell (ASCII but

@@ -1,5 +1,6 @@
 """Independent reference models for port behavior, the per-row result
-CSV writer and per-line reader, and the full-trace measurement.
+CSV writer and per-line reader, the broker rows, and the full-trace
+measurement.
 
 The port models deliberately know nothing about the production
 implementation: a single cell for sampling ports, a plain bounded list for
@@ -12,9 +13,16 @@ exact.
 ``read_csv`` reads a result CSV one line at a time, one ``fullmatch`` a
 line whose groups are the cells it keeps; ``partsim.results.read_csv``
 checks and splits whole blocks of lines and must return what it returns.
-``export_csv`` formats and writes a result CSV one row at a time;
-``partsim.results.export_csv`` fills blocks of rows from one template per
-condition and must write its bytes.
+``export_csv`` formats and writes a result CSV one row at a time, from
+``RowCondition``s: each broker row from its own ``(relaxed, stressed)``
+pair.  ``partsim.results.broker_rows`` renders a broker run's rows in the
+worker that draws them, ``partsim.results.export_csv`` fills blocks of
+partitioned rows from one template per condition, and the file they write
+must hold its bytes.  ``reference_times`` draws a broker row the way the
+README describes it, ``tx_time`` twice on the row's own generator;
+``flat_cells`` lays its pairs out as ``middleware.condition_times``
+returns them, and ``broker_conditions`` gives a whole broker run's
+conditions from it.
 
 ``measure`` scans every record of a run's trace, each copy of a repeated
 period built as it is read; ``partsim.harness._measure`` reads one copy of
@@ -22,10 +30,13 @@ each repeated period and must return what it returns.
 """
 
 import re
+from typing import NamedTuple
 
 from partsim import trace as trace_mod
 from partsim.channels import PortTable
-from partsim.results import _INT, _MODES, _RATIO, CSV_HEADER, CsvError, ReadCondition, _bad_line
+from partsim.middleware import repetition_rng, tx_time
+from partsim.results import (
+    _INT, _MODES, _RATIO, CSV_HEADER, CsvError, Mode, ReadCondition, _bad_line)
 
 
 class SamplingModel:
@@ -176,13 +187,26 @@ def read_csv(path, conditions=None):
     return conditions
 
 
-def export_csv(result, path):
-    """Write the header and then the rows of each condition of ``result``
-    (a ``harness.RunResult``) in turn, formatting the cells that its rows
-    share once."""
+class RowCondition(NamedTuple):
+    """One condition as the per-row writer takes it: a partitioned
+    condition's ``(t_send, t_recv, gap)`` measurement, written as
+    ``repetitions`` equal rows, or a broker condition's ``(relaxed,
+    stressed)`` times, one pair per row."""
+
+    scenario: str
+    mode: Mode
+    payload_bytes: int
+    repetitions: int
+    measurement: tuple | None = None
+    times: list | None = None
+
+
+def export_csv(conditions, path):
+    """Write the header and then the rows of each ``RowCondition`` in turn,
+    formatting the cells that its rows share once."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for c in result.conditions:
+        for c in conditions:
             head = f"{c.scenario},{c.mode.value},"
             if c.times is None:
                 t_send, t_recv, gap = c.measurement
@@ -194,6 +218,38 @@ def export_csv(result, path):
                 tail = f",{c.payload_bytes},,,,,,"
                 fh.writelines(f"{head}{rep}{tail}{relaxed},{stressed},{stressed - relaxed}\n"
                               for rep, (relaxed, stressed) in enumerate(c.times))
+
+
+def reference_times(topology, size, relaxed, stressed, seed, first, count):
+    """``(relaxed, stressed)`` of rows ``first`` to ``first + count - 1``:
+    two tx_time calls per row on the row's own reference generator."""
+    times = []
+    for c in range(first, first + count):
+        rng = repetition_rng(seed, c)
+        times.append((tx_time(topology, size, relaxed, rng),
+                      tx_time(topology, size, stressed, rng)))
+    return times
+
+
+def flat_cells(times):
+    """``(relaxed, stressed)`` pairs as ``middleware.condition_times``
+    returns them: relaxed, stressed and delay, three cells a row."""
+    return [cell for relaxed, stressed in times for cell in (relaxed, stressed, stressed - relaxed)]
+
+
+def broker_conditions(sc, seed=None):
+    """The ``RowCondition``s of a parsed broker scenario, in row order: each
+    payload, then each load pair (labelled ``<name>/<k>`` when there are
+    several), ``sc.repetitions`` rows each, row ``c`` counted over them all."""
+    seed = sc.seed if seed is None else seed
+    several, reps, conditions = len(sc.load_pairs) > 1, sc.repetitions, []
+    for payload in sc.payload_sizes:
+        for k, (relaxed, stressed) in enumerate(sc.load_pairs):
+            times = reference_times(sc.topology, payload, relaxed, stressed,
+                                    seed, len(conditions) * reps, reps)
+            conditions.append(RowCondition(f"{sc.name}/{k}" if several else sc.name,
+                                           Mode.BROKER, payload, reps, times=times))
+    return conditions
 
 
 def measure(records, system):

@@ -1,14 +1,17 @@
-"""A broker run split across forked workers: the same bytes for any worker
-count, no fork below ``2 * ROWS_PER_WORKER`` rows, and no child that
-outlives the run or unwinds into the caller's frames."""
+"""A broker run split across forked workers: the reference bytes and
+delays for any worker count, no fork below ``2 * ROWS_PER_WORKER`` rows,
+and no child that outlives the run or unwinds into the caller's frames."""
 
 import errno
 import os
 import signal
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import refmodels
 from partsim import harness, middleware
 from partsim.cli import main
 from partsim.harness import parse_scenario, run_scenario
@@ -42,10 +45,10 @@ def assert_no_child_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
-def broker_text(sizes, pairs, repetitions, jitters, seed) -> str:
+def broker_text(name, sizes, pairs, repetitions, jitters, seed) -> str:
     """A broker scenario; ``jitters`` holds the uplink and downlink stddev."""
     return "\n".join([
-        "name = split", "mode = broker", f"seed = {seed}", f"repetitions = {repetitions}",
+        f"name = {name}", "mode = broker", f"seed = {seed}", f"repetitions = {repetitions}",
         f"payload_sizes = {','.join(map(str, sizes))}",
         "[broker]",
         f"uplink = base=100us per_byte=1ns jitter={jitters[0]}ns",
@@ -59,8 +62,17 @@ def broker_text(sizes, pairs, repetitions, jitters, seed) -> str:
 _LOAD = st.sampled_from(("0.0", "0.13", "0.5", "1.0"))
 
 
+def reference_text(conditions) -> str:
+    """What the per-row reference writer writes for ``RowCondition``s."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ref.csv"
+        refmodels.export_csv(conditions, path)
+        return path.read_text(encoding="ascii")
+
+
 @settings(deadline=None, max_examples=40)
 @given(
+    name=st.sampled_from(("split", "%", "100%", "a%sb%d", "%%")),
     sizes=st.lists(st.integers(1, 10**7), min_size=1, max_size=3, unique=True),
     pairs=st.lists(st.tuples(_LOAD, _LOAD), min_size=1, max_size=3),
     repetitions=st.integers(1, 50),
@@ -68,19 +80,41 @@ _LOAD = st.sampled_from(("0.0", "0.13", "0.5", "1.0"))
     seed=st.integers(0, 2**32),
 )
 # one row: more cores than rows
-@example(sizes=[64], pairs=[("0.0", "1.0")], repetitions=1, jitters=(40_000, 7), seed=1)
+@example(name="split", sizes=[64], pairs=[("0.0", "1.0")], repetitions=1, jitters=(40_000, 7),
+         seed=1)
 # seven rows of one condition: every split cuts it
-@example(sizes=[64], pairs=[("0.0", "1.0")], repetitions=7, jitters=(40_000, 0), seed=2)
+@example(name="split", sizes=[64], pairs=[("0.0", "1.0")], repetitions=7, jitters=(40_000, 0),
+         seed=2)
 # three conditions of two rows: ranges end inside and between conditions
-@example(sizes=[1, 2, 3], pairs=[("0.0", "1.0")], repetitions=2, jitters=(0, 7), seed=3)
-def test_any_worker_count_writes_the_serial_bytes(sizes, pairs, repetitions, jitters, seed):
-    sc = parse_scenario(broker_text(sizes, pairs, repetitions, jitters, seed))
+@example(name="split", sizes=[1, 2, 3], pairs=[("0.0", "1.0")], repetitions=2, jitters=(0, 7),
+         seed=3)
+# conditions of WRITE_ROWS - 1 to WRITE_ROWS + 1 rows under labels with a
+# %, with two, one or no jittered links: one worker's rows cross a block end
+@example(name="100%", sizes=[64], pairs=[("0.0", "1.0")], repetitions=1_023,
+         jitters=(40_000, 7), seed=4)
+@example(name="a%sb%d", sizes=[64], pairs=[("0.0", "1.0"), ("0.5", "0.13")],
+         repetitions=1_024, jitters=(0, 7), seed=5)
+@example(name="%", sizes=[64], pairs=[("0.0", "1.0")], repetitions=1_025, jitters=(40_000, 0),
+         seed=6)
+@example(name="%%", sizes=[64, 65], pairs=[("0.0", "1.0")], repetitions=1_025, jitters=(0, 0),
+         seed=7)
+def test_any_worker_count_writes_the_serial_bytes(name, sizes, pairs, repetitions, jitters,
+                                                  seed):
+    """For any number of cores, the rows the workers render are the bytes
+    that the per-row reference writer writes from the reference model's
+    times, and each condition's delays are those rows' tx_delay cells (in
+    any order: each worker sorts its share)."""
+    sc = parse_scenario(broker_text(name, sizes, pairs, repetitions, jitters, seed))
     rows = len(sizes) * len(pairs) * repetitions
-    serial = csv_text(run_scenario(sc))
+    conditions = refmodels.broker_conditions(sc)
+    expected = reference_text(conditions)
+    delays = [sorted(stressed - relaxed for relaxed, stressed in c.times) for c in conditions]
     for cores in range(1, 6):
         with pytest.MonkeyPatch.context() as monkeypatch:
             forks = split(monkeypatch, cores)
-            assert csv_text(run_scenario(sc)) == serial
+            result = run_scenario(sc)
+        assert csv_text(result) == expected
+        assert [sorted(c.delays) for c in result.conditions] == delays
         assert forks.count == (min(cores, rows) - 1 if any(jitters) else 0)
         assert_no_child_left()
 

@@ -20,6 +20,7 @@ from partsim.results import (
     CsvError,
     EmptyResult,
     Mode,
+    broker_rows,
     export_csv,
     read_csv,
     summarize,
@@ -560,28 +561,29 @@ def test_csv_reexport_is_byte_identical(tmp_path):
 ])
 def test_csv_round_trip(tmp_path, text):
     """What report reads back of each condition is what run kept: its
-    metric values, in row order, and its first non-zero gap."""
+    metric values, a latency in row order and a delay in any order (each
+    broker worker sorts its share), and its first non-zero gap."""
     result = run_scenario(parse_scenario(text))
     path = tmp_path / "rt.csv"
     export_csv(result, path)
     expected = {}
     for c in result.conditions:
-        if c.times is None:
+        if c.delays is None:
             t_send, t_recv, gap = c.measurement
             expected[c.scenario, c.payload_bytes, c.mode.value] = (
                 [t_recv - t_send] * c.repetitions, [], gap or None)
         else:
-            expected[c.scenario, c.payload_bytes, c.mode.value] = (
-                [], [s - r for r, s in c.times], None)
+            expected[c.scenario, c.payload_bytes, c.mode.value] = ([], sorted(c.delays), None)
     read = read_csv(path)
-    assert {key: (g.latencies, g.delays, g.gap) for key, g in read.items()} == expected
+    assert {key: (g.latencies, sorted(g.delays), g.gap) for key, g in read.items()} == expected
     assert {key: g.summary() for key, g in read.items()} == {
         (c.scenario, c.payload_bytes, c.mode.value): c.summary() for c in result.conditions}
 
 
 def test_csv_edge_cells():
     result = RunResult([
-        Condition("b", Mode.BROKER, 1, 2, times=[(300, 100), (7, 7)]),
+        Condition("b", Mode.BROKER, 1, 2, rows=broker_rows("b", 1, 0, [300, 100, -200, 7, 7, 0]),
+                  delays=[-200, 0]),
         Condition("p", Mode.PARTITIONED, 64, 2, (5, 10, None)),
         Condition("p", Mode.PARTITIONED, 65, 1, (0, 2, 3)),
         Condition("p", Mode.PARTITIONED, 66, 1, (0, 1_021_000, 1_000_000)),

@@ -26,6 +26,7 @@ from partsim.middleware import (
 from partsim.units import parse_fraction
 
 from conftest import SCENARIO_DIR, csv_rows
+from refmodels import flat_cells, reference_times
 
 
 def quiet_topology(per_byte=1, k=2.0):
@@ -160,16 +161,6 @@ def test_repetition_rng_rejects_overlapping_streams(seed, repetition):
         repetition_rng(seed, repetition)
 
 
-def reference_times(topology, size, relaxed, stressed, seed, first, count):
-    """Two tx_time calls per row on the row's own reference generator."""
-    times = []
-    for c in range(first, first + count):
-        rng = repetition_rng(seed, c)
-        times.append((tx_time(topology, size, relaxed, rng),
-                      tx_time(topology, size, stressed, rng)))
-    return times
-
-
 def link(jittered):
     return st.builds(LinkModel, st.integers(0, 10**6), st.integers(0, 3),
                      st.integers(1, 10**6) if jittered else st.just(0))
@@ -202,14 +193,14 @@ def test_condition_times_equal_the_reference_model(
     change to gauss (or to seeding) in the interpreter fails here."""
     topology = BrokerTopology(*path, proc_fixed, proc_per_byte, load_factor)
     assert condition_times(topology, size, relaxed, stressed, seed, first, count) == \
-        reference_times(topology, size, relaxed, stressed, seed, first, count)
+        flat_cells(reference_times(topology, size, relaxed, stressed, seed, first, count))
 
 
 def test_condition_times_reach_the_last_stream():
     """The last counter below the stride is a row like any other."""
     topo, relaxed, stressed = default_topology(), LoadProfile(0.0), LoadProfile(1.0)
     assert condition_times(topo, 64, relaxed, stressed, 9, SEED_STRIDE - 2, 2) == \
-        reference_times(topo, 64, relaxed, stressed, 9, SEED_STRIDE - 2, 2)
+        flat_cells(reference_times(topo, 64, relaxed, stressed, 9, SEED_STRIDE - 2, 2))
 
 
 def test_broker_run_equals_the_reference_model():
