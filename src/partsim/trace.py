@@ -3,9 +3,12 @@
 A run's trace is a ``PeriodicTrace``: the records the engine built, plus
 one descriptor per run of repeated periods.  ``write_trace`` writes it as
 ASCII bytes: built records ``WRITE_CHUNK`` at a time, and each repeated
-period as one template whose time and event ``seq`` fields are each filled
-from one arithmetic progression, a term per copy.  The line formats are
-part of the tool's contract and are pinned by golden tests:
+period as one template, filled once per copy.  A time's digits below the
+span's trailing zeros are the same in every copy and are part of the
+template; its high part and each event ``seq`` are fields.  Fields that
+start and step alike share one value, so a copy formats its few distinct
+values once, not one per field.  The line formats are part of the tool's
+contract and are pinned by golden tests:
 
 * scheduler events:      ``time_ns,KIND,partition,seq``
   (KIND is one of SLOT_START, SLOT_END, FRAME_WRAP, APP_ACTION, HM_EVENT;
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from itertools import islice
+from operator import itemgetter
 from typing import NamedTuple
 
 from .units import Duration
@@ -110,22 +114,36 @@ def _copies(period: list, periods: int, span: Duration, gain: dict) -> Iterator[
 
 
 def _copy_lines(period: list, periods: int, span: Duration, gain: dict) -> Iterator[bytes]:
-    """The bytes of ``_copies``, one chunk per copy: the period is formatted
-    once, with a slot for each time and event ``seq``, and each slot is
-    filled from its own arithmetic progression, one term per copy."""
-    # each column is a range's iterator, which keeps its progression in C
-    # integers: the range and its int bounds are freed at once
-    parts, columns, end = [], [], periods + 1
+    """The bytes of ``_copies``, one chunk per copy.  With span = s * 10**e,
+    e its trailing decimal zeros, a time's low e digits are the same in
+    every copy, and its high part steps by s: the period is formatted once,
+    low digits included, with a ``%s`` for each high part and event ``seq``.
+    Fields of the same (start, step) share one progression, so each copy
+    formats its few distinct values once and fills every field from them."""
+    unit = 10 ** (len(str(span)) - len(str(span).rstrip("0")))
+    parts, fields, progressions = [], [], {}  # (start, step) -> the index of its value
     for r in period:
-        part = "%d," + r.line().partition(",")[2].replace("%", "%%")
-        columns.append(iter(range(r.time + span, r.time + end * span, span)))
+        high, low = divmod(r.time, unit)
+        fields.append(progressions.setdefault((high, span // unit), len(progressions)))
+        # unit + low writes low with its leading zeros, and no digit when e is 0
+        part = "%s" + str(unit + low)[1:] + "," + r.line().partition(",")[2].replace("%", "%%")
         if type(r) is EventRecord:
-            part = part.rpartition(",")[0] + ",%d"
-            step = gain[r.partition]
-            assert span > 0 and step > 0  # a range's step: this event advances its seq
-            columns.append(iter(range(r.seq + step, r.seq + end * step, step)))
+            part = part.rpartition(",")[0] + ",%s"
+            assert span > 0 and gain[r.partition] > 0  # a range's step: this event advances its seq
+            fields.append(progressions.setdefault((r.seq, gain[r.partition]), len(progressions)))
         parts.append(part + "\n")
-    return map("".join(parts).encode("ascii").__mod__, zip(*columns))
+    # each value's range iterator keeps its progression in C integers
+    values = zip(*[iter(range(a + b, a + (periods + 1) * b, b)) for a, b in progressions])
+    template = "".join(parts).encode("ascii")
+    return _fill(template, itemgetter(*fields), b"%d " * len(progressions), values)
+
+
+def _fill(template: bytes, pick: itemgetter, values_format: bytes,
+          values: Iterator[tuple]) -> Iterator[bytes]:
+    """``template`` filled once per tuple of ``values``; its fields are
+    ``pick`` of the tuple's formatted values."""
+    for copy in values:
+        yield template % pick((values_format % copy).split())
 
 
 class PeriodicTrace:
@@ -173,4 +191,5 @@ def write_trace(trace: PeriodicTrace, path: str) -> None:
         for first, end, period, copies in trace.pieces():
             for chunk in range(first, end, WRITE_CHUNK):
                 fh.write(format_trace(built[chunk:min(chunk + WRITE_CHUNK, end)]).encode("ascii"))
-            fh.writelines(_copy_lines(period, *copies))
+            if period:  # an empty period has no lines to copy, as the last piece's
+                fh.writelines(_copy_lines(period, *copies))

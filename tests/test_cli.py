@@ -80,6 +80,38 @@ def test_validate_malformed_xml(workdir, capsys):
     assert "XML_SYNTAX" in capsys.readouterr().out
 
 
+COOKBOOK_SYSTEM = (SCENARIO_DIR / "cookbook.xml").read_text(encoding="utf-8")
+PARTITIONS = COOKBOOK_SYSTEM[COOKBOOK_SYSTEM.index("    <Partition "):
+                             COOKBOOK_SYSTEM.index("  </PartitionTable>")]
+CHANNEL = """    <QueuingChannel maxMessageSize="64" maxNoMessages="16">
+      <Source partition="0" port="{}"/>
+      <Destination partition="1" port="{}"/>
+    </QueuingChannel>
+"""
+
+
+@pytest.mark.parametrize("old, new, finding", [
+    ('duration="400us"/>\n    <Slot id="1"', 'duration="0us"/>\n    <Slot id="1"',
+     "ERROR SLOT_EMPTY Slot 0 slot duration must be positive"),
+    ('<Slot id="1"', '<Slot id="0"', "ERROR DUPLICATE_SLOT Slot 0 slot id is not unique"),
+    (PARTITIONS, "", "ERROR NO_PARTITIONS PartitionTable at least one partition is required"),
+    ('<Slot id="1" partition="1"', '<Slot id="1" partition="7"',
+     "ERROR UNKNOWN_PARTITION Slot 1 references missing partition 7"),
+    ("  </Channels>", CHANNEL.format("out", "in2") + "  </Channels>",
+     "ERROR DUPLICATE_PORT Channel 1 source port (0, 'out') already bound by Channel 0"),
+    ("  </Channels>", CHANNEL.format("out2", "in") + "  </Channels>",
+     "ERROR DUPLICATE_PORT Channel 1 destination port (1, 'in') already bound by Channel 0"),
+], ids=["SLOT_EMPTY", "DUPLICATE_SLOT", "NO_PARTITIONS", "UNKNOWN_PARTITION",
+        "DUPLICATE_PORT_source", "DUPLICATE_PORT_destination"])
+def test_validate_reports_each_finding_where_it_is(old, new, finding, workdir, capsys):
+    """One edit of the shipped cookbook system makes ``validate`` report
+    the finding, located, and exit 1."""
+    assert COOKBOOK_SYSTEM.count(old) == 1
+    path = write(workdir / "bad.xml", COOKBOOK_SYSTEM.replace(old, new))
+    assert main(["validate", path]) == 1
+    assert finding in capsys.readouterr().out.splitlines()
+
+
 def test_run_cookbook(workdir, capsys):
     scn = write(workdir / "cb.scn", make_cookbook_scenario(repetitions=100))
     assert main(["run", scn, "--out", "cb.csv", "--trace", "cb.trace"]) == 0
