@@ -588,6 +588,15 @@ def run_scenario(
 def _run_partitioned(
     sc: Scenario, *, until: Duration | None, frames: int | None
 ) -> RunResult:
+    """One condition per measured payload, from one simulation per
+    distinct copy cost ``system.copy_cost.of(payload)``: the first payload
+    of each cost is simulated and the others reuse its measurement and
+    halted flag.  That is exact because a payload reaches the engine only
+    through that cost and the ``maxMessageSize`` check of a ``$payload``
+    send, which ``validate_scenario`` makes every own-port send pass
+    (``SCRIPT_SIZE``; a send on another partition's port is NOT_OWNER
+    before the check).  Only the size cells of the trace differ, and the
+    run's trace is the first payload's."""
     system = sc.system
     assert system is not None
     frame = system.plan.major_frame
@@ -603,23 +612,27 @@ def _run_partitioned(
     conditions: list[Condition] = []
     first_trace: trace_mod.PeriodicTrace | None = None
     halted = False
+    runs: dict[Duration, tuple] = {}  # copy cost -> (measurement, halted) of its first payload
     for payload in sc.payload_sizes:
-        sim = SimState(
-            system,
-            scripts={pid: s.bind_payload(payload) for pid, s in sc.scripts.items()},
-            health_table=sc.health_table,
-            api_call_cost=sc.api_call_cost,
-        )
-        sim.boot()
-        sim.run_until(bound)
-        if first_trace is None:
-            first_trace = sim.trace
-        halted = halted or sim.halted
+        cost = system.copy_cost.of(payload)
+        if cost not in runs:
+            sim = SimState(
+                system,
+                scripts={pid: s.bind_payload(payload) for pid, s in sc.scripts.items()},
+                health_table=sc.health_table,
+                api_call_cost=sc.api_call_cost,
+            )
+            sim.boot()
+            sim.run_until(bound)
+            if first_trace is None:
+                first_trace = sim.trace
+            runs[cost] = _measure(sim.trace, system) if measuring else None, sim.halted
+        measured, sim_halted = runs[cost]
+        halted = halted or sim_halted
         if not measuring:
             continue
-        measured = _measure(sim.trace, system)
         if measured is None:
-            if explicit_bound or sim.halted:
+            if explicit_bound or sim_halted:
                 continue  # caller asked for a bounded/aborted run
             raise MeasurementError(
                 f"{sc.name}: no tx/rx mark pair observed within {bound} ns"

@@ -3,15 +3,17 @@ table that ``partsim run`` and ``partsim report`` print.
 
 Results are kept per condition, one (scenario label, mode, payload)
 group, and never as one object per row.  Partitioned runs draw no
-randomness, so each payload is simulated once, measuring the latency
-between the producer's ``tx`` mark and the consumer's ``rx`` mark (the
-first one that follows a successful receive) and the scheduled transition
-gap between the two slots; the condition keeps that one measurement, which
-is written as one row per repetition.  Broker runs evaluate the
-transmission time under both load profiles per repetition, and the row
-records the stressed-minus-relaxed delay; the worker that draws a range
-of rows renders them at once with ``broker_rows``, so the condition keeps
-its rows' CSV bytes and their delays, not the times.  With more than one
+randomness, so each distinct copy cost is simulated once, measuring the
+latency between the producer's ``tx`` mark and the consumer's ``rx`` mark
+(the first one that follows a successful receive) and the scheduled
+transition gap between the two slots; the condition of each payload of
+that cost keeps that one measurement, which is written as one row per
+repetition and summarized as its one latency, counted once per
+repetition.  Broker runs evaluate the transmission time under both load
+profiles per repetition, and the row records the stressed-minus-relaxed
+delay; the worker that draws a range of rows renders them at once with
+``broker_rows``, so the condition keeps its rows' CSV bytes and their
+delays, not the times.  With more than one
 load pair, each row's scenario is labelled ``<name>/<k>`` (``k`` the
 0-based pair index) so every condition is summarized on its own.
 ``read_csv`` keeps of each condition only what ``summarize`` reads: its
@@ -65,7 +67,8 @@ class Condition(NamedTuple):
     """One (scenario label, mode, payload) condition of a run, as its CSV
     rows and its summary are made from it: a partitioned condition's one
     ``(t_send, t_recv, gap)`` measurement, written as ``repetitions``
-    equal rows, or a broker condition's ``rows``, the blocks of CSV bytes
+    equal rows and summarized as one latency with a count of
+    ``repetitions``, or a broker condition's ``rows``, the blocks of CSV bytes
     that ``broker_rows`` rendered, in row order, and its ``delays``, the
     tx_delay cells of those rows, each worker's share sorted."""
 
@@ -80,7 +83,10 @@ class Condition(NamedTuple):
     def summary(self) -> SummaryStats:
         if self.delays is None:
             t_send, t_recv, gap = self.measurement
-            return summarize("latency", [t_recv - t_send] * self.repetitions, gap)
+            # the statistics of n equal values are those of one, counted n
+            # times; a slice of no values still raises EmptyResult
+            latency = [t_recv - t_send][:self.repetitions]
+            return summarize("latency", latency, gap)._replace(count=self.repetitions)
         return summarize("tx_delay", self.delays)
 
 

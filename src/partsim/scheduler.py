@@ -90,7 +90,8 @@ class SimState:
     """Single-owner simulation state; all mutation goes through boot/run_until.
 
     Distinct SimStates are independent and may run concurrently (one per
-    payload of a partitioned scenario; its repetitions share it).
+    distinct copy cost of a partitioned scenario's payloads; the payloads
+    of that cost and all their repetitions share it).
     """
 
     def __init__(
@@ -301,10 +302,9 @@ class SimState:
         self._dispatch_from(pid, self.now)
 
     def _dispatch_from(self, pid: int, t: Duration) -> None:
-        active = self._active
-        if active is None or active[0] != pid:
-            return
-        slot_end = active[1]
+        # pid's slot is the active one: a slot start has just set it, or an
+        # app action runs, and every action is due before its slot's end
+        slot_end = self._active[1]
         plan = workload_mod.plan_until_next_action(
             self.scripts[pid], self.cursors[pid], t, slot_end
         )
@@ -319,8 +319,9 @@ class SimState:
     def _on_app_action(self, pid: int, payload: tuple[int, int]) -> None:
         epoch, index = payload
         if epoch != self._epoch[pid]:
-            return  # cancelled by a suspend/halt after scheduling
-        if self.partition_states[pid] is not PartitionState.NORMAL:
+            # cancelled by a suspend/halt after scheduling; leaving NORMAL
+            # always moves the epoch, so an action of the current one runs
+            # in a NORMAL partition
             return
         now = self.now
         self.record_event(now, "APP_ACTION", pid)

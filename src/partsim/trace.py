@@ -26,7 +26,7 @@ one and an int in the other.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -182,14 +182,31 @@ def format_trace(records: Iterable[TraceRecord]) -> str:
     return "".join([r.line() + "\n" for r in records])
 
 
+# each record type's line as a ``%`` format of its fields in order; an
+# HmRecord's line is not one (its detail's "," is written as ";")
+_FORMATS = {EventRecord: "%s,%s,%s,%s\n", PortOpRecord: "%s,PORT_OP,%s,%s,%s,%s,%s\n",
+            MarkRecord: "%s,MARK,%s,%s\n", StateRecord: "%s,STATE,%s,%s,%s\n"}
+
+
+def _chunk_text(records: list[TraceRecord]) -> bytes:
+    """The lines of ``records``, formatted by one ``%`` over a template
+    joined from each record's format and filled from all their fields.  An
+    HmRecord's format is its line as text (``%`` escaped), and a ``%.0s``
+    for each of its fields takes the field and writes nothing."""
+    template = "".join([
+        _FORMATS.get(type(r)) or r.line().replace("%", "%%") + "\n" + "%.0s" * len(r)
+        for r in records])
+    return (template % tuple(chain.from_iterable(records))).encode("ascii")
+
+
 def write_trace(trace: PeriodicTrace, path: str) -> None:
     """Write every record as ASCII bytes: built records ``WRITE_CHUNK`` at
-    a time, and each repeated period formatted once, as ``_copy_lines``
-    describes."""
+    a time, each chunk by ``_chunk_text``, and each repeated period
+    formatted once, as ``_copy_lines`` describes."""
     built = trace.built
     with open(path, "wb") as fh:
         for first, end, period, copies in trace.pieces():
             for chunk in range(first, end, WRITE_CHUNK):
-                fh.write(format_trace(built[chunk:min(chunk + WRITE_CHUNK, end)]).encode("ascii"))
+                fh.write(_chunk_text(built[chunk:min(chunk + WRITE_CHUNK, end)]))
             if period:  # an empty period has no lines to copy, as the last piece's
                 fh.writelines(_copy_lines(period, *copies))

@@ -27,6 +27,11 @@ conditions from it.
 ``measure`` scans every record of a run's trace, each copy of a repeated
 period built as it is read; ``partsim.harness._measure`` reads one copy of
 each repeated period and must return what it returns.
+
+``partitioned_run`` runs a parsed partitioned scenario with one
+``SimState`` for each payload, measured by ``measure``;
+``partsim.harness.run_scenario`` simulates one payload per distinct copy
+cost and must give the same conditions, halted flag and trace.
 """
 
 import re
@@ -34,9 +39,12 @@ from typing import NamedTuple
 
 from partsim import trace as trace_mod
 from partsim.channels import PortTable
+from partsim.harness import MeasurementError
 from partsim.middleware import repetition_rng, tx_time
 from partsim.results import (
     _INT, _MODES, _RATIO, CSV_HEADER, CsvError, Mode, ReadCondition, _bad_line)
+from partsim.scheduler import SimState
+from partsim.workload import Mark
 
 
 class SamplingModel:
@@ -289,3 +297,34 @@ def measure(records, system):
     src = plan.slot_at(send_partition, t_send)
     dst = plan.slot_at(delivery_partition, delivery_time)
     return t_send, t_recv, None if src is None or dst is None or src == dst else plan.gap(src, dst)
+
+
+def partitioned_run(sc, until=None, frames=None):
+    """``(conditions, trace, halted)`` of a parsed partitioned scenario:
+    one fresh ``SimState`` per payload, each run to the bound (``until``,
+    else ``frames`` or ``max_frames`` major frames), and one
+    ``RowCondition`` for each payload whose ``tx`` and ``rx`` marks pair;
+    the trace is the first payload's, and the run is halted when any
+    payload's is.  When the scripts mark both ``tx`` and ``rx``, a payload
+    that pairs none is skipped under an explicit bound or a halt, and is a
+    MeasurementError otherwise."""
+    system = sc.system
+    bound = until if until is not None else (frames or sc.max_frames) * system.plan.major_frame
+    labels = {a.label for s in sc.scripts.values() for a in s.actions if type(a) is Mark}
+    conditions, first, halted = [], None, False
+    for payload in sc.payload_sizes:
+        sim = SimState(system, {pid: s.bind_payload(payload) for pid, s in sc.scripts.items()},
+                       sc.health_table, sc.api_call_cost)
+        sim.boot()
+        sim.run_until(bound)
+        first = sim.trace if first is None else first
+        halted = halted or sim.halted
+        if not {"tx", "rx"} <= labels:
+            continue
+        measured = measure(sim.trace, system)
+        if measured is not None:
+            conditions.append(RowCondition(sc.name, Mode.PARTITIONED, payload, sc.repetitions,
+                                           measurement=measured))
+        elif until is None and frames is None and not sim.halted:
+            raise MeasurementError(f"{sc.name}: no tx/rx mark pair observed within {bound} ns")
+    return conditions, first, halted

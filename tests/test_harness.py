@@ -464,7 +464,19 @@ def test_long_run_builds_few_of_the_records_it_writes(tmp_path):
     assert len(result.trace.built) * 20 < lines == result.trace.record_count()
 
 
-def test_sweep_builds_one_simulation_per_payload(monkeypatch):
+SWEEP_TEXT = (SCENARIO_DIR / "sweep.scn").read_text(encoding="utf-8")
+# each copy cost of 1, 1,000 and 50,000 ns fits the 100 us gap, so every
+# payload is measured; at the shipped 6 MB no rx is ever observed
+PRICED_SWEEP_TEXT = SWEEP_TEXT.replace('copyCostPerByte="0ns"', 'copyCostPerByte="1ns"').replace(
+    "payload_sizes = 1,1000000,6000000", "payload_sizes = 1,1000,50000")
+
+
+@pytest.mark.parametrize("text, sims", [(SWEEP_TEXT, 1), (PRICED_SWEEP_TEXT, 3)],
+                         ids=["shipped", "priced"])
+def test_sweep_builds_one_simulation_per_copy_cost(monkeypatch, text, sims):
+    """Payloads of one copy cost share a simulation: the shipped sweep
+    (copyCostPerByte 0) builds one for its three payloads, and the same
+    sweep priced at 1 ns a byte builds one per payload."""
     built = []
 
     class CountingSimState(SimState):
@@ -473,10 +485,15 @@ def test_sweep_builds_one_simulation_per_payload(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(harness, "SimState", CountingSimState)
-    sc = load_scenario(SCENARIO_DIR / "sweep.scn")
+    sc = parse_scenario(text)
     result = run_scenario(sc)
-    assert len(built) == len(sc.payload_sizes) == 3
-    assert len(result) == len(csv_rows(result)) == len(sc.payload_sizes) * sc.repetitions
+    costs = {sc.system.copy_cost.of(p) for p in sc.payload_sizes}
+    assert len(built) == len(costs) == sims
+    assert [c.payload_bytes for c in result.conditions] == list(sc.payload_sizes)
+    rows = sum(c.repetitions for c in result.conditions)
+    assert rows == len(csv_rows(result)) == len(sc.payload_sizes) * sc.repetitions
+    latencies = [c.measurement[1] - c.measurement[0] for c in result.conditions]
+    assert latencies == [400_000 + sc.system.copy_cost.of(p) for p in sc.payload_sizes]
 
 
 def test_broker_seed_changes_jittered_rows():
@@ -521,6 +538,37 @@ def test_summarize_ratio_example():
 def test_summarize_empty():
     with pytest.raises(EmptyResult):
         summarize("latency", [])
+
+
+@pytest.mark.parametrize("measurement", [(0, 300_000, 100_000), (7, 8, None), (5, 5, 0)])
+@pytest.mark.parametrize("repetitions", [1, 2, 3, 99, 100, 101, 1_000])
+def test_partitioned_summary_is_that_of_its_rows(measurement, repetitions):
+    """A partitioned condition summarizes as its ``repetitions`` equal
+    latencies would, listed one by one."""
+    c = Condition("c", Mode.PARTITIONED, 64, repetitions, measurement)
+    t_send, t_recv, gap = measurement
+    assert c.summary() == summarize("latency", [t_recv - t_send] * repetitions, gap)
+
+
+@pytest.mark.parametrize("repetitions", [0, -1])
+def test_partitioned_summary_of_no_rows_is_empty(repetitions):
+    with pytest.raises(EmptyResult):
+        Condition("c", Mode.PARTITIONED, 64, repetitions, (0, 1, None)).summary()
+
+
+def test_partitioned_summary_does_not_grow_with_the_rows():
+    """A condition of ``MAX_ROWS`` repetitions summarizes its one latency:
+    the peak stays under 4 KiB, where a list of its rows would take 8 MB."""
+    c = Condition("c", Mode.PARTITIONED, 64, harness.MAX_ROWS, (1_000, 301_000, 100_000))
+    tracemalloc.start()
+    try:
+        stats = c.summary()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.count == harness.MAX_ROWS
+    assert stats.mean == stats.minimum == stats.p50 == stats.p99 == stats.maximum == 300_000
+    assert peak < 4_096
 
 
 # -- CSV ----------------------------------------------------------------------
