@@ -7,6 +7,18 @@ files.  ``PARTSIM_SEED`` is the fallback when --seed is not given; a bad
 flag or ``PARTSIM_SEED`` is one stderr line ``error: <flag or variable>:
 <message>``.  All output is deterministic for fixed inputs and seed.
 
+The command line is read from one table, ``_COMMANDS``, by argparse's
+rules.  The command comes first; its flags and positionals follow in
+any order, a flag as ``--flag value`` or ``--flag=value``, and the last
+of a repeated flag wins.  ``--`` ends the flags.  A flag value may be
+``-`` or a negative number.  ``-h``/``--help`` prints the help and exits
+0.  A flag must be written in full: an abbreviation such as ``--fr``, or
+a flag before the command, is an unrecognized argument.  A usage error
+exits 1 with a usage line and ``<prog>: error: <message>`` on stderr,
+e.g. ``partsim: error: unrecognized arguments: --bogus`` or ``partsim
+report: error: the following arguments are required: csv_paths``; a bad
+flag value is found later, e.g. ``error: --frames: bad integer 'abc'``.
+
 Each subcommand imports the partsim modules it needs when it runs, so
 ``validate`` loads only ``config`` and ``units``, not the engine, and
 ``report`` loads only ``results``.
@@ -14,50 +26,17 @@ Each subcommand imports the partsim modules it needs when it runs, so
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import os
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_RUNTIME = 2
 EXIT_IO = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # exit 1, not 2; the subparsers inherit it
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_FINDINGS, f"{self.prog}: error: {message}\n")
-
-
-@functools.cache  # one parser per process; parse_args keeps no state between calls
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="partsim",
-        description="Deterministic partitioned-system simulator and pub/sub delay harness",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", help="check a system description document")
-    p_validate.add_argument("config_path")
-
-    p_run = sub.add_parser("run", help="run a scenario and export its CSV")
-    p_run.add_argument("scenario_path")
-    p_run.add_argument("--out", help="CSV output path (default: <scenario name>.csv)")
-    bound = p_run.add_mutually_exclusive_group()
-    bound.add_argument("--frames", help="run each repetition for N major frames")
-    bound.add_argument("--until", help="run each repetition until this duration, e.g. 10ms")
-    p_run.add_argument("--seed", help="override the scenario seed")
-    p_run.add_argument("--trace", help="write the first repetition's trace to this path "
-                       "(partitioned scenarios only)")
-
-    p_report = sub.add_parser("report", help="summarize one or more result CSVs")
-    p_report.add_argument("csv_paths", nargs="+")
-    return parser
-
 
 def _cmd_validate(args) -> int:
     from . import config as config_mod
@@ -191,13 +170,80 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+# command: (its function, help, positional, whether the positional takes one
+# or more values, {flag: its value}); each flag takes one value, and every
+# command also has -h/--help
+_COMMANDS = {
+    "validate": (_cmd_validate, "check a system description document", "config_path", False, {}),
+    "run": (_cmd_run, "run a scenario and export its CSV", "scenario_path", False,
+            {"--out": "CSV", "--frames": "N", "--until": "DUR", "--seed": "N", "--trace": "PATH"}),
+    "report": (_cmd_report, "summarize one or more result CSVs", "csv_paths", True, {}),
+}
+_EXCLUDES = {"--frames": "--until", "--until": "--frames"}  # at most one of the two
+_HELP = ("-h", "--help")
+
+
+def _exit(command: str | None, error: str = ""):
+    """Exit 0 after the help of ``partsim <command>`` (of ``partsim`` when
+    ``command`` is None), or exit 1 after its usage line and ``error``."""
+    prog = f"partsim {command}" if command else "partsim"
+    _, about, positional, many, flags = _COMMANDS.get(command) or (
+        None, "\n".join(f"  {name:<10}{entry[1]}" for name, entry in _COMMANDS.items()),
+        "{%s} ..." % ",".join(_COMMANDS), False, {})
+    print(" ".join([f"usage: {prog} [-h]", *(f"[{flag} {value}]" for flag, value in flags.items()),
+                    positional, *[f"[{positional} ...]"] * many]),
+          f"{prog}: error: {error}" if error else about,
+          sep="\n", file=sys.stderr if error else sys.stdout)
+    raise SystemExit(EXIT_FINDINGS if error else EXIT_OK)
+
+
+def _is_flag(token: str, flags) -> bool:
+    """Whether argparse reads ``token`` as a flag, known or not: ``-``, a
+    negative number and a word with a space are values."""
+    return token[:1] == "-" and token != "-" and (token.partition("=")[0] in flags or
+                                                  not re.search(r"^-\d+$|^-\d*\.\d+$| ", token))
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The namespace ``main`` reads: ``command``, the command's positional
+    and, for ``run``, each flag's value or None."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        _exit(None, "" if command in _HELP else
+              "the following arguments are required: command" if command is None else
+              f"unrecognized arguments: {command}" if command[:1] == "-" else
+              f"argument command: invalid choice: {command!r} "
+              f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    _, _, positional, many, flags = _COMMANDS[command]
+    values, words, extra, ended = dict.fromkeys(flags), [], [], False
+    for token in (tokens := iter(argv[1:])):
+        flag, eq, value = token.partition("=")
+        if token == "--" and not ended:
+            ended = True
+        elif token in _HELP and not ended:
+            _exit(command)
+        elif flag not in flags or ended:  # a word, or an unknown flag
+            (words if (ended or not _is_flag(token, flags)) and (many or not words)
+             else extra).append(token)
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or _is_flag(value, flags):  # "--" too: it ends the flags
+                    _exit(command, f"argument {flag}: expected one argument")
+            if values.get(_EXCLUDES.get(flag)) is not None:
+                _exit(command, f"argument {flag}: not allowed with argument {_EXCLUDES[flag]}")
+            values[flag] = value
+    if not words:
+        _exit(command, f"the following arguments are required: {positional}")
+    if extra:
+        _exit(None, f"unrecognized arguments: {' '.join(extra)}")
+    return SimpleNamespace(command=command, **{positional: words if many else words[0]},
+                           **{flag[2:]: value for flag, value in values.items()})
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_report(args)
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    return _COMMANDS[args.command][0](args)
 
 
 if __name__ == "__main__":

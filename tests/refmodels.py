@@ -32,9 +32,15 @@ each repeated period and must return what it returns.
 ``SimState`` for each payload, measured by ``measure``;
 ``partsim.harness.run_scenario`` simulates one payload per distinct copy
 cost and must give the same conditions, halted flag and trace.
+
+``argparse_parser`` reads the ``partsim`` command line with ``argparse``;
+``partsim.cli`` reads it from one table and must accept the same argv
+into the same namespace, and exit with the same code otherwise.
 """
 
+import argparse
 import re
+import sys
 from typing import NamedTuple
 
 from partsim import trace as trace_mod
@@ -328,3 +334,36 @@ def partitioned_run(sc, until=None, frames=None):
         elif until is None and frames is None and not sim.halted:
             raise MeasurementError(f"{sc.name}: no tx/rx mark pair observed within {bound} ns")
     return conditions, first, halted
+
+
+class _ArgparseParser(argparse.ArgumentParser):
+    def error(self, message: str):  # exit 1, not 2; the subparsers inherit it
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The ``partsim`` command line as ``argparse`` reads it, with
+    abbreviated flags refused: a usage error exits 1 after
+    ``<prog>: error: <message>`` on stderr, ``-h`` exits 0."""
+    parser = _ArgparseParser(
+        prog="partsim", allow_abbrev=False,
+        description="Deterministic partitioned-system simulator and pub/sub delay harness",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_validate = sub.add_parser("validate", allow_abbrev=False)
+    p_validate.add_argument("config_path")
+
+    p_run = sub.add_parser("run", allow_abbrev=False)
+    p_run.add_argument("scenario_path")
+    p_run.add_argument("--out")
+    bound = p_run.add_mutually_exclusive_group()
+    bound.add_argument("--frames")
+    bound.add_argument("--until")
+    p_run.add_argument("--seed")
+    p_run.add_argument("--trace")
+
+    p_report = sub.add_parser("report", allow_abbrev=False)
+    p_report.add_argument("csv_paths", nargs="+")
+    return parser

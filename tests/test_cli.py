@@ -17,8 +17,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from partsim import cli
 from partsim.cli import main
 from partsim.health import DEFAULT_ACTIONS, HealthAction, HmKind
 from partsim.middleware import BrokerTopology, LinkModel, LoadProfile, repetition_rng, tx_time
@@ -32,6 +33,7 @@ from conftest import (
     make_cookbook_scenario,
     parse_rows,
 )
+from refmodels import argparse_parser
 
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 OVERLAPPING = COOKBOOK_XML.replace('start="500us"', 'start="300us"')
@@ -211,6 +213,88 @@ def test_flag_errors_exit_1(workdir, capsys, flags, code, named):
     assert not (workdir / "cookbook.csv").exists()
 
 
+ARGPARSE = argparse_parser()
+RUN_FLAGS = ("--out", "--frames", "--until", "--seed", "--trace")
+# values argparse reads apart from flags: "-", negative numbers, "" and
+# words with a space
+VALUES = ("-", "-1", "-1ms", "-.5", "", "-x y", "--", "-h", "--frames", "x", "3")
+# -h and --help are drawn bare: argparse refuses "-hx", "-h=x", "--help=x"
+# and "-h x" as an "ignored explicit argument", where partsim reads an
+# unknown flag or, with the space, a word (see CHANGES.md)
+FLAG_IS_VALUE = tuple(f"{flag}={value}" for flag in RUN_FLAGS for value in VALUES)
+TOKENS = RUN_FLAGS + VALUES + ("--help", "--bogus", "--fr", "-x", "a.scn")
+# argv after the command is made of these words: a flag and its value, a
+# flag written with its value, one token, and "--" with the token after it
+WORDS = st.one_of(
+    st.sampled_from([(flag, value) for flag in RUN_FLAGS for value in VALUES + FLAG_IS_VALUE]),
+    st.sampled_from([(token,) for token in FLAG_IS_VALUE + TOKENS]),
+    st.sampled_from([("--", token) for token in RUN_FLAGS + VALUES]),
+)
+ARGV_TAILS = st.lists(WORDS, max_size=7).map(lambda words: [t for word in words for t in word][:7])
+REFUSAL = re.compile(
+    r"partsim(?: \w+)?: error: (?:argument (?P<flag>--\w+): (?:expected one argument"
+    r"|not allowed with argument (?P<other>--\w+))"
+    r"|unrecognized arguments: (?P<extra>.*)"
+    r"|the following arguments are required: (?P<missing>\w+)"
+    r"|argument command: invalid choice: (?P<choice>.*)"
+    r" \(choose from 'validate', 'run', 'report'\))")
+
+
+def _parsed(parse, argv: list[str]) -> tuple:
+    """``(exit code, namespace, last stderr line)`` of one parse; an
+    accepted argv has the exit code None."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return None, vars(parse(argv)), ""
+        except SystemExit as exc:
+            return exc.code, None, err.getvalue().splitlines()[-1] if exc.code else ""
+
+
+@settings(deadline=None, max_examples=200)
+@example("run", ["a.scn", "--frames=1", "--until", "-1"])
+@example("run", ["a.scn", "--out", "--trace=-x y"])
+@example("run", ["--seed", "-.5", "-.5"])
+@given(st.just("run") | st.sampled_from(("validate", "report", "bogus")), ARGV_TAILS)
+def test_the_command_line_is_read_as_argparse_reads_it(command, tokens):
+    """``partsim`` and the argparse reference accept the same argv into
+    the same namespace, or exit with the same code; a refusal's last line
+    names a token of argv or the argument that is missing."""
+    argv = [command, *tokens]
+    ours, theirs = _parsed(cli._parse, argv), _parsed(ARGPARSE.parse_args, argv)
+    # two kept differences (see CHANGES.md): argparse drops an explicit "--"
+    # value ("--seed=--" gives the seed []), and it refuses a "--" that comes
+    # after the positional and a flag ("run a --seed 1 --") as unrecognized
+    if any(f"{flag}=--" in tokens for flag in RUN_FLAGS) or (
+            ours[0] is None and theirs[2] == "partsim: error: unrecognized arguments: --"):
+        return
+    assert ours[:2] == theirs[:2]
+    if ours[0] == 1:
+        # the same line, but argparse may also list a "--", or the later
+        # paths of a report, as unrecognized arguments
+        assert ours[2].partition("arguments: ")[0] == theirs[2].partition("arguments: ")[0]
+        refusal = REFUSAL.fullmatch(ours[2])
+        named = {token.partition("=")[0] for token in argv}
+        words = {word for token in argv for word in token.split(" ")}
+        assert refusal, ours[2]
+        assert (refusal["flag"] in named and refusal["other"] in {None, *named}
+                or refusal["extra"] is not None and set(refusal["extra"].split(" ")) <= words
+                or refusal["missing"] == {"validate": "config_path", "run": "scenario_path",
+                                          "report": "csv_paths"}.get(command)
+                or refusal["choice"] == repr(command)), ours[2]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["validate", "-h"], ["run", "-h"],
+                                  ["report", "--help"]])
+def test_help_exits_0_and_names_every_command_and_flag(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    entry = cli._COMMANDS.get(argv[0])
+    names = [entry[2], *entry[4]] if entry else list(cli._COMMANDS)
+    out = capsys.readouterr().out
+    assert done.value.code == 0 and all(name in out for name in names), out
+
+
 @pytest.mark.parametrize("flags, named", [
     pytest.param(("cb.scn", "--out", "cb.scn"), "--out: names the same file as the scenario",
                  id="out_is_scenario"),
@@ -310,12 +394,10 @@ def test_the_trace_limit_counts_every_record(workdir, capsys, monkeypatch):
     assert sorted(path.name for path in workdir.iterdir()) == ["o.csv", "t.trace"]
 
 
-def test_one_process_runs_calls_that_share_the_parser(workdir, capsys):
-    """``main`` builds its parser once per process, and no flag of one call
-    reaches the next: a run after a ``--frames 3`` run and a refused
-    ``--frames`` call stops at the scenario's ``max_frames``."""
-    from partsim import cli
-
+def test_no_flag_of_one_call_reaches_the_next(workdir, capsys):
+    """No flag of one ``main`` call reaches the next in one process: a run
+    after a ``--frames 3`` run and a refused ``--frames`` call stops at the
+    scenario's ``max_frames``."""
     scn = write(workdir / "cb.scn", make_cookbook_scenario(repetitions=1))
     with pytest.raises(SystemExit) as refused:
         main(["run", scn, "--frames", "1", "--until", "1ms"])
@@ -324,7 +406,6 @@ def test_one_process_runs_calls_that_share_the_parser(workdir, capsys):
     assert main(["run", scn, "--out", "m.csv", "--trace", "m.trace"]) == 0
     wraps = [(workdir / name).read_text().count(",FRAME_WRAP,") for name in ("f.trace", "m.trace")]
     assert wraps == [3, 2]  # make_cookbook_scenario sets max_frames = 2
-    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("value", ["x", "-1", "1_0", "+1", "٣"])

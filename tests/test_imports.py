@@ -88,6 +88,17 @@ def test_no_command_loads_dataclasses(tmp_path, command):
     assert not (loaded - modules_after("")) & {"dataclasses", "inspect"}
 
 
+@pytest.mark.parametrize("code", [
+    "import partsim.cli",
+    "from partsim import cli\nassert cli.main(['validate', 'scenarios/cookbook.xml']) == 0",
+    "from partsim import cli\nassert cli.main(['report', 'tests/golden/cookbook.csv']) == 0",
+], ids=["import", "validate", "report"])
+def test_the_cli_loads_no_argparse(code):
+    """``partsim.cli`` reads its command line from its own table: neither
+    the import nor a command loads ``argparse`` or ``gettext``."""
+    assert not modules_after(code) & {"argparse", "gettext"}
+
+
 def test_a_split_broker_run_loads_no_process_or_thread_pool(tmp_path):
     """A broker run large enough to fork its rows across two cores uses
     ``os.fork``, a pipe and ``marshal``: it loads no ``multiprocessing``,
