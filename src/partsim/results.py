@@ -19,8 +19,12 @@ load pair, each row's scenario is labelled ``<name>/<k>`` (``k`` the
 ``read_csv`` keeps of each condition only what ``summarize`` reads: its
 latency and tx_delay cells and its first non-zero gap.  It reads a CSV in
 bounded blocks of whole lines, checks each distinct digit-blind shape of
-a block's lines once, and takes the cells it keeps by column, so its
-memory grows with what it keeps, not with the file.
+a block's lines once, and takes the cells it keeps by column, split and
+converted as bytes, so its memory grows with what it keeps, not with the
+file.  A block whose key columns each hold one value is one run of one
+condition, found by count; only a block with a condition boundary inside
+it is grouped row by row.  A run's latency or tx_delay cells that are all
+one value, as a partitioned condition's are, are converted once.
 A row template holds a condition's shared cells once and a ``%d`` for
 each cell that changes from row to row; ``broker_rows`` and ``export_csv``
 fill it with one ``%`` for each block of ``WRITE_ROWS`` rows, so what
@@ -221,20 +225,22 @@ def export_csv(result, path: str | Path) -> None:
 
 
 # A result line is what ``export_csv`` writes: the scenario cell (ASCII but
-# ``,``; the file is read as latin-1, so a non-ASCII byte is a character over
-# \x7f), the mode, and the cells after it in column order, each one optional
-# (``|)``: an empty alternative matches faster than ``?``) where
-# ``export_csv`` may leave it empty.  ``_ROW`` admits a digit only through
-# ``[0-9]`` or the scenario cell's class, both of which take every digit, so
-# a line matches exactly when its shape does: the line with digits 1-9
-# turned into 0 by ``_SHAPE``.  Lines that differ only in their digits share
-# one shape, and ``read_csv`` checks each shape of a block once.
+# ``,``; the file is read as latin-1 and checked as the bytes it encodes
+# to, so a non-ASCII byte is one over \x7f), the mode, and the cells after
+# it in column order, each one optional (``|)``: an empty alternative
+# matches faster than ``?``) where ``export_csv`` may leave it empty.
+# ``_ROW`` admits a digit only through ``[0-9]`` or the scenario cell's
+# class, both of which take every digit, so a line matches exactly when its
+# shape does: the line with digits 1-9 turned into 0 by ``_SHAPE``.  Lines
+# that differ only in their digits share one shape, and ``read_csv`` checks
+# each shape of a block once.
 _INT, _RATIO = "-?[0-9]+", r"-?[0-9]+\.[0-9]+"
 _OPT = f"(?:{_INT}|)"
 _CELLS = (_INT, _INT, _OPT, _OPT, _OPT, _OPT, f"(?:{_RATIO}|)", _OPT, _OPT, _OPT)
-_ROW = re.compile(f"[^,\x80-\xff]*,(?:{'|'.join(sorted(_MODES))}),{','.join(_CELLS)}\n?")
+_ROW = re.compile(f"[^,\x80-\xff]*,(?:{'|'.join(sorted(_MODES))}),{','.join(_CELLS)}\n?"
+                  .encode("latin-1"))
 _SHAPE = bytes.maketrans(b"123456789", b"000000000")
-READ_CHUNK = 4096  # characters read_csv reads at once, then on to the end of the line
+READ_CHUNK = 8192  # characters read_csv reads at once, then on to the end of the line
 
 
 def _bad_line(path: str | Path, number: int, line: str) -> CsvError:
@@ -259,23 +265,24 @@ def _bad_line(path: str | Path, number: int, line: str) -> CsvError:
 
 def _checked_blocks(path: str | Path, fh: TextIO):
     """Each block of whole lines left in ``fh`` as ``(number of its first
-    line, its text)``, once ``_ROW`` has checked each distinct shape of its
-    lines; a CsvError naming the first line it refuses."""
+    line, its latin-1 bytes)``, once ``_ROW`` has checked each distinct
+    shape of its lines; a CsvError naming the first line it refuses."""
     match_row = _ROW.fullmatch
     number, block = 2, fh.read(READ_CHUNK)
     while block:
         more = len(block) == READ_CHUNK  # read() stops short only at the end
         if more and block[-1] != "\n":
             block += fh.readline()
+        data = block.encode("latin-1")
         # bytes.splitlines ends a line at \n and \r only, and newline
         # translation has left no \r
-        shapes = block.encode("latin-1").translate(_SHAPE).splitlines()
+        shapes = data.translate(_SHAPE).splitlines()
         for shape in set(shapes):
-            if match_row(shape.decode("latin-1")) is None:
-                for at, line in enumerate(block.split("\n"), number):
+            if match_row(shape) is None:
+                for at, line in enumerate(data.split(b"\n"), number):
                     if match_row(line) is None:
-                        raise _bad_line(path, at, line)
-        yield number, block
+                        raise _bad_line(path, at, line.decode("latin-1"))
+        yield number, data
         number += len(shapes)
         block = fh.read(READ_CHUNK) if more else ""
 
@@ -293,12 +300,18 @@ def read_csv(
     The file is read in blocks of whole lines, ``READ_CHUNK`` characters
     and the rest of the last line.  ``_ROW`` checks each distinct shape of
     a block's lines; a block with a refused shape is checked again line by
-    line, so the first bad line is the one named.  A checked block is split
-    at ``,`` and ``\n`` into 12 cells a line, so column ``k`` is every 12th
-    cell from the ``k``-th, and each run of rows of one condition is
-    converted and added at once.  A line ends at ``\n``, ``\r\n`` or
-    ``\r`` only, not at ``\x0b``, ``\x0c`` or ``\x1c``-``\x1e`` as in
-    ``str.splitlines``; a non-ASCII byte is an error of its line."""
+    line, so the first bad line is the one named.  A checked block is
+    encoded as latin-1 once, and its bytes are split at ``,`` and ``\n``
+    into 12 cells a line, so column ``k`` is every 12th cell from the
+    ``k``-th.  When the scenario, payload and mode columns each hold one
+    value, as ``list.count`` finds, the block is one run; otherwise
+    ``groupby`` finds its runs.  Each run of rows of one condition is
+    converted from bytes and added at once, its scenario and mode decoded
+    once, and its latency or tx_delay cells converted once when they are
+    all one value, as a partitioned condition's are.  A line ends at
+    ``\n``, ``\r\n`` or ``\r`` only, not at ``\x0b``, ``\x0c`` or
+    ``\x1c``-``\x1e`` as in ``str.splitlines``; a non-ASCII byte is an
+    error of its line."""
     if conditions is None:
         conditions = {}
     # latin-1 decodes every byte, so a non-ASCII one is found by its line
@@ -309,18 +322,26 @@ def read_csv(
         if header.rstrip("\n") != CSV_HEADER:
             raise CsvError(f"{path}: missing or wrong CSV header")
         for number, block in _checked_blocks(path, fh):
-            cells = block.replace("\n", ",").split(",")  # 12 a line
+            cells = block.replace(b"\n", b",").split(b",")  # 12 a line
+            n = len(cells) // 12  # a final \n adds one empty cell
+            scenarios, payloads, modes = cells[:12 * n:12], cells[3::12], cells[1::12]
             latencies, gaps, delays = cells[6::12], cells[7::12], cells[11::12]
+            if all(column.count(column[0]) == n for column in (scenarios, payloads, modes)):
+                runs = [((scenarios[0], payloads[0], modes[0]), n)]  # the whole block is one run
+            else:
+                runs = [(key, len(list(rows)))
+                        for key, rows in groupby(zip(scenarios, payloads, modes))]
             i = 0
-            for (scenario, payload, mode), run in groupby(
-                    zip(cells[::12], cells[3::12], cells[1::12])):
-                j = i + len(list(run))
-                key = scenario, int(payload), mode
+            for (scenario, payload, mode), length in runs:
+                j = i + length
+                key = scenario.decode("latin-1"), int(payload), mode.decode("latin-1")
                 entry = conditions.get(key)
                 if entry is None:
                     entry = conditions[key] = ReadCondition(f"{path}:{number + i}")
-                entry.latencies += map(int, filter(None, latencies[i:j]))
-                entry.delays += map(int, filter(None, delays[i:j]))
+                for kept, run in (entry.latencies, latencies[i:j]), (entry.delays, delays[i:j]):
+                    # a partitioned condition's rows repeat one measurement
+                    kept += ([int(run[0])] * length if run[0] and run.count(run[0]) == length
+                             else map(int, filter(None, run)))
                 if entry.gap is None:
                     entry.gap = next(filter(None, map(int, filter(None, gaps[i:j]))), None)
                 i = j

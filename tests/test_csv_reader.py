@@ -13,13 +13,14 @@ from partsim import results
 from partsim.results import CSV_HEADER, CsvError, read_csv
 
 # scenario cells as _ROW takes them: empty, with digits, a space, a slash,
-# and the separators that end a line for str.splitlines but not here
-LABELS = ("s", "", "bench/0", "p 9", "x\x0by", "t\x1c")
+# a %, and the separators that end a line for str.splitlines but not here
+LABELS = ("s", "", "bench/0", "p 9", "5% 1/2", "x\x0by", "t\x1c")
 PAYLOADS = ("1", "64", "064", "0", "-0", "1000000")  # 64 and 064 are one payload
 # each cell form that test_csv_read_errors_are_located names, by column
 BAD_CELLS = {1: ("brokr", ""), 2: ("x", ""), 3: ("", "1_0"), 8: ("0.6x", "4", ".5"),
              11: ("-2e2", "+2_00", " -200")}
 FAULTS = ("cell", "non-ascii", "blank", "join", "drop", "extra")
+RUNS = ("a block read as one run", "a block with a condition boundary inside it")
 
 
 def _int(rng, empty):
@@ -43,13 +44,15 @@ def _csv_file(conditions, runs, seed, faults, newline, final):
     """A result CSV as bytes, with its newline and the kinds of the faults
     placed: ``runs`` of rows of ``conditions`` (label, mode, payload, chance
     of an empty cell), then each fault (kind, where in the file as a share
-    of its lines, seed) in turn."""
+    of its lines, seed) in turn.  A partitioned condition's rows repeat one
+    measurement, as ``export_csv`` writes them."""
     rng = random.Random(seed)
     lines, reps = [], [0] * len(conditions)
     for index, length in runs:
         label, mode, payload, empty = conditions[index]
         for _ in range(length):
-            lines.append(_row(rng, label, mode, payload, reps[index], empty))
+            row_rng = random.Random(seed + index) if mode == "partitioned" else rng
+            lines.append(_row(row_rng, label, mode, payload, reps[index], empty))
             reps[index] += 1
     placed = []
     for kind, where, fseed in faults:
@@ -103,14 +106,32 @@ def csv_files(draw):
 
 
 # Files that reach every case the test requires, whatever examples
-# Hypothesis draws: a gapless condition between runs of one with gaps, and
-# each fault kind past the first block or in it, under each newline form.
+# Hypothesis draws: a gapless condition between runs of one with gaps, each
+# fault kind past the first block or in it, under each newline form, and a
+# first block of one condition followed by one where conditions of one label
+# change at the payload alone and at the mode alone.
 _TWO = [("bench/0", "broker", "64", 0.0), ("p 9", "partitioned", "1", 1.0)]
-EXAMPLES = [_csv_file(_TWO, [(0, 90), (1, 30), (0, 60)], 1, [], "\n", True)] + [
+_ONE_LABEL = [("5% 1/2", "broker", "64", 0.3), ("5% 1/2", "broker", "1", 0.3),
+              ("5% 1/2", "partitioned", "64", 0.3)]
+EXAMPLES = [_csv_file(_TWO, [(0, 90), (1, 30), (0, 60)], 1, [], "\n", True),
+            _csv_file(_ONE_LABEL, [(0, 150), (1, 5), (0, 20), (2, 5), (0, 20)], 2, [], "\n",
+                      True)] + [
     _csv_file(_TWO, [(0, 90), (1, 30), (0, 60)], k, [(kind, where, k)], newline, k % 2 == 0)
     for k, (kind, where, newline) in enumerate(
         (kind, where, newline) for kind in FAULTS
         for where, newline in ((0.0, "\r"), (0.8, "\n"), (0.9, "\r\n")))]
+
+
+def _blocks(path, chunk):
+    """The lines of each block that ``read_csv`` reads of ``path`` when
+    ``READ_CHUNK`` is ``chunk``: ``chunk`` characters and the rest of the
+    last line."""
+    with open(path, encoding="latin-1") as fh:
+        next(fh)
+        while block := fh.read(chunk):
+            if len(block) == chunk and block[-1] != "\n":
+                block += fh.readline()
+            yield block.rstrip("\n").split("\n")
 
 
 def _outcome(reader, path):
@@ -126,7 +147,10 @@ def test_block_reader_returns_what_the_line_reader_returns(tmp_path):
     """Over CSVs of several blocks, with runs that cross block ends, faults
     in any block and every newline form, the block reader returns the same
     conditions, or raises the same error, as the per-line reader: on the
-    fixed ``EXAMPLES``, then on Hypothesis's."""
+    fixed ``EXAMPLES``, then on Hypothesis's.  At a small chunk and at
+    ``READ_CHUNK``, some block must be one run of one condition and some
+    other block must hold a condition boundary; some condition's latency
+    cells must all be equal, as a partitioned condition's are."""
     path = tmp_path / "r.csv"
     seen = set()
 
@@ -149,24 +173,32 @@ def test_block_reader_returns_what_the_line_reader_returns(tmp_path):
             gaps = {gap is None for *_, gap in expected}
             if len(gaps) == 2:  # a condition's gap must not come from another's rows
                 seen.add("with and without a gap")
+            if any(len(set(latencies)) == 1 < len(latencies) for _, _, latencies, *_ in expected):
+                seen.add("equal latencies")
+            for lines in _blocks(path, chunk):
+                keys = {tuple(line.split(",")[k] for k in (0, 1, 3)) for line in lines}
+                seen.add((RUNS[len(keys) > 1], chunk))
 
     for csv in EXAMPLES:
         for chunk in (256, results.READ_CHUNK):
             check(csv, chunk)
     assert seen == {"\n", "\r\n", "\r", "error", "read", "several blocks",
-                    "error past the first block", "with and without a gap", *FAULTS}
+                    "error past the first block", "with and without a gap", "equal latencies",
+                    *FAULTS,
+                    *((runs, chunk) for runs in RUNS for chunk in (256, results.READ_CHUNK))}
     settings(deadline=None, max_examples=120, derandomize=True)(
         given(csv_files(), st.sampled_from((40, 97, 256, results.READ_CHUNK)))(check))()
 
 
-_DIGITS = str.maketrans("123456789", "000000000")
+_DIGITS = bytes.maketrans(b"123456789", b"000000000")
 _NUMBER = st.integers(-9999, 9999).map(str)
 
 
 @st.composite
 def near_rows(draw):
     r"""A line that ``_ROW`` takes, of which up to three characters are then
-    replaced by any of the CSV alphabet, ``\x0b``, ``\x80`` or ``\xff``."""
+    replaced by any of the CSV alphabet, ``\x0b``, ``\x80`` or ``\xff``, as
+    latin-1 bytes."""
     cells = [draw(st.text(alphabet="ab /0123456789", max_size=4)),
              draw(st.sampled_from(sorted(results._MODES))), draw(_NUMBER), draw(_NUMBER)]
     cells += [draw(st.one_of(st.just(""), _NUMBER)) for _ in range(4)]
@@ -176,7 +208,7 @@ def near_rows(draw):
     for _ in range(draw(st.integers(0, 3))):
         line[draw(st.integers(0, len(line) - 1))] = draw(st.sampled_from(
             "0123456789-.,abp \x0b\x80\xff"))
-    return "".join(line)
+    return "".join(line).encode("latin-1")
 
 
 def test_a_line_matches_exactly_when_its_shape_does():
