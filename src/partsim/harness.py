@@ -319,12 +319,12 @@ def _parse_health(fields: dict, where: str, _: str, lines: list[str]) -> None:
         except KeyError:
             raise ScenarioError(f"{where}: unknown event kind {parts[0]!r}") from None
         if len(parts) == 1:
-            table.set_default(kind, action)
+            table.defaults[kind] = action
             continue
         pid = _convert(f"{where} {key}", parse_integer, parts[1])
         if (kind, pid) in table.overrides:  # an earlier line's key, spelt otherwise
             raise ScenarioError(f"{where} {key}: duplicate key")
-        table.set_override(kind, pid, action)
+        table.overrides[kind, pid] = action
 
 
 _SCRIPT_MODES = {"once": ScriptMode.ONCE, "repeat": ScriptMode.REPEAT_EACH_SLOT}
@@ -690,8 +690,6 @@ def _split(work, rows: int, workers: int) -> list:
     ``[0, rows)``, in range order: the first here, each other in a forked
     child (see ``_fork``).  Every child is reaped before this returns or
     raises; on an error path the ones left are killed first."""
-    if workers == 1:
-        return [work(0, rows)]
     bounds = [rows * w // workers for w in range(workers + 1)]
     children = []  # (pid, read end, first, end) of each forked range, in order
     try:

@@ -4,13 +4,16 @@ The engine raises two kinds of anomaly with
 ``raise_event(state, kind, partition_id, detail)``: a slot overrun, when
 the planner finds a running COMPUTE truncated by its slot end (the detail
 is the overrun in ns), and a memory violation, when a port call names a
-port its partition does not own (the detail is ``"<op> <port>"``).  A
-scenario script raises both: ``harness.validate_scenario`` refuses only a
-port name that no channel has (``SCRIPT_PORT``), so a call on another
-partition's port runs, as it does through the ``SimState`` API, and meets
-this one policy.  A HealthTable maps (kind, partition) to the
-action the hypervisor applies; per-partition overrides fall back to a
-per-kind default, which starts as DEFAULT_ACTIONS for every kind.
+port its partition does not own (the detail is ``"<op> <port>"``).  The
+detail is a trace cell, and no trace cell holds ``,``, so ``raise_event``
+stores each ``,`` of a port name as ``;``.  A scenario script raises
+both: ``harness.validate_scenario`` refuses only a port name that no
+channel has (``SCRIPT_PORT``), so a call on another partition's port
+runs, as it does through the ``SimState`` API, and meets this one
+policy.  A HealthTable maps (kind, partition) to the action the
+hypervisor applies; per-partition overrides fall back to a per-kind
+default, which starts as DEFAULT_ACTIONS for every kind: write
+``table.defaults[kind]`` or ``table.overrides[kind, partition]`` to set one.
 """
 
 from __future__ import annotations
@@ -52,25 +55,21 @@ class HealthTable:
     def resolve(self, kind: HmKind, partition_id: int) -> HealthAction:
         return self.overrides.get((kind, partition_id), self.defaults[kind])
 
-    def set_default(self, kind: HmKind, action: HealthAction) -> None:
-        self.defaults[kind] = action
-
-    def set_override(self, kind: HmKind, partition_id: int, action: HealthAction) -> None:
-        self.overrides[(kind, partition_id)] = action
-
 
 def raise_event(state: SimState, kind: HmKind, partition_id: int, detail: str) -> None:
     """Record an anomaly of ``kind`` in ``partition_id`` at ``state.now``
     and apply its resolved action.
 
     The HM_EVENT line plus an HM resolution line addressed to the
-    partition go to the trace; the action then mutates at most that
-    partition (or ends the run for HALT_SYSTEM).
+    partition go to the trace, the latter with ``detail``'s ``,`` stored
+    as ``;``; the action then mutates at most that partition (or ends the
+    run for HALT_SYSTEM).
     """
     now = state.now
     action = state.health_table.resolve(kind, partition_id)
     state.record_event(now, "HM_EVENT", partition_id)
-    state.trace.append(trace.HmRecord(now, kind.value, partition_id, action.value, detail))
+    state.trace.append(trace.HmRecord(now, kind.value, partition_id, action.value,
+                                      detail.replace(",", ";")))
     if action is HealthAction.LOG:
         return
     if action is HealthAction.SUSPEND_PARTITION:

@@ -7,8 +7,10 @@ period as one template, filled once per copy.  A time's digits below the
 span's trailing zeros are the same in every copy and are part of the
 template; its high part and each event ``seq`` are fields.  Fields that
 start and step alike share one value, so a copy formats its few distinct
-values once, not one per field.  The line formats are part of the tool's
-contract and are pinned by golden tests:
+values once, not one per field.  ``_FORMATS`` states each record type's
+line as a ``%`` format of its fields, and is the only place that does.
+The line formats are part of the tool's contract and are pinned by golden
+tests:
 
 * scheduler events:      ``time_ns,KIND,partition,seq``
   (KIND is one of SLOT_START, SLOT_END, FRAME_WRAP, APP_ACTION, HM_EVENT;
@@ -18,6 +20,10 @@ contract and are pinned by golden tests:
 * partition transitions: ``time_ns,STATE,partition,old,new``
 * health resolutions:    ``time_ns,HM,kind,partition,action,detail``
 
+No cell holds ``,``: a mark label with one is refused, and
+``health.raise_event`` stores a violation's detail with ``;`` in its
+place, so every line is a plain ``%`` over its record's fields.
+
 Records are NamedTuples, and no two kinds compare equal: only EventRecord
 and StateRecord have as many fields, and their second field is a str in
 one and an int in the other.
@@ -25,7 +31,7 @@ one and an int in the other.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from itertools import chain, islice
 from operator import itemgetter
 from typing import NamedTuple
@@ -47,9 +53,6 @@ class EventRecord(NamedTuple):
     partition: int
     seq: int
 
-    def line(self) -> str:
-        return f"{self.time},{self.kind},{self.partition},{self.seq}"
-
 
 class PortOpRecord(NamedTuple):
     time: Duration
@@ -59,17 +62,11 @@ class PortOpRecord(NamedTuple):
     size: int
     result: str
 
-    def line(self) -> str:
-        return f"{self.time},PORT_OP,{self.op},{self.channel},{self.partition},{self.size},{self.result}"
-
 
 class MarkRecord(NamedTuple):
     time: Duration
     partition: int
     label: str
-
-    def line(self) -> str:
-        return f"{self.time},MARK,{self.partition},{self.label}"
 
 
 class StateRecord(NamedTuple):
@@ -78,23 +75,25 @@ class StateRecord(NamedTuple):
     old: str
     new: str
 
-    def line(self) -> str:
-        return f"{self.time},STATE,{self.partition},{self.old},{self.new}"
-
 
 class HmRecord(NamedTuple):
+    """A resolved health action.  Its detail, like a mark label, never
+    holds ``,``: ``health.raise_event``, its one maker in the engine,
+    stores a ``,`` as ``;``."""
+
     time: Duration
     kind: str
     partition: int
     action: str
     detail: str = ""
 
-    def line(self) -> str:
-        detail = self.detail.replace(",", ";")
-        return f"{self.time},HM,{self.kind},{self.partition},{self.action},{detail}"
-
 
 TraceRecord = EventRecord | PortOpRecord | MarkRecord | StateRecord | HmRecord
+
+# each record type's line as a ``%`` format of its fields in order
+_FORMATS = {EventRecord: "%s,%s,%s,%s\n", PortOpRecord: "%s,PORT_OP,%s,%s,%s,%s,%s\n",
+            MarkRecord: "%s,MARK,%s,%s\n", StateRecord: "%s,STATE,%s,%s,%s\n",
+            HmRecord: "%s,HM,%s,%s,%s,%s\n"}
 
 
 def _copies(period: list, periods: int, span: Duration, gain: dict) -> Iterator[TraceRecord]:
@@ -126,12 +125,13 @@ def _copy_lines(period: list, periods: int, span: Duration, gain: dict) -> Itera
         high, low = divmod(r.time, unit)
         fields.append(progressions.setdefault((high, span // unit), len(progressions)))
         # unit + low writes low with its leading zeros, and no digit when e is 0
-        part = "%s" + str(unit + low)[1:] + "," + r.line().partition(",")[2].replace("%", "%%")
+        rest = (_FORMATS[type(r)] % r).partition(",")[2].replace("%", "%%")
+        part = "%s" + str(unit + low)[1:] + "," + rest
         if type(r) is EventRecord:
-            part = part.rpartition(",")[0] + ",%s"
+            part = part.rpartition(",")[0] + ",%s\n"
             assert span > 0 and gain[r.partition] > 0  # a range's step: this event advances its seq
             fields.append(progressions.setdefault((r.seq, gain[r.partition]), len(progressions)))
-        parts.append(part + "\n")
+        parts.append(part)
     # each value's range iterator keeps its progression in C integers
     values = zip(*[iter(range(a + b, a + (periods + 1) * b, b)) for a, b in progressions])
     template = "".join(parts).encode("ascii")
@@ -178,24 +178,10 @@ class PeriodicTrace:
         return len(self.built) + sum((end - start) * n for start, end, n, *_ in self.repeats)
 
 
-def format_trace(records: Iterable[TraceRecord]) -> str:
-    return "".join([r.line() + "\n" for r in records])
-
-
-# each record type's line as a ``%`` format of its fields in order; an
-# HmRecord's line is not one (its detail's "," is written as ";")
-_FORMATS = {EventRecord: "%s,%s,%s,%s\n", PortOpRecord: "%s,PORT_OP,%s,%s,%s,%s,%s\n",
-            MarkRecord: "%s,MARK,%s,%s\n", StateRecord: "%s,STATE,%s,%s,%s\n"}
-
-
 def _chunk_text(records: list[TraceRecord]) -> bytes:
     """The lines of ``records``, formatted by one ``%`` over a template
-    joined from each record's format and filled from all their fields.  An
-    HmRecord's format is its line as text (``%`` escaped), and a ``%.0s``
-    for each of its fields takes the field and writes nothing."""
-    template = "".join([
-        _FORMATS.get(type(r)) or r.line().replace("%", "%%") + "\n" + "%.0s" * len(r)
-        for r in records])
+    joined from each record's format and filled from all their fields."""
+    template = "".join([_FORMATS[type(r)] for r in records])
     return (template % tuple(chain.from_iterable(records))).encode("ascii")
 
 

@@ -65,6 +65,19 @@ MUTANTS = (
     Mutant("zero-gap-kept", "src/partsim/results.py",
            "next(filter(None, map(int, filter(None, gaps[i:j]))), None)",
            "next(map(int, filter(None, gaps[i:j])), None)", READER_TESTS),
+    # a port operation's cells written out of place: a positional ``%``
+    # template fills size and result in field order, so it moves PORT_OP
+    Mutant("port-op-cells-out-of-place", "src/partsim/trace.py",
+           'PortOpRecord: "%s,PORT_OP,%s,%s,%s,%s,%s\\n"',
+           'PortOpRecord: "%s,%s,PORT_OP,%s,%s,%s,%s\\n"', ("tests/test_golden.py",)),
+    # a violation's detail stored with its ",", so its HM line has a cell too many
+    Mutant("hm-detail-keeps-comma", "src/partsim/health.py",
+           'detail.replace(",", ";")', "detail",
+           ("tests/test_cli.py::test_a_comma_in_a_violation_detail_is_stored_as_a_semicolon",)),
+    # a repeated period's event seq left as text, the same in every copy
+    Mutant("copied-seq-as-text", "src/partsim/trace.py",
+           "if type(r) is EventRecord:\n            part = ",
+           "if False:\n            part = ", ("tests/test_trace.py",)),
 )
 
 

@@ -24,6 +24,11 @@ README describes it, ``tx_time`` twice on the row's own generator;
 returns them, and ``broker_conditions`` gives a whole broker run's
 conditions from it.
 
+``format_trace`` writes a trace one record at a time, each line from its
+record's fields as the README's "Trace format" lists them;
+``partsim.trace.write_trace`` fills templates of many records at once
+and must write its bytes.
+
 ``measure`` scans every record of a run's trace, each copy of a repeated
 period built as it is read; ``partsim.harness._measure`` reads one copy of
 each repeated period and must return what it returns.
@@ -264,6 +269,22 @@ def broker_conditions(sc, seed=None):
             conditions.append(RowCondition(f"{sc.name}/{k}" if several else sc.name,
                                            Mode.BROKER, payload, reps, times=times))
     return conditions
+
+
+_LINES = {
+    trace_mod.EventRecord: lambda r: f"{r.time},{r.kind},{r.partition},{r.seq}",
+    trace_mod.PortOpRecord:
+        lambda r: f"{r.time},PORT_OP,{r.op},{r.channel},{r.partition},{r.size},{r.result}",
+    trace_mod.MarkRecord: lambda r: f"{r.time},MARK,{r.partition},{r.label}",
+    trace_mod.StateRecord: lambda r: f"{r.time},STATE,{r.partition},{r.old},{r.new}",
+    trace_mod.HmRecord:
+        lambda r: f"{r.time},HM,{r.kind},{r.partition},{r.action},{r.detail}",
+}
+
+
+def format_trace(records):
+    """The trace text of ``records``, one line per record."""
+    return "".join([_LINES[type(r)](r) + "\n" for r in records])
 
 
 def measure(records, system):

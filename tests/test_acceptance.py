@@ -21,11 +21,11 @@ from partsim.middleware import (
     tx_time,
 )
 from partsim.scheduler import PartitionState, SimState
-from partsim.trace import EventRecord, HmRecord, format_trace
+from partsim.trace import EventRecord, HmRecord
 from partsim.workload import ScriptMode, parse_script
 
 from conftest import SCENARIO_DIR, csv_rows, make_cookbook_scenario, partition_records
-from refmodels import run_queuing_sequence, run_sampling_sequence
+from refmodels import format_trace, run_queuing_sequence, run_sampling_sequence
 
 SAMPLING_XML = (
     '<SystemDescription majorFrame="1000us">'

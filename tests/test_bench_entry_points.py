@@ -13,6 +13,7 @@ import pytest
 from partsim import cli, trace as trace_mod
 
 from conftest import REPO_ROOT, SCENARIO_DIR
+from refmodels import format_trace
 
 
 def _load_bench(name):
@@ -78,5 +79,5 @@ def test_bench_ring_trace_file_is_its_records(seed, tmp_path, monkeypatch, capsy
     (run_trace,) = written
     assert run_trace.repeats
     data = (tmp_path / "ring.trace").read_bytes()
-    assert data == trace_mod.format_trace(run_trace).encode()
+    assert data == format_trace(run_trace).encode()
     assert workloads.check_trace(wl, data.decode())[1] == 0

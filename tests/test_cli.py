@@ -21,9 +21,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from partsim import cli
 from partsim.cli import main
+from partsim.harness import parse_scenario, run_scenario
 from partsim.health import DEFAULT_ACTIONS, HealthAction, HmKind
 from partsim.middleware import BrokerTopology, LinkModel, LoadProfile, repetition_rng, tx_time
 from partsim.results import CSV_COLUMNS
+from partsim.trace import HmRecord
 
 from conftest import (
     COOKBOOK_XML,
@@ -903,6 +905,19 @@ def test_a_foreign_port_call_runs_and_its_action_changes_only_the_trace(workdir)
     assert all(b"350000,PORT_OP,SEND,-,2,8,NOT_OWNER" in trace for trace in traces)
     assert halted[:2] == (2, "no data\n")
     assert _run_outputs(VIOLATION_TEXT.replace("send out 8", "send oot 8"))[:2] == (1, "")
+
+
+def test_a_comma_in_a_violation_detail_is_stored_as_a_semicolon(workdir):
+    """``violation.scn`` with the publisher's port named ``a,b``: the
+    rogue's call on it is stored with the detail ``SEND a;b``, so its
+    ``HM`` line has the six cells of every ``HM`` line."""
+    text = VIOLATION_TEXT.replace('port="out"', 'port="a,b"').replace("send out", "send a,b")
+    code, _, _, trace = _run_outputs(text)
+    hm = [line for line in trace.decode().splitlines() if ",HM," in line]
+    assert code == 0 and hm
+    assert all(line.endswith(",SEND a;b") and len(line.split(",")) == 6 for line in hm)
+    result = run_scenario(parse_scenario(text))
+    assert {r.detail for r in result.trace if type(r) is HmRecord} == {"SEND a;b"}
 
 
 def test_every_health_kind_changes_some_shipped_scenario(workdir):

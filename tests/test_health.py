@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from partsim.config import PartitionSpec, SchedulePlan, ScheduleSlot, SystemConfig
 from partsim.health import HealthAction, HealthTable, HmKind, raise_event
 from partsim.scheduler import PartitionState, SimState
-from partsim.trace import EventRecord, HmRecord, format_trace
+from partsim.trace import EventRecord, HmRecord
 from partsim.workload import (
     AppCursor,
     PendingAction,
@@ -16,6 +16,7 @@ from partsim.workload import (
 )
 
 from conftest import partition_records
+from refmodels import format_trace
 
 
 def test_default_table_covers_every_kind():
@@ -27,7 +28,7 @@ def test_default_table_covers_every_kind():
 
 def test_override_beats_default():
     table = HealthTable()
-    table.set_override(HmKind.MEMORY_VIOLATION, 1, HealthAction.HALT_PARTITION)
+    table.overrides[HmKind.MEMORY_VIOLATION, 1] = HealthAction.HALT_PARTITION
     assert table.resolve(HmKind.MEMORY_VIOLATION, 1) is HealthAction.HALT_PARTITION
     assert table.resolve(HmKind.MEMORY_VIOLATION, 0) is HealthAction.SUSPEND_PARTITION
 
@@ -101,7 +102,7 @@ def test_every_event_appears_once_with_action(cookbook):
 
 def test_halt_system_ends_run(cookbook):
     table = HealthTable()
-    table.set_default(HmKind.MEMORY_VIOLATION, HealthAction.HALT_SYSTEM)
+    table.defaults[HmKind.MEMORY_VIOLATION] = HealthAction.HALT_SYSTEM
     sim = SimState(cookbook, health_table=table).boot()
     sim.run_until(250_000)
     raise_event(sim, HmKind.MEMORY_VIOLATION, 0, "SEND out")
@@ -114,7 +115,7 @@ def test_overrun_halt_partition_isolates_other(cookbook):
     """A slot overrun mapped to HALT_PARTITION halts only its source; the
     other partition's projected trace is byte-identical to the clean run."""
     table = HealthTable()
-    table.set_default(HmKind.SLOT_OVERRUN, HealthAction.HALT_PARTITION)
+    table.defaults[HmKind.SLOT_OVERRUN] = HealthAction.HALT_PARTITION
     scripts = {
         0: parse_script(["compute 450us", "mark done"], 0),
         1: parse_script(["compute 20us", "mark beat"], 1, ScriptMode.REPEAT_EACH_SLOT),
@@ -143,6 +144,6 @@ def test_memory_violation_suspends_writer(sampling_config):
     assert sim.partition_states[1] is PartitionState.SUSPENDED
     hm = [r for r in sim.trace if isinstance(r, HmRecord)]
     # the engine builds the detail from the offending op and port
-    assert [r.line() for r in hm] == ["500000,HM,MEMORY_VIOLATION,1,SUSPEND_PARTITION,SEND out"]
+    assert format_trace(hm) == "500000,HM,MEMORY_VIOLATION,1,SUSPEND_PARTITION,SEND out\n"
     # the violation suspends before the same-time follow-up action runs
     assert [r for r in sim.trace if getattr(r, "label", None) == "after"] == []

@@ -15,11 +15,12 @@ from partsim.health import HealthAction, HealthTable, HmKind
 from partsim.scheduler import PartitionState, SimState
 from partsim.trace import (
     EventRecord, HmRecord, MarkRecord, PeriodicTrace, PortOpRecord, StateRecord, _copy_lines,
-    format_trace, write_trace,
+    write_trace,
 )
 from partsim.workload import parse_script
 
 from conftest import COOKBOOK_XML, SCENARIO_DIR, partition_records
+from refmodels import format_trace
 
 # fixed tie-break order: SLOT_END < HM_EVENT < FRAME_WRAP < SLOT_START < APP_ACTION
 RANK = {"SLOT_END": 0, "HM_EVENT": 1, "FRAME_WRAP": 2, "SLOT_START": 3, "APP_ACTION": 4}
@@ -316,7 +317,7 @@ def long_compute_sim():
 
 def halting_sim():
     table = HealthTable()
-    table.set_default(HmKind.SLOT_OVERRUN, HealthAction.HALT_SYSTEM)
+    table.defaults[HmKind.SLOT_OVERRUN] = HealthAction.HALT_SYSTEM
     return overrun_sim(table)
 
 
@@ -439,9 +440,9 @@ def queue_systems(draw):
                for i in range(n)}
     table = HealthTable()
     for kind in HmKind:
-        table.set_default(kind, draw(st.sampled_from(HealthAction)))
+        table.defaults[kind] = draw(st.sampled_from(HealthAction))
     if draw(st.booleans()):
-        table.set_default(draw(st.sampled_from(HmKind)), HealthAction.HALT_SYSTEM)
+        table.defaults[draw(st.sampled_from(HmKind))] = HealthAction.HALT_SYSTEM
     cuts = sorted(draw(st.lists(st.integers(1, 60 * frame), min_size=1, max_size=8)))
     return cfg, scripts, table, cuts
 
@@ -587,8 +588,8 @@ def ring_system(rng, steady=None):
         turn = rng.randint(0, len(HEALTH_ACTIONS) - 1)
         for i in range(n):
             action = HEALTH_ACTIONS[(i + turn) % len(HEALTH_ACTIONS)]
-            table.set_override(HmKind.MEMORY_VIOLATION, i, action)
-            table.set_override(HmKind.SLOT_OVERRUN, i, rng.choice(HEALTH_ACTIONS))
+            table.overrides[HmKind.MEMORY_VIOLATION, i] = action
+            table.overrides[HmKind.SLOT_OVERRUN, i] = rng.choice(HEALTH_ACTIONS)
     frames = 40 if steady else rng.choice([2, 5, 20, 40])
     t_end = frames * frame + rng.choice([0, 1, frame // 2, frame - 1])
     return (lambda: SimState(cfg, scripts=scripts, health_table=table)), frame, t_end, steady

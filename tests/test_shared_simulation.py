@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import refmodels
 from partsim.harness import MeasurementError, parse_scenario, run_scenario
 from partsim.results import export_csv, summarize
-from partsim.trace import HmRecord, format_trace, write_trace
+from partsim.trace import HmRecord, write_trace
 
 FRAME_US = 1000
 
@@ -221,4 +221,4 @@ def test_a_run_equals_one_simulation_per_payload(spec, out):
     refmodels.export_csv(conditions, out / "expected.csv")
     assert (out / "got.csv").read_bytes() == (out / "expected.csv").read_bytes()
     write_trace(got.trace, out / "got.trace")
-    assert (out / "got.trace").read_bytes() == format_trace(trace).encode("ascii")
+    assert (out / "got.trace").read_bytes() == refmodels.format_trace(trace).encode("ascii")

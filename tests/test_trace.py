@@ -2,17 +2,19 @@
 
 Each trace here is built by hand, built records and repeat descriptors
 alike, so it may hold what no engine run makes.  The file ``write_trace``
-writes must be ``format_trace`` of the records the trace iterates, which
-builds every copy's every record and formats it on its own.
+writes must be ``refmodels.format_trace`` of the records the trace
+iterates, which builds every copy's every record and formats it on its
+own.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from partsim.trace import (
-    EventRecord, HmRecord, MarkRecord, PeriodicTrace, PortOpRecord, StateRecord, format_trace,
-    write_trace,
+    EventRecord, HmRecord, MarkRecord, PeriodicTrace, PortOpRecord, StateRecord, write_trace,
 )
+
+from refmodels import format_trace
 
 PARTITIONS = range(-1, 4)  # -1 is FRAME_WRAP's
 EVENT_KINDS = ("SLOT_START", "SLOT_END", "FRAME_WRAP", "APP_ACTION", "HM_EVENT")
@@ -21,7 +23,8 @@ STATES = ("BOOT", "NORMAL", "SUSPENDED", "HALTED")
 
 def records(times):
     """Records of all five kinds at ``times``: mark labels and HM details
-    may hold ``%``, and details ``,``."""
+    may hold ``%``, and neither holds ``,``, as no record that ``partsim``
+    makes does."""
     partition = st.sampled_from(PARTITIONS)
     return st.one_of(
         st.builds(EventRecord, times, st.sampled_from(EVENT_KINDS), partition,
@@ -32,7 +35,7 @@ def records(times):
         st.builds(MarkRecord, times, partition, st.text("tx%ds", max_size=4)),
         st.builds(StateRecord, times, partition, st.sampled_from(STATES), st.sampled_from(STATES)),
         st.builds(HmRecord, times, st.sampled_from(("SLOT_OVERRUN", "MEMORY_VIOLATION")),
-                  partition, st.sampled_from(("LOG", "HALT_SYSTEM")), st.text("a,%d ", max_size=6)),
+                  partition, st.sampled_from(("LOG", "HALT_SYSTEM")), st.text("a;%d ", max_size=6)),
     )
 
 
@@ -79,7 +82,7 @@ EXAMPLES = {
     # times below 10**3, whose part above the low digits is 0
     "high part 0": repeated([EventRecord(0, "FRAME_WRAP", -1, 0),
                              PortOpRecord(7, "SEND", "c0", 0, 64, "OK"),
-                             HmRecord(999, "SLOT_OVERRUN", 0, "LOG", "a,b%d")], 4, 5_000),
+                             HmRecord(999, "SLOT_OVERRUN", 0, "LOG", "a;b%d")], 4, 5_000),
     "one record": repeated([EventRecord(123, "APP_ACTION", 2, 5)], 60, 7),
     # the time of 30 ns over a 10 ns span steps from 3 by 1, as the seq does
     "seq shares a time's progression": repeated(

@@ -3,7 +3,7 @@
 import pytest
 
 from partsim.scheduler import SimState
-from partsim.trace import EventRecord, HmRecord, MarkRecord, format_trace
+from partsim.trace import EventRecord, HmRecord, MarkRecord
 from partsim.workload import (
     Compute,
     Mark,
@@ -15,6 +15,8 @@ from partsim.workload import (
     parse_action,
     parse_script,
 )
+
+from refmodels import format_trace
 
 
 
