@@ -18,13 +18,15 @@ load pair, each row's scenario is labelled ``<name>/<k>`` (``k`` the
 0-based pair index) so every condition is summarized on its own.
 ``read_csv`` keeps of each condition only what ``summarize`` reads: its
 latency and tx_delay cells and its first non-zero gap.  It reads a CSV in
-bounded blocks of whole lines, checks each distinct digit-blind shape of
-a block's lines once, and takes the cells it keeps by column, split and
-converted as bytes, so its memory grows with what it keeps, not with the
-file.  A block whose key columns each hold one value is one run of one
-condition, found by count; only a block with a condition boundary inside
-it is grouped row by row.  A run's latency or tx_delay cells that are all
-one value, as a partitioned condition's are, are converted once.
+bounded blocks of whole lines, so its memory grows with what it keeps,
+not with the file.  A block that the row template of its first line
+reproduces, as ``export_csv`` writes a partitioned condition's rows, is
+read from its first line alone, with no cell split.  Any other block has
+each distinct digit-blind shape of its lines checked once, and the cells
+it keeps taken by column, split and converted as bytes; a block whose
+key columns each hold one value is one run of one condition, found by
+count, and only a block with a condition boundary inside it is grouped
+row by row.
 A row template holds a condition's shared cells once and a ``%d`` for
 each cell that changes from row to row; ``broker_rows`` and ``export_csv``
 fill it with one ``%`` for each block of ``WRITE_ROWS`` rows, so what
@@ -99,7 +101,8 @@ class ReadCondition:
     condition read back from CSV rows: where its first row is (``path:N``),
     and the present latency and tx_delay cells and the first non-zero gap,
     in row order.  ``read_csv`` adds each run of the condition's rows in a
-    block at once, from the block's columns."""
+    block at once, from the block's columns, or from its first line when
+    the block is read by its row template."""
 
     __slots__ = ("where", "latencies", "delays", "gap")
 
@@ -263,28 +266,32 @@ def _bad_line(path: str | Path, number: int, line: str) -> CsvError:
     return CsvError(f"{where}: {column}: expected {form}, got {cell!r}")
 
 
-def _checked_blocks(path: str | Path, fh: TextIO):
-    """Each block of whole lines left in ``fh`` as ``(number of its first
-    line, its latin-1 bytes)``, once ``_ROW`` has checked each distinct
-    shape of its lines; a CsvError naming the first line it refuses."""
-    match_row = _ROW.fullmatch
-    number, block = 2, fh.read(READ_CHUNK)
+def _blocks(fh: TextIO):
+    """Each block of whole lines left in ``fh``, as latin-1 bytes:
+    ``READ_CHUNK`` characters and the rest of the last line."""
+    block = fh.read(READ_CHUNK)
     while block:
         more = len(block) == READ_CHUNK  # read() stops short only at the end
         if more and block[-1] != "\n":
             block += fh.readline()
-        data = block.encode("latin-1")
-        # bytes.splitlines ends a line at \n and \r only, and newline
-        # translation has left no \r
-        shapes = data.translate(_SHAPE).splitlines()
-        for shape in set(shapes):
-            if match_row(shape) is None:
-                for at, line in enumerate(data.split(b"\n"), number):
-                    if match_row(line) is None:
-                        raise _bad_line(path, at, line.decode("latin-1"))
-        yield number, data
-        number += len(shapes)
+        yield block.encode("latin-1")
         block = fh.read(READ_CHUNK) if more else ""
+
+
+def _checked_lines(path: str | Path, number: int, block: bytes) -> int:
+    """The number of lines of ``block``, whose first line is line
+    ``number``, once ``_ROW`` has checked each distinct shape of them; a
+    CsvError naming the first line it refuses."""
+    match_row = _ROW.fullmatch
+    # bytes.splitlines ends a line at \n and \r only, and newline
+    # translation has left no \r
+    shapes = block.translate(_SHAPE).splitlines()
+    for shape in set(shapes):
+        if match_row(shape) is None:
+            for at, line in enumerate(block.split(b"\n"), number):
+                if match_row(line) is None:
+                    raise _bad_line(path, at, line.decode("latin-1"))
+    return len(shapes)
 
 
 def read_csv(
@@ -298,22 +305,55 @@ def read_csv(
     malformed file.
 
     The file is read in blocks of whole lines, ``READ_CHUNK`` characters
-    and the rest of the last line.  ``_ROW`` checks each distinct shape of
-    a block's lines; a block with a refused shape is checked again line by
-    line, so the first bad line is the one named.  A checked block is
-    encoded as latin-1 once, and its bytes are split at ``,`` and ``\n``
-    into 12 cells a line, so column ``k`` is every 12th cell from the
-    ``k``-th.  When the scenario, payload and mode columns each hold one
-    value, as ``list.count`` finds, the block is one run; otherwise
+    and the rest of the last line, each encoded as latin-1 once.  A block
+    whose ``n`` lines are its first line's row template filled with the
+    ``n`` repetitions from that line's on, and whose first line ``_ROW``
+    takes, is one run of one condition: it is read from its first line,
+    with no shape check and no cell split, and the condition gains that
+    line's latency and tx_delay ``n`` times.  Any other block takes the
+    general path.  ``_ROW`` checks each distinct shape of its lines; a
+    block with a refused shape is checked again line by line, so the
+    first bad line is the one named.  Its bytes are split at ``,`` and
+    ``\n`` into 12 cells a line, so column ``k`` is every 12th cell from
+    the ``k``-th.  When the scenario, payload and mode columns each hold
+    one value, as ``list.count`` finds, the block is one run; otherwise
     ``groupby`` finds its runs.  Each run of rows of one condition is
     converted from bytes and added at once, its scenario and mode decoded
-    once, and its latency or tx_delay cells converted once when they are
-    all one value, as a partitioned condition's are.  A line ends at
-    ``\n``, ``\r\n`` or ``\r`` only, not at ``\x0b``, ``\x0c`` or
-    ``\x1c``-``\x1e`` as in ``str.splitlines``; a non-ASCII byte is an
-    error of its line."""
+    once.  A line ends at ``\n``, ``\r\n`` or ``\r`` only, not at
+    ``\x0b``, ``\x0c`` or ``\x1c``-``\x1e`` as in ``str.splitlines``; a
+    non-ASCII byte is an error of its line."""
     if conditions is None:
         conditions = {}
+
+    def read_by_template(block: bytes, number: int) -> int:
+        """When the lines of ``block`` (the first is line ``number``) are
+        what the row template of its first line gives for consecutive
+        repetitions from that line's, as ``export_csv`` writes a
+        partitioned condition's rows, and ``_ROW`` takes that line: add
+        that line's cells to its condition once for each line, and return
+        the line count.  Else add nothing and return 0.  The second line
+        is compared first, so a block of rows that differ is refused
+        without rendering it."""
+        end = block.find(b"\n") + 1
+        first, second = block[:end], block[end:block.find(b"\n", end) + 1]
+        cells, following = first.split(b",", 3), second.split(b",", 3)
+        if second and cells[:2] + cells[3:] != following[:2] + following[3:] or (
+                _ROW.fullmatch(first) is None):
+            return 0
+        label, mode, rep, tail = cells
+        r0, n = int(rep), block.count(b"\n")
+        template = b"%s,%s,%%d,%s" % (label.replace(b"%", b"%%"), mode, tail)
+        if template * n % tuple(range(r0, r0 + n)) != block:
+            return 0
+        payload, _, _, latency, gap, *_, delay = tail[:-1].split(b",")
+        key = label.decode("latin-1"), int(payload), mode.decode("latin-1")
+        entry = conditions.setdefault(key, ReadCondition(f"{path}:{number}"))
+        for kept, cell in (entry.latencies, latency), (entry.delays, delay):
+            kept += [int(cell)] * n if cell else ()
+        if entry.gap is None:
+            entry.gap = int(gap or 0) or None
+        return n
+
     # latin-1 decodes every byte, so a non-ASCII one is found by its line
     with open(path, encoding="latin-1") as fh:
         header = next(fh, "")
@@ -321,13 +361,19 @@ def read_csv(
             raise _bad_line(path, 1, header)
         if header.rstrip("\n") != CSV_HEADER:
             raise CsvError(f"{path}: missing or wrong CSV header")
-        for number, block in _checked_blocks(path, fh):
+        number = 2
+        for block in _blocks(fh):
+            lines = read_by_template(block, number)
+            if lines:
+                number += lines
+                continue
+            lines = _checked_lines(path, number, block)
             cells = block.replace(b"\n", b",").split(b",")  # 12 a line
-            n = len(cells) // 12  # a final \n adds one empty cell
-            scenarios, payloads, modes = cells[:12 * n:12], cells[3::12], cells[1::12]
+            # a final \n adds one empty cell
+            scenarios, payloads, modes = cells[:12 * lines:12], cells[3::12], cells[1::12]
             latencies, gaps, delays = cells[6::12], cells[7::12], cells[11::12]
-            if all(column.count(column[0]) == n for column in (scenarios, payloads, modes)):
-                runs = [((scenarios[0], payloads[0], modes[0]), n)]  # the whole block is one run
+            if all(column.count(column[0]) == lines for column in (scenarios, payloads, modes)):
+                runs = [((scenarios[0], payloads[0], modes[0]), lines)]  # one run
             else:
                 runs = [(key, len(list(rows)))
                         for key, rows in groupby(zip(scenarios, payloads, modes))]
@@ -339,10 +385,9 @@ def read_csv(
                 if entry is None:
                     entry = conditions[key] = ReadCondition(f"{path}:{number + i}")
                 for kept, run in (entry.latencies, latencies[i:j]), (entry.delays, delays[i:j]):
-                    # a partitioned condition's rows repeat one measurement
-                    kept += ([int(run[0])] * length if run[0] and run.count(run[0]) == length
-                             else map(int, filter(None, run)))
+                    kept += map(int, filter(None, run))
                 if entry.gap is None:
                     entry.gap = next(filter(None, map(int, filter(None, gaps[i:j]))), None)
                 i = j
+            number += lines
     return conditions

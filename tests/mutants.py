@@ -57,14 +57,32 @@ MUTANTS = (
            "            block += fh.readline()\n", "            pass\n", READER_TESTS),
     # a block's distinct shapes counted as its lines, so later lines are misnamed
     Mutant("lines-counted-by-shape", "src/partsim/results.py",
-           "number += len(shapes)", "number += len(set(shapes))", READER_TESTS),
-    # a run's latency or delay cells all read as its first one
-    Mutant("run-cells-as-first", "src/partsim/results.py",
-           "if run[0] and run.count(run[0]) == length", "if run[0]", READER_TESTS),
+           "return len(shapes)", "return len(set(shapes))", READER_TESTS),
+    # a block read by its row template without checking its first line, so
+    # a faulty line that is a block of its own is taken
+    Mutant("template-first-line-unchecked", "src/partsim/results.py",
+           "_ROW.fullmatch(first) is None", "False", READER_TESTS),
+    # a block read by its row template once its second line agrees with the
+    # first, whatever its later lines hold
+    Mutant("template-second-line-only", "src/partsim/results.py",
+           "template * n % tuple(range(r0, r0 + n)) != block", "False", READER_TESTS),
+    # a block's row template filled one line short, so no block is read by it
+    Mutant("template-one-line-short", "src/partsim/results.py",
+           'r0, n = int(rep), block.count(b"\\n")',
+           'r0, n = int(rep), block.count(b"\\n") - 1', READER_TESTS),
     # a gap of 0 kept as a condition's first gap
     Mutant("zero-gap-kept", "src/partsim/results.py",
            "next(filter(None, map(int, filter(None, gaps[i:j]))), None)",
            "next(map(int, filter(None, gaps[i:j])), None)", READER_TESTS),
+    # each worker's piece of a broker condition numbered from repetition 0
+    Mutant("broker-pieces-numbered-from-0", "src/partsim/harness.py",
+           "broker_rows(label, payload, lo - k * reps, cells)",
+           "broker_rows(label, payload, 0, cells)", ("tests/test_broker_split.py",)),
+    # payloads of one fixed copy cost and different per-byte costs sharing
+    # one simulation
+    Mutant("simulation-keyed-by-fixed-cost", "src/partsim/harness.py",
+           "cost = system.copy_cost.of(payload)", "cost = system.copy_cost.fixed",
+           ("tests/test_shared_simulation.py",)),
     # a port operation's cells written out of place: a positional ``%``
     # template fills size and result in field order, so it moves PORT_OP
     Mutant("port-op-cells-out-of-place", "src/partsim/trace.py",

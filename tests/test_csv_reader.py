@@ -21,6 +21,7 @@ BAD_CELLS = {1: ("brokr", ""), 2: ("x", ""), 3: ("", "1_0"), 8: ("0.6x", "4", ".
              11: ("-2e2", "+2_00", " -200")}
 FAULTS = ("cell", "non-ascii", "blank", "join", "drop", "extra")
 RUNS = ("a block read as one run", "a block with a condition boundary inside it")
+TEMPLATE = "a block read by its row template"
 
 
 def _int(rng, empty):
@@ -40,19 +41,20 @@ def _row(rng, label, mode, payload, rep, empty):
     return ",".join(cells)
 
 
-def _csv_file(conditions, runs, seed, faults, newline, final):
+def _csv_file(conditions, runs, seed, faults, newline, final, repetition="%d"):
     """A result CSV as bytes, with its newline and the kinds of the faults
     placed: ``runs`` of rows of ``conditions`` (label, mode, payload, chance
     of an empty cell), then each fault (kind, where in the file as a share
     of its lines, seed) in turn.  A partitioned condition's rows repeat one
-    measurement, as ``export_csv`` writes them."""
+    measurement, as ``export_csv`` writes them; each row's repetition is
+    written by the ``repetition`` format."""
     rng = random.Random(seed)
     lines, reps = [], [0] * len(conditions)
     for index, length in runs:
         label, mode, payload, empty = conditions[index]
         for _ in range(length):
             row_rng = random.Random(seed + index) if mode == "partitioned" else rng
-            lines.append(_row(row_rng, label, mode, payload, reps[index], empty))
+            lines.append(_row(row_rng, label, mode, payload, repetition % reps[index], empty))
             reps[index] += 1
     placed = []
     for kind, where, fseed in faults:
@@ -113,13 +115,23 @@ def csv_files(draw):
 _TWO = [("bench/0", "broker", "64", 0.0), ("p 9", "partitioned", "1", 1.0)]
 _ONE_LABEL = [("5% 1/2", "broker", "64", 0.3), ("5% 1/2", "broker", "1", 0.3),
               ("5% 1/2", "partitioned", "64", 0.3)]
+# Then three long partitioned runs: one whose lines are each longer than
+# the small chunk, so each is a block of its own, with a faulty line in
+# the middle; one under a label with a %; and one whose repetitions are
+# written 007, as no row template writes them.
+_LONG = [("r" * 300, "partitioned", "64", 0.3)]
+_PERCENT = [("5% 1/2", "partitioned", "64", 0.0), ("5% 1/2", "broker", "64", 0.0)]
+PADDED = _csv_file(_TWO, [(1, 150)], 3, [], "\n", True, "%04d")
 EXAMPLES = [_csv_file(_TWO, [(0, 90), (1, 30), (0, 60)], 1, [], "\n", True),
             _csv_file(_ONE_LABEL, [(0, 150), (1, 5), (0, 20), (2, 5), (0, 20)], 2, [], "\n",
                       True)] + [
     _csv_file(_TWO, [(0, 90), (1, 30), (0, 60)], k, [(kind, where, k)], newline, k % 2 == 0)
     for k, (kind, where, newline) in enumerate(
         (kind, where, newline) for kind in FAULTS
-        for where, newline in ((0.0, "\r"), (0.8, "\n"), (0.9, "\r\n")))]
+        for where, newline in ((0.0, "\r"), (0.8, "\n"), (0.9, "\r\n")))] + [
+    _csv_file(_LONG, [(0, 60)], 4, [("cell", 0.5, 6)], "\n", True),
+    _csv_file(_PERCENT, [(0, 300), (1, 20), (0, 40)], 5, [], "\n", True),
+    PADDED]
 
 
 def _blocks(path, chunk):
@@ -148,16 +160,26 @@ def test_block_reader_returns_what_the_line_reader_returns(tmp_path):
     in any block and every newline form, the block reader returns the same
     conditions, or raises the same error, as the per-line reader: on the
     fixed ``EXAMPLES``, then on Hypothesis's.  At a small chunk and at
-    ``READ_CHUNK``, some block must be one run of one condition and some
-    other block must hold a condition boundary; some condition's latency
-    cells must all be equal, as a partitioned condition's are."""
+    ``READ_CHUNK``, some block must be one run of one condition, some
+    other block must hold a condition boundary, and some block must be
+    read by its row template; some condition's latency cells must all be
+    equal, as a partitioned condition's are.  No block of repetitions
+    written 007 is read by its row template."""
     path = tmp_path / "r.csv"
     seen = set()
+    checked = []  # the blocks that read_csv checked line by line
+    checked_lines = results._checked_lines
+
+    def spy(csv_path, number, block):
+        checked.append(block)
+        return checked_lines(csv_path, number, block)
 
     def check(csv, chunk):
         data, newline, faults = csv
         path.write_bytes(data)
-        with mock.patch.object(results, "READ_CHUNK", chunk):
+        checked.clear()
+        with mock.patch.object(results, "READ_CHUNK", chunk), \
+                mock.patch.object(results, "_checked_lines", spy):
             got = _outcome(read_csv, path)
         expected = _outcome(refmodels.read_csv, path)
         assert got == expected
@@ -175,9 +197,13 @@ def test_block_reader_returns_what_the_line_reader_returns(tmp_path):
                 seen.add("with and without a gap")
             if any(len(set(latencies)) == 1 < len(latencies) for _, _, latencies, *_ in expected):
                 seen.add("equal latencies")
-            for lines in _blocks(path, chunk):
+            blocks = list(_blocks(path, chunk))
+            for lines in blocks:
                 keys = {tuple(line.split(",")[k] for k in (0, 1, 3)) for line in lines}
                 seen.add((RUNS[len(keys) > 1], chunk))
+            if len(checked) < len(blocks):  # a block not checked line by line
+                assert csv is not PADDED
+                seen.add((TEMPLATE, chunk))
 
     for csv in EXAMPLES:
         for chunk in (256, results.READ_CHUNK):
@@ -185,7 +211,8 @@ def test_block_reader_returns_what_the_line_reader_returns(tmp_path):
     assert seen == {"\n", "\r\n", "\r", "error", "read", "several blocks",
                     "error past the first block", "with and without a gap", "equal latencies",
                     *FAULTS,
-                    *((runs, chunk) for runs in RUNS for chunk in (256, results.READ_CHUNK))}
+                    *((runs, chunk) for runs in (*RUNS, TEMPLATE)
+                      for chunk in (256, results.READ_CHUNK))}
     settings(deadline=None, max_examples=120, derandomize=True)(
         given(csv_files(), st.sampled_from((40, 97, 256, results.READ_CHUNK)))(check))()
 
