@@ -10,7 +10,10 @@ multi-megabyte payloads cost nothing to simulate.
 
 The port API is the three script actions: ``send`` writes a sampling port
 or enqueues on a queuing port, ``receive`` dequeues from a queuing port and
-``read`` reads a sampling port (either on the other kind is BAD_KIND).
+``read`` reads a sampling port.  Neither checks the kind of its port:
+``harness.validate_scenario`` refuses a script that calls its own port
+with the other one (``SCRIPT_KIND``), and a call on another partition's
+port is NOT_OWNER before any kind would matter.
 Operations never raise for application-level failures; they return a
 PortStatus so callers (the scripted workloads) can record the miss and
 proceed.  A NOT_OWNER result, for a port that the calling partition does
@@ -25,7 +28,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .config import ChannelKind, ChannelSpec, SystemConfig
+from .config import ChannelKind, SystemConfig
 from .units import Duration
 
 
@@ -35,7 +38,6 @@ class PortStatus(enum.Enum):
     FULL = "FULL"
     NOT_OWNER = "NOT_OWNER"
     TOO_LARGE = "TOO_LARGE"
-    BAD_KIND = "BAD_KIND"
 
 
 class Message(NamedTuple):
@@ -43,41 +45,31 @@ class Message(NamedTuple):
     written_at: Duration
 
 
-class PortState:
-    """One channel's held messages as (message, visible_at) pairs in write
-    order.  A queuing channel's are its bounded FIFO; a sampling channel's
-    are the pending and current values of its latest-value cell, where a
-    write drops what it supersedes by its visibility time and all visible
-    but the newest."""
-
-    def __init__(self, channel: ChannelSpec) -> None:
-        self.channel = channel
-        self.held: list[tuple[Message, Duration]] = []
-
-
 class PortTable:
     """All port state for one simulation, keyed by (partition, port name).
 
-    Lives inside a SimState and shares its single-owner contract.  The
-    three script-facing operations, ``send``, ``receive`` and ``read``,
-    are the whole port API: each resolves its port to a channel index once
-    and dispatches on the channel kind.
+    Lives inside a SimState and shares its single-owner contract.  Each
+    channel holds its messages as (message, visible_at) pairs in write
+    order.  A queuing channel's are its bounded FIFO; a sampling channel's
+    are the pending and current values of its latest-value cell, where a
+    write drops what it supersedes by its visibility time and all visible
+    but the newest, so they are in visibility order too.  The three
+    script-facing operations, ``send``, ``receive`` and ``read``, are the
+    whole port API: each resolves its port to a channel index once and
+    dispatches on the channel kind.
     """
 
     def __init__(self, config: SystemConfig):
         self._copy_cost = config.copy_cost
-        self._states: list[PortState] = []
+        self._channels = config.channels
+        self._held: list[list[tuple[Message, Duration]]] = [[] for _ in config.channels]
         self._source_of: dict[tuple[int, str], int] = {}
         self._dest_of: dict[tuple[int, str], int] = {}
         for index, ch in enumerate(config.channels):
-            self._states.append(PortState(ch))
             self._source_of[(ch.source.partition_id, ch.source.port)] = index
             for d in ch.destinations:
                 self._dest_of[(d.partition_id, d.port)] = index
-        self._labels = tuple(f"c{index}" for index in range(len(self._states)))
-
-    def state(self, index: int) -> PortState:
-        return self._states[index]
+        self._labels = tuple(f"c{index}" for index in range(len(config.channels)))
 
     # -- periodic fast-forward -----------------------------------------------
 
@@ -85,17 +77,16 @@ class PortTable:
         """Port contents relative to ``base``: per channel, each held
         message's size and its write and visible times minus ``base``."""
         return tuple([
-            tuple([(m.payload_size, m.written_at - base, visible - base) for m, visible in st.held])
-            for st in self._states
+            tuple([(m.payload_size, m.written_at - base, visible - base) for m, visible in held])
+            for held in self._held
         ])
 
     def shift(self, delay: Duration) -> None:
         """Move every held message ``delay`` later."""
-        for st in self._states:
-            st.held = [
-                (Message(m.payload_size, m.written_at + delay), visible + delay)
-                for m, visible in st.held
-            ]
+        self._held = [
+            [(Message(m.payload_size, m.written_at + delay), visible + delay) for m, visible in held]
+            for held in self._held
+        ]
 
     # -- port operations -----------------------------------------------------
 
@@ -108,24 +99,24 @@ class PortTable:
         if index is None:
             return PortStatus.NOT_OWNER, None, "-", "SEND"
         label = self._labels[index]
-        st = self._states[index]
-        ch = st.channel
+        ch = self._channels[index]
+        held = self._held[index]
         queuing = ch.kind is ChannelKind.QUEUING
         op = "SEND" if queuing else "WRITE"
         if payload_size > ch.max_message_size:
             return PortStatus.TOO_LARGE, None, label, op
-        if queuing and len(st.held) >= ch.capacity:
+        if queuing and len(held) >= ch.capacity:
             return PortStatus.FULL, None, label, op
         msg = Message(payload_size, now)
         visible_at = now + self._copy_cost.of(payload_size)
         if queuing:
-            st.held.append((msg, visible_at))
+            held.append((msg, visible_at))
         else:
             # what becomes visible no earlier than this newer message, or is
             # hidden by a newer visible one, can never be read again
-            held = [e for e in st.held if e[1] < visible_at] + [(msg, visible_at)]
+            held = [e for e in held if e[1] < visible_at] + [(msg, visible_at)]
             visible = sum(1 for e in held if e[1] <= now)  # a prefix of held
-            st.held = held[max(visible - 1, 0):]
+            self._held[index] = held[max(visible - 1, 0):]
         return PortStatus.OK, msg, label, op
 
     def receive(
@@ -137,13 +128,11 @@ class PortTable:
         if index is None:
             return PortStatus.NOT_OWNER, None, "-", "RECV"
         label = self._labels[index]
-        st = self._states[index]
-        if st.channel.kind is not ChannelKind.QUEUING:
-            return PortStatus.BAD_KIND, None, label, "RECV"
+        held = self._held[index]
         # strict FIFO: a later message never bypasses an in-flight head
-        if not st.held or st.held[0][1] > now:
+        if not held or held[0][1] > now:
             return PortStatus.EMPTY, None, label, "RECV"
-        msg, _ = st.held.pop(0)
+        msg, _ = held.pop(0)
         return PortStatus.OK, msg, label, "RECV"
 
     def read(
@@ -156,13 +145,11 @@ class PortTable:
         if index is None:
             return PortStatus.NOT_OWNER, None, False, "-", "READ"
         label = self._labels[index]
-        st = self._states[index]
-        if st.channel.kind is not ChannelKind.SAMPLING:
-            return PortStatus.BAD_KIND, None, False, label, "READ"
-        visible = [e for e in st.held if e[1] <= now]
+        held = self._held[index]
+        visible = sum(1 for e in held if e[1] <= now)  # a prefix of held
         if not visible:
             return PortStatus.EMPTY, None, False, label, "READ"
-        msg = visible[-1][0]  # the newest visible: held is in write order
-        st.held = [e for e in st.held if e[0] is msg or e[1] > now]
-        valid = (now - msg.written_at) <= st.channel.refresh_period
+        msg = held[visible - 1][0]  # the newest visible; the older ones go
+        self._held[index] = held[visible - 1:]
+        valid = (now - msg.written_at) <= self._channels[index].refresh_period
         return PortStatus.OK, msg, valid, label, "READ"

@@ -63,9 +63,14 @@ Each range of a broker value is checked here, once, where it is read, and
 ``middleware`` checks none again: every duration is non-negative
 (``parse_duration``), ``load_factor`` is at least 0 (``_parse_broker``;
 a fraction literal is finite) and both fractions of a load lie in [0,1]
-(``_parse_load``).  ``validate_scenario`` checks that payload sizes are
-positive, the seed is non-negative and the rows stay below the seed
-stride.
+(``_parse_load``).  ``validate_scenario`` checks the values that no
+reader checks: the name is a non-empty ASCII CSV cell and file name,
+``repetitions`` and ``max_frames`` are at least 1, the payload sizes are
+positive and distinct, the seed is non-negative and the rows stay below
+the seed stride; in a partitioned scenario, the system (``validate``),
+each script (below) and each health override's partition too.  Each of
+these rules has this one owner: the engine, the ports and ``summarize``
+trust a parsed scenario and check none again.
 
 ``validate_scenario`` checks a script's port calls by name only: a name
 that no channel's source or destination has is a typo (``SCRIPT_PORT``).
@@ -105,7 +110,7 @@ from typing import NamedTuple
 
 from . import middleware, trace as trace_mod, workload
 from .config import ConfigError, Finding, SystemConfig, parse_config, validate
-from .health import HealthAction, HealthTable, HmKind
+from .health import DEFAULT_ACTIONS, HealthAction, HmKind
 from .middleware import BrokerTopology, LinkModel, LoadProfile
 from .results import Condition, Mode, broker_rows
 # not called here: bench/tracing.py wraps these three by their harness.*
@@ -151,7 +156,7 @@ class Scenario(NamedTuple):
     payload_sizes: tuple[int, ...]
     repetitions: int
     seed: int
-    health_table: HealthTable
+    health_table: dict[tuple[HmKind, int | None], HealthAction]  # see health
     load_pairs: tuple[tuple[LoadProfile, LoadProfile], ...]
     api_call_cost: Duration
     max_frames: int
@@ -319,12 +324,12 @@ def _parse_health(fields: dict, where: str, _: str, lines: list[str]) -> None:
         except KeyError:
             raise ScenarioError(f"{where}: unknown event kind {parts[0]!r}") from None
         if len(parts) == 1:
-            table.defaults[kind] = action
+            table[kind, None] = action
             continue
         pid = _convert(f"{where} {key}", parse_integer, parts[1])
-        if (kind, pid) in table.overrides:  # an earlier line's key, spelt otherwise
+        if (kind, pid) in table:  # an earlier line's key, spelt otherwise
             raise ScenarioError(f"{where} {key}: duplicate key")
-        table.overrides[kind, pid] = action
+        table[kind, pid] = action
 
 
 _SCRIPT_MODES = {"once": ScriptMode.ONCE, "repeat": ScriptMode.REPEAT_EACH_SLOT}
@@ -415,7 +420,7 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         system = _convert("system_file", parse_config, xml)
 
     broker = mode is Mode.BROKER
-    fields = {"scripts": {}, "health_table": HealthTable(),
+    fields = {"scripts": {}, "health_table": dict(DEFAULT_ACTIONS),
               "topology": middleware.default_topology() if broker else None,
               "load_pairs": ((LoadProfile(0.0, 0.0), LoadProfile(1.0, 0.75)),) if broker else ()}
     for name, lines in sections.items():
@@ -501,8 +506,8 @@ def validate_scenario(sc: Scenario) -> list[Finding]:
                     err("SCRIPT_KIND", loc, f"recv on sampling port {action.port!r} (use read)")
                 elif kind is Read and ch.refresh_period is None:
                     err("SCRIPT_KIND", loc, f"read on queuing port {action.port!r} (use recv)")
-        for kind, pid in sc.health_table.overrides:
-            if pid not in partitions:
+        for kind, pid in sc.health_table:
+            if pid is not None and pid not in partitions:
                 err("UNKNOWN_PARTITION", f"health {kind.value} {pid}",
                     "health override references a missing partition")
     return findings

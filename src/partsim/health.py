@@ -10,10 +10,10 @@ stores each ``,`` of a port name as ``;``.  A scenario script raises
 both: ``harness.validate_scenario`` refuses only a port name that no
 channel has (``SCRIPT_PORT``), so a call on another partition's port
 runs, as it does through the ``SimState`` API, and meets this one
-policy.  A HealthTable maps (kind, partition) to the action the
-hypervisor applies; per-partition overrides fall back to a per-kind
-default, which starts as DEFAULT_ACTIONS for every kind: write
-``table.defaults[kind]`` or ``table.overrides[kind, partition]`` to set one.
+policy.  A health table is a dict from (kind, partition) to the action
+the hypervisor applies, where partition None holds the kind's default.
+It starts as a copy of DEFAULT_ACTIONS, and a partition without its own
+key gets its kind's default.
 """
 
 from __future__ import annotations
@@ -41,19 +41,10 @@ class HealthAction(enum.Enum):
 
 #: Overruns are logged so experiments keep running; violations of
 #: spatial isolation suspend the offender so they stay visible in the trace.
-DEFAULT_ACTIONS: dict[HmKind, HealthAction] = {
-    HmKind.SLOT_OVERRUN: HealthAction.LOG,
-    HmKind.MEMORY_VIOLATION: HealthAction.SUSPEND_PARTITION,
+DEFAULT_ACTIONS: dict[tuple[HmKind, int | None], HealthAction] = {
+    (HmKind.SLOT_OVERRUN, None): HealthAction.LOG,
+    (HmKind.MEMORY_VIOLATION, None): HealthAction.SUSPEND_PARTITION,
 }
-
-
-class HealthTable:
-    def __init__(self) -> None:
-        self.defaults: dict[HmKind, HealthAction] = dict(DEFAULT_ACTIONS)
-        self.overrides: dict[tuple[HmKind, int], HealthAction] = {}
-
-    def resolve(self, kind: HmKind, partition_id: int) -> HealthAction:
-        return self.overrides.get((kind, partition_id), self.defaults[kind])
 
 
 def raise_event(state: SimState, kind: HmKind, partition_id: int, detail: str) -> None:
@@ -66,7 +57,8 @@ def raise_event(state: SimState, kind: HmKind, partition_id: int, detail: str) -
     run for HALT_SYSTEM).
     """
     now = state.now
-    action = state.health_table.resolve(kind, partition_id)
+    table = state.health_table
+    action = table.get((kind, partition_id)) or table[kind, None]
     state.record_event(now, "HM_EVENT", partition_id)
     state.trace.append(trace.HmRecord(now, kind.value, partition_id, action.value,
                                       detail.replace(",", ";")))

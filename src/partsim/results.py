@@ -59,10 +59,6 @@ class CsvError(ValueError):
     """Malformed result CSV, or a condition in it with no metric cell."""
 
 
-class EmptyResult(ValueError):
-    """summarize() over zero repetitions."""
-
-
 CSV_HEADER = ("scenario,mode,repetition,payload_bytes,t_send_ns,t_recv_ns,latency_ns,"
               "gap_ns,latency_to_gap_ratio,tx_relaxed_ns,tx_stressed_ns,tx_delay_ns")
 CSV_COLUMNS = tuple(CSV_HEADER.split(","))
@@ -89,10 +85,8 @@ class Condition(NamedTuple):
     def summary(self) -> SummaryStats:
         if self.delays is None:
             t_send, t_recv, gap = self.measurement
-            # the statistics of n equal values are those of one, counted n
-            # times; a slice of no values still raises EmptyResult
-            latency = [t_recv - t_send][:self.repetitions]
-            return summarize("latency", latency, gap)._replace(count=self.repetitions)
+            # the statistics of n equal values are those of one, counted n times
+            return summarize("latency", [t_recv - t_send], gap)._replace(count=self.repetitions)
         return summarize("tx_delay", self.delays)
 
 
@@ -135,10 +129,11 @@ class SummaryStats(NamedTuple):
 def summarize(metric: str, values: list[int], gap: int | None = None) -> SummaryStats:
     """Exact integer statistics of one condition's ``metric`` values, with
     its first non-zero scheduled gap: mean rounded to the nearest ns (ties
-    up), percentiles by nearest rank (the ceil(p * n / 100)-th value)."""
+    up), percentiles by nearest rank (the ceil(p * n / 100)-th value).
+    ``values`` is never empty: ``validate_scenario`` gives every run
+    condition at least one repetition and payload, and
+    ``ReadCondition.summary`` passes only a non-empty list."""
     n = len(values)
-    if not n:
-        raise EmptyResult("no repetitions to summarize")
     ordered = sorted(values)
     mean = (2 * sum(values) + n) // (2 * n)
     ratio_gap = gap if metric == "latency" else None  # only a latency is set against the gap

@@ -98,7 +98,7 @@ class SimState:
         self,
         config: SystemConfig,
         scripts: dict[int, AppScript] | None = None,
-        health_table: health_mod.HealthTable | None = None,
+        health_table: dict | None = None,  # (kind, partition) -> action; see health
         api_call_cost: Duration = 0,
     ):
         self.config = config
@@ -109,7 +109,7 @@ class SimState:
         self.ports = PortTable(config)
         self.scripts: dict[int, AppScript] = dict(scripts or {})
         self.cursors: dict[int, AppCursor] = {pid: AppCursor() for pid in self.scripts}
-        self.health_table = health_table or health_mod.HealthTable()
+        self.health_table = health_table or dict(health_mod.DEFAULT_ACTIONS)
         self.api_call_cost = api_call_cost
         self.trace = trace_mod.PeriodicTrace()
         self.halted = False
@@ -333,7 +333,7 @@ class SimState:
         else:  # a port call; the planner consumes every COMPUTE
             next_t = now + self.api_call_cost
             if kind is Send:
-                size = action.size if action.size is not None else 0
+                size = action.size  # the harness binds every $payload send
                 status, _msg, channel, op = self.ports.send(pid, action.port, size, now)
                 result = status.value
             else:

@@ -5,15 +5,18 @@ partition's slots.  COMPUTE consumes virtual time; SEND/RECEIVE/READ are
 port calls at the current offset; MARK drops a labelled timestamp into the
 trace (the harness measures latency between marks).
 
-Text grammar, one action per line; a line that starts with ``#`` is a
-comment::
+Text grammar, one action per line::
 
     compute 100us
-    # or: send out $payload
     send out 64
+    send out $payload
     recv in
     read in
     mark tx
+
+``parse_script`` reads action lines only: the scenario reader
+(``harness._split_sections``) has dropped blank and ``#`` lines before a
+script section is parsed.
 
 A mark label is ASCII and holds no ``,``: it is a cell of its trace line.
 A port name is ASCII: a call on a port of another partition writes it to
@@ -117,8 +120,6 @@ class PendingOverrun(NamedTuple):
 
 def parse_action(line: str) -> Action:
     parts = line.split()
-    if not parts:
-        raise ScriptError("empty action line")
     op, args = parts[0].lower(), parts[1:]
     if op in ("send", "recv", "read") and args and not args[0].isascii():
         # a call on another partition's port writes its name to the trace
@@ -147,12 +148,9 @@ def parse_script(
     lines: list[str], partition_id: int, mode: ScriptMode = ScriptMode.ONCE
 ) -> AppScript:
     actions = []
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in lines:
         try:
-            actions.append(parse_action(line))
+            actions.append(parse_action(line.strip()))
         except ValueError as exc:
             raise ScriptError(f"partition {partition_id}: {exc}") from None
     return AppScript(tuple(actions), mode)

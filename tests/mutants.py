@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 
 READER_TESTS = ("tests/test_csv_reader.py",)
+LOCATED_TESTS = ("tests/test_cli.py::test_malformed_value_is_located",)
 
 MUTANTS = (
     # a cell with a 9 in it refused: the shape check reads every digit as 0
@@ -96,6 +97,21 @@ MUTANTS = (
     Mutant("copied-seq-as-text", "src/partsim/trace.py",
            "if type(r) is EventRecord:\n            part = ",
            "if False:\n            part = ", ("tests/test_trace.py",)),
+    # a script's recv on its own sampling port let through: the ports trust
+    # the scenario check to refuse it
+    Mutant("recv-on-sampling-unchecked", "src/partsim/harness.py",
+           "elif kind is Receive and ch.capacity is None:", "elif False:", LOCATED_TESTS),
+    # a script's read on its own queuing port let through
+    Mutant("read-on-queuing-unchecked", "src/partsim/harness.py",
+           "elif kind is Read and ch.refresh_period is None:", "elif False:", LOCATED_TESTS),
+    # a scenario of zero repetitions let through: summarize trusts that a
+    # condition has a value
+    Mutant("zero-repetitions-unchecked", "src/partsim/harness.py",
+           "if sc.repetitions < 1:", "if sc.repetitions < 0:", LOCATED_TESTS),
+    # a per-partition health override ignored: every event gets its kind's default
+    Mutant("health-override-ignored", "src/partsim/health.py",
+           "action = table.get((kind, partition_id)) or table[kind, None]",
+           "action = table[kind, None]", ("tests/test_health.py",)),
 )
 
 

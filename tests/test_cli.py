@@ -138,8 +138,13 @@ def test_run_invalid_scenario(workdir):
     assert main(["run", scn]) == 1
 
 
-def test_run_missing_scenario(workdir):
+def test_run_missing_scenario(workdir, capsys):
     assert main(["run", "nowhere.scn"]) == 3
+    write(workdir / "x.scn", "name = x\nmode = partitioned\nsystem_file = missing.xml\n")
+    capsys.readouterr()
+    assert main(["run", "x.scn"]) == 3
+    assert capsys.readouterr().err == (
+        "error: system_file: [Errno 2] No such file or directory: 'missing.xml'\n")
 
 
 def test_until_frame_wraps(workdir):
@@ -736,8 +741,45 @@ def add_to_broker(extra):
                  "[broker]: not read by a partitioned scenario", id="partitioned_broker"),
     pytest.param(make_cookbook_scenario(extra_sections="[loads]\n0.0,0.0 -> 1.0,0.75\n"),
                  "[loads]: not read by a partitioned scenario", id="partitioned_loads"),
+    # checks that the engine, the ports and summarize trust, so each is the
+    # one owner of its rule
+    pytest.param(make_cookbook_scenario().replace(
+        '<QueuingChannel maxMessageSize="64" maxNoMessages="16">',
+        '<SamplingChannel maxMessageSize="64" refreshPeriod="2ms">').replace(
+        "</QueuingChannel>", "</SamplingChannel>"),
+        "ERROR SCRIPT_KIND script 1 recv on sampling port 'in' (use read)", id="recv_on_sampling"),
+    pytest.param(make_cookbook_scenario().replace("recv in", "read in"),
+                 "ERROR SCRIPT_KIND script 1 read on queuing port 'in' (use recv)",
+                 id="read_on_queuing"),
+    pytest.param(make_cookbook_scenario(repetitions=0),
+                 "ERROR REPETITIONS scenario repetitions must be >= 1", id="zero_repetitions"),
+    pytest.param(make_cookbook_scenario(extra_sections="[script 9]\nmark zz\n"),
+                 "ERROR UNKNOWN_PARTITION script 9 script references a missing partition",
+                 id="script_missing_partition"),
+    # the other scenario checks
+    pytest.param(BROKER_TEXT.replace("proc_fixed = 20us", "proc_fixed = 20us\nbogus = 1"),
+                 "[broker]: unknown keys ['bogus']", id="broker_unknown_key"),
+    pytest.param(BROKER_TEXT.replace("uplink = base=200us per_byte=0ns jitter=50us",
+                                     "uplink = speed=1"),
+                 "[broker] uplink: unknown link field 'speed'", id="broker_unknown_link_field"),
+    pytest.param(BROKER_TEXT.replace("0.0,0.0 -> 1.0,0.75", "0.0,0.0 1.0,0.75"),
+                 "[loads]: expected 'r_cpu,r_mem -> s_cpu,s_mem', got '0.0,0.0 1.0,0.75'",
+                 id="loads_without_arrow"),
+    pytest.param(make_cookbook_scenario(extra_sections="[health]\nSLOT_OVERRUN 0 1 = LOG\n"),
+                 "[health] SLOT_OVERRUN 0 1: expected 'KIND [partition] = ACTION'",
+                 id="health_three_words"),
+    *(pytest.param(make_cookbook_scenario(extra_sections=f"{header}\n{body}"),
+                   f"unknown section {header}", id=label) for header, body, label in (
+        ("[foo]", "", "unknown_section"),
+        ("[script]", "mark zz\n", "script_without_id"),
+        ("[health 0]", "SLOT_OVERRUN = LOG\n", "health_with_id"))),
+    pytest.param("name = x\nmode = partitioned\nsystem_file = junk.xml\n",
+                 "system_file: unexpected text 'junk' in <PartitionTable>",
+                 id="system_file_text"),
 ])
 def test_malformed_value_is_located(workdir, capsys, text, named):
+    # a system file that a case may name: text where the XML allows none
+    write(workdir / "junk.xml", COOKBOOK_SYSTEM.replace("<PartitionTable>", "<PartitionTable>junk"))
     scn = write(workdir / "bad.scn", text)
     assert main(["run", scn, "--out", "o.csv"]) == 1
     err = capsys.readouterr().err
@@ -932,7 +974,7 @@ def test_every_health_kind_changes_some_shipped_scenario(workdir):
         assert any(
             _run_outputs(f"{text}\n[health]\n{kind.value} = {action.value}\n") != base
             for text, base in ((text, _run_outputs(text)) for text in texts)
-            for action in HealthAction if action is not DEFAULT_ACTIONS[kind]
+            for action in HealthAction if action is not DEFAULT_ACTIONS[kind, None]
         ), kind
 
 

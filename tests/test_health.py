@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from partsim.config import PartitionSpec, SchedulePlan, ScheduleSlot, SystemConfig
-from partsim.health import HealthAction, HealthTable, HmKind, raise_event
+from partsim.health import DEFAULT_ACTIONS, HealthAction, HmKind, raise_event
 from partsim.scheduler import PartitionState, SimState
 from partsim.trace import EventRecord, HmRecord
 from partsim.workload import (
@@ -19,18 +19,29 @@ from conftest import partition_records
 from refmodels import format_trace
 
 
-def test_default_table_covers_every_kind():
-    table = HealthTable()
-    assert table.resolve(HmKind.SLOT_OVERRUN, 3) is HealthAction.LOG
-    assert table.resolve(HmKind.MEMORY_VIOLATION, 3) is HealthAction.SUSPEND_PARTITION
-    assert set(table.defaults) == set(HmKind) == {HmKind.SLOT_OVERRUN, HmKind.MEMORY_VIOLATION}
+def hm_actions(sim):
+    """(kind, partition, action) of each HM line of ``sim``'s trace."""
+    return [(r.kind, r.partition, r.action) for r in sim.trace if isinstance(r, HmRecord)]
 
 
-def test_override_beats_default():
-    table = HealthTable()
-    table.overrides[HmKind.MEMORY_VIOLATION, 1] = HealthAction.HALT_PARTITION
-    assert table.resolve(HmKind.MEMORY_VIOLATION, 1) is HealthAction.HALT_PARTITION
-    assert table.resolve(HmKind.MEMORY_VIOLATION, 0) is HealthAction.SUSPEND_PARTITION
+def test_default_table_covers_every_kind(cookbook):
+    assert DEFAULT_ACTIONS == {(HmKind.SLOT_OVERRUN, None): HealthAction.LOG,
+                               (HmKind.MEMORY_VIOLATION, None): HealthAction.SUSPEND_PARTITION}
+    sim = SimState(cookbook).boot()
+    raise_event(sim, HmKind.SLOT_OVERRUN, 1, "3")
+    raise_event(sim, HmKind.MEMORY_VIOLATION, 0, "SEND in")
+    assert hm_actions(sim) == [("SLOT_OVERRUN", 1, "LOG"),
+                               ("MEMORY_VIOLATION", 0, "SUSPEND_PARTITION")]
+
+
+def test_override_beats_default(cookbook):
+    table = {**DEFAULT_ACTIONS, (HmKind.MEMORY_VIOLATION, 1): HealthAction.HALT_PARTITION}
+    sim = SimState(cookbook, health_table=table).boot()
+    raise_event(sim, HmKind.MEMORY_VIOLATION, 1, "SEND out")
+    raise_event(sim, HmKind.MEMORY_VIOLATION, 0, "SEND in")
+    assert hm_actions(sim) == [("MEMORY_VIOLATION", 1, "HALT_PARTITION"),
+                               ("MEMORY_VIOLATION", 0, "SUSPEND_PARTITION")]
+    assert sim.partition_states == {0: PartitionState.SUSPENDED, 1: PartitionState.HALTED}
 
 
 def check_overrun(demanded, remaining, start):
@@ -101,8 +112,7 @@ def test_every_event_appears_once_with_action(cookbook):
 
 
 def test_halt_system_ends_run(cookbook):
-    table = HealthTable()
-    table.defaults[HmKind.MEMORY_VIOLATION] = HealthAction.HALT_SYSTEM
+    table = {**DEFAULT_ACTIONS, (HmKind.MEMORY_VIOLATION, None): HealthAction.HALT_SYSTEM}
     sim = SimState(cookbook, health_table=table).boot()
     sim.run_until(250_000)
     raise_event(sim, HmKind.MEMORY_VIOLATION, 0, "SEND out")
@@ -114,8 +124,7 @@ def test_halt_system_ends_run(cookbook):
 def test_overrun_halt_partition_isolates_other(cookbook):
     """A slot overrun mapped to HALT_PARTITION halts only its source; the
     other partition's projected trace is byte-identical to the clean run."""
-    table = HealthTable()
-    table.defaults[HmKind.SLOT_OVERRUN] = HealthAction.HALT_PARTITION
+    table = {**DEFAULT_ACTIONS, (HmKind.SLOT_OVERRUN, None): HealthAction.HALT_PARTITION}
     scripts = {
         0: parse_script(["compute 450us", "mark done"], 0),
         1: parse_script(["compute 20us", "mark beat"], 1, ScriptMode.REPEAT_EACH_SLOT),

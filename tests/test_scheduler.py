@@ -11,7 +11,7 @@ from partsim.config import (
     PartitionSpec, SchedulePlan, ScheduleSlot, SystemConfig, parse_config, validate,
 )
 from partsim.harness import load_scenario
-from partsim.health import HealthAction, HealthTable, HmKind
+from partsim.health import DEFAULT_ACTIONS, HealthAction, HmKind
 from partsim.scheduler import PartitionState, SimState
 from partsim.trace import (
     EventRecord, HmRecord, MarkRecord, PeriodicTrace, PortOpRecord, StateRecord, _copy_lines,
@@ -316,9 +316,7 @@ def long_compute_sim():
 
 
 def halting_sim():
-    table = HealthTable()
-    table.defaults[HmKind.SLOT_OVERRUN] = HealthAction.HALT_SYSTEM
-    return overrun_sim(table)
+    return overrun_sim({**DEFAULT_ACTIONS, (HmKind.SLOT_OVERRUN, None): HealthAction.HALT_SYSTEM})
 
 
 def test_run_until_composes(cookbook):
@@ -341,7 +339,7 @@ def engine_state(sim):
     return (
         sim.now, sim.halted, dict(sim.partition_states), dict(sim._epoch),
         {pid: (c.index, c.carry) for pid, c in sim.cursors.items()},
-        [vars(ports.state(i)) for i in range(len(sim.config.channels))],
+        ports.snapshot(0),
         dict(sim._record_seq),
         sorted((time, rank, pid, payload) for time, rank, pid, _, payload in sim._heap),
     )
@@ -438,11 +436,9 @@ def queue_systems(draw):
     scripts = {i: parse_script(draw(st.lists(actions, min_size=1, max_size=5)), i,
                                draw(st.sampled_from(workload.ScriptMode)))
                for i in range(n)}
-    table = HealthTable()
-    for kind in HmKind:
-        table.defaults[kind] = draw(st.sampled_from(HealthAction))
+    table = {(kind, None): draw(st.sampled_from(HealthAction)) for kind in HmKind}
     if draw(st.booleans()):
-        table.defaults[draw(st.sampled_from(HmKind))] = HealthAction.HALT_SYSTEM
+        table[draw(st.sampled_from(HmKind)), None] = HealthAction.HALT_SYSTEM
     cuts = sorted(draw(st.lists(st.integers(1, 60 * frame), min_size=1, max_size=8)))
     return cfg, scripts, table, cuts
 
@@ -583,13 +579,13 @@ def ring_system(rng, steady=None):
         if not steady:
             mode = rng.choice(list(workload.ScriptMode))
         scripts[i] = parse_script(lines, i, mode)
-    table = HealthTable()
+    table = dict(DEFAULT_ACTIONS)
     if not steady:  # partition i's violations get action (i + turn) mod 4
         turn = rng.randint(0, len(HEALTH_ACTIONS) - 1)
         for i in range(n):
             action = HEALTH_ACTIONS[(i + turn) % len(HEALTH_ACTIONS)]
-            table.overrides[HmKind.MEMORY_VIOLATION, i] = action
-            table.overrides[HmKind.SLOT_OVERRUN, i] = rng.choice(HEALTH_ACTIONS)
+            table[HmKind.MEMORY_VIOLATION, i] = action
+            table[HmKind.SLOT_OVERRUN, i] = rng.choice(HEALTH_ACTIONS)
     frames = 40 if steady else rng.choice([2, 5, 20, 40])
     t_end = frames * frame + rng.choice([0, 1, frame // 2, frame - 1])
     return (lambda: SimState(cfg, scripts=scripts, health_table=table)), frame, t_end, steady
@@ -801,11 +797,10 @@ def test_write_only_sampling_channel_keeps_one_visible_message(plan_calls):
     framed = write_only_sampling_sim().boot()
     for t in range(frame // 2, frames * frame + 1, frame // 2):
         framed.run_until(t)
-        for index in range(3):
+        for held in framed.ports.snapshot(0):
             # as of its last write, a channel holds one visible message at most
-            held = framed.ports.state(index).held
-            last = max((m.written_at for m, _ in held), default=0)
-            assert sum(1 for _, visible in held if visible <= last) <= 1
+            last = max((written for _, written, _ in held), default=0)
+            assert sum(1 for _, _, visible in held if visible <= last) <= 1
             assert len(held) <= 2  # the writes lie further apart than the copy cost
     assert format_trace(whole.trace) == format_trace(framed.trace)
     assert engine_state(whole) == engine_state(framed)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from partsim.harness import parse_scenario
 from partsim.scheduler import SimState
 from partsim.trace import EventRecord, HmRecord, MarkRecord
 from partsim.workload import (
@@ -16,6 +17,7 @@ from partsim.workload import (
     parse_script,
 )
 
+from conftest import make_cookbook_scenario
 from refmodels import format_trace
 
 
@@ -40,8 +42,13 @@ def test_action_grammar():
 
 
 def test_parse_script_skips_blanks_and_comments():
-    script = parse_script(["", "# setup", "compute 1us", "mark a"], 0)
-    assert len(script.actions) == 2
+    # blank and comment lines between a script's actions are dropped with
+    # every other blank and comment line, before the section is parsed
+    plain = parse_scenario(make_cookbook_scenario())
+    commented = parse_scenario(make_cookbook_scenario().replace(
+        "compute 100us\n", "compute 100us\n\n# a comment\n   # an indented one\n  \n"))
+    assert len(commented.scripts[0].actions) == 3
+    assert commented.scripts == plain.scripts
 
 
 def test_bind_payload():
@@ -141,9 +148,9 @@ def test_send_timestamp_is_dispatch_time(cookbook):
     scripts = {0: parse_script(["compute 123us", "send out 8"], 0)}
     sim = SimState(cookbook, scripts=scripts).boot()
     sim.run_until(999_999)
-    held = sim.ports.state(0).held
+    (held,) = sim.ports.snapshot(0)
     assert len(held) == 1
-    assert held[0][0].written_at == 123_000
+    assert held[0][1] == 123_000  # (size, written at, visible at)
 
 
 def test_identical_runs_give_identical_marks(cookbook):
