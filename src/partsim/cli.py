@@ -92,17 +92,17 @@ def _cmd_run(args) -> int:
                  parse_integer, 0),
                 ("--frames", args.frames, parse_integer, 1),
                 ("--until", args.until, parse_duration, 0)):
-            values[where] = None if text is None else parse(text)
-            if text is not None and values[where] < least:
-                raise ValueError(f"must be {'positive' if least else 'non-negative'}, got {text!r}")
+            values[where] = None if text is None else parse(text, least)
         for where in ("--frames", "--until", "--trace"):
-            if getattr(args, where[2:]) and scenario.mode is results.Mode.BROKER:
+            if getattr(args, where[2:]) is not None and scenario.mode is results.Mode.BROKER:
                 raise ValueError("not read by a broker scenario")
-        out_path = args.out or f"{scenario.name}.csv"
+        out_path = f"{scenario.name}.csv" if args.out is None else args.out
         for where, path, other, named in (
                 ("--out", out_path, args.scenario_path, "the scenario"),
                 ("--trace", args.trace, args.scenario_path, "the scenario"),
                 ("--trace", args.trace, out_path, "--out")):
+            if path == "":
+                raise ValueError("empty path")
             if path and _same_file(path, other):
                 raise ValueError(f"names the same file as {named}")
     except ValueError as exc:

@@ -42,8 +42,8 @@ of each child it may hold, and one reader checks every element against it:
   rejected;
 * numbers are ``units`` literals, integers in decimal or 0x-hex;
   ``majorFrame`` is positive, sizes and ``maxNoMessages`` are positive and
-  the rest non-negative; a memory area ends within the 64-bit address
-  space.
+  the rest non-negative, each checked by its ``units`` reader; a memory
+  area ends within the 64-bit address space.
 
 Each fault raises a ConfigError that names its element, and its attribute
 when it has one: ``<Slot> duration: negative duration '-4us'``.  A
@@ -55,29 +55,21 @@ from __future__ import annotations
 
 import enum
 import xml.etree.ElementTree as ET
+from functools import partial
 from typing import NamedTuple
 
-from .units import Duration, NegativeDuration, parse_duration, parse_integer
+from .units import Duration, parse_duration, parse_integer
 
 ADDRESS_BITS = 64
 ADDRESS_LIMIT = 1 << ADDRESS_BITS
 
 
 class ConfigError(Exception):
-    """Base class for configuration document errors."""
+    """A fault in a configuration document."""
 
 
 class XmlSyntaxError(ConfigError):
     """The document is not well-formed XML."""
-
-
-class SchemaError(ConfigError):
-    """Unknown/missing element or attribute, or a malformed value."""
-
-
-class RangeError(ConfigError):
-    """A value is structurally valid but out of range (negative duration,
-    zero size, address overflow)."""
 
 
 class ChannelKind(enum.Enum):
@@ -181,25 +173,8 @@ class Finding(NamedTuple):
 # parsing
 
 
-def _literal(parse, least: int):
-    """``parse`` (a ``units`` reader), with a bad literal raised as a SchemaError,
-    and a negative duration or a value below ``least`` (0 or 1) as a RangeError."""
-    def convert(text: str) -> int:
-        try:
-            value = parse(text)
-        except NegativeDuration as exc:
-            raise RangeError(str(exc)) from None
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
-        if value < least:
-            raise RangeError(f"must be {'positive' if least else 'non-negative'}, got {text!r}")
-        return value
-    return convert
-
-
-_NATURAL = _literal(lambda text: parse_integer(text, hex_ok=True), 0)
-_POSITIVE = _literal(lambda text: parse_integer(text, hex_ok=True), 1)
-_DURATION = _literal(parse_duration, 0)
+_NATURAL = partial(parse_integer, least=0, hex_ok=True)
+_POSITIVE = partial(parse_integer, least=1, hex_ok=True)
 _ENDPOINTS = {"Source": (1, 1), "Destination": (1, None)}
 _PORT_REF = ({"partition": (_NATURAL, None), "port": (str, None)}, {})
 
@@ -207,7 +182,7 @@ _PORT_REF = ({"partition": (_NATURAL, None), "port": (str, None)}, {})
 # attribute reads as, None when it is required) and the children it may
 # hold (tag -> least and most count; most is 1, or None for no limit).
 _ELEMENTS = {
-    "SystemDescription": ({"majorFrame": (_literal(parse_duration, 1), None)},
+    "SystemDescription": ({"majorFrame": (partial(parse_duration, least=1), None)},
                           {"PartitionTable": (1, 1), "Schedule": (1, 1),
                            "Channels": (0, 1), "Hypervisor": (0, 1)}),
     "PartitionTable": ({}, {"Partition": (0, None)}),
@@ -215,16 +190,16 @@ _ELEMENTS = {
     "MemoryArea": ({"start": (_NATURAL, None), "size": (_POSITIVE, None)}, {}),
     "Schedule": ({}, {"Slot": (0, None)}),
     "Slot": ({"id": (_NATURAL, None), "partition": (_NATURAL, None),
-              "start": (_DURATION, None), "duration": (_DURATION, None)}, {}),
+              "start": (parse_duration, None), "duration": (parse_duration, None)}, {}),
     "Channels": ({}, {"SamplingChannel": (0, None), "QueuingChannel": (0, None)}),
     "SamplingChannel": ({"maxMessageSize": (_POSITIVE, None),
-                         "refreshPeriod": (_DURATION, None)}, _ENDPOINTS),
+                         "refreshPeriod": (parse_duration, None)}, _ENDPOINTS),
     "QueuingChannel": ({"maxMessageSize": (_POSITIVE, None),
                         "maxNoMessages": (_POSITIVE, None)}, _ENDPOINTS),
     "Source": _PORT_REF,
     "Destination": _PORT_REF,
-    "Hypervisor": ({"copyCostFixed": (_DURATION, "0ns"),
-                    "copyCostPerByte": (_DURATION, "0ns")}, {}),
+    "Hypervisor": ({"copyCostFixed": (parse_duration, "0ns"),
+                    "copyCostPerByte": (parse_duration, "0ns")}, {}),
 }
 
 
@@ -236,16 +211,16 @@ def _read(elem: ET.Element) -> tuple[str, dict, list]:
     attributes, allowed = _ELEMENTS[tag]
     for name in elem.attrib:
         if name not in attributes:
-            raise SchemaError(f"unknown attribute {name!r} on <{tag}>")
+            raise ConfigError(f"unknown attribute {name!r} on <{tag}>")
     values = {}
     for name, (convert, default) in attributes.items():
         text = elem.get(name, default)
         if text is None:
-            raise SchemaError(f"<{tag}> is missing attribute {name!r}")
+            raise ConfigError(f"<{tag}> is missing attribute {name!r}")
         try:
             values[name] = convert(text)
-        except ConfigError as exc:
-            raise type(exc)(f"<{tag}> {name}: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"<{tag}> {name}: {exc}") from None
     counts = dict.fromkeys(allowed, 0)
     children = []
     text = elem.text  # the text before each child, then after the last one
@@ -253,33 +228,34 @@ def _read(elem: ET.Element) -> tuple[str, dict, list]:
         if text and not text.isspace():
             break
         if child.tag not in counts:
-            raise SchemaError(f"unknown element <{child.tag}> in <{tag}>")
+            raise ConfigError(f"unknown element <{child.tag}> in <{tag}>")
         counts[child.tag] += 1
         if counts[child.tag] > 1 and allowed[child.tag][1] == 1:
-            raise SchemaError(f"<{tag}> has more than one <{child.tag}>")
+            raise ConfigError(f"<{tag}> has more than one <{child.tag}>")
         children.append(_read(child))
         text = child.tail
     if text and not text.isspace():
-        raise SchemaError(f"unexpected text {text.strip()!r} in <{tag}>")
+        raise ConfigError(f"unexpected text {text.strip()!r} in <{tag}>")
     for name, (least, _) in allowed.items():
         if counts[name] < least:
-            raise SchemaError(f"<{tag}> is missing <{name}>")
+            raise ConfigError(f"<{tag}> is missing <{name}>")
     return tag, values, children
 
 
 def parse_config(text: str) -> SystemConfig:
     """Parse and normalize a system description document.
 
-    Raises XmlSyntaxError for malformed XML, SchemaError for unknown or
-    missing elements/attributes and bad literals, RangeError for negative
-    durations, non-positive sizes and a memory area past the address space.
+    Raises XmlSyntaxError for malformed XML, and a ConfigError that names
+    the element for every other fault: an unknown or missing element or
+    attribute, a bad literal or one below its least value (``units``), and
+    a memory area past the address space.
     """
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         raise XmlSyntaxError(f"malformed XML: {exc}") from None
     if root.tag != "SystemDescription":
-        raise SchemaError(f"root element must be <SystemDescription>, got <{root.tag}>")
+        raise ConfigError(f"root element must be <SystemDescription>, got <{root.tag}>")
     _, system, sections = _read(root)
     content = {tag: (attrs, children) for tag, attrs, children in sections}
 
@@ -288,8 +264,8 @@ def parse_config(text: str) -> SystemConfig:
         areas = tuple(MemoryArea(a["start"], a["size"]) for _, a, _ in children)
         for area in areas:
             if area.end > ADDRESS_LIMIT:
-                raise RangeError(f"<MemoryArea> [0x{area.start:x}, +0x{area.size:x}) overflows "
-                                 f"the {ADDRESS_BITS}-bit address space")
+                raise ConfigError(f"<MemoryArea> [0x{area.start:x}, +0x{area.size:x}) overflows "
+                                  f"the {ADDRESS_BITS}-bit address space")
         partitions.append(PartitionSpec(p["id"], p["name"], areas))
     slots = sorted((ScheduleSlot(s["id"], s["partition"], s["start"], s["duration"])
                     for _, s, _ in content["Schedule"][1]), key=lambda s: (s.start, s.slot_id))

@@ -59,18 +59,18 @@ scenarios read ``max_frames``, ``api_call_cost``, ``system_file``,
 malformed value, a second ``[script N]`` for one partition or a system XML
 error, raises a ScenarioError that names it.
 
-Each range of a broker value is checked here, once, where it is read, and
-``middleware`` checks none again: every duration is non-negative
-(``parse_duration``), ``load_factor`` is at least 0 (``_parse_broker``;
-a fraction literal is finite) and both fractions of a load lie in [0,1]
-(``_parse_load``).  ``validate_scenario`` checks the values that no
-reader checks: the name is a non-empty ASCII CSV cell and file name,
-``repetitions`` and ``max_frames`` are at least 1, the payload sizes are
-positive and distinct, the seed is non-negative and the rows stay below
-the seed stride; in a partitioned scenario, the system (``validate``),
-each script (below) and each health override's partition too.  Each of
-these rules has this one owner: the engine, the ports and ``summarize``
-trust a parsed scenario and check none again.
+Each number's least value is checked once, where it is read, by its
+``units`` reader: ``repetitions``, ``max_frames``, each payload size and
+a script's send size are at least 1, and the seed, every duration and
+``load_factor`` at least 0.  ``_parse_load`` keeps both fractions of a
+load in [0,1].  ``middleware`` checks no broker value again.
+``validate_scenario`` checks the values that no reader checks: the name
+is a non-empty ASCII CSV cell and file name, the payload sizes are
+distinct and the rows stay below the seed stride; in a partitioned
+scenario, the system (``validate``), each script (below) and each health
+override's partition too.  Each of these rules has this one owner: the
+engine, the ports and ``summarize`` trust a parsed scenario and check
+none again.
 
 ``validate_scenario`` checks a script's port calls by name only: a name
 that no channel's source or destination has is a typo (``SCRIPT_PORT``).
@@ -104,6 +104,7 @@ from __future__ import annotations
 import _signal  # the C module under ``signal``, loaded by every interpreter
 import marshal
 import os
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
@@ -263,7 +264,7 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     items = text.split(",")
     if not all(p.strip() for p in items):
         raise ValueError(f"empty item in {text!r}")
-    return tuple(parse_integer(p) for p in items)
+    return tuple(parse_integer(p, 1) for p in items)
 
 
 # A section parser, ``parse(fields, where, header_id, lines)``, sets the
@@ -274,7 +275,7 @@ _BROKER_KEYS = {
     "downlink": _parse_link,
     "proc_fixed": parse_duration,
     "proc_per_byte": parse_duration,
-    "load_factor": parse_fraction,
+    "load_factor": partial(parse_fraction, least=0),
 }
 
 
@@ -289,11 +290,8 @@ def _parse_broker(fields: dict, where: str, _: str, lines: list[str]) -> None:
     unknown = set(kv) - set(_BROKER_KEYS)
     if unknown:
         raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
-    fields["topology"] = topology = fields["topology"]._replace(**{
+    fields["topology"] = fields["topology"]._replace(**{
         key: _convert(f"{where} {key}", _BROKER_KEYS[key], text) for key, text in kv.items()})
-    if topology.load_factor < 0:
-        raise ValueError(
-            f"load_factor must be finite and >= 0, got {fraction_text(topology.load_factor)}")
 
 
 def _parse_loads(fields: dict, where: str, _: str, lines: list[str]) -> None:
@@ -363,10 +361,10 @@ _KEYS = {
     "name": (None, str, None),
     "mode": (None, None, None),
     "payload_sizes": (None, _parse_sizes, (1, 1_000_000, 6_000_000)),
-    "repetitions": (None, parse_integer, 100),
-    "seed": (None, parse_integer, 0),
+    "repetitions": (None, partial(parse_integer, least=1), 100),
+    "seed": (None, partial(parse_integer, least=0), 0),
     "api_call_cost": (Mode.PARTITIONED, parse_duration, 0),
-    "max_frames": (Mode.PARTITIONED, parse_integer, 16),
+    "max_frames": (Mode.PARTITIONED, partial(parse_integer, least=1), 16),
     "system_file": (Mode.PARTITIONED, None, None),
 }
 
@@ -460,16 +458,8 @@ def validate_scenario(sc: Scenario) -> list[Finding]:
         err("NAME", "scenario", "name must be ASCII (it is a CSV cell)")
     if "/" in sc.name or "\0" in sc.name:
         err("NAME", "scenario", "name must not contain '/' or NUL (it names the default CSV file)")
-    if sc.repetitions < 1:
-        err("REPETITIONS", "scenario", "repetitions must be >= 1")
-    if not sc.payload_sizes or any(p <= 0 for p in sc.payload_sizes):
-        err("PAYLOAD", "scenario", "payload sizes must be positive")
     if len(set(sc.payload_sizes)) != len(sc.payload_sizes):
         err("PAYLOAD", "scenario", "payload sizes must be distinct")
-    if sc.max_frames < 1:
-        err("MAX_FRAMES", "scenario", "max_frames must be >= 1")
-    if sc.seed < 0:
-        err("SEED", "scenario", "seed must be >= 0")
     rows = len(sc.payload_sizes) * max(len(sc.load_pairs), 1) * sc.repetitions
     if rows > MAX_ROWS:
         err("ROWS", "scenario", f"payload sizes x load pairs x repetitions = {rows} "

@@ -19,10 +19,10 @@ are load-independent.  memory_load has no effect on timing.
 
 ``LinkModel``, ``LoadProfile`` and ``BrokerTopology`` are plain
 NamedTuples, and neither they nor ``base_time`` and ``condition_times``
-check a range.  Each value is checked once, where it enters: by the
-scenario reader (see ``harness``), which also keeps both loads, memory
-included, in [0,1]; or by ``cli``, for a ``--seed`` or ``PARTSIM_SEED``
-override.
+check a range.  Each value is checked once, where it enters, by the
+``units`` reader that reads it with its least value: in the scenario
+reader (see ``harness``), which also keeps both loads, memory included,
+in [0,1], or in ``cli``, for a ``--seed`` or ``PARTSIM_SEED`` override.
 
 Everything is deterministic given the generator passed in.  Jitter draws
 come from that generator in path order (uplink first, then downlink), one

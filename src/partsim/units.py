@@ -6,6 +6,12 @@ surrounding whitespace stripped, is an integer ``-?[0-9]+`` (the system XML
 also takes ``0x`` hex), a duration (that decimal integer, optional
 whitespace and ns/us/ms/s) or a fraction ``-?[0-9]+``, optionally ``.[0-9]+``.
 A fraction is read exactly, as the decimal it writes.
+
+Each reader also takes the least value its caller allows and checks it,
+so a number's range is checked once, where it enters, and this module is
+the one owner of that rule: ``must be positive, got '0'``,
+``must be non-negative, got '-1'``, or for a duration ``negative duration
+'-1ms'``.
 """
 
 import re
@@ -25,35 +31,43 @@ _FRACTION_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?")
 
 
 class UnitError(ValueError):
-    """Malformed integer, duration or fraction literal."""
+    """A malformed integer, duration or fraction literal, or one below its
+    least value."""
 
 
-class NegativeDuration(ValueError):
-    """Duration literals must be non-negative."""
+def _at_least(value, least, text: str):
+    """``value``, when ``least`` is None or ``value`` is at least it."""
+    if least is not None and value < least:
+        bound = ("non-negative" if least == 0 else "positive" if least == 1 and type(value) is int
+                 else f">= {least}")
+        raise UnitError(f"must be {bound}, got {text!r}")
+    return value
 
 
-def parse_integer(text: str, hex_ok: bool = False) -> int:
-    """Parse an integer literal; ``hex_ok`` also takes the XML's 0x form."""
+def parse_integer(text: str, least: int | None = None, hex_ok: bool = False) -> int:
+    """Parse an integer literal of at least ``least``; ``hex_ok`` also takes
+    the XML's 0x form."""
     t = text.strip()
     if not (_XML_INTEGER_RE if hex_ok else _INTEGER_RE).fullmatch(t):
         raise UnitError(f"bad integer {text!r}")
-    return int(t, 16 if "x" in t.lower() else 10)
+    return _at_least(int(t, 16 if "x" in t.lower() else 10), least, text)
 
 
-def parse_duration(text: str) -> Duration:
-    """Parse ``"400us"``-style literals into nanoseconds."""
+def parse_duration(text: str, least: int = 0) -> Duration:
+    """Parse ``"400us"``-style literals of at least ``least`` nanoseconds."""
     m = _DURATION_RE.fullmatch(text.strip())
     if m is None:
         raise UnitError(f"bad duration {text!r} (expected integer + ns/us/ms/s)")
     value = int(m.group(1)) * _UNITS[m.group(2)]
     if value < 0:
-        raise NegativeDuration(f"negative duration {text!r}")
-    return value
+        raise UnitError(f"negative duration {text!r}")
+    return _at_least(value, least, text)
 
 
-def parse_fraction(text: str):
-    """Parse a ``"0.75"``-style literal into the exact ``fractions.Fraction``
-    it writes; ``0.13`` is 13/100, not the nearest float."""
+def parse_fraction(text: str, least: int | None = None):
+    """Parse a ``"0.75"``-style literal of at least ``least`` into the exact
+    ``fractions.Fraction`` it writes; ``0.13`` is 13/100, not the nearest
+    float."""
     # imported here: only a broker scenario reads a fraction, and the module
     # (with the ``decimal`` it imports) costs a few ms at start-up
     from fractions import Fraction
@@ -61,7 +75,7 @@ def parse_fraction(text: str):
     t = text.strip()
     if not _FRACTION_RE.fullmatch(t):
         raise UnitError(f"bad fraction {text!r}")
-    return Fraction(t)
+    return _at_least(Fraction(t), least, text)
 
 
 def fraction_text(value) -> str:

@@ -129,10 +129,7 @@ def parse_action(line: str) -> Action:
     if op == "send" and len(args) == 2:
         if args[1] == PAYLOAD_PLACEHOLDER:
             return Send(port=args[0], size=None)
-        size = parse_integer(args[1])
-        if size <= 0:
-            raise ScriptError(f"send size must be positive: {line!r}")
-        return Send(port=args[0], size=size)
+        return Send(port=args[0], size=parse_integer(args[1], 1))
     if op == "recv" and len(args) == 1:
         return Receive(port=args[0])
     if op == "read" and len(args) == 1:

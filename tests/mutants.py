@@ -107,7 +107,19 @@ MUTANTS = (
     # a scenario of zero repetitions let through: summarize trusts that a
     # condition has a value
     Mutant("zero-repetitions-unchecked", "src/partsim/harness.py",
-           "if sc.repetitions < 1:", "if sc.repetitions < 0:", LOCATED_TESTS),
+           '"repetitions": (None, partial(parse_integer, least=1), 100)',
+           '"repetitions": (None, partial(parse_integer, least=0), 100)', LOCATED_TESTS),
+    # each literal one below its least value let through: the one check of
+    # every number's lower bound
+    Mutant("bound-one-short", "src/partsim/units.py",
+           "if least is not None and value < least:",
+           "if least is not None and value < least - 1:", ("tests/test_units.py",)),
+    # a --frames of 0 let through: the run simulates nothing, and exits 0
+    # with "no data" and a CSV of its header alone
+    Mutant("zero-frames-unchecked", "src/partsim/cli.py",
+           '("--frames", args.frames, parse_integer, 1)',
+           '("--frames", args.frames, parse_integer, 0)',
+           ("tests/test_cli.py::test_flag_fault_is_one_located_line",)),
     # a per-partition health override ignored: every event gets its kind's default
     Mutant("health-override-ignored", "src/partsim/health.py",
            "action = table.get((kind, partition_id)) or table[kind, None]",

@@ -430,7 +430,8 @@ def test_non_positive_max_frames_exits_1(workdir, capsys, value):
     text = make_cookbook_scenario(repetitions=1).replace("max_frames = 2", f"max_frames = {value}")
     scn = write(workdir / "mf.scn", text)
     assert main(["run", scn, "--out", "o.csv"]) == 1
-    assert "MAX_FRAMES scenario max_frames" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", f"error: invalid scenario: max_frames: must be positive, got '{value}'\n")
 
 
 def test_halt_system_exit_code(workdir):
@@ -577,9 +578,9 @@ def add_to_broker(extra):
     pytest.param(make_cookbook_scenario().replace("seed = 1", "seed = x"),
                  "seed", id="seed"),
     pytest.param(make_cookbook_scenario().replace("seed = 1", "seed = -1"),
-                 "SEED scenario seed must be >= 0", id="negative_seed"),
+                 "seed: must be non-negative, got '-1'", id="negative_seed"),
     pytest.param(BROKER_TEXT.replace("seed = 7", "seed = -7"),
-                 "SEED scenario seed must be >= 0", id="broker_negative_seed"),
+                 "seed: must be non-negative, got '-7'", id="broker_negative_seed"),
     pytest.param(BROKER_TEXT.replace("repetitions = 100", "repetitions = 333335"),
                  "ROWS scenario payload sizes x load pairs x repetitions = 1000005",
                  id="broker_draws_over_stride"),
@@ -620,7 +621,7 @@ def add_to_broker(extra):
                  "[broker] proc_fixed", id="proc_fixed"),
     # the range checks of the broker values, reached from a scenario
     pytest.param(BROKER_TEXT.replace("load_factor = 1.0", "load_factor = -1.0"),
-                 "[broker]: load_factor must be finite and >= 0, got -1.0",
+                 "[broker] load_factor: must be non-negative, got '-1.0'",
                  id="load_factor_negative"),
     pytest.param(BROKER_TEXT.replace("0.0,0.0 -> 1.0,0.75", "0.0,0.0 -> 1.5,0.75"),
                  "[loads] stressed: cpu_load must be in [0,1], got 1.5", id="loads_cpu_over_one"),
@@ -642,7 +643,7 @@ def add_to_broker(extra):
         ("proc_per_byte = 5ns", "proc_per_byte = -5ns",
          "[broker] proc_per_byte: negative duration '-5ns'", "proc_per_byte_negative"),
         ("payload_sizes = 1,1000000,6000000", "payload_sizes = 0",
-         "PAYLOAD scenario payload sizes must be positive", "broker_zero_payload"),
+         "payload_sizes: must be positive, got '0'", "broker_zero_payload"),
     )),
     pytest.param(BROKER_TEXT.replace("subscribers = 1", "subscribers = 0"),
                  "[broker] subscribers", id="subscribers_0"),
@@ -752,7 +753,9 @@ def add_to_broker(extra):
                  "ERROR SCRIPT_KIND script 1 read on queuing port 'in' (use recv)",
                  id="read_on_queuing"),
     pytest.param(make_cookbook_scenario(repetitions=0),
-                 "ERROR REPETITIONS scenario repetitions must be >= 1", id="zero_repetitions"),
+                 "repetitions: must be positive, got '0'", id="zero_repetitions"),
+    pytest.param(make_cookbook_scenario().replace("send out $payload", "send out 0"),
+                 "[script 0]: partition 0: must be positive, got '0'", id="zero_send_size"),
     pytest.param(make_cookbook_scenario(extra_sections="[script 9]\nmark zz\n"),
                  "ERROR UNKNOWN_PARTITION script 9 script references a missing partition",
                  id="script_missing_partition"),
@@ -804,12 +807,20 @@ def test_malformed_value_is_located(workdir, capsys, text, named):
                  "--until: not read by a broker scenario", id="broker_until"),
     pytest.param(BROKER_TEXT, ("--trace", "o.trace"), None,
                  "--trace: not read by a broker scenario", id="broker_trace"),
+    pytest.param(BROKER_TEXT, ("--trace=",), None,
+                 "--trace: not read by a broker scenario", id="broker_empty_trace"),
+    # an empty path names no file, not even the default <name>.csv
+    pytest.param(make_cookbook_scenario(), ("--out=",), None, "--out: empty path", id="empty_out"),
+    pytest.param(BROKER_TEXT, ("--out", ""), None, "--out: empty path", id="broker_empty_out"),
+    pytest.param(make_cookbook_scenario(), ("--trace=",), None, "--trace: empty path",
+                 id="empty_trace"),
 ])
 def test_flag_fault_is_one_located_line(workdir, monkeypatch, capsys, text, flags, env_seed,
                                         message):
     """A fault in a flag or in PARTSIM_SEED has one form: exit 1, one
     ``error: <flag or variable>: <message>`` line on stderr, nothing on
-    stdout, and neither CSV nor trace written."""
+    stdout, and no file written: no CSV (the default ``<name>.csv``
+    included) and no trace."""
     if env_seed is None:
         monkeypatch.delenv("PARTSIM_SEED", raising=False)
     else:
@@ -817,7 +828,7 @@ def test_flag_fault_is_one_located_line(workdir, monkeypatch, capsys, text, flag
     scn = write(workdir / "bad.scn", text)
     assert main(["run", scn, "--out", "o.csv", *flags]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert not (workdir / "o.csv").exists() and not (workdir / "o.trace").exists()
+    assert [path.name for path in workdir.iterdir()] == ["bad.scn"]
 
 
 def test_a_run_validates_the_system_once(workdir, monkeypatch, capsys):

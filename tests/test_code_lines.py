@@ -5,7 +5,7 @@ from code_lines import code_lines, main
 from conftest import REPO_ROOT
 
 # the code lines of src/partsim when this ceiling was last moved
-CEILING = 1800
+CEILING = 1778
 
 FIXTURE = '''"""Module docstring,
 over two lines."""

@@ -11,10 +11,9 @@ from hypothesis import given, strategies as st
 from partsim import config
 from partsim.config import (
     ChannelKind,
-    RangeError,
+    ConfigError,
     SchedulePlan,
     ScheduleSlot,
-    SchemaError,
     XmlSyntaxError,
     parse_config,
     validate,
@@ -81,7 +80,7 @@ def test_malformed_xml():
 )
 def test_schema_errors(mutation):
     old, new = mutation
-    with pytest.raises(SchemaError):
+    with pytest.raises(ConfigError):
         parse_config(MINIMAL.replace(old, new))
 
 
@@ -104,7 +103,7 @@ def test_schema_errors(mutation):
      "unexpected text 'idle' in <Schedule>"),
 ])
 def test_errors_name_their_element(old, new, message):
-    with pytest.raises((SchemaError, RangeError)) as info:
+    with pytest.raises(ConfigError) as info:
         parse_config(MINIMAL.replace(old, new))
     assert str(info.value) == message
 
@@ -194,21 +193,24 @@ def test_documented_example_parses_and_shows_every_attribute(where):
 
 
 def test_range_errors():
-    with pytest.raises(RangeError):
-        parse_config(MINIMAL.replace('duration="400us"', 'duration="-400us"'))
-    with pytest.raises(RangeError):
-        parse_config(MINIMAL.replace(
-            '<Partition id="0" name="solo"/>',
-            '<Partition id="0" name="solo"><MemoryArea start="0x0" size="0"/></Partition>',
-        ))
-    with pytest.raises(RangeError):
-        parse_config(MINIMAL.replace('majorFrame="1ms"', 'majorFrame="0ns"'))
-    with pytest.raises(RangeError):  # start + size overflows the address space
-        parse_config(MINIMAL.replace(
-            '<Partition id="0" name="solo"/>',
-            '<Partition id="0" name="solo">'
-            '<MemoryArea start="0xffffffffffffffff" size="0x2"/></Partition>',
-        ))
+    for old, new, message in (
+        ('duration="400us"', 'duration="-400us"', "<Slot> duration: negative duration '-400us'"),
+        ('<Partition id="0" name="solo"/>',
+         '<Partition id="0" name="solo"><MemoryArea start="0x0" size="0"/></Partition>',
+         "<MemoryArea> size: must be positive, got '0'"),
+        ('majorFrame="1ms"', 'majorFrame="0ns"',
+         "<SystemDescription> majorFrame: must be positive, got '0ns'"),
+        ('majorFrame="1ms"', 'majorFrame="-1ms"',
+         "<SystemDescription> majorFrame: negative duration '-1ms'"),
+        # start + size overflows the address space
+        ('<Partition id="0" name="solo"/>',
+         '<Partition id="0" name="solo">'
+         '<MemoryArea start="0xffffffffffffffff" size="0x2"/></Partition>',
+         "<MemoryArea> [0xffffffffffffffff, +0x2) overflows the 64-bit address space"),
+    ):
+        with pytest.raises(ConfigError) as info:
+            parse_config(MINIMAL.replace(old, new))
+        assert str(info.value) == message
 
 
 def test_validate_cookbook_clean(cookbook):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from partsim.config import SchemaError, parse_config
+from partsim.config import ConfigError, parse_config
 from partsim.units import UnitError, parse_duration, parse_fraction, parse_integer
 
 from conftest import COOKBOOK_XML, REPO_ROOT
@@ -54,6 +54,25 @@ def test_undocumented_forms_are_rejected(parse, text):
         parse(text)
 
 
+@pytest.mark.parametrize("parse, least, low, message, high", [
+    pytest.param(parse_integer, 0, "-1", "must be non-negative, got '-1'", "0", id="integer_0"),
+    pytest.param(parse_integer, 1, " 0", "must be positive, got ' 0'", "1", id="integer_1"),
+    pytest.param(parse_duration, 0, "-1ns", "negative duration '-1ns'", "0ns", id="duration_0"),
+    pytest.param(parse_duration, 1, "0ms", "must be positive, got '0ms'", "1ns", id="duration_1"),
+    pytest.param(parse_fraction, 0, "-0.1", "must be non-negative, got '-0.1'", "0.0",
+                 id="fraction_0"),
+    # a fraction may lie between 0 and 1: below 1 is no "positive" fault
+    pytest.param(parse_fraction, 1, "0.9", "must be >= 1, got '0.9'", "1", id="fraction_1"),
+])
+def test_least_value_is_checked_by_the_reader(parse, least, low, message, high):
+    """Each reader refuses a literal below ``least`` with one message that
+    quotes the literal, and reads the least value itself."""
+    assert parse(high, least) == least
+    with pytest.raises(UnitError) as info:
+        parse(low, least)
+    assert str(info.value) == message
+
+
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="int() reads any number of digits")
 @pytest.mark.parametrize("old, new, named", [
@@ -62,7 +81,7 @@ def test_undocumented_forms_are_rejected(parse, text):
 ])
 def test_more_digits_than_int_reads_is_a_schema_error(old, new, named):
     digits = "9" * (sys.get_int_max_str_digits() + 1)
-    with pytest.raises(SchemaError, match=named):
+    with pytest.raises(ConfigError, match=named):
         parse_config(COOKBOOK_XML.replace(old, new.format(digits), 1))
 
 
@@ -117,3 +136,16 @@ def test_slot_arithmetic_stays_in_config():
     uses = [use for path in sorted(SRC.rglob("*.py")) if path != SRC / "config.py"
             for use in _frame_modulos(path)]
     assert uses == []
+
+
+# the phrases of the lower-bound rule: units is its one owner, and config's
+# SLOT_EMPTY finding, which ``partsim validate`` prints, its one other use
+_BOUND_PHRASES = ("must be positive", "must be non-negative", "must be >=")
+
+
+def test_lower_bounds_stay_in_units():
+    uses = [(path.name, line.strip()) for path in sorted(SRC.rglob("*.py"))
+            if path.name != "units.py"
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if any(phrase in line for phrase in _BOUND_PHRASES)]
+    assert uses == [("config.py", 'err("SLOT_EMPTY", loc, "slot duration must be positive")')]

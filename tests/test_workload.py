@@ -36,9 +36,13 @@ def test_action_grammar():
                          ("read in", Read("in")), ("mark tx", Mark("tx"))):
         parsed = parse_action(line)
         assert (type(parsed), parsed) == (type(action), action)
-    for bad in ("jump 3", "compute", "send out", "mark", "send out 0"):
+    for bad in ("jump 3", "compute", "send out", "mark"):
         with pytest.raises(ScriptError):
             parse_action(bad)
+    # a send size is read as a positive integer, and the script names its partition
+    with pytest.raises(ScriptError) as info:
+        parse_script(["send out 0"], 3)
+    assert str(info.value) == "partition 3: must be positive, got '0'"
 
 
 def test_parse_script_skips_blanks_and_comments():
